@@ -97,13 +97,21 @@ def _lanczos_sum_complex(z):
     return s
 
 
+def _sinpi(x):
+    """sin(pi x) with exact argument reduction: r = x - round(x) is exact in
+    binary floating point, and sin(pi (n + r)) = (-1)**n sin(pi r)."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
+    return -s if n % 2 else s
+
+
 def _gamma_real(x):
     if x < 0.5:
         k = round(x)
         if k <= 0 and abs(x - k) <= _POLE_TOL:
             raise PoleError(f"gamma pole at non-positive integer near {x!r}")
         # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
-        return math.pi / (math.sin(math.pi * x) * _gamma_real(1.0 - x))
+        return math.pi / (_sinpi(x) * _gamma_real(1.0 - x))
     t = x + _LG - 0.5
     # split the power so neither factor overflows before the exp(-t) damping
     half = math.pow(t, 0.5 * (x - 0.5))
@@ -155,7 +163,10 @@ def gamma(z):
     x = float(z)
     if not math.isfinite(x):
         raise DomainError(f"z must be finite, got {z!r}")
-    return _gamma_real(x)
+    out = _gamma_real(x)
+    if math.isinf(out):
+        raise OverflowError(f"gamma({x!r}) exceeds the floating range")
+    return out
 
 
 def _log_gamma_right(z):

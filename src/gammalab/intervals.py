@@ -3,6 +3,17 @@
 Endpoints are exact fractions, so measures and membership tests are exact
 integer arithmetic — the set constructions downstream turn on exact
 comparisons like measure < delta, never floating tests.
+
+The constructor also builds an integer index.  With D the lcm of the
+denominators of the given endpoints, every endpoint e becomes the integer
+D * e; sorting and merging run on these integers, and the canonical
+intervals (a_i, b_i] are kept as two sorted lists lo[i] = D * a_i and
+hi[i] = D * b_i.  A point x = p/q is scaled once to c = ceil(p * D / q);
+since lo[i] and hi[i] are integers, a_i < x <= b_i holds exactly when
+lo[i] < c <= hi[i].  So a membership test or `find` is one integer
+division, one `bisect_left` on lo and one integer comparison, with no
+Fraction compared, and the measure is (sum(hi) - sum(lo)) / D.  The
+public `intervals` stay the Fraction pairs.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .errors import DomainError
@@ -21,6 +33,8 @@ def as_fraction(x) -> Fraction:
     Floats convert exactly (they are dyadic rationals), which keeps trace
     bookkeeping honest when arguments arrive as doubles.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):
@@ -39,7 +53,8 @@ class IntervalSet:
 
     The constructor accepts intervals in any order, possibly overlapping or
     touching, and normalizes to the canonical sorted disjoint form; (a, b]
-    and (b, c] merge into (a, c].
+    and (b, c] merge into (a, c].  The integer index of the module
+    docstring is built alongside.
     """
 
     intervals: tuple = field(default=())
@@ -52,29 +67,53 @@ class IntervalSet:
             if not lo < hi:
                 raise DomainError(f"empty or inverted interval ({lo}, {hi}]")
             cleaned.append((lo, hi))
-        cleaned.sort()
-        merged = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
+        # sort and merge on the scaled integer endpoints, keeping the Fractions
+        den = lcm(*(e.denominator for pair in cleaned for e in pair))
+        keyed = sorted(
+            (
+                lo.numerator * (den // lo.denominator),
+                hi.numerator * (den // hi.denominator),
+                lo,
+                hi,
+            )
+            for lo, hi in cleaned
+        )
+        merged, ilo, ihi = [], [], []
+        for a, b, lo, hi in keyed:
+            if ihi and a <= ihi[-1]:
+                if b > ihi[-1]:
+                    ihi[-1] = b
                     merged[-1] = (merged[-1][0], hi)
             else:
                 merged.append((lo, hi))
+                ilo.append(a)
+                ihi.append(b)
         object.__setattr__(self, "intervals", tuple(merged))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_lo", ilo)
+        object.__setattr__(self, "_hi", ihi)
 
     @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        return Fraction(sum(self._hi) - sum(self._lo), self._den)
+
+    def _locate(self, x) -> int:
+        """Index of the interval holding x, or -1."""
+        x = as_fraction(x)
+        c = -(-x.numerator * self._den // x.denominator)
+        # rightmost interval with lo < c
+        idx = bisect_left(self._lo, c) - 1
+        if idx >= 0 and c <= self._hi[idx]:
+            return idx
+        return -1
 
     def __contains__(self, x) -> bool:
-        x = as_fraction(x)
-        # rightmost interval with lo < x
-        idx = bisect_left(self.intervals, (x, Fraction(0))) - 1
-        if idx < 0:
-            # x could still equal the first lo (excluded) or fall before it
-            return False
-        lo, hi = self.intervals[idx]
-        return lo < x <= hi
+        return self._locate(x) >= 0
+
+    def find(self, x):
+        """The interval (lo, hi] holding x, or None."""
+        idx = self._locate(x)
+        return self.intervals[idx] if idx >= 0 else None
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -246,8 +245,9 @@ class FundamentalSet:
     """A constructed fundamental set with exact rational bookkeeping.
 
     explicit mode materializes the decomposition forest (root_forest holds
-    every per-piece chain, rounds_pieces the per-round sorted piece lists
-    used by the tracers) and leaf_union is the exact union of all I-leaves
+    every per-piece chain; rounds_pieces holds, per round, the pieces that
+    round decomposes as an IntervalSet, whose integer index the tracers
+    query through find) and leaf_union is the exact union of all I-leaves
     and the final remainder.  summary mode keeps leaf_union = (0, delta/2]
     and accounts for the remainder only through residual_mass; its measure
     is delta/2 + residual_mass, the measure of the closed-form set
@@ -335,15 +335,14 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
     I0, J0, node0 = landau_lemma_decompose(0, 1, delta)
     roots = [node0]
     i_leaves = [I0]
-    rounds_pieces = [((Fraction(0), Fraction(1)),)]
+    rounds_pieces = [IntervalSet([(0, 1)])]
     leftover = IntervalSet(J0)  # round-0 J's are nested; take the set union
     node_count = _count_nodes(node0)
     for _ in range(1, t):
-        pieces = tuple(leftover)
-        rounds_pieces.append(pieces)
+        rounds_pieces.append(leftover)
         next_pieces = []
         extracted = Fraction(0)
-        for lo, hi in pieces:
+        for lo, hi in leftover:
             I, Js, node = landau_lemma_decompose(lo, hi, delta)
             roots.append(node)
             i_leaves.append(I)
@@ -570,38 +569,26 @@ def _require_explicit(fs: FundamentalSet):
         )
 
 
-def _find_piece(pieces, y: Fraction):
-    idx = bisect_left(pieces, (y, Fraction(0))) - 1
-    if idx < 0:
-        return None
-    lo, hi = pieces[idx]
-    if lo < y <= hi:
-        return pieces[idx]
-    return None
-
-
 def _direct_real(y: Fraction) -> TraceNode:
     return TraceNode("direct", y, gamma(float(y)), ())
 
 
-def _walk_real(y: Fraction, r: int, fs: FundamentalSet) -> TraceNode:
+def _walk_real(y: Fraction, r: int, fs: FundamentalSet, m: int | None = None) -> TraceNode:
+    """Trace node for y: a direct leaf if y is in the set, else a duplication
+    step.  m is y's remaining chain length inside a round-r piece; None (a
+    fresh piece) looks it up from the round-r pieces."""
     if y in fs.leaf_union:
         return _direct_real(y)
-    if r >= fs.t:
-        raise TraceDepthError(f"point {y} uncovered after {fs.t} rounds")
-    piece = _find_piece(fs.rounds_pieces[r], y)
-    if piece is None:
-        raise TraceDepthError(f"point {y} not covered by round {r} pieces")
-    m = _class_of(piece[1], fs.delta)
-    return _chain_real(y, m, r, fs)
-
-
-def _chain_real(y: Fraction, m: int, r: int, fs: FundamentalSet) -> TraceNode:
-    if y in fs.leaf_union:
-        return _direct_real(y)
+    if m is None:
+        if r >= fs.t:
+            raise TraceDepthError(f"point {y} uncovered after {fs.t} rounds")
+        piece = fs.rounds_pieces[r].find(y)
+        if piece is None:
+            raise TraceDepthError(f"point {y} not covered by round {r} pieces")
+        m = _class_of(piece[1], fs.delta)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {y} outside the set")
-    low = _chain_real(y / 2, m - 1, r, fs)
+    low = _walk_real(y / 2, r, fs, m - 1)
     high = _walk_real(y / 2 + _HALF, r + 1, fs)
     value = 2.0 ** (float(y) - 1.0) * low.value * high.value / _SQRT_PI
     return TraceNode("duplication", y, value, (low, high))
@@ -728,27 +715,25 @@ def _reduce_complex(z: complex, fs: FundamentalSet, budget) -> TraceNode:
     return _walk_complex(z, 0, fs, budget)
 
 
-def _walk_complex(z: complex, r: int, fs: FundamentalSet, budget) -> TraceNode:
+def _walk_complex(
+    z: complex, r: int, fs: FundamentalSet, budget, m: int | None = None
+) -> TraceNode:
+    """Complex counterpart of _walk_real on the real part of z."""
     re = Fraction(z.real)
     if re in fs.leaf_union:
         _spend(budget)
         return TraceNode("direct", z, gamma(z), ())
-    if r >= fs.t:
-        raise TraceDepthError(f"real part {z.real} uncovered after {fs.t} rounds")
-    piece = _find_piece(fs.rounds_pieces[r], re)
-    if piece is None:
-        raise TraceDepthError(f"real part {z.real} not covered at round {r}")
-    m = _class_of(piece[1], fs.delta)
-    return _chain_complex(z, m, r, fs, budget)
-
-
-def _chain_complex(z: complex, m: int, r: int, fs: FundamentalSet, budget) -> TraceNode:
+    if m is None:
+        if r >= fs.t:
+            raise TraceDepthError(f"real part {z.real} uncovered after {fs.t} rounds")
+        piece = fs.rounds_pieces[r].find(re)
+        if piece is None:
+            raise TraceDepthError(f"real part {z.real} not covered at round {r}")
+        m = _class_of(piece[1], fs.delta)
     _spend(budget)
-    if Fraction(z.real) in fs.leaf_union:
-        return TraceNode("direct", z, gamma(z), ())
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
-    low = _chain_complex(z / 2, m - 1, r, fs, budget)
+    low = _walk_complex(z / 2, r, fs, budget, m - 1)
     high = _walk_complex(z / 2 + 0.5, r + 1, fs, budget)
     value = cmath.exp((z - 1) * math.log(2.0)) * low.value * high.value / _SQRT_PI
     return TraceNode("duplication", z, value, (low, high))

@@ -67,6 +67,20 @@ class TestEval:
         )
 
 
+    def test_overflow_is_structured_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammalab.cli", "eval", "--z", "172"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        _VALIDATOR.validate(report)
+        assert report["error"] == "overflow"
+        assert "detail" in report
+
+
 class TestVerify:
     def test_default_run_passes(self, capsys):
         code, report = run_json(["verify", "--identity", "reflection"], capsys)

@@ -67,6 +67,29 @@ class TestGammaComplex:
             gamma(complex(math.inf, 0.0))
 
 
+class TestGammaRealEdges:
+    def test_overflow_raises(self):
+        assert math.isfinite(gamma(171.6))
+        with pytest.raises(OverflowError):
+            gamma(172.0)
+
+    def test_deep_negative_underflows_to_signed_zero(self):
+        v = gamma(-200.5)
+        assert v == 0.0
+        assert math.copysign(1.0, v) == -1.0
+
+    def test_negative_reals_against_mpmath(self):
+        # the module header's 1e-12 target, at the midpoints of (-170, 0)
+        xs = [-170.0 * (j + 0.5) / 4000 for j in range(4000)]
+        worst = 0.0
+        for x in xs:
+            if abs(x - round(x)) < 1e-3:
+                continue
+            ref = mpmath.gamma(mpmath.mpf(x))
+            worst = max(worst, float(abs((gamma(x) - ref) / ref)))
+        assert worst <= 1e-12
+
+
 class TestPoles:
     @pytest.mark.parametrize("n", [0, -1, -2, -7, -30])
     def test_exact_pole_raises(self, n):

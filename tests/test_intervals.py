@@ -108,3 +108,90 @@ class TestIntervalSetProperties:
         for num in range(0, 53):
             x = Fraction(num, 41)
             assert (x in u) == ((x in a) or (x in b))
+
+
+# Endpoints whose denominators mix powers of two up to 2**30 with odd ones,
+# so the common denominator of the integer index is a large mixed lcm.
+_dens = st.one_of(
+    st.integers(min_value=0, max_value=30).map(lambda k: 2**k),
+    st.integers(min_value=1, max_value=12).map(lambda k: 3**k),
+    st.just(41),
+)
+_points = st.builds(
+    lambda den, u: Fraction(round(u * den), den),
+    _dens,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_mixed_ivs = st.lists(
+    st.tuples(_points, _points).filter(lambda t: t[0] != t[1]).map(sorted),
+    max_size=8,
+)
+
+
+def _brute_find(pairs, x):
+    hits = [(lo, hi) for lo, hi in pairs if lo < x <= hi]
+    return hits[0] if hits else None
+
+
+def _probes(pairs, extra):
+    """Every endpoint, its neighbours 2**-40 away, and the extra points."""
+    tiny = Fraction(1, 2**40)
+    out = set(extra)
+    for lo, hi in pairs:
+        for e in (lo, hi):
+            out.update((e - tiny, e, e + tiny))
+        out.add((lo + hi) / 2)
+    return out
+
+
+class TestIntegerIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(_mixed_ivs, st.lists(_points, max_size=6))
+    def test_membership_and_find_match_brute_force(self, pairs, extra):
+        s = IntervalSet(pairs)
+        for x in _probes(pairs, extra):
+            want = _brute_find(s.intervals, x)
+            assert (x in s) == any(lo < x <= hi for lo, hi in pairs)
+            assert (x in s) == (want is not None)
+            assert s.find(x) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_ivs)
+    def test_lo_excluded_hi_included(self, pairs):
+        s = IntervalSet(pairs)
+        for lo, hi in s:
+            assert lo not in s
+            assert s.find(lo) is None
+            assert hi in s
+            assert s.find(hi) == (lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_ivs, st.lists(_points, max_size=6))
+    def test_int_float_and_string_inputs(self, pairs, extra):
+        s = IntervalSet(pairs)
+        for x in _probes(pairs, extra):
+            text = f"{x.numerator}/{x.denominator}"
+            assert (text in s) == (x in s)
+            assert s.find(text) == s.find(x)
+            f = float(x)
+            assert (f in s) == (Fraction(f) in s)
+            assert s.find(f) == _brute_find(s.intervals, Fraction(f))
+        for n in (-1, 0, 1, 2):
+            assert (n in s) == (Fraction(n) in s)
+            assert s.find(n) == _brute_find(s.intervals, Fraction(n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_points)
+    def test_empty_set(self, x):
+        s = IntervalSet()
+        assert x not in s
+        assert s.find(x) is None
+        assert 0 not in s and 1.0 not in s and "1/2" not in s
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_ivs, _mixed_ivs)
+    def test_union_index(self, pa, pb):
+        u = IntervalSet(pa).union(IntervalSet(pb))
+        for x in _probes(pa + pb, ()):
+            assert (x in u) == any(lo < x <= hi for lo, hi in pa + pb)
+            assert u.find(x) == _brute_find(u.intervals, x)

@@ -24,6 +24,7 @@ from gammalab.landau import (
     trace_evaluate,
     validate_trace,
 )
+from gammalab.intervals import IntervalSet
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +375,50 @@ class TestComplexReduce:
     def test_summary_set_refused(self, fs_tenth):
         with pytest.raises(ResourceError):
             complex_reduce_trace(0.3 + 0.4j, fs_tenth)
+
+
+class TestMembershipCalls:
+    """Each trace node costs one membership test of the set."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = [0]
+        contains = IntervalSet.__contains__
+
+        def counting(self, x):
+            counter[0] += 1
+            return contains(self, x)
+
+        monkeypatch.setattr(IntervalSet, "__contains__", counting)
+        return counter
+
+    def test_real_trace_tests_each_node_once(self, fs_half, calls):
+        x = Fraction(1193707 * 2**9 + 7, 2**30)
+        _, trace = trace_evaluate(x, fs_half)
+        assert trace.node_count == 4093
+        assert calls[0] == trace.node_count
+        rng = random.Random(17)
+        for _ in range(5):
+            calls[0] = 0
+            _, trace = trace_evaluate(Fraction(rng.randrange(1, 2**30), 2**30), fs_half)
+            assert calls[0] == trace.node_count
+
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, 0.77 - 0.6j, 2.5 + 3.5j, -1.3 + 0.4j])
+    def test_complex_trace_tests_each_strip_node_once(self, fs_half, calls, z):
+        _, trace = complex_reduce_trace(z, fs_half)
+
+        def strip_nodes(node):
+            a = node.argument
+            own = 1 if 0.0 < a.real <= 1.0 and abs(a.imag) < 1.0 else 0
+            return own + sum(strip_nodes(c) for c in node.children)
+
+        assert calls[0] == strip_nodes(trace.root)
+
+    def test_complex_budget_counts_every_node(self, fs_half):
+        _, trace = complex_reduce_trace(0.37 + 5.0j, fs_half)
+        complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=trace.node_count)
+        with pytest.raises(DepthError):
+            complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=trace.node_count - 1)
 
 
 class TestValidateTrace:
