@@ -545,6 +545,10 @@ def _resolve_tolerance(parser, args) -> float:
 
 
 def main(argv=None) -> int:
+    # exact reports print integers of tens of thousands of digits at small
+    # delta, past the default str() limit of Python >= 3.11 (3.10 has none)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     tol = _resolve_tolerance(parser, args)

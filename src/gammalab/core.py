@@ -113,8 +113,12 @@ def _gamma_real(x):
         # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
         return math.pi / (_sinpi(x) * _gamma_real(1.0 - x))
     t = x + _LG - 0.5
-    # split the power so neither factor overflows before the exp(-t) damping
-    half = math.pow(t, 0.5 * (x - 0.5))
+    # split the power so neither factor overflows before the exp(-t) damping;
+    # if even the half power overflows (x >~ 256), so does Gamma(x)
+    try:
+        half = math.pow(t, 0.5 * (x - 0.5))
+    except OverflowError:
+        return math.inf
     return _SQRT_TWO_PI * (half * math.exp(-t)) * half * _lanczos_sum_real(x)
 
 

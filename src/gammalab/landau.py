@@ -20,9 +20,11 @@ Two construction modes share the same arithmetic:
   delta = 1/2 needs about a thousand pieces), enabling derivation traces;
 * summary — for small delta the piece count grows geometrically over
   hundreds of rounds and no explicit forest fits in memory, but the pieces
-  occupy finitely many "class bands" and their masses obey a closed
-  finite-state recursion over a rational threshold set, so the exact
-  measure is still computed, with conservation asserted every round.
+  occupy finitely many "class bands" and their masses and counts obey a
+  closed finite-state linear recursion over a rational threshold set.  It
+  runs as one integer transition matrix: masses are integers over a power
+  of two 2**E, counts are plain integers, and the exact mass balance is
+  asserted every round, so the exact measure is still computed.
 
 Tracers turn the records into derivation trees: `trace_evaluate` walks the
 explicit forest, `quarter_set_trace` derives Gamma on (0, 1/2) from
@@ -132,6 +134,14 @@ def landau_lemma_decompose(alpha, beta, delta):
 # exceeds beta* = delta * 2**(M-1); tracking, for each threshold theta in
 # a finite closure set, the mass S_theta of pieces with right end > theta
 # closes the recursion exactly.
+#
+# The recursion runs in integers.  A band-i image carries 2**-i of its
+# parent's mass and no band is deeper than K (the class of right end 1), so
+# with masses held as N / 2**E a round maps N to a combination of shifts
+# N << (K - i) and adds K to E, with no gcd until the final Fraction.  Unit
+# weights give the piece counts in the same loop.  Each round checks the
+# mass balance new_total + extracted == total * 2**K (extracted: the
+# round's I-leaves, band M for class-M pieces, band K for the deeper ones).
 
 
 def _class_bounds(delta: Fraction):
@@ -169,69 +179,75 @@ def _threshold_closure(delta: Fraction):
     return m_lo, m_hi, beta_star, tuple(sorted(thetas))
 
 
-def _run_threshold_recursion(delta: Fraction, steps: int, weight, total0, conserve):
-    """Advance the piece statistics `steps` rounds from the round-1 state.
+def _threshold_plan(delta: Fraction):
+    """(M, K, beta_index, rows): the integer transition matrix for delta.
 
-    weight(i) is a piece's contribution through band i (2**-i for masses,
-    1 for counts); total0 the round-1 statistic of the single piece
-    (1/2, 1].  When `conserve`, the mass-balance identity is checked
-    exactly every round.  Returns the final total.
+    M and K = M1 are the classes of _threshold_closure.  The state vector is
+    (total, S_theta for theta in thetas), S_beta* at beta_index (None
+    without beta*).  rows[j] lists the (state index, mass coefficient,
+    count coefficient) terms of the next round's j-th statistic; a band-i
+    image adds 2**(K - i) and 1 to them.  A lookup at tau <= 1/2 reads the
+    total (every piece ends above 1/2); one at tau >= 1 reads nothing.
     """
-    M, M1, beta_star, thetas = _threshold_closure(delta)
-    total = total0
-    S = {th: total0 for th in thetas}
+    M, K, beta_star, thetas = _threshold_closure(delta)
+    index = {th: j for j, th in enumerate(thetas, 1)}
+
+    def row(terms):
+        coeffs = {}
+        for tau, i in terms:
+            if tau < 1:
+                k = 0 if tau <= _HALF else index[tau]
+                mass, count = coeffs.get(k, (0, 0))
+                coeffs[k] = (mass + (1 << (K - i)), count + 1)
+        return tuple((k, mass, count) for k, (mass, count) in sorted(coeffs.items()))
+
+    # class-M pieces feed bands 1..M; the class-K pieces (right end > beta*)
+    # also feed band K, whose images end above max(tau_K(theta), beta*)
+    deep = [] if beta_star is None else [(beta_star, K)]
+    rows = [row([(_HALF, i) for i in range(1, M + 1)] + deep)]
+    for th in thetas:
+        terms = [(2**i * (th - _HALF), i) for i in range(1, M + 1)]
+        rows.append(row(terms + [(max(2**K * (th - _HALF), beta_star), K)]))
+    return M, K, index.get(beta_star), rows
+
+
+def _threshold_recursion(delta: Fraction, steps: int):
+    """(residual mass, piece count, forest nodes) `steps` rounds after
+    round 1; a decomposed piece of class m adds a chain of 2m + 1 nodes."""
+    M, K, b, rows = _threshold_plan(delta)
+    # round 1: the one piece (1/2, 1] of mass 1 / 2**1; round 0 decomposed
+    # (0, 1], whose right end 1 has class K
+    mass = [1] * len(rows)
+    count = [1] * len(rows)
+    nodes = 2 * K + 1
     for _ in range(steps):
-        prev = total
-        total, S, extracted, _ = _threshold_step(
-            total, S, M, M1, beta_star, thetas, weight
-        )
-        if conserve and total + extracted != prev:
+        deep_mass = mass[b] if b else 0
+        deep_count = count[b] if b else 0
+        nodes += (count[0] - deep_count) * (2 * M + 1) + deep_count * (2 * K + 1)
+        prev = mass[0]
+        mass = [sum(mass[k] * c for k, c, _ in terms) for terms in rows]
+        count = [sum(count[k] * c for k, _, c in terms) for terms in rows]
+        extracted = ((prev - deep_mass) << (K - M)) + deep_mass
+        if mass[0] + extracted != prev << K:
             raise AssertionError("threshold recursion lost mass")  # pragma: no cover
-    return total
-
-
-def _threshold_step(total, S, M, M1, beta_star, thetas, weight):
-    """One round of the piece statistics; returns (total', S', extracted, (A, B))."""
-    w_lo = sum(weight(i) for i in range(1, M + 1))
-
-    def lookup(tau):
-        if tau <= _HALF:
-            return total
-        if tau >= 1:
-            return 0
-        return S[tau]
-
-    if beta_star is None:
-        A, B = total, 0
-        new_total = w_lo * total
-        extracted = weight(M) * total
-        new_S = {}
-    else:
-        B = S[beta_star]  # pieces of the deeper class M1 (right end > beta*)
-        A = total - B  # pieces of class M
-        new_total = w_lo * A + (w_lo + weight(M1)) * B
-        extracted = weight(M) * A + weight(M1) * B
-        new_S = {}
-        for th in thetas:
-            acc = 0
-            for i in range(1, M + 1):
-                acc += weight(i) * lookup(2**i * (th - _HALF))
-            tau = 2**M1 * (th - _HALF)
-            acc += weight(M1) * lookup(max(tau, beta_star))
-            new_S[th] = acc
-    return new_total, new_S, extracted, (A, B)
+    return Fraction(mass[0], 1 << (1 + K * steps)), count[0], nodes
 
 
 def iteration_count(delta) -> int:
-    """Least t with (1 - delta/4)**t < delta/2, by exact rational powering."""
+    """Least t with (1 - delta/4)**t < delta/2.
+
+    For delta = p/q this is the least t with (4q - p)**t * 2q < p * (4q)**t,
+    found by integer search.
+    """
     delta = as_fraction(delta)
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    ratio = 1 - delta / 4
-    acc = Fraction(1)
+    p, q = delta.numerator, delta.denominator
+    lhs, rhs = 2 * q, p
     t = 0
-    while not acc < delta / 2:
-        acc *= ratio
+    while not lhs < rhs:
+        lhs *= 4 * q - p
+        rhs *= 4 * q
         t += 1
     return t
 
@@ -291,26 +307,6 @@ def _count_nodes(node: DecompositionNode) -> int:
     return 1 + sum(_count_nodes(c) for c in node.children)
 
 
-def _explicit_round_counts(delta: Fraction, t: int, node_budget: int):
-    """Exact per-round piece counts, or None once the forest would exceed
-    the node budget.  Uses the threshold recursion with unit weights."""
-    M, M1, beta_star, thetas = _threshold_closure(delta)
-    total = 1
-    S = {th: 1 for th in thetas}
-    counts = [1]  # round-1 state: the single piece (1/2, 1]
-    # each decomposed piece of class m contributes a chain of 2m + 1 nodes
-    nodes = 2 * _class_of(Fraction(1), delta) + 1  # round 0 on (0, 1]
-    for _ in range(t - 1):
-        total, S, _, (A, B) = _threshold_step(
-            total, S, M, M1, beta_star, thetas, lambda i: 1
-        )
-        counts.append(total)
-        nodes += A * (2 * M + 1) + B * (2 * M1 + 1)
-        if nodes > node_budget:
-            return None
-    return counts
-
-
 def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> FundamentalSet:
     """Build a fundamental set of measure < delta for delta in (0, 1].
 
@@ -325,10 +321,10 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     t = iteration_count(delta)
-    plan = _explicit_round_counts(delta, t, node_budget)
-    if plan is not None:
+    residual, count, nodes = _threshold_recursion(delta, t - 1)
+    if nodes <= node_budget:
         return _construct_explicit(delta, t, node_budget)
-    return _construct_summary(delta, t)
+    return _construct_summary(delta, t, residual, count)
 
 
 def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> FundamentalSet:
@@ -380,11 +376,7 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
     )
 
 
-def _construct_summary(delta: Fraction, t: int) -> FundamentalSet:
-    residual = _run_threshold_recursion(
-        delta, t - 1, lambda i: Fraction(1, 2**i), _HALF, conserve=True
-    )
-    count = _run_threshold_recursion(delta, t - 1, lambda i: 1, 1, conserve=False)
+def _construct_summary(delta: Fraction, t: int, residual: Fraction, count: int) -> FundamentalSet:
     if not residual < (1 - delta / 4) ** t:
         raise AssertionError("remainder bound violated")  # pragma: no cover
     measure = delta / 2 + residual

@@ -11,7 +11,6 @@ which equals phi(m)/2 (phi the totient) for every m >= 3.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
@@ -59,30 +58,30 @@ def relation_matrix(m: int) -> list:
 
 
 def _rank(rows: list) -> int:
-    """Rank over Q by fraction-free elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Rank over Q by fraction-free (Bareiss) elimination on integers.
+
+    After r pivots every entry below the pivot rows is an (r+1)-minor of
+    the input, so dividing by the previous pivot (an r-minor) is exact.
+    """
+    mat = [list(row) for row in rows]
     if not mat:
         return 0
-    ncols = len(mat[0])
     rank = 0
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
+    prev = 1
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            if mat[i][c] != 0:
-                factor = mat[i][c] / inv
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        r += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[c]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c]
+            if f or p != prev:  # else the row is unchanged
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = p
         rank += 1
-        if r == len(mat):
+        if rank == len(mat):
             break
     return rank
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +20,18 @@ _VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
 @pytest.fixture(autouse=True)
 def _no_ambient_tolerance(monkeypatch):
     monkeypatch.delenv("GAMMALAB_TOL", raising=False)
+
+
+@pytest.fixture
+def long_int_strings():
+    """Lift the int/str digit limit of Python >= 3.11 for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def run(argv, capsys):
@@ -188,6 +201,21 @@ class TestLandau:
         assert report["explicit"] is False
         assert report["t"] == 119
         assert report["leaves"] == [{"lo": "0", "hi": "1/20", "kind": "I"}]
+
+    def test_construct_small_delta_process(self, long_int_strings):
+        # the exact measure at delta = 1/200 has about 11,000 digits
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammalab.cli", "landau", "construct",
+             "--delta", "1/200"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        _VALIDATOR.validate(report)
+        assert report["explicit"] is False
+        assert Fraction(report["measure"]) < Fraction(1, 200)
 
     def test_trace(self, capsys):
         code, report = run_json(

@@ -78,6 +78,18 @@ class TestGammaRealEdges:
         assert v == 0.0
         assert math.copysign(1.0, v) == -1.0
 
+    def test_overflow_far_past_the_range(self):
+        # here the split power in the Lanczos prefactor overflows first
+        for x in (1000.0, 1e300):
+            with pytest.raises(OverflowError, match="exceeds the floating range"):
+                gamma(x)
+
+    @pytest.mark.parametrize("x,sign", [(-1000.5, -1.0), (-1001.5, 1.0), (-1e6 - 0.5, -1.0)])
+    def test_far_negative_underflows_to_signed_zero(self, x, sign):
+        v = gamma(x)
+        assert v == 0.0
+        assert math.copysign(1.0, v) == sign
+
     def test_negative_reals_against_mpmath(self):
         # the module header's 1e-12 target, at the midpoints of (-170, 0)
         xs = [-170.0 * (j + 0.5) / 4000 for j in range(4000)]

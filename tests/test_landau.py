@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -223,6 +224,68 @@ class TestSummaryConstruction:
         assert fs.measure < Fraction(1, 50)
         assert 0.01005 < float(fs.measure) < 0.01006
         assert len(str(fs.final_piece_count)) == 730
+
+
+def _fraction_iteration_count(delta):
+    """Reference: least t with (1 - delta/4)**t < delta/2, by Fraction powers."""
+    acc, t = Fraction(1), 0
+    while not acc < delta / 2:
+        acc *= 1 - delta / 4
+        t += 1
+    return t
+
+
+def _enumerate_remainder(delta):
+    """Reference: (mass, count) of the remainder after t rounds, applying
+    the interval lemma to every piece without merging.  Round 0's high
+    images of (0, 1] are nested; their union is the one piece (1/2, 1]."""
+    pieces = [(Fraction(1, 2), Fraction(1))]
+    for _ in range(iteration_count(delta) - 1):
+        pieces = [J for lo, hi in pieces for J in landau_lemma_decompose(lo, hi, delta)[1]]
+    return sum((hi - lo for lo, hi in pieces), Fraction(0)), len(pieces)
+
+
+class TestThresholdRecursion:
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(2, 3), Fraction(5, 8)])
+    def test_summary_matches_piece_by_piece_enumeration(self, delta):
+        fs = landau_construct(delta, node_budget=1)
+        assert not fs.explicit
+        assert (fs.residual_mass, fs.final_piece_count) == _enumerate_remainder(delta)
+
+    @pytest.mark.parametrize(
+        "delta,digest",
+        [
+            ("1/10", "4a25d6325c2d0dd1f6bca7782cf2661d0b93537b3548d4e017502a1c98999ed0"),
+            ("1/25", "191e80196b95bc235ec906e3470b8bab8646356595ae35012b1429b05afeb187"),
+            ("7/200", "7d24214794326f6f610d22e8004f9efc52c97cd5bb51f885d29ef3cec0d37955"),
+            ("1/64", "e6e1f2e94f1aaa709a4118a08fc383b3a532695154d0644de20d90cb5b0ee505"),
+        ],
+    )
+    def test_summary_statistics_pinned(self, delta, digest):
+        # digests recorded from the Fraction-arithmetic recursion; ten
+        # thresholds at 1/25 and 7/200, none at 1/64
+        fs = landau_construct(Fraction(delta))
+        assert not fs.explicit
+        got = f"{fs.residual_mass}|{fs.final_piece_count}".encode()
+        assert hashlib.sha256(got).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "delta",
+        ["1", "1/2", "1/4", "1/8", "1/64", "3/4", "2/3", "5/8", "3/7", "2/5",
+         "1/10", "1/25", "7/200", "1/50", "1/100"],
+    )
+    def test_iteration_count_matches_fraction_definition(self, delta):
+        delta = Fraction(delta)
+        assert iteration_count(delta) == _fraction_iteration_count(delta)
+
+    def test_explicit_decision_at_the_node_budget(self):
+        # the forest of delta = 1/2 needs 5120 recursion-counted nodes
+        assert landau_construct(Fraction(1, 2)).explicit
+        assert landau_construct(Fraction(1, 2), node_budget=5120).explicit
+        assert not landau_construct(Fraction(1, 2), node_budget=5119).explicit
+        # delta = 3/7 needs 231921, over the default budget
+        assert not landau_construct(Fraction(3, 7)).explicit
+        assert not landau_construct(Fraction(3, 7), node_budget=231920).explicit
 
 
 class TestTraceEvaluate:

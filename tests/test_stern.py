@@ -1,7 +1,36 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammalab.errors import DomainError
-from gammalab.stern import independent_count, relation_matrix, totient
+from gammalab.stern import _rank, independent_count, relation_matrix, totient
+
+
+def _fraction_rank(rows):
+    """Reference: rank over Q by Gaussian elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][c]:
+                factor = mat[i][c] / mat[rank][c]
+                pairs = zip(mat[i], mat[rank])
+                mat[i] = [a - factor * b if b else a for a, b in pairs]
+        rank += 1
+    return rank
+
+
+_matrices = st.integers(0, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols), max_size=7
+    )
+)
 
 
 class TestTotient:
@@ -55,3 +84,20 @@ class TestIndependentCount:
         # (p-1)/2 independent values survive
         for p in (3, 5, 7, 11, 13):
             assert independent_count(p) == (p - 1) // 2
+
+
+class TestBareissRank:
+    def test_relation_matrices_match_fraction_elimination(self):
+        for m in range(3, 61):
+            rows = relation_matrix(m)
+            assert _rank(rows) == _fraction_rank(rows), m
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices, st.integers(0, 7), st.integers(0, 6))
+    def test_small_matrices_match_fraction_elimination(self, rows, zero_row, zero_col):
+        assert _rank(rows) == _fraction_rank(rows)
+        # a zero row and a zero column change neither rank
+        if rows:
+            rows = [row[:zero_col] + [0] + row[zero_col:] for row in rows]
+            rows.insert(min(zero_row, len(rows)), [0] * len(rows[0]))
+            assert _rank(rows) == _fraction_rank(rows)
