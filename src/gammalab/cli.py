@@ -2,9 +2,10 @@
 
 Every subcommand prints one report to stdout — JSON by default, CSV (one
 header row + one data row) or key = value text on request — and exits 0
-when its checks pass, 1 on a failed check or a structured numeric error
-({"error": kind, "detail": ...}), 2 on usage errors.  All floats are
-serialized with 17 significant digits and all JSON keys are sorted, so a
+when its checks pass, 1 on a failed check or a structured error
+({"error": kind, "detail": ...}; kind "internal" for any failure that is
+not a documented numeric error), 2 on usage errors.  All floats are written
+in their shortest round-trip form (repr) and all JSON keys are sorted, so a
 fixed argument vector (plus seed) reproduces identical bytes.
 
 Tolerance resolution: an explicit --tol wins, else the GAMMALAB_TOL
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -128,46 +130,6 @@ def _arg_points(text: str) -> tuple:
 # serialization
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (math.inf, -math.inf):
-        raise ValueError(f"non-finite value {x!r} in report")
-    s = "%.17g" % x
-    # "%.17g" may yield bare exponents like 1e+16 — valid JSON either way
-    return s
-
-
-def _to_json(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(
-            _to_json(str(k)) + ":" + _to_json(v) for k, v in items
-        ) + "}"
-    raise TypeError(f"unserializable report value {obj!r}")
-
-
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k in sorted(obj):
@@ -183,24 +145,25 @@ def _scalar_text(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _format_float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v!r} in report")
+        return repr(v)
     return str(v)
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        sys.stdout.write(_to_json(report) + "\n")
-        return
-    pairs = list(_flatten(report))
+        return json.dumps(
+            report, sort_keys=True, allow_nan=False, separators=(",", ":"), ensure_ascii=False
+        ) + "\n"
+    pairs = [(k, _scalar_text(v)) for k, v in _flatten(report)]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([k for k, _ in pairs])
-        writer.writerow([_scalar_text(v) for _, v in pairs])
-        sys.stdout.write(buf.getvalue())
-        return
-    for k, v in pairs:
-        sys.stdout.write(f"{k} = {_scalar_text(v)}\n")
+        writer.writerow([v for _, v in pairs])
+        return buf.getvalue()
+    return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
 def _pair(z: complex) -> list:
@@ -554,13 +517,14 @@ def main(argv=None) -> int:
     tol = _resolve_tolerance(parser, args)
     try:
         code, report = args.handler(args, tol)
-    except tuple(exc for exc, _ in _ERROR_KINDS) as exc:
-        for exc_type, kind in _ERROR_KINDS:
-            if isinstance(exc, exc_type):
-                _emit({"error": kind, "detail": str(exc)}, args.format)
-                return 1
-        raise  # pragma: no cover
-    _emit(report, args.format)
+        out = _render(report, args.format)
+    except Exception as exc:
+        # a documented numeric error keeps its kind; anything else is a
+        # fault of gammalab itself, still reported, never a traceback
+        kind = next((k for t, k in _ERROR_KINDS if isinstance(exc, t)), None)
+        detail = str(exc) if kind else f"{type(exc).__name__}: {exc}"
+        code, out = 1, _render({"error": kind or "internal", "detail": detail}, args.format)
+    sys.stdout.write(out)
     return code
 
 

@@ -29,15 +29,20 @@ Two construction modes share the same arithmetic:
 Tracers turn the records into derivation trees: `trace_evaluate` walks the
 explicit forest, `quarter_set_trace` derives Gamma on (0, 1/2) from
 (0, 1/4] and {1/3, 1} alone, and `complex_reduce_trace` extends the real
-pattern into the strip |Im z| < 1 by duplication halvings.
+pattern into the strip |Im z| < 1 by duplication halvings.  The tracers and
+`validate_trace` share one rule table (`_RULES`): each rule's forms give a
+node's child arguments and its value from theirs, written once for the
+tracers and the replay alike.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import gamma, pole_distance
 from .errors import (
@@ -49,6 +54,7 @@ from .errors import (
 from .intervals import IntervalSet, as_fraction
 
 _SQRT_PI = math.sqrt(math.pi)
+_LN2 = math.log(2.0)
 _HALF = Fraction(1, 2)
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -66,14 +72,12 @@ class DecompositionNode:
 
     kind is "split" (two children: the x/2 and x/2 + 1/2 images), "I"
     (leaf inside (0, delta/2]) or "J" (leaf inside (1/2, 1], fed to the
-    next round).  affine_record says which halving map produced this node
-    from its parent ("half", "half-shift", or None for a root).
+    next round).
     """
 
     interval: tuple
     kind: str
     children: tuple
-    affine_record: object
 
 
 def _class_of(b: Fraction, delta: Fraction) -> int:
@@ -106,13 +110,11 @@ def landau_lemma_decompose(alpha, beta, delta):
     J_list = [(alpha / 2**i + _HALF, beta / 2**i + _HALF) for i in range(1, m + 1)]
 
     # build the chain bottom-up: level m is the I-leaf, level i < m a split
-    node = DecompositionNode(I, "I", (), "half" if m > 0 else None)
+    node = DecompositionNode(I, "I", ())
     for i in range(m, 0, -1):
-        high = DecompositionNode(J_list[i - 1], "J", (), "half-shift")
+        high = DecompositionNode(J_list[i - 1], "J", ())
         parent_iv = (alpha / 2 ** (i - 1), beta / 2 ** (i - 1))
-        node = DecompositionNode(
-            parent_iv, "split", (node, high), "half" if i > 1 else None
-        )
+        node = DecompositionNode(parent_iv, "split", (node, high))
 
     extracted = I[1] - I[0]
     j_total = sum((hi - lo for lo, hi in J_list), Fraction(0))
@@ -439,113 +441,142 @@ class DerivationTrace:
         return self.root.to_json_dict()
 
 
-def _trace_stats(node: TraceNode):
-    direct = 1 if node.rule == "direct" else 0
-    total = 1
-    for c in node.children:
-        d, n = _trace_stats(c)
-        direct += d
-        total += n
-    return direct, total
+def _num(a):
+    """Numeric (float/complex) view of a trace argument."""
+    return float(a) if type(a) is Fraction else a
+
+
+def _pow2(x):
+    """2**x for a float or complex exponent."""
+    if isinstance(x, complex):
+        return cmath.exp(x * _LN2)
+    return 2.0**x
+
+
+def _sin(x):
+    return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
+
+
+def _comb_children(a):
+    four_alpha = 4 * a - 1  # alpha = a - 1/4
+    return four_alpha, (1 - four_alpha) / 4, four_alpha / 2
+
+
+def _comb_value(a, g4, gq, g2):
+    alpha = a - 0.25
+    return g4 * gq * math.sin(math.pi * (alpha + 0.75)) / (2.0 ** (6 * alpha - 1.5) * g2)
+
+
+class _Form(NamedTuple):
+    """children(a): the child arguments of a node at a, in a's own type
+    (Fraction, float or complex); combine(a, *values): Gamma(a) from the
+    children's gamma values, with a as a float or complex."""
+
+    children: object
+    combine: object
+
+
+# The rule table: every trace node is built by _node from one of its rule's
+# forms, and validate_trace replays every node against the same forms.
+_RULES = {
+    # Gamma(a) = (a - 1) Gamma(a - 1), and the same read one step up
+    "functional": (
+        _Form(lambda a: (a - 1,), lambda a, g: (a - 1) * g),
+        _Form(lambda a: (a + 1,), lambda a, g: g / a),
+    ),
+    # Gamma(a) Gamma(1 - a) = pi / sin(pi a)
+    "reflection": (
+        _Form(lambda a: (1 - a,), lambda a, g: math.pi / (_sin(math.pi * a) * g)),
+    ),
+    # Gamma(a) = 2**(a - 1) Gamma(a/2) Gamma((a + 1)/2) / sqrt(pi), and the
+    # same at 2a - 1 solved for Gamma(a) (the inverse form)
+    "duplication": (
+        _Form(
+            lambda a: (a / 2, (a + 1) / 2),
+            lambda a, g1, g2: _pow2(a - 1) * g1 * g2 / _SQRT_PI,
+        ),
+        _Form(
+            lambda a: (2 * a - 1, a - _HALF),
+            lambda a, g1, g2: _SQRT_PI * g1 * _pow2(2 - 2 * a) / g2,
+        ),
+    ),
+    # the quarter-step relation, solved for Gamma(alpha + 1/4):
+    # Gamma(4 alpha) Gamma(1/4 - alpha) sin(pi (alpha + 3/4))
+    #     = 2**(6 alpha - 3/2) Gamma(2 alpha) Gamma(alpha + 1/4)
+    "comb": (_Form(_comb_children, _comb_value),),
+}
+
+
+_VALUE = operator.attrgetter("value")
+
+
+def _node(rule: str, a, build, form: int = 0) -> TraceNode:
+    """Node at a by the given form of rule; build(*child arguments) returns
+    the child nodes."""
+    children, combine = _RULES[rule][form]
+    kids = build(*children(a))
+    return TraceNode(rule, a, combine(_num(a), *map(_VALUE, kids)), kids)
+
+
+def _direct(a) -> TraceNode:
+    return TraceNode("direct", a, gamma(_num(a)), ())
 
 
 def _finish_trace(root: TraceNode):
-    direct, total = _trace_stats(root)
+    """(value, DerivationTrace); OverflowError, as gamma raises, when the
+    value is not finite."""
+    if not cmath.isfinite(root.value):
+        raise OverflowError(f"gamma({root.argument!r}) exceeds the floating range")
+    direct = total = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        total += 1
+        direct += node.rule == "direct"
+        stack.extend(node.children)
     return root.value, DerivationTrace(root, direct, total)
 
 
-def _num(a):
-    """Numeric (float/complex) view of a trace argument."""
-    if isinstance(a, Fraction):
-        return float(a)
-    return a
-
-
-def _recompute_node(node: TraceNode):
-    """Re-derive an internal node's value from its children by its rule."""
-    a = node.argument
-    an = _num(a)
-    ch = node.children
-    if node.rule == "functional":
-        (c,) = ch
-        if c.argument == a - 1:
-            return (an - 1) * c.value
-        if c.argument == a + 1:
-            return c.value / an
-        raise DomainError(f"functional node at {a!r} has child {c.argument!r}")
-    if node.rule == "reflection":
-        (c,) = ch
-        if c.argument != 1 - a:
-            raise DomainError(f"reflection node at {a!r} has child {c.argument!r}")
-        if isinstance(an, complex):
-            return math.pi / (cmath.sin(math.pi * an) * c.value)
-        return math.pi / (math.sin(math.pi * an) * c.value)
-    if node.rule == "duplication":
-        c1, c2 = ch
-        if c1.argument == a / 2 and c2.argument == a / 2 + _half_like(a):
-            if isinstance(an, complex):
-                return cmath.exp((an - 1) * math.log(2.0)) * c1.value * c2.value / _SQRT_PI
-            return 2.0 ** (an - 1) * c1.value * c2.value / _SQRT_PI
-        if c1.argument == 2 * a - 1 and c2.argument == a - _half_like(a):
-            z = _num(c1.argument)
-            return _SQRT_PI * c1.value * 2.0 ** (1 - z) / c2.value
-        raise DomainError(
-            f"duplication node at {a!r} has children "
-            f"{c1.argument!r}, {c2.argument!r}"
-        )
-    if node.rule == "comb":
-        c4, cq, c2 = ch
-        alpha = a - _quarter_like(a)
-        if (
-            c4.argument != 4 * alpha
-            or cq.argument != _quarter_like(a) - alpha
-            or c2.argument != 2 * alpha
-        ):
-            raise DomainError(f"comb node at {a!r} has inconsistent children")
-        al = _num(alpha)
-        return (
-            c4.value
-            * cq.value
-            * math.sin(math.pi * (al + 0.75))
-            / (2.0 ** (6 * al - 1.5) * c2.value)
-        )
-    raise DomainError(f"unknown trace rule {node.rule!r}")
-
-
-def _half_like(a):
-    return Fraction(1, 2) if isinstance(a, Fraction) else 0.5
-
-
-def _quarter_like(a):
-    return Fraction(1, 4) if isinstance(a, Fraction) else 0.25
-
-
 def validate_trace(trace: DerivationTrace, direct_membership) -> int:
-    """Check a trace: direct leaves satisfy direct_membership, and every
-    internal value re-derives from its children to 1e-12 relative.
+    """Check a trace: direct leaves satisfy direct_membership, every
+    internal node's child arguments match a form of its rule, and its value
+    re-derives from the children's by that form to 1e-12 relative.
 
     Returns the number of nodes checked; raises DomainError on violation.
     """
-
-    def check(node):
+    checked = 0
+    stack = [trace.root]
+    while stack:
+        node = stack.pop()
+        checked += 1
+        a = node.argument
         if node.rule == "direct":
             if node.children:
-                raise DomainError(f"direct node at {node.argument!r} has children")
-            if not direct_membership(node.argument):
-                raise DomainError(
-                    f"direct leaf {node.argument!r} outside the restricted set"
-                )
-            return 1
-        want = _recompute_node(node)
+                raise DomainError(f"direct node at {a!r} has children")
+            if not direct_membership(a):
+                raise DomainError(f"direct leaf {a!r} outside the restricted set")
+            continue
+        forms = _RULES.get(node.rule)
+        if forms is None:
+            raise DomainError(f"unknown trace rule {node.rule!r}")
+        args = tuple([c.argument for c in node.children])
+        for form in forms:
+            if form.children(a) == args:
+                break
+        else:
+            raise DomainError(
+                f"{node.rule} node at {a!r} has children {args!r}, "
+                "which match none of its forms"
+            )
+        want = form.combine(_num(a), *map(_VALUE, node.children))
         scale = max(abs(node.value), abs(want), 1e-300)
         if abs(node.value - want) / scale > 1e-12:
             raise DomainError(
-                f"{node.rule} node at {node.argument!r} fails replay: "
+                f"{node.rule} node at {a!r} fails replay: "
                 f"{node.value!r} vs {want!r}"
             )
-        return 1 + sum(check(c) for c in node.children)
-
-    return check(trace.root)
+        stack.extend(reversed(node.children))
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +592,12 @@ def _require_explicit(fs: FundamentalSet):
         )
 
 
-def _direct_real(y: Fraction) -> TraceNode:
-    return TraceNode("direct", y, gamma(float(y)), ())
-
-
 def _walk_real(y: Fraction, r: int, fs: FundamentalSet, m: int | None = None) -> TraceNode:
     """Trace node for y: a direct leaf if y is in the set, else a duplication
     step.  m is y's remaining chain length inside a round-r piece; None (a
     fresh piece) looks it up from the round-r pieces."""
     if y in fs.leaf_union:
-        return _direct_real(y)
+        return _direct(y)
     if m is None:
         if r >= fs.t:
             raise TraceDepthError(f"point {y} uncovered after {fs.t} rounds")
@@ -580,10 +607,11 @@ def _walk_real(y: Fraction, r: int, fs: FundamentalSet, m: int | None = None) ->
         m = _class_of(piece[1], fs.delta)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {y} outside the set")
-    low = _walk_real(y / 2, r, fs, m - 1)
-    high = _walk_real(y / 2 + _HALF, r + 1, fs)
-    value = 2.0 ** (float(y) - 1.0) * low.value * high.value / _SQRT_PI
-    return TraceNode("duplication", y, value, (low, high))
+    return _node(
+        "duplication",
+        y,
+        lambda low, high: (_walk_real(low, r, fs, m - 1), _walk_real(high, r + 1, fs)),
+    )
 
 
 def trace_evaluate(x, fs: FundamentalSet):
@@ -628,29 +656,20 @@ def _quarter_node(x: float, depth_left: int) -> TraceNode:
     if depth_left < 0:
         raise DepthError("quarter-set escape exceeded the depth cap")
     if x == _THIRD or x <= 0.25:
-        return TraceNode("direct", x, gamma(x), ())
+        return _direct(x)
+
+    def escape(c):
+        return _quarter_node(c, depth_left - 1)
+
     if x < _THIRD:
-        # quarter-step relation solved for Gamma(alpha + 1/4)
-        alpha = x - 0.25
-        c4 = _quarter_node(4 * alpha, depth_left - 1)
-        cq = TraceNode("direct", 0.25 - alpha, gamma(0.25 - alpha), ())
-        c2 = TraceNode("direct", 2 * alpha, gamma(2 * alpha), ())
-        value = (
-            c4.value
-            * cq.value
-            * math.sin(math.pi * (alpha + 0.75))
-            / (2.0 ** (6 * alpha - 1.5) * c2.value)
-        )
-        return TraceNode("comb", x, value, (c4, cq, c2))
-    # x in (1/3, 1/2): reflect, then invert a duplication step at w = 1 - x
-    w = 1.0 - x
-    z = 2 * w - 1  # in (0, 1/3)
-    cz = _quarter_node(z, depth_left - 1)
-    ch = TraceNode("direct", w - 0.5, gamma(w - 0.5), ())
-    inner_value = _SQRT_PI * cz.value * 2.0 ** (1 - z) / ch.value
-    inner = TraceNode("duplication", w, inner_value, (cz, ch))
-    value = math.pi / (math.sin(math.pi * x) * inner.value)
-    return TraceNode("reflection", x, value, (inner,))
+        return _node("comb", x, lambda c4, cq, c2: (escape(c4), _direct(cq), _direct(c2)))
+    # x in (1/3, 1/2): reflect, then invert a duplication step at w = 1 - x,
+    # whose first child 2w - 1 lies in (0, 1/3)
+    return _node(
+        "reflection",
+        x,
+        lambda w: (_node("duplication", w, lambda z, h: (escape(z), _direct(h)), form=1),),
+    )
 
 
 def quarter_set_membership(a) -> bool:
@@ -670,7 +689,8 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     duplication halvings shrink the imaginary part below 1 (both children
     of z have imaginary part Im(z)/2), then the real decomposition pattern
     runs on real parts, which are exact dyadic rationals.  Raises
-    DepthError when the tree would exceed node_budget nodes.
+    DepthError when the tree would exceed node_budget nodes, and
+    OverflowError, as gamma does, when the value exceeds the floating range.
     """
     z = complex(z)
     if pole_distance(z) <= 1e-6:
@@ -689,21 +709,26 @@ def _spend(budget):
 
 
 def _reduce_complex(z: complex, fs: FundamentalSet, budget) -> TraceNode:
+    def reduce(*args):
+        return tuple([_reduce_complex(c, fs, budget) for c in args])
+
     if z.real > 1.0:
-        _spend(budget)
-        child = _reduce_complex(z - 1, fs, budget)
-        return TraceNode("functional", z, (z - 1) * child.value, (child,))
+        # shift down in a loop, not a recursion: Re z may run into thousands
+        chain = []
+        while z.real > 1.0:
+            _spend(budget)
+            chain.append(z)
+            (z,) = _RULES["functional"][0].children(z)
+        (node,) = reduce(z)
+        for a in reversed(chain):
+            node = _node("functional", a, lambda _, child=node: (child,))
+        return node
     if z.real <= 0.0:
         _spend(budget)
-        child = _reduce_complex(1 - z, fs, budget)
-        value = math.pi / (cmath.sin(math.pi * z) * child.value)
-        return TraceNode("reflection", z, value, (child,))
+        return _node("reflection", z, reduce)
     if abs(z.imag) >= 1.0:
         _spend(budget)
-        c1 = _reduce_complex(z / 2, fs, budget)
-        c2 = _reduce_complex(z / 2 + 0.5, fs, budget)
-        value = cmath.exp((z - 1) * math.log(2.0)) * c1.value * c2.value / _SQRT_PI
-        return TraceNode("duplication", z, value, (c1, c2))
+        return _node("duplication", z, reduce)
     return _walk_complex(z, 0, fs, budget)
 
 
@@ -714,7 +739,7 @@ def _walk_complex(
     re = Fraction(z.real)
     if re in fs.leaf_union:
         _spend(budget)
-        return TraceNode("direct", z, gamma(z), ())
+        return _direct(z)
     if m is None:
         if r >= fs.t:
             raise TraceDepthError(f"real part {z.real} uncovered after {fs.t} rounds")
@@ -725,7 +750,11 @@ def _walk_complex(
     _spend(budget)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
-    low = _walk_complex(z / 2, r, fs, budget, m - 1)
-    high = _walk_complex(z / 2 + 0.5, r + 1, fs, budget)
-    value = cmath.exp((z - 1) * math.log(2.0)) * low.value * high.value / _SQRT_PI
-    return TraceNode("duplication", z, value, (low, high))
+    return _node(
+        "duplication",
+        z,
+        lambda low, high: (
+            _walk_complex(low, r, fs, budget, m - 1),
+            _walk_complex(high, r + 1, fs, budget),
+        ),
+    )

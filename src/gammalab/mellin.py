@@ -23,10 +23,10 @@ integrand is assembled in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate_halfline, integrate_real_line
+from .quadrature import QuadratureSpec, integrate_real_line
 
 
 def _exp_floor(arg: float) -> float:
@@ -41,23 +41,18 @@ class PhiSpec:
     """A catalog entry: the sequence phi, its closed-form psi, and the
     growth/strip constants.
 
-    eta is the half-width of the admissible strip 0 < s < eta; q bounds
-    the growth |phi(n)| <= C * exp(q n) and so the convergence radius
-    exp(-q) of the series; r in (0, pi) and C complete the hypothesis but
-    play no computational role.  log_psi_of_exp(u) = log(psi(e^u)),
-    computed stably for all u, powers the transform; entries without it
-    fall back to integration in x, which only works while the tail dies
-    before e^u overflows.
+    eta is the half-width of the admissible strip 0 < s < eta; |phi(n)|
+    grows at most like exp(q n), so the series converges for x < exp(-q).
+    log_psi_of_exp(u) = log(psi(e^u)), computed stably for all u, powers
+    the transform.
     """
 
     id: str
     phi: object
     psi_closed_form: object
     eta: float
+    log_psi_of_exp: object
     q: float = 0.0
-    r: float = field(default=math.pi / 2)
-    C: float = 1.0
-    log_psi_of_exp: object = None
 
 
 def _psi_one(x):
@@ -191,24 +186,13 @@ def mellin_transform(spec: PhiSpec, s: float, q_spec: QuadratureSpec | None = No
         )
     if q_spec is None:
         q_spec = QuadratureSpec(relative_tolerance=1e-9)
-    if spec.log_psi_of_exp is not None:
-        log_psi = spec.log_psi_of_exp
+    log_psi = spec.log_psi_of_exp
 
-        def g(u):
-            return _exp_floor(s * u + log_psi(u))
+    def g(u):
+        return _exp_floor(s * u + log_psi(u))
 
-        value, _err = integrate_real_line(
-            g,
-            rtol=q_spec.relative_tolerance,
-            max_levels=q_spec.max_refinement_levels,
-        )
-        return value
-
-    def integrand(x):
-        return x ** (s - 1.0) * spec.psi_closed_form(x)
-
-    value, _err = integrate_halfline(
-        integrand,
+    value, _err = integrate_real_line(
+        g,
         rtol=q_spec.relative_tolerance,
         max_levels=q_spec.max_refinement_levels,
     )

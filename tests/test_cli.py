@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import gammalab
+from gammalab import cli
 from gammalab.cli import main
 
 _SCHEMA = json.loads(
@@ -266,6 +267,19 @@ class TestLandau:
         assert report["pass"] is True
         assert report["z"] == [-2.3, 1.7]
 
+    def test_deep_complex_trace_is_overflow_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammalab.cli", "complex-trace", "--delta", "1/2",
+             "--z=1200.5,0.5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        _VALIDATOR.validate(report)
+        assert report["error"] == "overflow"
+
 
 class TestSmallTools:
     def test_stern(self, capsys):
@@ -341,6 +355,39 @@ class TestFormats:
         _, out = run(["mellin", "--phi", "exp", "--s", "0.3"], capsys)
         report = json.loads(out)
         assert list(report) == sorted(report)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_floats_are_shortest_round_trip(self, fmt, capsys):
+        _, out = run(["eval", "--z", "0.1,0.3", "--format", fmt], capsys)
+        assert "0.1" in out and "0.3" in out
+        assert "0.10000000000000001" not in out and "0.29999999999999999" not in out
+
+
+class TestInternalErrors:
+    """A failure that is not a documented numeric error is still a report."""
+
+    @pytest.fixture
+    def broken_stern(self, monkeypatch):
+        def handler(args, tol):
+            raise RuntimeError("handler fault")
+
+        monkeypatch.setattr(cli, "_cmd_stern", handler)
+
+    def test_unexpected_exception_is_internal_report(self, broken_stern, capsys):
+        code, report = run_json(["stern", "--m", "7"], capsys)
+        assert code == 1
+        assert report == {"error": "internal", "detail": "RuntimeError: handler fault"}
+
+    def test_internal_report_in_text_format(self, broken_stern, capsys):
+        code, out = run(["stern", "--m", "7", "--format", "text"], capsys)
+        assert code == 1
+        assert out.splitlines() == ["detail = RuntimeError: handler fault", "error = internal"]
+
+    def test_non_finite_report_value_is_internal(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_cmd_stern", lambda args, tol: (0, {"m": math.nan}))
+        code, report = run_json(["stern", "--m", "7"], capsys)
+        assert code == 1
+        assert report["error"] == "internal"
 
 
 class TestToleranceResolution:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from gammalab.errors import (
     TraceDepthError,
 )
 from gammalab.landau import (
+    _RULES,
     DerivationTrace,
     TraceNode,
     complex_reduce_trace,
@@ -511,3 +513,120 @@ class TestValidateTrace:
         trace = DerivationTrace(node, 2, 2)
         with pytest.raises(DomainError):
             validate_trace(trace, quarter_set_membership)
+
+
+def _trace_digest(traces):
+    """sha256 over each trace's preorder (rule, repr(argument), repr(value))
+    and its node and direct-leaf counts."""
+    h = hashlib.sha256()
+    for trace in traces:
+        stack = [trace.root]
+        while stack:
+            node = stack.pop()
+            h.update(f"{node.rule}|{node.argument!r}|{node.value!r};".encode())
+            stack.extend(reversed(node.children))
+        h.update(f"#{trace.node_count},{trace.direct_count}#".encode())
+    return h.hexdigest()
+
+
+def _mp_gamma(a):
+    a = complex(a) if isinstance(a, complex) else float(a)
+    if isinstance(a, complex):
+        return complex(mpmath.gamma(mpmath.mpc(a.real, a.imag)))
+    return float(mpmath.gamma(mpmath.mpf(a)))
+
+
+class TestRuleTable:
+    """The rule table drives both the tracers and validate_trace."""
+
+    def test_real_traces_pinned(self, fs_half):
+        rng = random.Random(5)
+        xs = [Fraction(3, 7), Fraction(1, 8), Fraction(1), Fraction(2, 3),
+              Fraction(5, 9), Fraction(1193707 * 2**9 + 7, 2**30)]
+        xs += [Fraction(rng.randrange(1, 2**30), 2**30) for _ in range(10)]
+        traces = [trace_evaluate(x, fs_half)[1] for x in xs]
+        assert sum(t.node_count for t in traces) == 20010
+        assert _trace_digest(traces) == (
+            "0fe0c4d83d058700a8d978113847056196606d455d3c61aca22064f0e9d2e96a"
+        )
+
+    def test_complex_traces_pinned(self, fs_half):
+        # negative real parts, |Im z| >= 1, a shift chain and a signed zero
+        zs = [0.3 + 0.2j, 0.77 - 0.6j, 2.5 + 3.5j, -1.3 + 0.4j, 3.7 + 1.2j, -2.6 - 1.7j,
+              0.37 + 5.0j, complex(0.7, -0.0), 7.25 - 0.5j, -0.5 + 2.25j]
+        traces = [complex_reduce_trace(z, fs_half)[1] for z in zs]
+        assert sum(t.node_count for t in traces) == 28697
+        assert _trace_digest(traces) == (
+            "4e33b4497722ae71759a87f994d873bc290e8ad6330b69af7b68b2602f2e3c4a"
+        )
+
+    def test_quarter_traces_pinned(self):
+        rng = random.Random(11)
+        xs = [rng.uniform(1e-4, 0.5 - 1e-4) for _ in range(200)]
+        traces = [quarter_set_trace(x)[1] for x in xs if abs(x - 1.0 / 3.0) > 1e-6]
+        assert len(traces) == 200
+        assert sum(t.node_count for t in traces) == 587
+        assert _trace_digest(traces) == (
+            "0e28f59a2aa4c684632580f96c1537cb319e0caa0d94072acfc8777c60f0479d"
+        )
+
+    def test_six_forms(self):
+        assert {rule: len(forms) for rule, forms in _RULES.items()} == {
+            "functional": 2, "reflection": 1, "duplication": 2, "comb": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "rule,form,points",
+        [
+            ("functional", 0, [3.7, Fraction(7, 3), 2.5 + 1.2j, -1.5 - 0.5j]),
+            ("functional", 1, [0.3, Fraction(2, 5), 0.4 - 0.7j, -2.5 + 0.3j]),
+            ("reflection", 0, [0.3, Fraction(5, 8), 0.35 + 0.2j, -1.3 + 0.4j]),
+            ("duplication", 0, [0.7, Fraction(3, 7), 0.6 + 0.8j, 2.9 - 1.5j]),
+            ("duplication", 1, [0.55, Fraction(3, 5), 0.6 + 0.3j, 1.7 - 0.4j]),
+            ("comb", 0, [0.26, Fraction(3, 10), 0.32, 0.333]),
+        ],
+    )
+    def test_form_reproduces_gamma(self, rule, form, points):
+        children, combine = _RULES[rule][form]
+        for a in points:
+            values = [_mp_gamma(c) for c in children(a)]
+            x = complex(a) if isinstance(a, complex) else float(a)
+            want = _mp_gamma(a)
+            assert abs(combine(x, *values) - want) <= 1e-13 * abs(want), (rule, form, a)
+
+    def test_form_children_keep_the_argument_type(self):
+        for forms in _RULES.values():
+            for children, _ in forms:
+                assert all(isinstance(c, Fraction) for c in children(Fraction(2, 7)))
+                assert all(isinstance(c, complex) for c in children(0.3 + 0.1j))
+
+    @pytest.mark.parametrize(
+        "rule,a,child_args",
+        [
+            ("functional", 2.5, [1.25]),
+            ("functional", 0.5 + 0.5j, [0.5 + 0.5j]),
+            ("reflection", 0.3, [0.6]),
+            ("reflection", 0.3, [0.7, 0.7]),
+            ("duplication", 0.5, [0.25, 0.7]),
+            ("duplication", 0.55, [0.1, 0.05]),
+            ("comb", 0.3, [0.2, 0.25, 0.1]),
+        ],
+    )
+    def test_child_matching_no_form_is_rejected(self, rule, a, child_args):
+        kids = tuple(TraceNode("direct", c, _mp_gamma(c), ()) for c in child_args)
+        node = TraceNode(rule, a, _mp_gamma(a), kids)
+        with pytest.raises(DomainError, match="match none of its forms"):
+            validate_trace(DerivationTrace(node, len(kids), len(kids) + 1), lambda c: True)
+
+
+class TestDeepComplexTraces:
+    @pytest.mark.parametrize("z", [600.5 + 0.5j, 1200.5 + 0.5j, -1200.5 + 0.5j])
+    def test_overflow_is_raised(self, fs_half, z):
+        with pytest.raises(OverflowError):
+            complex_reduce_trace(z, fs_half)
+
+    def test_long_shift_chain_validates(self, fs_half):
+        value, trace = complex_reduce_trace(160.5 + 0.5j, fs_half)
+        ref = gamma(160.5 + 0.5j)
+        assert abs(value - ref) / abs(ref) < 1e-10
+        assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count
