@@ -14,6 +14,11 @@ lo[i] < c <= hi[i].  So a membership test or `find` is one integer
 division, one `bisect_left` on lo and one integer comparison, with no
 Fraction compared, and the measure is (sum(hi) - sum(lo)) / D.  The
 public `intervals` stay the Fraction pairs.
+
+A membership test takes p and q straight from the point: numerator and
+denominator of a Fraction or an int, `as_integer_ratio()` of a float
+(exact, as every double is a dyadic rational).  Only other inputs, such as
+'p/q' strings, go through `as_fraction` first.
 """
 
 from __future__ import annotations
@@ -97,23 +102,24 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return Fraction(sum(self._hi) - sum(self._lo), self._den)
 
-    def _locate(self, x) -> int:
-        """Index of the interval holding x, or -1."""
-        x = as_fraction(x)
-        c = -(-x.numerator * self._den // x.denominator)
-        # rightmost interval with lo < c
-        idx = bisect_left(self._lo, c) - 1
-        if idx >= 0 and c <= self._hi[idx]:
-            return idx
-        return -1
-
     def __contains__(self, x) -> bool:
-        return self._locate(x) >= 0
+        if type(x) is float:
+            p, q = x.as_integer_ratio()
+        else:
+            if type(x) is not Fraction and type(x) is not int:
+                x = as_fraction(x)
+            p, q = x.numerator, x.denominator
+        c = -(-p * self._den // q)
+        # the rightmost interval with lo < c holds x when c <= its hi
+        idx = bisect_left(self._lo, c) - 1
+        return idx >= 0 and c <= self._hi[idx]
 
     def find(self, x):
         """The interval (lo, hi] holding x, or None."""
-        idx = self._locate(x)
-        return self.intervals[idx] if idx >= 0 else None
+        x = as_fraction(x)
+        c = -(-x.numerator * self._den // x.denominator)
+        idx = bisect_left(self._lo, c) - 1
+        return self.intervals[idx] if idx >= 0 and c <= self._hi[idx] else None
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)

@@ -33,6 +33,14 @@ pattern into the strip |Im z| < 1 by duplication halvings.  The tracers and
 `validate_trace` share one rule table (`_RULES`): each rule's forms give a
 node's child arguments and its value from theirs, written once for the
 tracers and the replay alike.
+
+The real chains run on integers.  A form gives the children of a = n/d as
+integer pairs, so the duplication halves are Fraction(n, 2d) and
+Fraction(n + d, 2d), built without Fraction division, and the validator
+matches Fraction children to them by cross-multiplication.  The class of a
+piece (a, b], the length of its halving chain, is the least m with
+2 num(b) den(delta) <= num(delta) den(b) 2**m, read off the bit lengths of
+the two sides.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import gamma, pole_distance
 from .errors import (
@@ -81,12 +88,19 @@ class DecompositionNode:
 
 
 def _class_of(b: Fraction, delta: Fraction) -> int:
-    """Least m with b / 2**m <= delta / 2."""
-    m = 0
-    while b > delta / 2:
-        b = b / 2
-        m += 1
-    return m
+    """Least m >= 0 with b / 2**m <= delta / 2.
+
+    For b = p/q and delta = r/s that is the least m with 2ps <= rq * 2**m.
+    When 2ps > rq, shifting rq left by the difference of the bit lengths
+    gives it the bit length of 2ps, so m is that difference, or one more
+    when the shifted rq is still below 2ps.
+    """
+    lhs = 2 * b.numerator * delta.denominator
+    rhs = delta.numerator * b.denominator
+    if lhs <= rhs:
+        return 0
+    m = lhs.bit_length() - rhs.bit_length()
+    return m if lhs <= rhs << m else m + 1
 
 
 def landau_lemma_decompose(alpha, beta, delta):
@@ -106,21 +120,33 @@ def landau_lemma_decompose(alpha, beta, delta):
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     m = _class_of(beta, delta)
-    I = (alpha / 2**m, beta / 2**m)
-    J_list = [(alpha / 2**i + _HALF, beta / 2**i + _HALF) for i in range(1, m + 1)]
+    an, ad, bn, bd = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    # for x = p/q, x / 2**i is p / (q << i) and x / 2**i + 1/2 is
+    # (p + (q << (i - 1))) / (q << i): no Fraction division
+    I = (Fraction(an, ad << m), Fraction(bn, bd << m))
+    J_list = [
+        (Fraction(an + (ad << (i - 1)), ad << i), Fraction(bn + (bd << (i - 1)), bd << i))
+        for i in range(1, m + 1)
+    ]
 
     # build the chain bottom-up: level m is the I-leaf, level i < m a split
     node = DecompositionNode(I, "I", ())
     for i in range(m, 0, -1):
         high = DecompositionNode(J_list[i - 1], "J", ())
-        parent_iv = (alpha / 2 ** (i - 1), beta / 2 ** (i - 1))
+        parent_iv = (Fraction(an, ad << (i - 1)), Fraction(bn, bd << (i - 1)))
         node = DecompositionNode(parent_iv, "split", (node, high))
 
-    extracted = I[1] - I[0]
-    j_total = sum((hi - lo for lo, hi in J_list), Fraction(0))
-    if extracted + j_total != beta - alpha:
+    # both checks are exact integer sums: the endpoints alpha, beta, I and
+    # the J's, in that order, scaled by their common denominator D
+    ends = [alpha, beta, *I, *(e for J in J_list for e in J)]
+    D = math.lcm(*[e.denominator for e in ends])
+    scaled = [e.numerator * (D // e.denominator) for e in ends]
+    width = scaled[1] - scaled[0]
+    extracted = scaled[3] - scaled[2]
+    j_total = sum(scaled[5::2]) - sum(scaled[4::2])
+    if extracted + j_total != width:
         raise AssertionError("interval lemma lost mass")  # pragma: no cover
-    if not extracted > (delta / 4) * (beta - alpha):
+    if not 4 * extracted * delta.denominator > delta.numerator * width:
         raise AssertionError("interval lemma lower bound failed")  # pragma: no cover
     return I, J_list, node
 
@@ -443,7 +469,7 @@ class DerivationTrace:
 
 def _num(a):
     """Numeric (float/complex) view of a trace argument."""
-    return float(a) if type(a) is Fraction else a
+    return a.numerator / a.denominator if type(a) is Fraction else a
 
 
 def _pow2(x):
@@ -467,13 +493,41 @@ def _comb_value(a, g4, gq, g2):
     return g4 * gq * math.sin(math.pi * (alpha + 0.75)) / (2.0 ** (6 * alpha - 1.5) * g2)
 
 
-class _Form(NamedTuple):
-    """children(a): the child arguments of a node at a, in a's own type
-    (Fraction, float or complex); combine(a, *values): Gamma(a) from the
-    children's gamma values, with a as a float or complex."""
+@dataclass(frozen=True)
+class _Form:
+    """One form of a rule.
 
-    children: object
+    ratios(n, d): the child arguments of a Fraction a = n/d as integer
+    pairs (p, q) with q > 0, each standing for p/q; generic(a): the child
+    arguments of a float or complex a, in a's own type; combine(a,
+    *values): Gamma(a) from the children's gamma values, with a as a float
+    or complex.  A form unpacks as (children, combine).
+    """
+
+    ratios: object
+    generic: object
     combine: object
+
+    def __iter__(self):
+        return iter((self.children, self.combine))
+
+    def children(self, a) -> tuple:
+        """The child arguments of a node at a, in a's own type; a Fraction's
+        are built from its integer ratios, with no Fraction division."""
+        if type(a) is Fraction:
+            return tuple([Fraction(p, q) for p, q in self.ratios(a.numerator, a.denominator)])
+        return self.generic(a)
+
+    def matches(self, a, args: tuple) -> bool:
+        """Whether args are the child arguments of a node at a.  Fraction
+        children of a Fraction a are matched to its integer ratios by
+        cross-multiplication; any other mix compares children(a) == args."""
+        if type(a) is Fraction and all([type(c) is Fraction for c in args]):
+            want = self.ratios(a.numerator, a.denominator)
+            return len(want) == len(args) and all(
+                [c.numerator * q == p * c.denominator for c, (p, q) in zip(args, want)]
+            )
+        return self.children(a) == args
 
 
 # The rule table: every trace node is built by _node from one of its rule's
@@ -481,21 +535,27 @@ class _Form(NamedTuple):
 _RULES = {
     # Gamma(a) = (a - 1) Gamma(a - 1), and the same read one step up
     "functional": (
-        _Form(lambda a: (a - 1,), lambda a, g: (a - 1) * g),
-        _Form(lambda a: (a + 1,), lambda a, g: g / a),
+        _Form(lambda n, d: ((n - d, d),), lambda a: (a - 1,), lambda a, g: (a - 1) * g),
+        _Form(lambda n, d: ((n + d, d),), lambda a: (a + 1,), lambda a, g: g / a),
     ),
     # Gamma(a) Gamma(1 - a) = pi / sin(pi a)
     "reflection": (
-        _Form(lambda a: (1 - a,), lambda a, g: math.pi / (_sin(math.pi * a) * g)),
+        _Form(
+            lambda n, d: ((d - n, d),),
+            lambda a: (1 - a,),
+            lambda a, g: math.pi / (_sin(math.pi * a) * g),
+        ),
     ),
     # Gamma(a) = 2**(a - 1) Gamma(a/2) Gamma((a + 1)/2) / sqrt(pi), and the
     # same at 2a - 1 solved for Gamma(a) (the inverse form)
     "duplication": (
         _Form(
+            lambda n, d: ((n, 2 * d), (n + d, 2 * d)),
             lambda a: (a / 2, (a + 1) / 2),
             lambda a, g1, g2: _pow2(a - 1) * g1 * g2 / _SQRT_PI,
         ),
         _Form(
+            lambda n, d: ((2 * n - d, d), (2 * n - d, 2 * d)),
             lambda a: (2 * a - 1, a - _HALF),
             lambda a, g1, g2: _SQRT_PI * g1 * _pow2(2 - 2 * a) / g2,
         ),
@@ -503,7 +563,13 @@ _RULES = {
     # the quarter-step relation, solved for Gamma(alpha + 1/4):
     # Gamma(4 alpha) Gamma(1/4 - alpha) sin(pi (alpha + 3/4))
     #     = 2**(6 alpha - 3/2) Gamma(2 alpha) Gamma(alpha + 1/4)
-    "comb": (_Form(_comb_children, _comb_value),),
+    "comb": (
+        _Form(
+            lambda n, d: ((4 * n - d, d), (2 * d - 4 * n, 4 * d), (4 * n - d, 2 * d)),
+            _comb_children,
+            _comb_value,
+        ),
+    ),
 }
 
 
@@ -513,9 +579,9 @@ _VALUE = operator.attrgetter("value")
 def _node(rule: str, a, build, form: int = 0) -> TraceNode:
     """Node at a by the given form of rule; build(*child arguments) returns
     the child nodes."""
-    children, combine = _RULES[rule][form]
-    kids = build(*children(a))
-    return TraceNode(rule, a, combine(_num(a), *map(_VALUE, kids)), kids)
+    spec = _RULES[rule][form]
+    kids = build(*spec.children(a))
+    return TraceNode(rule, a, spec.combine(_num(a), *map(_VALUE, kids)), kids)
 
 
 def _direct(a) -> TraceNode:
@@ -561,7 +627,7 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
             raise DomainError(f"unknown trace rule {node.rule!r}")
         args = tuple([c.argument for c in node.children])
         for form in forms:
-            if form.children(a) == args:
+            if form.matches(a, args):
                 break
         else:
             raise DomainError(
@@ -736,14 +802,13 @@ def _walk_complex(
     z: complex, r: int, fs: FundamentalSet, budget, m: int | None = None
 ) -> TraceNode:
     """Complex counterpart of _walk_real on the real part of z."""
-    re = Fraction(z.real)
-    if re in fs.leaf_union:
+    if z.real in fs.leaf_union:
         _spend(budget)
         return _direct(z)
     if m is None:
         if r >= fs.t:
             raise TraceDepthError(f"real part {z.real} uncovered after {fs.t} rounds")
-        piece = fs.rounds_pieces[r].find(re)
+        piece = fs.rounds_pieces[r].find(z.real)
         if piece is None:
             raise TraceDepthError(f"real part {z.real} not covered at round {r}")
         m = _class_of(piece[1], fs.delta)

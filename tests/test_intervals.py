@@ -195,3 +195,20 @@ class TestIntegerIndex:
         for x in _probes(pa + pb, ()):
             assert (x in u) == any(lo < x <= hi for lo, hi in pa + pb)
             assert u.find(x) == _brute_find(u.intervals, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_ivs, st.lists(_points, max_size=6))
+    def test_contains_agrees_with_find(self, pairs, extra):
+        s = IntervalSet(pairs)
+        for x in _probes(pairs, extra):
+            for point in (x, float(x), f"{x.numerator}/{x.denominator}"):
+                assert (point in s) == (s.find(point) is not None)
+        for n in (-1, 0, 1, 2):
+            assert (n in s) == (s.find(n) is not None)
+
+    def test_contains_rejects_junk(self):
+        s = IntervalSet([(Fraction(0), Fraction(1))])
+        with pytest.raises(DomainError):
+            "three sevenths" in s
+        with pytest.raises(DomainError):
+            object() in s

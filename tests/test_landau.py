@@ -28,6 +28,7 @@ from gammalab.landau import (
     validate_trace,
 )
 from gammalab.intervals import IntervalSet
+from gammalab.landau import _class_of
 
 
 @pytest.fixture(scope="module")
@@ -630,3 +631,133 @@ class TestDeepComplexTraces:
         ref = gamma(160.5 + 0.5j)
         assert abs(value - ref) / abs(ref) < 1e-10
         assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count
+
+
+def _halving_class_of(b, delta):
+    """Reference: least m with b / 2**m <= delta / 2, by halving a Fraction."""
+    m = 0
+    while b > delta / 2:
+        b = b / 2
+        m += 1
+    return m
+
+
+_class_dens = st.one_of(
+    st.integers(min_value=0, max_value=40).map(lambda k: 2**k),
+    st.integers(min_value=1, max_value=20).map(lambda k: 3**k),
+    st.just(41),
+)
+_unit_points = st.builds(
+    lambda den, u: Fraction(u % den + 1, den), _class_dens, st.integers(min_value=0, max_value=2**70)
+)
+_deltas = st.one_of(st.just(Fraction(1)), _unit_points)
+
+
+class TestClassOf:
+    """_class_of reads the class off bit lengths; the halving loop is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unit_points, _deltas)
+    def test_matches_halving_loop(self, b, delta):
+        assert _class_of(b, delta) == _halving_class_of(b, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_deltas, st.integers(min_value=0, max_value=45))
+    def test_equality_at_a_class_boundary(self, delta, m):
+        b = delta / 2 * 2**m
+        if b > 1:
+            return
+        assert _class_of(b, delta) == m == _halving_class_of(b, delta)
+        above = b + Fraction(1, 2**80)
+        assert _class_of(above, delta) == m + 1 == _halving_class_of(above, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_deltas, _unit_points)
+    def test_at_most_half_delta_is_class_zero(self, delta, u):
+        assert _class_of(delta / 2 * u, delta) == 0
+
+    def test_known_classes(self):
+        half = Fraction(1, 2)
+        assert [_class_of(b, half) for b in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1))] == [
+            0, 1, 1, 2,
+        ]
+        assert _class_of(Fraction(1), Fraction(1)) == 1
+        assert _class_of(Fraction(1), Fraction(1, 10)) == 5
+
+
+_TINY = Fraction(1, 2**61)
+
+
+def _hand_trace(rule, a, child_args):
+    """A one-level trace at a with direct children at child_args, every
+    value taken from mpmath, so only the child arguments can fail replay."""
+    kids = tuple(TraceNode("direct", c, _mp_gamma(c), ()) for c in child_args)
+    return DerivationTrace(TraceNode(rule, a, _mp_gamma(a), kids), len(kids), len(kids) + 1)
+
+
+class TestIntegerMatch:
+    """validate_trace matches Fraction children by cross-multiplication."""
+
+    @pytest.mark.parametrize(
+        "rule,a,child_args",
+        [
+            ("functional", Fraction(7, 3), [Fraction(4, 3)]),
+            ("functional", Fraction(2, 5), [Fraction(7, 5)]),
+            ("reflection", Fraction(5, 8), [Fraction(3, 8)]),
+            ("duplication", Fraction(3, 7), [Fraction(3, 14), Fraction(5, 7)]),
+            ("duplication", Fraction(3, 5), [Fraction(1, 5), Fraction(1, 10)]),
+            ("comb", Fraction(3, 10), [Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)]),
+        ],
+    )
+    def test_exact_children_are_accepted(self, rule, a, child_args):
+        assert validate_trace(_hand_trace(rule, a, child_args), lambda c: True) == len(child_args) + 1
+
+    @pytest.mark.parametrize(
+        "rule,a,child_args",
+        [
+            # low child off by 2**-61, children swapped, both children equal
+            ("duplication", Fraction(3, 7), [Fraction(3, 14) + _TINY, Fraction(5, 7)]),
+            ("duplication", Fraction(3, 7), [Fraction(5, 7), Fraction(3, 14)]),
+            ("duplication", Fraction(3, 7), [Fraction(3, 14), Fraction(3, 14)]),
+            ("duplication", Fraction(3, 7), [Fraction(5, 7), Fraction(5, 7)]),
+            ("duplication", Fraction(3, 7), [Fraction(3, 14)]),
+            # the inverse form, 2a - 1 and a - 1/2
+            ("duplication", Fraction(3, 5), [Fraction(1, 5), Fraction(1, 10) + _TINY]),
+            ("duplication", Fraction(3, 5), [Fraction(1, 5) - _TINY, Fraction(1, 10)]),
+            ("duplication", Fraction(3, 5), [Fraction(1, 10), Fraction(1, 5)]),
+            # functional, down and up
+            ("functional", Fraction(7, 3), [Fraction(4, 3) + _TINY]),
+            ("functional", Fraction(2, 5), [Fraction(7, 5) - _TINY]),
+            ("functional", Fraction(7, 3), [Fraction(4, 3), Fraction(4, 3)]),
+            ("reflection", Fraction(5, 8), [Fraction(3, 8) + _TINY]),
+            ("comb", Fraction(3, 10), [Fraction(1, 5), Fraction(1, 5) + _TINY, Fraction(1, 10)]),
+        ],
+    )
+    def test_tampered_children_are_rejected(self, rule, a, child_args):
+        with pytest.raises(DomainError, match="match none of its forms"):
+            validate_trace(_hand_trace(rule, a, child_args), lambda c: True)
+
+    def test_float_children_of_a_fraction_node(self):
+        # exact float halves match, as Fraction == float compares exactly
+        a = Fraction(3, 8)
+        assert validate_trace(_hand_trace("duplication", a, [0.1875, 0.6875]), lambda c: True) == 3
+        assert validate_trace(_hand_trace("duplication", a, [Fraction(3, 16), 0.6875]), lambda c: True) == 3
+        for a, child_args in (
+            (Fraction(3, 8), [0.1875 + 2.0**-52, 0.6875]),
+            (Fraction(3, 8), [0.6875, 0.1875]),
+            (Fraction(3, 7), [float(Fraction(3, 14)), float(Fraction(5, 7))]),
+        ):
+            with pytest.raises(DomainError, match="match none of its forms"):
+                validate_trace(_hand_trace("duplication", a, child_args), lambda c: True)
+
+
+class TestNonDyadicTraces:
+    def test_non_dyadic_real_traces_pinned(self, fs_half):
+        xs = [Fraction(3, 7), Fraction(5, 11), Fraction(1, 3), Fraction(2, 3)]
+        traces = [trace_evaluate(x, fs_half)[1] for x in xs]
+        assert sum(t.node_count for t in traces) == 262
+        assert _trace_digest(traces) == (
+            "d9cb5c67d07c3291bb45029cfc19ce8d4b8f6821c11e359fe604b3458f27b899"
+        )
+        for trace in traces:
+            assert validate_trace(trace, lambda a: a in fs_half.leaf_union) == trace.node_count
