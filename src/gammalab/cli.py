@@ -313,7 +313,7 @@ def _cmd_complex_trace(args, tol):
         return (
             isinstance(a, complex)
             and abs(a.imag) < 1.0
-            and Fraction(a.real) in fs.leaf_union
+            and a.real in fs.leaf_union
         )
 
     code, report = _trace_report(

@@ -6,6 +6,11 @@ least one side is appreciable, absolute when both sides are tiny (identities
 with zeros, such as the sine factorization at integers, need the fallback).
 ``verify_grid`` drives any of them over a seeded random sample and aggregates
 the result into an :class:`IdentityReport`.
+
+numpy is imported inside the two functions that use it, ``verify_grid``
+(its seeded PCG64 stream) and ``nonvanishing_scan`` (its grid), so
+importing gammalab, and every CLI subcommand but ``verify``, runs without
+loading it.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import gamma, pole_distance
 from .errors import DomainError, EmptyGridError, PoleError
@@ -177,6 +180,8 @@ def nonvanishing_scan(re_range, im_range, step):
     im_lo, im_hi = float(im_range[0]), float(im_range[1])
     if re_hi < re_lo or im_hi < im_lo:
         raise DomainError("ranges must be ordered (lo, hi)")
+    import numpy as np
+
     res = np.arange(re_lo, re_hi + 0.5 * step, step)
     ims = np.arange(im_lo, im_hi + 0.5 * step, step)
     best = math.inf
@@ -321,6 +326,8 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     kind, param = parse_identity_tag(identity_id)
+    import numpy as np
+
     rng = np.random.default_rng(sample_spec.seed)
     res = rng.uniform(sample_spec.re_range[0], sample_spec.re_range[1], sample_spec.count)
     ims = rng.uniform(sample_spec.im_range[0], sample_spec.im_range[1], sample_spec.count)

@@ -443,18 +443,23 @@ class TraceNode:
     children: tuple
 
     def to_json_dict(self) -> dict:
-        a = self.argument
-        if isinstance(a, complex):
-            arg = [a.real, a.imag]
-        elif isinstance(a, Fraction):
-            arg = str(a)
-        else:
-            arg = float(a)
-        return {
-            "rule": self.rule,
-            "arg": arg,
-            "children": [c.to_json_dict() for c in self.children],
-        }
+        """{"rule", "arg", "children"} for the whole subtree, built with an
+        explicit stack so that no depth meets the recursion limit."""
+        root = {}
+        stack = [(self, root)]
+        while stack:
+            node, out = stack.pop()
+            a = node.argument
+            if isinstance(a, complex):
+                arg = [a.real, a.imag]
+            elif isinstance(a, Fraction):
+                arg = str(a)
+            else:
+                arg = float(a)
+            children = [{} for _ in node.children]
+            out.update(rule=node.rule, arg=arg, children=children)
+            stack.extend(zip(node.children, children))
+        return root
 
 
 @dataclass(frozen=True)

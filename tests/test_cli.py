@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -472,3 +474,77 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gamma"][0] == pytest.approx(6.0, rel=1e-13)
+
+
+class TestEmitTraceReports:
+    """--emit-trace reports at the benchmark's cli-session points (seed 101),
+    pinned by the sha256 of their bytes: 4093 and 12283 trace nodes."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["landau", "trace", "--delta", "1/2", "--x", "611178493/1073741824",
+              "--emit-trace"],
+             "8483548471831e1b58423e29b0ca5c260032c0190ec5f62af354ff9ef63cfe06"),
+            (["landau", "quarter", "--x", "0.041506346120978574", "--emit-trace"],
+             "c5cd8e82db3b99b562cdb917f30cfbefb6559d21c5f15bf727329e2a559b0ad3"),
+            (["complex-trace", "--delta", "1/2",
+              "--z=0.03155937884002924,-7.576238917452786", "--emit-trace"],
+             "5391543669cac4dcadd69160185f1ff1598f949e604e8b5314e5d528253654df"),
+        ],
+    )
+    def test_report_bytes(self, argv, digest, capsys):
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _run_src(code, *argv):
+    """Run `python -c code argv...` on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gammalab.__file__).parents[1]))
+    env.pop("GAMMALAB_TOL", None)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+
+
+class TestColdStart:
+    """Only sampling loads numpy: the package and every subcommand but
+    verify start without it."""
+
+    def test_import_does_not_load_numpy(self):
+        proc = _run_src("import sys, gammalab; print('numpy' in sys.modules)")
+        assert proc.stdout == "False\n", proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--z", "0.5,2"],
+            ["stern", "--m", "20"],
+            ["landau", "construct", "--delta", "1/2"],
+            ["mellin", "--phi", "exp", "--s", "0.5"],
+        ],
+    )
+    def test_subcommand_does_not_load_numpy(self, argv):
+        proc = _run_src(
+            "import sys; from gammalab.cli import main; code = main(sys.argv[1:]); "
+            "sys.stderr.write(f'{code} {\"numpy\" in sys.modules}')",
+            *argv,
+        )
+        assert proc.stderr == "0 False"
+        json.loads(proc.stdout)
+
+    def test_verify_report_bytes(self):
+        proc = _run_src(
+            "import sys; from gammalab.cli import main; sys.exit(main())",
+            "verify", "--identity", "reflection", "--samples", "50", "--seed", "1",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        _VALIDATOR.validate(json.loads(proc.stdout))
+        assert proc.stdout == (
+            '{"identity":"reflection","max_rel_residual":1.0188698756746989e-15,'
+            '"mean_rel_residual":1.5050179771365743e-16,"pass":true,"samples":50,'
+            '"seed":1,"skipped":0,"tolerance":1e-10,'
+            '"worst_point":[2.7190521682512703,-1.900042297999188]}\n'
+        )

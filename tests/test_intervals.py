@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,21 @@ class TestIntegerIndex:
                 assert (point in s) == (s.find(point) is not None)
         for n in (-1, 0, 1, 2):
             assert (n in s) == (s.find(n) is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mixed_ivs, st.lists(_points, max_size=6))
+    def test_find_matches_brute_force_on_every_input_kind(self, pairs, extra):
+        s = IntervalSet(pairs)
+        for x in _probes(pairs, extra):
+            f = float(x)
+            floats = (f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
+            for point in floats:
+                assert s.find(point) == _brute_find(s.intervals, Fraction(point))
+            assert s.find(x) == _brute_find(s.intervals, x)
+            text = f"{x.numerator}/{x.denominator}"
+            assert s.find(text) == _brute_find(s.intervals, x)
+        for n in (-1, 0, 1, 2):
+            assert s.find(n) == _brute_find(s.intervals, Fraction(n))
 
     def test_contains_rejects_junk(self):
         s = IntervalSet([(Fraction(0), Fraction(1))])

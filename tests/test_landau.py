@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -631,6 +632,46 @@ class TestDeepComplexTraces:
         ref = gamma(160.5 + 0.5j)
         assert abs(value - ref) / abs(ref) < 1e-10
         assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count
+
+
+def _json_reference(node):
+    """The recursive serialisation that TraceNode.to_json_dict replaces."""
+    a = node.argument
+    if isinstance(a, complex):
+        arg = [a.real, a.imag]
+    elif isinstance(a, Fraction):
+        arg = str(a)
+    else:
+        arg = float(a)
+    return {"rule": node.rule, "arg": arg,
+            "children": [_json_reference(c) for c in node.children]}
+
+
+class TestTraceJson:
+    def test_matches_recursive_reference(self, fs_half):
+        traces = [
+            trace_evaluate(Fraction(3, 7), fs_half)[1],
+            quarter_set_trace(0.3)[1],
+            complex_reduce_trace(-2.3 + 1.7j, fs_half)[1],
+            complex_reduce_trace(0.5 + 6.0j, fs_half)[1],
+        ]
+        for trace in traces:
+            assert trace.to_json_dict() == _json_reference(trace.root)
+
+    def test_chain_deeper_than_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 500
+        node = TraceNode("direct", Fraction(1, 3), 1.0, ())
+        for k in range(depth):
+            node = TraceNode("functional", Fraction(k), 1.0, (node,))
+        d = node.to_json_dict()
+        seen = 0
+        while d["children"]:
+            assert d["rule"] == "functional"
+            assert d["arg"] == str(depth - 1 - seen)
+            (d,) = d["children"]
+            seen += 1
+        assert seen == depth
+        assert d == {"rule": "direct", "arg": "1/3", "children": []}
 
 
 def _halving_class_of(b, delta):
