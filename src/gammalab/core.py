@@ -8,7 +8,13 @@ through the mirrored call, so gamma(conj(z)) == conj(gamma(z)) bit for bit.
 
 Real arguments take a pure-float path (and return float); complex arguments
 return complex.  Accuracy target: relative error <= 1e-12 for |z| <= 170 away
-from poles.
+from poles.  The pole test is absolute: an argument within 1e-12 of a
+non-positive integer raises PoleError, even where Gamma is representable
+(Gamma(1e-13) ~ 1e13).
+
+The Lanczos sum is one straight-line expression for both types, with no
+loop; it adds its fifteen terms from the left over y = z - 1, in the order
+of the term-by-term loop it replaced, so every value is bit-identical to it.
 """
 
 import cmath
@@ -83,18 +89,17 @@ def _check_finite(z, name="z"):
     return zc
 
 
-def _lanczos_sum_real(x):
-    s = _LANCZOS_COEFFS[0]
-    for k in range(1, 15):
-        s += _LANCZOS_COEFFS[k] / (x - 1.0 + k)
-    return s
-
-
-def _lanczos_sum_complex(z):
-    s = complex(_LANCZOS_COEFFS[0])
-    for k in range(1, 15):
-        s += _LANCZOS_COEFFS[k] / (z - 1.0 + k)
-    return s
+def _lanczos_sum(z):
+    """c0 + sum over k = 1..14 of c_k / (z - 1 + k), added from the left, for
+    a float or complex z in the same type."""
+    y = z - 1.0
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = _LANCZOS_COEFFS
+    return (
+        c0 + c1 / (y + 1.0) + c2 / (y + 2.0) + c3 / (y + 3.0) + c4 / (y + 4.0)
+        + c5 / (y + 5.0) + c6 / (y + 6.0) + c7 / (y + 7.0) + c8 / (y + 8.0)
+        + c9 / (y + 9.0) + c10 / (y + 10.0) + c11 / (y + 11.0) + c12 / (y + 12.0)
+        + c13 / (y + 13.0) + c14 / (y + 14.0)
+    )
 
 
 def _sinpi(x):
@@ -108,6 +113,7 @@ def _sinpi(x):
 def _gamma_real(x):
     if x < 0.5:
         k = round(x)
+        # absolute tolerance: within 1e-12 of k <= 0 is a pole at any scale
         if k <= 0 and abs(x - k) <= _POLE_TOL:
             raise PoleError(f"gamma pole at non-positive integer near {x!r}")
         # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
@@ -119,7 +125,7 @@ def _gamma_real(x):
         half = math.pow(t, 0.5 * (x - 0.5))
     except OverflowError:
         return math.inf
-    return _SQRT_TWO_PI * (half * math.exp(-t)) * half * _lanczos_sum_real(x)
+    return _SQRT_TWO_PI * (half * math.exp(-t)) * half * _lanczos_sum(x)
 
 
 def _log_sin_pi(z):
@@ -140,6 +146,7 @@ def _gamma_complex(z):
         return _gamma_complex(z.conjugate()).conjugate()
     if z.real < 0.5:
         k = round(z.real)
+        # the real path's absolute rule, on the distance |z - k| in the plane
         if k <= 0 and abs(z - k) <= _POLE_TOL:
             raise PoleError(f"gamma pole at non-positive integer near {z!r}")
         if z.imag > 50.0:
@@ -151,7 +158,7 @@ def _gamma_complex(z):
         return cmath.pi / (cmath.sin(cmath.pi * z) * _gamma_complex(1.0 - z))
     t = z + (_LG - 0.5)
     pref = cmath.exp((z - 0.5) * cmath.log(t) - t)
-    return _SQRT_TWO_PI * pref * _lanczos_sum_complex(z)
+    return _SQRT_TWO_PI * pref * _lanczos_sum(z)
 
 
 def gamma(z):

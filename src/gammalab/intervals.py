@@ -15,10 +15,10 @@ division, one `bisect_left` on lo and one integer comparison, with no
 Fraction compared, and the measure is (sum(hi) - sum(lo)) / D.  The
 public `intervals` stay the Fraction pairs.
 
-A membership test or `find` takes p and q straight from the point:
-numerator and denominator of a Fraction or an int, `as_integer_ratio()` of
-a float (exact, as every double is a dyadic rational).  Only other inputs,
-such as 'p/q' strings, go through `as_fraction` first.
+A membership test or `find` takes p and q straight from the point, as the
+`as_integer_ratio()` of a Fraction, an int or a float (exact, as every
+double is a dyadic rational).  Only other inputs, such as 'p/q' strings, go
+through `as_fraction` first.
 """
 
 from __future__ import annotations
@@ -103,12 +103,9 @@ class IntervalSet:
         return Fraction(sum(self._hi) - sum(self._lo), self._den)
 
     def __contains__(self, x) -> bool:
-        if type(x) is float:
-            p, q = x.as_integer_ratio()
-        else:
-            if type(x) is not Fraction and type(x) is not int:
-                x = as_fraction(x)
-            p, q = x.numerator, x.denominator
+        if type(x) is not Fraction and type(x) is not float and type(x) is not int:
+            x = as_fraction(x)
+        p, q = x.as_integer_ratio()
         c = -(-p * self._den // q)
         # the rightmost interval with lo < c holds x when c <= its hi
         idx = bisect_left(self._lo, c) - 1
@@ -117,12 +114,9 @@ class IntervalSet:
     def find(self, x):
         """The interval (lo, hi] holding x, or None."""
         # the scaling of __contains__, which inlines it to stay one call
-        if type(x) is float:
-            p, q = x.as_integer_ratio()
-        else:
-            if type(x) is not Fraction and type(x) is not int:
-                x = as_fraction(x)
-            p, q = x.numerator, x.denominator
+        if type(x) is not Fraction and type(x) is not float and type(x) is not int:
+            x = as_fraction(x)
+        p, q = x.as_integer_ratio()
         c = -(-p * self._den // q)
         idx = bisect_left(self._lo, c) - 1
         return self.intervals[idx] if idx >= 0 and c <= self._hi[idx] else None

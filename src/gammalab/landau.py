@@ -34,11 +34,16 @@ pattern into the strip |Im z| < 1 by duplication halvings.  The tracers and
 node's child arguments and its value from theirs, written once for the
 tracers and the replay alike.
 
-The real chains run on integers.  A form gives the children of a = n/d as
-integer pairs, so the duplication halves are Fraction(n, 2d) and
-Fraction(n + d, 2d), built without Fraction division, and the validator
-matches Fraction children to them by cross-multiplication.  The class of a
-piece (a, b], the length of its halving chain, is the least m with
+The real chains run on integers.  The real walk carries the pair (n, d) of
+y = n/d and builds one Fraction per node, the argument its TraceNode
+stores; the halving form's integer ratios give the children's pairs, (n, 2d)
+and (n + d, 2d), from y's lowest terms, and its value formula takes n / d,
+the correctly rounded float of y.  The complex walk calls the same form's
+float children and value formula, so each node of either walk is one call
+of the walker, and no walker restates a formula of the rule table.  The
+validator matches Fraction children to a form's integer ratios by
+cross-multiplication, with no Fraction division.  The class of a piece
+(a, b], the length of its halving chain, is the least m with
 2 num(b) den(delta) <= num(delta) den(b) 2**m, read off the bit lengths of
 the two sides.
 """
@@ -47,7 +52,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -428,7 +432,7 @@ def _construct_summary(delta: Fraction, t: int, residual: Fraction, count: int) 
 # derivation traces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceNode:
     """One evaluation in a derivation tree.
 
@@ -470,11 +474,6 @@ class DerivationTrace:
 
     def to_json_dict(self) -> dict:
         return self.root.to_json_dict()
-
-
-def _num(a):
-    """Numeric (float/complex) view of a trace argument."""
-    return a.numerator / a.denominator if type(a) is Fraction else a
 
 
 def _pow2(x):
@@ -527,16 +526,22 @@ class _Form:
         """Whether args are the child arguments of a node at a.  Fraction
         children of a Fraction a are matched to its integer ratios by
         cross-multiplication; any other mix compares children(a) == args."""
-        if type(a) is Fraction and all([type(c) is Fraction for c in args]):
-            want = self.ratios(a.numerator, a.denominator)
-            return len(want) == len(args) and all(
-                [c.numerator * q == p * c.denominator for c, (p, q) in zip(args, want)]
-            )
-        return self.children(a) == args
+        if type(a) is not Fraction:
+            return self.generic(a) == args
+        want = self.ratios(*a.as_integer_ratio())
+        if len(want) != len(args):
+            return False
+        for c, (p, q) in zip(args, want):
+            if type(c) is not Fraction:
+                return self.children(a) == args
+            n, d = c.as_integer_ratio()
+            if n * q != p * d:
+                return False
+        return True
 
 
-# The rule table: every trace node is built by _node from one of its rule's
-# forms, and validate_trace replays every node against the same forms.
+# The rule table: every trace node is built from one of its rule's forms, and
+# validate_trace replays every node against the same forms.
 _RULES = {
     # Gamma(a) = (a - 1) Gamma(a - 1), and the same read one step up
     "functional": (
@@ -578,19 +583,20 @@ _RULES = {
 }
 
 
-_VALUE = operator.attrgetter("value")
+# the halving step x -> (x/2, (x + 1)/2) that the real and complex walks take
+_HALVES = _RULES["duplication"][0]
 
 
 def _node(rule: str, a, build, form: int = 0) -> TraceNode:
-    """Node at a by the given form of rule; build(*child arguments) returns
-    the child nodes."""
+    """Node at a float or complex a by the given form of rule;
+    build(*child arguments) returns the child nodes."""
     spec = _RULES[rule][form]
-    kids = build(*spec.children(a))
-    return TraceNode(rule, a, spec.combine(_num(a), *map(_VALUE, kids)), kids)
+    kids = build(*spec.generic(a))
+    return TraceNode(rule, a, spec.combine(a, *[k.value for k in kids]), kids)
 
 
 def _direct(a) -> TraceNode:
-    return TraceNode("direct", a, gamma(_num(a)), ())
+    return TraceNode("direct", a, gamma(a), ())
 
 
 def _finish_trace(root: TraceNode):
@@ -620,33 +626,34 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
     while stack:
         node = stack.pop()
         checked += 1
+        rule = node.rule
+        children = node.children
         a = node.argument
-        if node.rule == "direct":
-            if node.children:
+        if rule == "direct":
+            if children:
                 raise DomainError(f"direct node at {a!r} has children")
             if not direct_membership(a):
                 raise DomainError(f"direct leaf {a!r} outside the restricted set")
             continue
-        forms = _RULES.get(node.rule)
+        forms = _RULES.get(rule)
         if forms is None:
-            raise DomainError(f"unknown trace rule {node.rule!r}")
-        args = tuple([c.argument for c in node.children])
+            raise DomainError(f"unknown trace rule {rule!r}")
+        args = tuple([c.argument for c in children])
         for form in forms:
             if form.matches(a, args):
                 break
         else:
             raise DomainError(
-                f"{node.rule} node at {a!r} has children {args!r}, "
+                f"{rule} node at {a!r} has children {args!r}, "
                 "which match none of its forms"
             )
-        want = form.combine(_num(a), *map(_VALUE, node.children))
-        scale = max(abs(node.value), abs(want), 1e-300)
-        if abs(node.value - want) / scale > 1e-12:
-            raise DomainError(
-                f"{node.rule} node at {a!r} fails replay: "
-                f"{node.value!r} vs {want!r}"
-            )
-        stack.extend(reversed(node.children))
+        x = a.numerator / a.denominator if type(a) is Fraction else a
+        value = node.value
+        want = form.combine(x, *[c.value for c in children])
+        scale = max(abs(value), abs(want), 1e-300)
+        if abs(value - want) / scale > 1e-12:
+            raise DomainError(f"{rule} node at {a!r} fails replay: {value!r} vs {want!r}")
+        stack.extend(reversed(children))
     return checked
 
 
@@ -663,12 +670,14 @@ def _require_explicit(fs: FundamentalSet):
         )
 
 
-def _walk_real(y: Fraction, r: int, fs: FundamentalSet, m: int | None = None) -> TraceNode:
-    """Trace node for y: a direct leaf if y is in the set, else a duplication
-    step.  m is y's remaining chain length inside a round-r piece; None (a
-    fresh piece) looks it up from the round-r pieces."""
+def _walk_real(n: int, d: int, r: int, fs: FundamentalSet, m: int | None = None) -> TraceNode:
+    """Trace node for y = n/d (d > 0): a direct leaf if y is in the set, else
+    a halving step.  m is y's remaining chain length inside a round-r piece;
+    None (a fresh piece) looks it up from the round-r pieces."""
+    y = Fraction(n, d)
+    # n / d is correctly rounded, so it is float(y) whether or not n/d is reduced
     if y in fs.leaf_union:
-        return _direct(y)
+        return TraceNode("direct", y, gamma(n / d), ())
     if m is None:
         if r >= fs.t:
             raise TraceDepthError(f"point {y} uncovered after {fs.t} rounds")
@@ -678,11 +687,10 @@ def _walk_real(y: Fraction, r: int, fs: FundamentalSet, m: int | None = None) ->
         m = _class_of(piece[1], fs.delta)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {y} outside the set")
-    return _node(
-        "duplication",
-        y,
-        lambda low, high: (_walk_real(low, r, fs, m - 1), _walk_real(high, r + 1, fs)),
-    )
+    (ln, ld), (hn, hd) = _HALVES.ratios(*y.as_integer_ratio())
+    low = _walk_real(ln, ld, r, fs, m - 1)
+    high = _walk_real(hn, hd, r + 1, fs)
+    return TraceNode("duplication", y, _HALVES.combine(n / d, low.value, high.value), (low, high))
 
 
 def trace_evaluate(x, fs: FundamentalSet):
@@ -696,7 +704,7 @@ def trace_evaluate(x, fs: FundamentalSet):
     if not (0 < x <= 1):
         raise DomainError(f"x must lie in (0, 1], got {x}")
     _require_explicit(fs)
-    return _finish_trace(_walk_real(x, 0, fs))
+    return _finish_trace(_walk_real(x.numerator, x.denominator, 0, fs))
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +817,7 @@ def _walk_complex(
     """Complex counterpart of _walk_real on the real part of z."""
     if z.real in fs.leaf_union:
         _spend(budget)
-        return _direct(z)
+        return TraceNode("direct", z, gamma(z), ())
     if m is None:
         if r >= fs.t:
             raise TraceDepthError(f"real part {z.real} uncovered after {fs.t} rounds")
@@ -820,11 +828,7 @@ def _walk_complex(
     _spend(budget)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
-    return _node(
-        "duplication",
-        z,
-        lambda low, high: (
-            _walk_complex(low, r, fs, budget, m - 1),
-            _walk_complex(high, r + 1, fs, budget),
-        ),
-    )
+    low, high = _HALVES.generic(z)
+    low = _walk_complex(low, r, fs, budget, m - 1)
+    high = _walk_complex(high, r + 1, fs, budget)
+    return TraceNode("duplication", z, _HALVES.combine(z, low.value, high.value), (low, high))

@@ -275,7 +275,7 @@ def test_criterion_08_tracers(fs_half):
             trace,
             lambda a: isinstance(a, complex)
             and abs(a.imag) < 1.0
-            and Fraction(a.real) in fs_half.leaf_union,
+            and a.real in fs_half.leaf_union,
         )
         ref = gamma(z)
         complex_worst = max(complex_worst, abs(value - ref) / abs(ref))

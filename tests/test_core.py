@@ -5,7 +5,15 @@ import random
 import mpmath
 import pytest
 
-from gammalab.core import beta, gamma, log_gamma, pochhammer, pole_distance
+from gammalab.core import (
+    _LANCZOS_COEFFS,
+    _lanczos_sum,
+    beta,
+    gamma,
+    log_gamma,
+    pochhammer,
+    pole_distance,
+)
 from gammalab.errors import DomainError, PoleError
 
 
@@ -120,6 +128,50 @@ class TestPoles:
         v = gamma(-3.0 + 1e-9)
         assert math.isfinite(v)
         assert abs(v) > 1e8
+
+    def test_absolute_pole_tolerance(self):
+        # the pole test is absolute: within 1e-12 of a non-positive integer
+        # is a pole, although Gamma(1e-13) ~ 1e13 is representable
+        with pytest.raises(PoleError):
+            gamma(1e-13)
+        with pytest.raises(PoleError):
+            gamma(complex(1e-13, 0.0))
+        x = 2e-12
+        want = 1.0 / x - 0.5772156649015329  # 1/x - Euler's gamma, error O(x)
+        for v in (gamma(x), gamma(complex(x, 0.0))):
+            assert cmath.isfinite(v)
+            assert abs(v - want) <= 1e-12 * abs(want)
+
+
+def _loop_sum(z, zero):
+    """The Lanczos sum as a loop, term by term from the left."""
+    s = zero + _LANCZOS_COEFFS[0]
+    for k in range(1, 15):
+        s += _LANCZOS_COEFFS[k] / (z - 1.0 + k)
+    return s
+
+
+class TestLanczosSum:
+    """The straight-line sum adds the same terms in the same order as a loop."""
+
+    def test_real_sum_matches_loop_bit_for_bit(self):
+        rng = random.Random(86)
+        xs = [rng.uniform(0.5, 172.0) for _ in range(20000)]
+        xs += [rng.uniform(0.5, 2.0) for _ in range(5000)] + [0.5, 1.0, 171.5]
+        for x in xs:
+            got = _lanczos_sum(x)
+            assert type(got) is float
+            assert got.hex() == _loop_sum(x, 0.0).hex(), x
+
+    def test_complex_sum_matches_loop_bit_for_bit(self):
+        rng = random.Random(93)
+        zs = [complex(rng.uniform(0.5, 172.0), rng.uniform(0.0, 300.0)) for _ in range(20000)]
+        zs += [complex(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)) for _ in range(5000)]
+        for z in zs:
+            got = _lanczos_sum(z)
+            assert type(got) is complex
+            want = _loop_sum(z, 0j)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
 
 
 class TestLogGamma:

@@ -395,7 +395,7 @@ def _strip_membership(fs):
         return (
             isinstance(a, complex)
             and abs(a.imag) < 1.0
-            and Fraction(a.real) in fs.leaf_union
+            and a.real in fs.leaf_union
         )
 
     return member
@@ -802,3 +802,29 @@ class TestNonDyadicTraces:
         )
         for trace in traces:
             assert validate_trace(trace, lambda a: a in fs_half.leaf_union) == trace.node_count
+
+    def test_long_non_dyadic_real_traces_pinned(self, fs_half):
+        # odd denominators: the first halving leaves an even numerator over an
+        # even denominator, so each child is reduced before it is stored
+        xs = [Fraction(3, 5), Fraction(7, 9), Fraction(13, 17)]
+        traces = [trace_evaluate(x, fs_half)[1] for x in xs]
+        assert [t.node_count for t in traces] == [4093, 2045, 2045]
+        assert _trace_digest(traces) == (
+            "6eb0733234d6e30bee631639eb41d236578006bd7c9ed7079c9cd59a8c938155"
+        )
+        for trace in traces:
+            assert validate_trace(trace, lambda a: a in fs_half.leaf_union) == trace.node_count
+
+
+class TestLeftHalfPlaneComplexTraces:
+    def test_reflected_traces_pinned(self, fs_half):
+        # Re z <= 0 and |Im z| >= 1: reflection, shift chain, then halvings
+        zs = [-0.25 + 1.0j, -3.25 + 6.5j, -1.75 - 2.5j, complex(-0.0, 1.5),
+              -7.5 - 1.0j, -12.125 + 3.0j]
+        traces = [complex_reduce_trace(z, fs_half)[1] for z in zs]
+        assert [t.node_count for t in traces] == [4097, 12288, 12, 6, 12, 8203]
+        assert _trace_digest(traces) == (
+            "d1b708d0c83fd1b2659f8fe5abd260947d893c28c8069de419038334e74b2a5d"
+        )
+        for trace in traces:
+            assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count
