@@ -41,6 +41,7 @@ from .errors import (
 from .identities import IdentityReport, SampleSpec, parse_identity_tag, verify_grid
 from .intervals import as_fraction
 from .landau import (
+    DEFAULT_NODE_BUDGET,
     complex_reduce_trace,
     landau_construct,
     quarter_set_membership,
@@ -439,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = lsub.add_parser("construct", help="build the measure-<delta set")
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, default=200_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_common(p, "trace")
     p.set_defaults(handler=_cmd_landau_construct)
 
     p = lsub.add_parser("trace", help="derive Gamma(x) from the constructed set")
     p.add_argument("--x", type=_arg_rational, required=True)
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, default=200_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--emit-trace", action="store_true",
                    help="include the full derivation tree in the report")
     _add_common(p, "trace")
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rationals, e.g. 1/3,2/5")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=closure_mod.DEFAULT_CARDINALITY_BUDGET)
     _add_common(p, "identities")
     p.set_defaults(handler=_cmd_closure)
 
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_arg_complex, required=True,
                    help="RE,IM (use --z=RE,IM when RE is negative)")
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, default=200_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--emit-trace", action="store_true")
     _add_common(p, "complex_trace")
     p.set_defaults(handler=_cmd_complex_trace)

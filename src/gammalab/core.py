@@ -155,7 +155,15 @@ def _gamma_complex(z):
             w = 1.0 - z
             lg = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(w)
             return cmath.exp(lg)
-        return cmath.pi / (cmath.sin(cmath.pi * z) * _gamma_complex(1.0 - z))
+        # as on the real path, Gamma(z) underflows to zero where Gamma(1 - z)
+        # leaves the range
+        try:
+            g = _gamma_complex(1.0 - z)
+        except OverflowError:
+            return 0j
+        if not cmath.isfinite(g):
+            return 0j
+        return cmath.pi / (cmath.sin(cmath.pi * z) * g)
     t = z + (_LG - 0.5)
     pref = cmath.exp((z - 0.5) * cmath.log(t) - t)
     return _SQRT_TWO_PI * pref * _lanczos_sum(z)
@@ -166,11 +174,19 @@ def gamma(z):
 
     Real input returns float, complex input returns complex.  Raises
     PoleError within 1e-12 of a non-positive integer and OverflowError when
-    the result exceeds the floating range (|x| >~ 171.6 on the real axis).
+    the result exceeds the floating range (|x| >~ 171.6 on the real axis);
+    left of that, where Gamma(1 - z) exceeds it, the value underflows to a
+    (signed or complex) zero.
     """
     if isinstance(z, complex):
         zc = _check_finite(z)
-        return _gamma_complex(zc)
+        try:
+            out = _gamma_complex(zc)
+        except OverflowError:
+            out = complex(math.inf)
+        if not cmath.isfinite(out):
+            raise OverflowError(f"gamma({z!r}) exceeds the floating range")
+        return out
     x = float(z)
     if not math.isfinite(x):
         raise DomainError(f"z must be finite, got {z!r}")
@@ -220,6 +236,8 @@ def beta(z, w):
     wc = _check_finite(w, "w")
     num = _gamma_complex(zc) * _gamma_complex(wc)
     den = _gamma_complex(zc + wc)
+    if den == 0:
+        raise OverflowError(f"beta({z!r}, {w!r}) exceeds the floating range")
     out = num / den
     if isinstance(z, complex) or isinstance(w, complex):
         return out

@@ -51,12 +51,17 @@ def _require_clear(*points: complex) -> None:
 def residual_functional(z: complex) -> float:
     """Residual of the functional relation Gamma(z+1) = z*Gamma(z).
 
-    Normalized by |Gamma(z+1)|, which never vanishes.
+    Normalized by |Gamma(z+1)|, which never vanishes.  Raises DomainError
+    where either gamma value underflows to zero (Re z below about -170.6),
+    as no relative residual exists there.
     """
     z = complex(z)
     _require_clear(z, z + 1.0)
     lhs = gamma(z + 1.0)
-    rhs = z * gamma(z)
+    g = gamma(z)
+    if lhs == 0 or g == 0:
+        raise DomainError(f"gamma underflows to zero at {z!r} or {z + 1.0!r}")
+    rhs = z * g
     return abs(lhs - rhs) / abs(lhs)
 
 

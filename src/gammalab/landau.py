@@ -40,9 +40,11 @@ stores; the halving form's integer ratios give the children's pairs, (n, 2d)
 and (n + d, 2d), from y's lowest terms, and its value formula takes n / d,
 the correctly rounded float of y.  The complex walk calls the same form's
 float children and value formula, so each node of either walk is one call
-of the walker, and no walker restates a formula of the rule table.  The
-validator matches Fraction children to a form's integer ratios by
-cross-multiplication, with no Fraction division.  The class of a piece
+of the walker, and no walker restates a formula of the rule table.  Only
+the halving form, the form of every internal node of a real trace, carries
+integer ratios: the validator matches its Fraction children to them by
+cross-multiplication, with no Fraction division; every other form states
+its children once, in a formula exact on a Fraction.  The class of a piece
 (a, b], the length of its halving chain, is the least m with
 2 num(b) den(delta) <= num(delta) den(b) 2**m, read off the bit lengths of
 the two sides.
@@ -177,14 +179,10 @@ def landau_lemma_decompose(alpha, beta, delta):
 
 
 def _class_bounds(delta: Fraction):
-    """Classes of right ends near 1/2 and at 1: they differ by at most one."""
-    m_lo = 1
-    while delta * 2 ** (m_lo - 1) <= _HALF:
-        m_lo += 1
-    m_hi = 1
-    while delta * 2 ** (m_hi - 1) < 1:
-        m_hi += 1
-    return m_lo, m_hi
+    """Classes of right ends just above 1/2 and at 1: K - 1 and K, or K and K
+    when delta * 2**(K - 1) is exactly 1 (K = the class of 1)."""
+    K = _class_of(Fraction(1), delta)
+    return (K if delta * 2 ** (K - 1) == 1 else K - 1), K
 
 
 def _threshold_closure(delta: Fraction):
@@ -335,10 +333,6 @@ class FundamentalSet:
         }
 
 
-def _count_nodes(node: DecompositionNode) -> int:
-    return 1 + sum(_count_nodes(c) for c in node.children)
-
-
 def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> FundamentalSet:
     """Build a fundamental set of measure < delta for delta in (0, 1].
 
@@ -355,8 +349,14 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     t = iteration_count(delta)
     residual, count, nodes = _threshold_recursion(delta, t - 1)
     if nodes <= node_budget:
-        return _construct_explicit(delta, t, node_budget)
-    return _construct_summary(delta, t, residual, count)
+        fs = _construct_explicit(delta, t, node_budget)
+    else:
+        fs = _construct_summary(delta, t, residual, count)
+    if not fs.residual_mass < (1 - delta / 4) ** t:
+        raise AssertionError("remainder bound violated")  # pragma: no cover
+    if not fs.measure < delta:
+        raise AssertionError("constructed set not small")  # pragma: no cover
+    return fs
 
 
 def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> FundamentalSet:
@@ -365,7 +365,7 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
     i_leaves = [I0]
     rounds_pieces = [IntervalSet([(0, 1)])]
     leftover = IntervalSet(J0)  # round-0 J's are nested; take the set union
-    node_count = _count_nodes(node0)
+    node_count = 2 * len(J0) + 1  # a class-m chain has 2m + 1 nodes
     for _ in range(1, t):
         rounds_pieces.append(leftover)
         next_pieces = []
@@ -376,7 +376,7 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
             i_leaves.append(I)
             next_pieces.extend(Js)
             extracted += I[1] - I[0]
-            node_count += _count_nodes(node)
+            node_count += 2 * len(Js) + 1
             if node_count > node_budget:
                 raise ResourceError(
                     f"decomposition forest exceeded {node_budget} nodes"
@@ -387,20 +387,14 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
         if new_leftover.measure + extracted != leftover.measure:
             raise AssertionError("round lost mass")  # pragma: no cover
         leftover = new_leftover
-    residual = leftover.measure
-    if not residual < (1 - delta / 4) ** t:
-        raise AssertionError("remainder bound violated")  # pragma: no cover
     leaf_union = IntervalSet(i_leaves).union(leftover)
-    measure = leaf_union.measure
-    if not measure < delta:
-        raise AssertionError("constructed set not small")  # pragma: no cover
     return FundamentalSet(
         delta=delta,
         t=t,
         root_forest=tuple(roots),
         leaf_union=leaf_union,
-        measure=measure,
-        residual_mass=residual,
+        measure=leaf_union.measure,
+        residual_mass=leftover.measure,
         explicit=True,
         rounds_pieces=tuple(rounds_pieces),
         final_piece_count=len(leftover),
@@ -409,17 +403,12 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
 
 
 def _construct_summary(delta: Fraction, t: int, residual: Fraction, count: int) -> FundamentalSet:
-    if not residual < (1 - delta / 4) ** t:
-        raise AssertionError("remainder bound violated")  # pragma: no cover
-    measure = delta / 2 + residual
-    if not measure < delta:
-        raise AssertionError("constructed set not small")  # pragma: no cover
     return FundamentalSet(
         delta=delta,
         t=t,
         root_forest=(),
         leaf_union=IntervalSet([(Fraction(0), delta / 2)]),
-        measure=measure,
+        measure=delta / 2 + residual,
         residual_mass=residual,
         explicit=False,
         rounds_pieces=(),
@@ -501,39 +490,35 @@ def _comb_value(a, g4, gq, g2):
 class _Form:
     """One form of a rule.
 
-    ratios(n, d): the child arguments of a Fraction a = n/d as integer
-    pairs (p, q) with q > 0, each standing for p/q; generic(a): the child
-    arguments of a float or complex a, in a's own type; combine(a,
-    *values): Gamma(a) from the children's gamma values, with a as a float
-    or complex.  A form unpacks as (children, combine).
+    generic(a): the child arguments of a node at a, in a's own type (exact
+    on a Fraction); combine(a, *values): Gamma(a) from the children's gamma
+    values, with a as a float or complex.  A form unpacks as (generic,
+    combine).  Only the halving form, the form of every internal node of a
+    real trace, also has ratios(n, d): the children of a = n/d as integer
+    pairs (p, q), q > 0, each standing for p/q, so that the real walk and the
+    replay of a real trace need no Fraction division.
     """
 
-    ratios: object
     generic: object
     combine: object
+    ratios: object = None
 
     def __iter__(self):
-        return iter((self.children, self.combine))
-
-    def children(self, a) -> tuple:
-        """The child arguments of a node at a, in a's own type; a Fraction's
-        are built from its integer ratios, with no Fraction division."""
-        if type(a) is Fraction:
-            return tuple([Fraction(p, q) for p, q in self.ratios(a.numerator, a.denominator)])
-        return self.generic(a)
+        return iter((self.generic, self.combine))
 
     def matches(self, a, args: tuple) -> bool:
         """Whether args are the child arguments of a node at a.  Fraction
-        children of a Fraction a are matched to its integer ratios by
-        cross-multiplication; any other mix compares children(a) == args."""
-        if type(a) is not Fraction:
+        children of a Fraction a are matched to integer ratios, where the
+        form has them, by cross-multiplication; anything else compares
+        generic(a) == args."""
+        if type(a) is not Fraction or self.ratios is None:
             return self.generic(a) == args
         want = self.ratios(*a.as_integer_ratio())
         if len(want) != len(args):
             return False
         for c, (p, q) in zip(args, want):
             if type(c) is not Fraction:
-                return self.children(a) == args
+                return self.generic(a) == args
             n, d = c.as_integer_ratio()
             if n * q != p * d:
                 return False
@@ -545,27 +530,22 @@ class _Form:
 _RULES = {
     # Gamma(a) = (a - 1) Gamma(a - 1), and the same read one step up
     "functional": (
-        _Form(lambda n, d: ((n - d, d),), lambda a: (a - 1,), lambda a, g: (a - 1) * g),
-        _Form(lambda n, d: ((n + d, d),), lambda a: (a + 1,), lambda a, g: g / a),
+        _Form(lambda a: (a - 1,), lambda a, g: (a - 1) * g),
+        _Form(lambda a: (a + 1,), lambda a, g: g / a),
     ),
     # Gamma(a) Gamma(1 - a) = pi / sin(pi a)
     "reflection": (
-        _Form(
-            lambda n, d: ((d - n, d),),
-            lambda a: (1 - a,),
-            lambda a, g: math.pi / (_sin(math.pi * a) * g),
-        ),
+        _Form(lambda a: (1 - a,), lambda a, g: math.pi / (_sin(math.pi * a) * g)),
     ),
     # Gamma(a) = 2**(a - 1) Gamma(a/2) Gamma((a + 1)/2) / sqrt(pi), and the
     # same at 2a - 1 solved for Gamma(a) (the inverse form)
     "duplication": (
         _Form(
-            lambda n, d: ((n, 2 * d), (n + d, 2 * d)),
             lambda a: (a / 2, (a + 1) / 2),
             lambda a, g1, g2: _pow2(a - 1) * g1 * g2 / _SQRT_PI,
+            lambda n, d: ((n, 2 * d), (n + d, 2 * d)),
         ),
         _Form(
-            lambda n, d: ((2 * n - d, d), (2 * n - d, 2 * d)),
             lambda a: (2 * a - 1, a - _HALF),
             lambda a, g1, g2: _SQRT_PI * g1 * _pow2(2 - 2 * a) / g2,
         ),
@@ -573,13 +553,7 @@ _RULES = {
     # the quarter-step relation, solved for Gamma(alpha + 1/4):
     # Gamma(4 alpha) Gamma(1/4 - alpha) sin(pi (alpha + 3/4))
     #     = 2**(6 alpha - 3/2) Gamma(2 alpha) Gamma(alpha + 1/4)
-    "comb": (
-        _Form(
-            lambda n, d: ((4 * n - d, d), (2 * d - 4 * n, 4 * d), (4 * n - d, 2 * d)),
-            _comb_children,
-            _comb_value,
-        ),
-    ),
+    "comb": (_Form(_comb_children, _comb_value),),
 }
 
 
@@ -797,7 +771,7 @@ def _reduce_complex(z: complex, fs: FundamentalSet, budget) -> TraceNode:
         while z.real > 1.0:
             _spend(budget)
             chain.append(z)
-            (z,) = _RULES["functional"][0].children(z)
+            (z,) = _RULES["functional"][0].generic(z)
         (node,) = reduce(z)
         for a in reversed(chain):
             node = _node("functional", a, lambda _, child=node: (child,))

@@ -1,10 +1,11 @@
 """Double-exponential (tanh-sinh) quadrature and the integral oracles.
 
 The engine is deliberately self-contained: a tanh-sinh node ladder on a finite
-interval, plus a logarithmic substitution for half-line integrals with the
-truncation window grown until the endpoint integrand magnitude falls below the
-tolerance times the running value.  It serves as the independent oracle for
-the defining gamma integral and the beta integral representation.
+interval, plus one window-and-integrate recipe, `integrate_real_line`, which
+grows a truncation window on the whole line until the endpoint integrand
+magnitude falls below the tolerance times a coarse value.  The half-line
+integral (after s = e^u) and the independent oracles for the defining gamma
+integral and the beta integral representation all go through it.
 """
 
 import cmath
@@ -77,14 +78,7 @@ def _level_sum(f, a, b, half, h, only_odd):
             if not (a < x < b):
                 continue
             val = f(x)
-            if isinstance(val, complex):
-                if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                    if w < _TINY_WEIGHT:
-                        continue
-                    raise ConvergenceError(
-                        f"integrand not finite at x={x!r} with non-negligible weight"
-                    )
-            elif not math.isfinite(val):
+            if not cmath.isfinite(val):
                 if w < _TINY_WEIGHT:
                     continue
                 raise ConvergenceError(
@@ -142,8 +136,7 @@ def integrate_halfline(f, *, rtol=1e-10, max_levels=12, u_cap=4000.0):
         s = math.exp(u)
         return f(s) * s
 
-    lo, hi = _window(g, rtol, u_cap=u_cap)
-    return tanh_sinh(g, lo, hi, rtol=rtol, max_levels=max_levels)
+    return integrate_real_line(g, rtol=rtol, max_levels=max_levels, u_cap=u_cap)
 
 
 def quadrature(integrand, spec):
@@ -189,11 +182,8 @@ def beta_integral(z, w, spec):
             l1p = math.log1p(math.exp(u))
         return _exp_or_zero(zc * u - zw * l1p)
 
-    value, _ = tanh_sinh(
-        g,
-        *_window(g, spec.relative_tolerance),
-        rtol=spec.relative_tolerance,
-        max_levels=spec.max_refinement_levels,
+    value, _ = integrate_real_line(
+        g, rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels
     )
     if isinstance(z, complex) or isinstance(w, complex):
         return value
@@ -211,11 +201,8 @@ def gamma_integral(z, spec):
             return 0.0j
         return _exp_or_zero(zc * u - math.exp(u))
 
-    value, _ = tanh_sinh(
-        g,
-        *_window(g, spec.relative_tolerance),
-        rtol=spec.relative_tolerance,
-        max_levels=spec.max_refinement_levels,
+    value, _ = integrate_real_line(
+        g, rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels
     )
     if isinstance(z, complex):
         return value
@@ -235,7 +222,7 @@ def integrate_real_line(g, *, rtol=1e-10, max_levels=12, u_cap=4000.0):
     return tanh_sinh(g, lo, hi, rtol=rtol, max_levels=max_levels)
 
 
-def _window(g, rtol, u_cap=4000.0):
+def _window(g, rtol, u_cap):
     """Truncation window on the u-line for an already-substituted integrand."""
     u1 = u2 = 8.0
     try:

@@ -96,6 +96,20 @@ class TestEval:
         assert report["error"] == "overflow"
         assert "detail" in report
 
+    def test_complex_overflow_is_structured_error(self):
+        # Gamma(171.65 + 0.001i) leaves the floating range as inf - inf i
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammalab.cli", "eval", "--z=171.65,0.001"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        _VALIDATOR.validate(report)
+        assert report["error"] == "overflow"
+        assert "exceeds the floating range" in report["detail"]
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):

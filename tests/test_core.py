@@ -110,6 +110,29 @@ class TestGammaRealEdges:
         assert worst <= 1e-12
 
 
+class TestGammaComplexRange:
+    """The complex path keeps the real path's range contract: a complex zero
+    where Gamma(1 - z) leaves the range in the reflection, and the documented
+    OverflowError where the value itself does."""
+
+    @pytest.mark.parametrize("z", [-180.5 + 0.1j, -1000.5 + 0.5j, complex(-200.5, 0.0)])
+    def test_deep_left_underflows_to_zero(self, z):
+        v = gamma(z)
+        assert isinstance(v, complex)
+        assert v == 0
+
+    @pytest.mark.parametrize("z", [180.5 + 0.1j, 171.65 + 0.001j])
+    def test_overflow_raises_documented_error(self, z):
+        # 180.5 + 0.1i overflows inside the Lanczos prefactor; 171.65 +
+        # 0.001i only in the last product, which gave inf - inf i
+        with pytest.raises(OverflowError, match="exceeds the floating range"):
+            gamma(z)
+
+    def test_beta_of_an_underflowing_sum_is_out_of_range(self):
+        with pytest.raises(OverflowError, match="exceeds the floating range"):
+            beta(-100.3 + 0.1j, -100.4)
+
+
 class TestPoles:
     @pytest.mark.parametrize("n", [0, -1, -2, -7, -30])
     def test_exact_pole_raises(self, n):

@@ -35,6 +35,11 @@ class TestPointwiseResiduals:
         with pytest.raises(PoleError):
             residual_functional(-3.0 + 1e-9j)
 
+    def test_functional_where_the_normaliser_underflows(self):
+        # Gamma(z + 1) never vanishes, but it underflows to zero here
+        with pytest.raises(DomainError, match="underflows"):
+            residual_functional(-180.5 + 0.1j)
+
     def test_reflection_small(self):
         assert residual_reflection(0.3 + 0.7j) < 1e-13
         assert residual_reflection(-2.5) < 1e-13
@@ -140,6 +145,15 @@ class TestVerifyGrid:
         report = verify_grid(tag, SampleSpec(count=200), 1e-10)
         assert report.passed
         assert report.sample_count + report.skipped_count == 200
+
+    def test_functional_across_the_underflow_edge(self):
+        # left of Re z ~ -170.6 Gamma(z) underflows to zero: those draws
+        # are skipped rather than read as a relative residual of 1
+        spec = SampleSpec(count=100, re_range=(-176.0, -166.0), im_range=(-1.0, 1.0))
+        report = verify_grid("functional", spec, 1e-10)
+        assert report.sample_count + report.skipped_count == 100
+        assert report.sample_count > 0 and report.skipped_count > 0
+        assert report.passed
 
     def test_comb_needs_narrow_real_band(self):
         spec = SampleSpec(count=200, re_range=(0.0, 0.25))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -29,7 +30,7 @@ from gammalab.landau import (
     validate_trace,
 )
 from gammalab.intervals import IntervalSet
-from gammalab.landau import _class_of
+from gammalab.landau import _class_bounds, _class_of
 
 
 @pytest.fixture(scope="module")
@@ -724,6 +725,107 @@ class TestClassOf:
         ]
         assert _class_of(Fraction(1), Fraction(1)) == 1
         assert _class_of(Fraction(1), Fraction(1, 10)) == 5
+
+
+def _loop_class_bounds(delta):
+    """Reference: the classes of right ends near 1/2 and at 1 by two loops."""
+    m_lo = 1
+    while delta * 2 ** (m_lo - 1) <= Fraction(1, 2):
+        m_lo += 1
+    m_hi = 1
+    while delta * 2 ** (m_hi - 1) < 1:
+        m_hi += 1
+    return m_lo, m_hi
+
+
+_any_deltas = st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(bool)
+
+
+class TestClassBounds:
+    """_class_bounds reads both classes off _class_of; the loops are the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_deltas, _any_deltas))
+    def test_matches_the_loops(self, delta):
+        assert _class_bounds(delta) == _loop_class_bounds(delta)
+
+    def test_powers_of_two_and_their_neighbours(self):
+        eps = Fraction(1, 10**70)
+        for k in range(0, 230):
+            for delta in (Fraction(1, 2**k) - eps, Fraction(1, 2**k), Fraction(1, 2**k) + eps):
+                if 0 < delta <= 1:
+                    assert _class_bounds(delta) == _loop_class_bounds(delta), delta
+
+
+# The child arguments of each form other than the halving one as integer
+# pairs (p, q), standing for p/q, of a = n/d: the oracle for its generic
+# children on a Fraction.
+_FORM_RATIOS = {
+    ("functional", 0): lambda n, d: ((n - d, d),),
+    ("functional", 1): lambda n, d: ((n + d, d),),
+    ("reflection", 0): lambda n, d: ((d - n, d),),
+    ("duplication", 1): lambda n, d: ((2 * n - d, d), (2 * n - d, 2 * d)),
+    ("comb", 0): lambda n, d: ((4 * n - d, d), (2 * d - 4 * n, 4 * d), (4 * n - d, 2 * d)),
+}
+_form_points = st.fractions(min_value=-64, max_value=64, max_denominator=2**40)
+
+
+class TestFormChildren:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_FORM_RATIOS)), _form_points)
+    def test_generic_children_are_the_integer_ratios(self, key, a):
+        rule, form = key
+        got = _RULES[rule][form].generic(a)
+        want = tuple(Fraction(p, q) for p, q in _FORM_RATIOS[key](*a.as_integer_ratio()))
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_form_points)
+    def test_halving_ratios_are_its_generic_children(self, a):
+        halves = _RULES["duplication"][0]
+        got = tuple(Fraction(p, q) for p, q in halves.ratios(*a.as_integer_ratio()))
+        assert got == halves.generic(a)
+
+
+def _inconsistent(fs, broken):
+    """fs with one part made inconsistent with the rest."""
+    if broken == "rounds":
+        return dataclasses.replace(fs, t=0)
+    if broken == "pieces":
+        empty = tuple(IntervalSet([]) for _ in fs.rounds_pieces)
+        return dataclasses.replace(fs, rounds_pieces=empty)
+    return dataclasses.replace(fs, leaf_union=IntervalSet([]))
+
+
+class TestTraceDepthErrors:
+    """Each walker's three TraceDepthError sites: a point left uncovered
+    after t rounds, a point no round-r piece covers, and a halving chain
+    that ends outside the set."""
+
+    @pytest.mark.parametrize(
+        "broken,match",
+        [
+            ("rounds", "point 3/5 uncovered after 0 rounds"),
+            ("pieces", "point 3/5 not covered by round 0 pieces"),
+            ("leaves", "chain bottomed out at .* outside the set"),
+        ],
+    )
+    def test_real_walk(self, fs_half, broken, match):
+        with pytest.raises(TraceDepthError, match=match):
+            trace_evaluate(Fraction(3, 5), _inconsistent(fs_half, broken))
+
+    @pytest.mark.parametrize(
+        "broken,match",
+        [
+            ("rounds", "real part 0.6 uncovered after 0 rounds"),
+            ("pieces", "real part 0.6 not covered at round 0"),
+            ("leaves", "chain bottomed out at .* outside the set"),
+        ],
+    )
+    def test_complex_walk(self, fs_half, broken, match):
+        with pytest.raises(TraceDepthError, match=match):
+            complex_reduce_trace(0.6 + 0.2j, _inconsistent(fs_half, broken))
 
 
 _TINY = Fraction(1, 2**61)

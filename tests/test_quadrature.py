@@ -7,7 +7,9 @@ from gammalab.core import beta as beta_closed
 from gammalab.core import gamma as gamma_closed
 from gammalab.errors import ConvergenceError, DomainError
 from gammalab.quadrature import (
+    _TINY_WEIGHT,
     QuadratureSpec,
+    _de_node,
     beta_integral,
     gamma_integral,
     integrate_halfline,
@@ -48,6 +50,35 @@ class TestTanhSinh:
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             tanh_sinh(lambda x: math.sin(1e4 * x), 0.0, 1.0, rtol=1e-14, max_levels=3)
+
+
+class TestNonFiniteIntegrand:
+    """A non-finite integrand value stops the sum unless its node's weight
+    is negligible."""
+
+    @pytest.mark.parametrize(
+        "bad,good",
+        [
+            (math.nan, 1.0),
+            (-math.inf, 1.0),
+            (complex(1.0, math.nan), 1j),
+            (complex(math.inf, 0.0), 1j),
+        ],
+    )
+    def test_interior_node_raises(self, bad, good):
+        # t = 0 maps to the midpoint 1/2 of (0, 1)
+        with pytest.raises(ConvergenceError, match="integrand not finite at x=0.5"):
+            tanh_sinh(lambda x: bad if x == 0.5 else good, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_negligible_weight_is_skipped(self, bad):
+        # on a short interval the outermost node t = -6 keeps an abscissa
+        # inside (a, b) but carries a weight below _TINY_WEIGHT
+        a, b = 0.0, 1e-9
+        x, w = _de_node(-6.0, a, b, 0.5 * (b - a))
+        assert a < x < b and 0.0 < w < _TINY_WEIGHT
+        want = tanh_sinh(lambda s: 1e9, a, b)
+        assert tanh_sinh(lambda s: bad if s == x else 1e9, a, b) == want
 
 
 class TestHalfLine:
