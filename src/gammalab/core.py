@@ -155,15 +155,7 @@ def _gamma_complex(z):
             w = 1.0 - z
             lg = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(w)
             return cmath.exp(lg)
-        # as on the real path, Gamma(z) underflows to zero where Gamma(1 - z)
-        # leaves the range
-        try:
-            g = _gamma_complex(1.0 - z)
-        except OverflowError:
-            return 0j
-        if not cmath.isfinite(g):
-            return 0j
-        return cmath.pi / (cmath.sin(cmath.pi * z) * g)
+        return cmath.pi / (cmath.sin(cmath.pi * z) * _gamma_complex(1.0 - z))
     t = z + (_LG - 0.5)
     pref = cmath.exp((z - 0.5) * cmath.log(t) - t)
     return _SQRT_TWO_PI * pref * _lanczos_sum(z)
@@ -182,17 +174,33 @@ def gamma(z):
         zc = _check_finite(z)
         try:
             out = _gamma_complex(zc)
+            if cmath.isfinite(out):
+                return out
         except OverflowError:
-            out = complex(math.inf)
-        if not cmath.isfinite(out):
-            raise OverflowError(f"gamma({z!r}) exceeds the floating range")
-        return out
+            pass
+        if zc.real < 0.5:
+            # only the reflection's Gamma(1 - z) leaves the range here, so
+            # Gamma(z) underflows to zero, as on the real path
+            return 0j
+        raise OverflowError(f"gamma({z!r}) exceeds the floating range")
     x = float(z)
     if not math.isfinite(x):
         raise DomainError(f"z must be finite, got {z!r}")
     out = _gamma_real(x)
     if math.isinf(out):
         raise OverflowError(f"gamma({x!r}) exceeds the floating range")
+    return out
+
+
+def _gamma_factor(z):
+    """gamma(z) as a factor of a product, quotient or residual.
+
+    Gamma has no zeros, so a zero value has underflowed and keeps none of
+    its digits: raises OverflowError there instead of returning it.
+    """
+    out = gamma(z)
+    if not out:
+        raise OverflowError(f"gamma({z!r}) underflows to zero")
     return out
 
 
@@ -231,13 +239,15 @@ def log_gamma(z):
 
 
 def beta(z, w):
-    """Euler beta via the gamma quotient Gamma(z)Gamma(w)/Gamma(z+w)."""
+    """Euler beta via the gamma quotient Gamma(z)Gamma(w)/Gamma(z+w).
+
+    Raises OverflowError where any of the three gamma factors leaves the
+    floating range, underflow included.
+    """
     zc = _check_finite(z, "z")
     wc = _check_finite(w, "w")
-    num = _gamma_complex(zc) * _gamma_complex(wc)
-    den = _gamma_complex(zc + wc)
-    if den == 0:
-        raise OverflowError(f"beta({z!r}, {w!r}) exceeds the floating range")
+    num = _gamma_factor(zc) * _gamma_factor(wc)
+    den = _gamma_factor(zc + wc)
     out = num / den
     if isinstance(z, complex) or isinstance(w, complex):
         return out

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across gammalab.
 
-Built-in ``OverflowError`` is reused for floating-range overflow; everything
-else derives from :class:`GammalabError` so callers can catch the package
+Built-in ``OverflowError`` is reused for leaving the floating range
+(overflow, or a gamma factor underflowing to zero); everything else derives from :class:`GammalabError` so callers can catch the package
 family in one clause.
 """
 

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import gamma, pole_distance
+from .core import _gamma_factor, pole_distance
 from .errors import DomainError, EmptyGridError, PoleError
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -51,17 +51,12 @@ def _require_clear(*points: complex) -> None:
 def residual_functional(z: complex) -> float:
     """Residual of the functional relation Gamma(z+1) = z*Gamma(z).
 
-    Normalized by |Gamma(z+1)|, which never vanishes.  Raises DomainError
-    where either gamma value underflows to zero (Re z below about -170.6),
-    as no relative residual exists there.
+    Normalized by |Gamma(z+1)|, which never vanishes.
     """
     z = complex(z)
     _require_clear(z, z + 1.0)
-    lhs = gamma(z + 1.0)
-    g = gamma(z)
-    if lhs == 0 or g == 0:
-        raise DomainError(f"gamma underflows to zero at {z!r} or {z + 1.0!r}")
-    rhs = z * g
+    lhs = _gamma_factor(z + 1.0)
+    rhs = z * _gamma_factor(z)
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -74,7 +69,7 @@ def residual_reflection(z: complex) -> float:
     nearest = round(z.real)
     if abs(z - nearest) <= _MIN_CLEARANCE:
         raise DomainError(f"{z!r} is within {_MIN_CLEARANCE} of an integer")
-    lhs = gamma(z) * gamma(1.0 - z)
+    lhs = _gamma_factor(z) * _gamma_factor(1.0 - z)
     rhs = math.pi / cmath.sin(math.pi * z)
     return _residual(lhs, rhs)
 
@@ -83,8 +78,12 @@ def residual_duplication(z: complex) -> float:
     """Residual of sqrt(pi)*Gamma(z) = 2**(z-1) * Gamma(z/2) * Gamma(z/2 + 1/2)."""
     z = complex(z)
     _require_clear(z, 0.5 * z, 0.5 * z + 0.5)
-    lhs = _SQRT_PI * gamma(z)
-    rhs = cmath.exp((z - 1.0) * math.log(2.0)) * gamma(0.5 * z) * gamma(0.5 * z + 0.5)
+    lhs = _SQRT_PI * _gamma_factor(z)
+    rhs = (
+        cmath.exp((z - 1.0) * math.log(2.0))
+        * _gamma_factor(0.5 * z)
+        * _gamma_factor(0.5 * z + 0.5)
+    )
     return _residual(lhs, rhs)
 
 
@@ -99,10 +98,10 @@ def residual_multiplication(n: int, z: complex) -> float:
     z = complex(z)
     args = [(z + j) / n for j in range(n)]
     _require_clear(z, *args)
-    lhs = _TWO_PI ** (0.5 * (n - 1)) * cmath.exp((0.5 - z) * math.log(n)) * gamma(z)
+    lhs = _TWO_PI ** (0.5 * (n - 1)) * cmath.exp((0.5 - z) * math.log(n)) * _gamma_factor(z)
     rhs = 1.0 + 0.0j
     for a in args:
-        rhs *= gamma(a)
+        rhs *= _gamma_factor(a)
     return _residual(lhs, rhs)
 
 
@@ -134,11 +133,11 @@ def residual_comb(alpha: float) -> float:
     if not 0.0 < alpha < 0.25:
         raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
     _require_clear(4.0 * alpha, 0.25 - alpha, 2.0 * alpha, alpha + 0.25)
-    lhs = gamma(4.0 * alpha) * gamma(0.25 - alpha)
+    lhs = _gamma_factor(4.0 * alpha) * _gamma_factor(0.25 - alpha)
     rhs = (
         2.0 ** (6.0 * alpha - 1.5)
-        * gamma(2.0 * alpha)
-        * gamma(alpha + 0.25)
+        * _gamma_factor(2.0 * alpha)
+        * _gamma_factor(alpha + 0.25)
         / math.sin(math.pi * (alpha + 0.75))
     )
     return _residual(lhs, rhs)
@@ -196,7 +195,7 @@ def nonvanishing_scan(re_range, im_range, step):
             z = complex(x, y)
             if pole_distance(z) < 0.05:
                 continue
-            mod = abs(gamma(z))
+            mod = abs(_gamma_factor(z))
             if mod < best:
                 best = mod
                 argmin = z

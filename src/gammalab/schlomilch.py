@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import gamma, pochhammer, pole_distance
+from .core import _gamma_factor, gamma, pochhammer, pole_distance
 from .errors import ConvergenceError, DomainError, PoleError
 
 _LN2 = math.log(2.0)
@@ -133,8 +133,8 @@ def generalized_lhs(w: complex, z: complex) -> complex:
     _check_generalized_args(w, z)
     num = (
         -cmath.exp((w + z - 0.5) * _LN2)
-        * gamma(w)
-        * gamma(z)
+        * _gamma_factor(w)
+        * _gamma_factor(z)
         * cmath.sin(math.pi * w)
         * cmath.sin(math.pi * z)
     )
@@ -154,7 +154,7 @@ def _check_generalized_args(w: complex, z: complex) -> None:
 
 def _generalized_term_direct(s: complex, u: complex, n: int):
     """Term n = Gamma(s-n) * (u-n)_{2n} / (2**n n!), or None on range trouble."""
-    g = gamma(s - n)
+    g = _gamma_factor(s - n)
     p = pochhammer(u - n, 2 * n)
     denom = math.exp(n * _LN2 + math.lgamma(n + 1))
     t = g * p / denom
@@ -255,7 +255,7 @@ def gauss_second_summation(a: complex, b: complex) -> complex:
     for p in args:
         if pole_distance(p) <= 1e-8:
             raise PoleError(f"argument {p!r} is within 1e-8 of a pole of Gamma")
-    return _SQRT_PI * gamma(args[2]) / (gamma(args[0]) * gamma(args[1]))
+    return _SQRT_PI * _gamma_factor(args[2]) / (_gamma_factor(args[0]) * _gamma_factor(args[1]))
 
 
 def euler_transform_residual(p: Hyp2F1Params) -> float:

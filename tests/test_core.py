@@ -128,9 +128,14 @@ class TestGammaComplexRange:
         with pytest.raises(OverflowError, match="exceeds the floating range"):
             gamma(z)
 
-    def test_beta_of_an_underflowing_sum_is_out_of_range(self):
-        with pytest.raises(OverflowError, match="exceeds the floating range"):
-            beta(-100.3 + 0.1j, -100.4)
+    @pytest.mark.parametrize(
+        "z, w", [(-100.3 + 0.1j, -100.4), (-171.5, 171.0), (-180.5, 171.65)]
+    )
+    def test_beta_with_an_underflowing_factor_is_out_of_range(self, z, w):
+        # Gamma(z + w), Gamma(-171.5) and Gamma(-180.5) underflow; a zero
+        # factor must not turn into a zero or nan quotient
+        with pytest.raises(OverflowError, match="underflows to zero"):
+            beta(z, w)
 
 
 class TestPoles:

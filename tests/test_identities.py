@@ -35,10 +35,20 @@ class TestPointwiseResiduals:
         with pytest.raises(PoleError):
             residual_functional(-3.0 + 1e-9j)
 
-    def test_functional_where_the_normaliser_underflows(self):
-        # Gamma(z + 1) never vanishes, but it underflows to zero here
-        with pytest.raises(DomainError, match="underflows"):
-            residual_functional(-180.5 + 0.1j)
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            residual_functional,
+            residual_reflection,
+            residual_duplication,
+            lambda z: residual_multiplication(3, z),
+        ],
+    )
+    def test_underflowed_gamma_raises(self, residual):
+        # Gamma never vanishes, but it underflows to zero here: no residual
+        # can be read off a zero
+        with pytest.raises(OverflowError, match="underflows to zero"):
+            residual(-180.5 + 0.1j)
 
     def test_reflection_small(self):
         assert residual_reflection(0.3 + 0.7j) < 1e-13
@@ -155,6 +165,12 @@ class TestVerifyGrid:
         assert report.sample_count > 0 and report.skipped_count > 0
         assert report.passed
 
+    def test_duplication_far_left_has_nothing_to_compare(self):
+        # every draw underflows, so every draw is skipped
+        spec = SampleSpec(count=60, re_range=(-260.0, -200.0), im_range=(-1.0, 1.0))
+        with pytest.raises(EmptyGridError):
+            verify_grid("duplication", spec, 1e-10)
+
     def test_comb_needs_narrow_real_band(self):
         spec = SampleSpec(count=200, re_range=(0.0, 0.25))
         report = verify_grid("comb", spec, 1e-10)
@@ -218,3 +234,8 @@ class TestNonvanishingScan:
     def test_all_points_excluded(self):
         with pytest.raises(EmptyGridError):
             nonvanishing_scan((-0.01, 0.01), (0.0, 0.0), 0.005)
+
+    def test_far_left_underflow_is_not_a_minimum(self):
+        # |Gamma| underflows to 0 there: reporting 0.0 would claim a zero
+        with pytest.raises(OverflowError, match="underflows to zero"):
+            nonvanishing_scan((-200.0, -190.0), (0.0, 1.0), 1.0)

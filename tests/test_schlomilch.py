@@ -184,6 +184,11 @@ class TestHypergeometric:
             # floor the scale rather than divide by a tiny closed form
             assert abs(series.value - closed) <= 1e-11 * max(abs(closed), 1e-3)
 
+    def test_gauss_second_summation_with_an_underflowed_factor(self):
+        # Gamma((a + 1)/2) underflows at Re a ~ -400: a zero denominator
+        with pytest.raises(OverflowError, match="underflows to zero"):
+            gauss_second_summation(-400.3 + 0.1j, 1.0)
+
 
 class TestBinomialIdentity:
     def test_hand_checked_case(self):
