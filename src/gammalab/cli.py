@@ -204,20 +204,26 @@ def _cmd_verify(args, tol):
     return (0 if report.passed else 1), report.to_json_dict()
 
 
+def _verdict(report: dict, residual: float, tol: float, ok: bool = True):
+    """Add the residual, the tolerance and the verdict (ok and residual <= tol)
+    to a report; return (exit_code, report)."""
+    ok = ok and residual <= tol
+    report.update({"residual": residual, "tolerance": tol, "pass": ok})
+    return (0 if ok else 1), report
+
+
+def _relative(a, b) -> float:
+    return abs(a - b) / max(abs(a), abs(b))
+
+
 def _cmd_schlomilch_finite(args, tol):
     lhs = schlomilch.schlomilch_finite_lhs(args.m, args.z)
     rhs = schlomilch.schlomilch_finite_rhs(args.m, args.z)
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    ok = residual <= tol
-    return (0 if ok else 1), {
-        "m": args.m,
-        "z": _pair(args.z),
-        "lhs": _pair(lhs),
-        "rhs": _pair(rhs),
-        "residual": residual,
-        "tolerance": tol,
-        "pass": ok,
-    }
+    return _verdict(
+        {"m": args.m, "z": _pair(args.z), "lhs": _pair(lhs), "rhs": _pair(rhs)},
+        _relative(lhs, rhs),
+        tol,
+    )
 
 
 def _cmd_schlomilch_general(args, tol):
@@ -225,17 +231,13 @@ def _cmd_schlomilch_general(args, tol):
     z = complex(args.z)
     closed = schlomilch.generalized_lhs(w, z)
     series = schlomilch.generalized_series(w, z, tolerance=tol, max_terms=args.max_terms)
-    residual = abs(closed - series.value) / max(abs(closed), abs(series.value))
-    ok = series.converged and residual <= tol
-    return (0 if ok else 1), {
+    report = {
         "w": _pair(w),
         "z": _pair(z),
         "closed_form": _pair(closed),
         "series": series.to_json_dict(),
-        "residual": residual,
-        "tolerance": tol,
-        "pass": ok,
     }
+    return _verdict(report, _relative(closed, series.value), tol, series.converged)
 
 
 def _cmd_schlomilch_binom(args, tol):
@@ -254,80 +256,48 @@ def _cmd_landau_construct(args, tol):
     return 0, fs.to_json_dict()
 
 
-def _trace_report(head: dict, value, trace, reference, tol, membership):
+def _trace_report(args, head: dict, value, trace, reference, tol, membership):
+    """The report of one derivation trace, checked against the reference
+    value and replayed by validate_trace; --emit-trace adds the tree."""
     residual = abs(value - reference) / abs(reference)
-    checked = validate_trace(trace, membership)
-    ok = residual <= tol
-    report = dict(head)
-    report.update(
-        {
-            "value": _pair(value),
-            "reference": _pair(reference),
-            "residual": residual,
-            "direct_leaves": trace.direct_count,
-            "nodes": trace.node_count,
-            "validated_nodes": checked,
-            "tolerance": tol,
-            "pass": ok,
-        }
+    report = dict(
+        head,
+        value=_pair(value),
+        reference=_pair(reference),
+        direct_leaves=trace.direct_count,
+        nodes=trace.node_count,
+        validated_nodes=validate_trace(trace, membership),
     )
-    return (0 if ok else 1), report
+    if args.emit_trace:
+        report["trace"] = trace.to_json_dict()
+    return _verdict(report, residual, tol)
 
 
 def _cmd_landau_trace(args, tol):
     fs = landau_construct(args.delta, node_budget=args.node_budget)
     value, trace = trace_evaluate(args.x, fs)
-    code, report = _trace_report(
-        {"x": str(args.x), "delta": str(args.delta)},
-        value,
-        trace,
-        gamma(float(args.x)),
-        tol,
-        lambda a: a in fs.leaf_union,
+    head = {"x": str(args.x), "delta": str(args.delta)}
+    return _trace_report(
+        args, head, value, trace, gamma(float(args.x)), tol, lambda a: a in fs.leaf_union
     )
-    if args.emit_trace:
-        report["trace"] = trace.to_json_dict()
-    return code, report
 
 
 def _cmd_landau_quarter(args, tol):
     value, trace = quarter_set_trace(args.x)
-    code, report = _trace_report(
-        {"x": args.x},
-        value,
-        trace,
-        gamma(args.x),
-        tol,
-        quarter_set_membership,
+    return _trace_report(
+        args, {"x": args.x}, value, trace, gamma(args.x), tol, quarter_set_membership
     )
-    if args.emit_trace:
-        report["trace"] = trace.to_json_dict()
-    return code, report
 
 
 def _cmd_complex_trace(args, tol):
     fs = landau_construct(args.delta, node_budget=args.node_budget)
-    z = args.z
-    value, trace = complex_reduce_trace(z, fs)
+    value, trace = complex_reduce_trace(args.z, fs)
 
     def membership(a):
-        return (
-            isinstance(a, complex)
-            and abs(a.imag) < 1.0
-            and a.real in fs.leaf_union
-        )
+        return isinstance(a, complex) and abs(a.imag) < 1.0 and a.real in fs.leaf_union
 
-    code, report = _trace_report(
-        {"z": _pair(z), "delta": str(args.delta)},
-        value,
-        trace,
-        gamma(z),
-        tol,
-        membership,
-    )
-    if args.emit_trace:
-        report["trace"] = trace.to_json_dict()
-    return code, report
+    head = {"z": _pair(args.z), "delta": str(args.delta)}
+    return _trace_report(args, head, value, trace, gamma(args.z), tol, membership)
 
 
 def _cmd_stern(args, tol):
@@ -363,17 +333,8 @@ def _cmd_mellin(args, tol):
     spec = mellin_mod.catalog_entry(args.phi)
     transform = mellin_mod.mellin_transform(spec, args.s)
     closed = mellin_mod.rmt_closed_form(spec, args.s)
-    residual = abs(transform - closed) / max(abs(transform), abs(closed))
-    ok = residual <= tol
-    return (0 if ok else 1), {
-        "phi": spec.id,
-        "s": args.s,
-        "transform": transform,
-        "closed_form": closed,
-        "residual": residual,
-        "tolerance": tol,
-        "pass": ok,
-    }
+    report = {"phi": spec.id, "s": args.s, "transform": transform, "closed_form": closed}
+    return _verdict(report, _relative(transform, closed), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,18 @@ Each ``residual_*`` function evaluates both sides of one identity at a point
 and returns a scale-free residual: relative in ``max(|lhs|, |rhs|)`` when at
 least one side is appreciable, absolute when both sides are tiny (identities
 with zeros, such as the sine factorization at integers, need the fallback).
+The fallback holds for every identity: below 1e-3 on both sides a point
+counts by its absolute difference.  So where |Gamma| itself is tiny, as
+for the duplication formula on Re z in (-170, -160), a passing residual
+says only that both sides are tiny, not that their digits agree.
 ``verify_grid`` drives any of them over a seeded random sample and aggregates
 the result into an :class:`IdentityReport`.
+
+One table, ``_IDENTITIES``, states each identity once under its tag: the
+least parameter of the tag (None for the parameter-free ones), the gamma
+arguments of the identity at z, and its residual.  The tag parser,
+``verify_grid``'s pole exclusion and the 1e-6 pole check of every
+``residual_*`` function read the table.
 
 numpy is imported inside the two functions that use it, ``verify_grid``
 (its seeded PCG64 stream) and ``nonvanishing_scan`` (its grid), so
@@ -18,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core import _gamma_factor, pole_distance
 from .errors import DomainError, EmptyGridError, PoleError
@@ -42,10 +53,19 @@ def _residual(lhs: complex, rhs: complex) -> float:
     return diff / scale
 
 
-def _require_clear(*points: complex) -> None:
-    for p in points:
+def _clear(tag, param, z, name=None):
+    """complex(z), after the tag's parameter check (the message calls the
+    parameter name) and the 1e-6 pole check of its gamma arguments at z."""
+    floor, args, _ = _IDENTITIES[tag]
+    if name is not None and param < floor:
+        raise DomainError(f"{name} must be >= {floor}, got {param}")
+    z = complex(z)
+    for p in args(param, z) if args else ():
         if pole_distance(p) <= _MIN_CLEARANCE:
+            if tag == "reflection":
+                raise DomainError(f"{z!r} is within {_MIN_CLEARANCE} of an integer")
             raise PoleError(f"argument {p!r} is within {_MIN_CLEARANCE} of a pole")
+    return z
 
 
 def residual_functional(z: complex) -> float:
@@ -53,8 +73,7 @@ def residual_functional(z: complex) -> float:
 
     Normalized by |Gamma(z+1)|, which never vanishes.
     """
-    z = complex(z)
-    _require_clear(z, z + 1.0)
+    z = _clear("functional", None, z)
     lhs = _gamma_factor(z + 1.0)
     rhs = z * _gamma_factor(z)
     return abs(lhs - rhs) / abs(lhs)
@@ -65,10 +84,7 @@ def residual_reflection(z: complex) -> float:
 
     Raises DomainError within 1e-6 of any integer, where both sides blow up.
     """
-    z = complex(z)
-    nearest = round(z.real)
-    if abs(z - nearest) <= _MIN_CLEARANCE:
-        raise DomainError(f"{z!r} is within {_MIN_CLEARANCE} of an integer")
+    z = _clear("reflection", None, z)
     lhs = _gamma_factor(z) * _gamma_factor(1.0 - z)
     rhs = math.pi / cmath.sin(math.pi * z)
     return _residual(lhs, rhs)
@@ -76,8 +92,7 @@ def residual_reflection(z: complex) -> float:
 
 def residual_duplication(z: complex) -> float:
     """Residual of sqrt(pi)*Gamma(z) = 2**(z-1) * Gamma(z/2) * Gamma(z/2 + 1/2)."""
-    z = complex(z)
-    _require_clear(z, 0.5 * z, 0.5 * z + 0.5)
+    z = _clear("duplication", None, z)
     lhs = _SQRT_PI * _gamma_factor(z)
     rhs = (
         cmath.exp((z - 1.0) * math.log(2.0))
@@ -93,15 +108,11 @@ def residual_multiplication(n: int, z: complex) -> float:
     (2*pi)**((n-1)/2) * n**(1/2 - z) * Gamma(z) = prod_{j=0}^{n-1} Gamma(z/n + j/n).
     The n = 2 case coincides with the duplication identity.
     """
-    if n < 1:
-        raise DomainError(f"multiplication order must be >= 1, got {n}")
-    z = complex(z)
-    args = [(z + j) / n for j in range(n)]
-    _require_clear(z, *args)
+    z = _clear("mult", n, z, "multiplication order")
     lhs = _TWO_PI ** (0.5 * (n - 1)) * cmath.exp((0.5 - z) * math.log(n)) * _gamma_factor(z)
     rhs = 1.0 + 0.0j
-    for a in args:
-        rhs *= _gamma_factor(a)
+    for j in range(n):
+        rhs *= _gamma_factor((z + j) / n)
     return _residual(lhs, rhs)
 
 
@@ -111,14 +122,19 @@ def residual_sine_factorization(k: int, z: complex) -> float:
     Degenerates gracefully at integers: both sides vanish there and the
     residual switches to absolute.
     """
-    if k < 1:
-        raise DomainError(f"factorization order must be >= 1, got {k}")
-    z = complex(z)
+    z = _clear("sine", k, z, "factorization order")
     lhs = cmath.sin(math.pi * z)
     rhs = 2.0 ** (k - 1)
     for j in range(k):
         rhs *= cmath.sin(math.pi * (z + j) / k)
     return _residual(lhs, rhs)
+
+
+def _comb_args(_, z):
+    alpha = z.real
+    if not 0.0 < alpha < 0.25:
+        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
+    return 4.0 * alpha, 0.25 - alpha, 2.0 * alpha, alpha + 0.25
 
 
 def residual_comb(alpha: float) -> float:
@@ -130,9 +146,7 @@ def residual_comb(alpha: float) -> float:
     for real a in the open interval (0, 1/4).
     """
     alpha = float(alpha)
-    if not 0.0 < alpha < 0.25:
-        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
-    _require_clear(4.0 * alpha, 0.25 - alpha, 2.0 * alpha, alpha + 0.25)
+    _clear("comb", None, alpha)
     lhs = _gamma_factor(4.0 * alpha) * _gamma_factor(0.25 - alpha)
     rhs = (
         2.0 ** (6.0 * alpha - 1.5)
@@ -151,9 +165,7 @@ def residual_cosine_identity(m: int, u: complex) -> float:
 
     Relative when |cos(k*u)| > 1e-3, absolute otherwise.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    u = complex(u)
+    u = _clear("cosine", m, u, "m")
     k = 2 * m + 1
     lhs = cmath.cos(k * u)
     s = cmath.sin(u)
@@ -170,6 +182,22 @@ def residual_cosine_identity(m: int, u: complex) -> float:
     if abs(lhs) > _ABS_FALLBACK:
         return diff / abs(lhs)
     return diff
+
+
+# tag -> (floor, args, residual): the least parameter of the tag (None: it
+# takes none); args(param, z), the gamma arguments at z (None: the identity
+# is entire); the residual at a complex z, parameter first where there is one
+_IDENTITIES = {
+    "functional": (None, lambda _, z: (z, z + 1.0), residual_functional),
+    # Gamma(z) Gamma(1 - z) has a pole at every integer: the pole distance of
+    # z - round(Re z), an exact difference, is z's distance to the nearest one
+    "reflection": (None, lambda _, z: (z - round(z.real),), residual_reflection),
+    "duplication": (None, lambda _, z: (z, 0.5 * z, 0.5 * z + 0.5), residual_duplication),
+    "comb": (None, _comb_args, lambda z: residual_comb(z.real)),
+    "mult": (1, lambda n, z: (z, *[(z + j) / n for j in range(n)]), residual_multiplication),
+    "sine": (1, None, residual_sine_factorization),
+    "cosine": (0, None, residual_cosine_identity),
+}
 
 
 def nonvanishing_scan(re_range, im_range, step):
@@ -260,76 +288,41 @@ def parse_identity_tag(tag: str):
     cosine:M.  The parameter is None for the parameter-free identities.
     """
     base, sep, arg = tag.partition(":")
-    if base in ("functional", "reflection", "duplication", "comb"):
+    if base not in _IDENTITIES:
+        raise DomainError(f"unknown identity tag {tag!r}")
+    floor, _, _ = _IDENTITIES[base]
+    if floor is None:
         if sep:
             raise DomainError(f"identity {base!r} takes no parameter")
         return base, None
-    if base in ("mult", "sine", "cosine"):
-        if not sep:
-            raise DomainError(f"identity {base!r} needs a parameter, e.g. {base}:3")
-        try:
-            n = int(arg)
-        except ValueError:
-            raise DomainError(f"bad integer parameter {arg!r} in tag {tag!r}") from None
-        floor = 0 if base == "cosine" else 1
-        if n < floor:
-            raise DomainError(f"parameter of {base!r} must be >= {floor}, got {n}")
-        return base, n
-    raise DomainError(f"unknown identity tag {tag!r}")
-
-
-def _point_clearance(kind, param, z, radius):
-    """True when every gamma/trig argument of the identity clears the radius."""
-    if kind == "functional":
-        return pole_distance(z) > radius and pole_distance(z + 1.0) > radius
-    if kind == "reflection":
-        return abs(z - round(z.real)) > radius
-    if kind == "duplication":
-        return all(
-            pole_distance(p) > radius for p in (z, 0.5 * z, 0.5 * z + 0.5)
-        )
-    if kind == "mult":
-        pts = [z] + [(z + j) / param for j in range(param)]
-        return all(pole_distance(p) > radius for p in pts)
-    if kind == "comb":
-        a = z.real
-        if not (0.0 < a < 0.25):
-            return False
-        pts = (4.0 * a, 0.25 - a, 2.0 * a, a + 0.25)
-        return all(pole_distance(p) > radius for p in pts)
-    # sine and cosine identities are entire: every point is usable
-    return True
-
-
-def _evaluate(kind, param, z):
-    if kind == "functional":
-        return residual_functional(z)
-    if kind == "reflection":
-        return residual_reflection(z)
-    if kind == "duplication":
-        return residual_duplication(z)
-    if kind == "mult":
-        return residual_multiplication(param, z)
-    if kind == "sine":
-        return residual_sine_factorization(param, z)
-    if kind == "comb":
-        return residual_comb(z.real)
-    if kind == "cosine":
-        return residual_cosine_identity(param, z)
-    raise DomainError(f"unknown identity kind {kind!r}")  # pragma: no cover
+    if not sep:
+        raise DomainError(f"identity {base!r} needs a parameter, e.g. {base}:3")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise DomainError(f"bad integer parameter {arg!r} in tag {tag!r}") from None
+    if n < floor:
+        raise DomainError(f"parameter of {base!r} must be >= {floor}, got {n}")
+    return base, n
 
 
 def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> IdentityReport:
     """Check one identity over a seeded uniform sample of its region.
 
     Draws sample_spec.count points from the rectangle re_range x im_range.
-    Points that violate the pole-exclusion radius, or whose evaluation raises
-    a domain/pole error, are counted as skipped rather than failing the run.
-    The report is deterministic for a fixed spec (same seed, same bytes).
+    Points where a gamma argument of the identity lies within the
+    pole-exclusion radius of a pole, or whose evaluation raises a
+    domain/pole/overflow error, are counted as skipped rather than failing
+    the run.  The report is deterministic for a fixed spec (same seed, same
+    bytes).
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     kind, param = parse_identity_tag(identity_id)
+    _, args, residual = _IDENTITIES[kind]
+    if param is not None:
+        residual = partial(residual, param)
+    radius = sample_spec.pole_exclusion
     import numpy as np
 
     rng = np.random.default_rng(sample_spec.seed)
@@ -345,12 +338,14 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     skipped = 0
     for x, y in zip(res, ims):
         z = complex(x, y)
-        if not _point_clearance(kind, param, z, sample_spec.pole_exclusion):
-            skipped += 1
-            continue
         try:
-            r = _evaluate(kind, param, z)
+            if args and min(map(pole_distance, args(param, z))) <= radius:
+                r = None
+            else:
+                r = residual(z)
         except (DomainError, PoleError, OverflowError):
+            r = None
+        if r is None:
             skipped += 1
             continue
         used += 1

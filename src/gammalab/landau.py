@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import gamma, pole_distance
+from .core import _check_finite, gamma, pole_distance
 from .errors import (
     DepthError,
     DomainError,
@@ -744,8 +744,9 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     runs on real parts, which are exact dyadic rationals.  Raises
     DepthError when the tree would exceed node_budget nodes, and
     OverflowError, as gamma does, when the value exceeds the floating range.
+    A non-finite z raises DomainError.
     """
-    z = complex(z)
+    z = _check_finite(z)
     if pole_distance(z) <= 1e-6:
         raise DomainError(f"{z!r} is within 1e-6 of a pole")
     if abs(z.imag) > 2.0**16:

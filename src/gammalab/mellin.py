@@ -25,15 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _check_finite
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate_real_line
-
-
-def _exp_floor(arg: float) -> float:
-    """exp with hard underflow to 0 instead of a range error."""
-    if arg < -745.0:
-        return 0.0
-    return math.exp(arg)
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,8 @@ def _psi_one(x):
 def _log_psi_one(u):
     # -log(1 + e^u), written from the dominant side
     if u > 0.0:
-        return -(u + math.log1p(_exp_floor(-u)))
-    return -math.log1p(_exp_floor(u))
+        return -(u + math.log1p(math.exp(-u)))
+    return -math.log1p(math.exp(u))
 
 
 def _psi_exp(x):
@@ -85,13 +79,14 @@ def _log_psi_log1p(u):
     if u < -35.0:
         return -0.5 * math.exp(u)
     if u > 0.0:
-        return math.log(u + math.log1p(_exp_floor(-u))) - u
+        return math.log(u + math.log1p(math.exp(-u))) - u
     return math.log(math.log1p(math.exp(u))) - u
 
 
 def _geom_spec(a: float) -> PhiSpec:
     if not a > 0:
         raise DomainError(f"geometric ratio must be > 0, got {a}")
+    _check_finite(a, "geometric ratio")
     la = math.log(a)
 
     def log_psi(u, la=la):
@@ -189,7 +184,7 @@ def mellin_transform(spec: PhiSpec, s: float, q_spec: QuadratureSpec | None = No
     log_psi = spec.log_psi_of_exp
 
     def g(u):
-        return _exp_floor(s * u + log_psi(u))
+        return math.exp(s * u + log_psi(u))
 
     value, _err = integrate_real_line(
         g,
@@ -200,18 +195,18 @@ def mellin_transform(spec: PhiSpec, s: float, q_spec: QuadratureSpec | None = No
 
 
 def rmt_closed_form(spec: PhiSpec, s: float) -> float:
-    """The predicted transform pi/sin(pi s) * phi(-s)."""
-    return math.pi / math.sin(math.pi * s) * spec.phi(-s)
-
-
-def rmt_residual(spec: PhiSpec, s: float) -> float:
-    """Relative residual between the numerical transform and the closed form.
+    """The predicted transform pi/sin(pi s) * phi(-s).
 
     s must be non-integral so phi(-s) and sin(pi s) are unambiguous.
     """
     s = float(s)
     if s == int(s):
         raise DomainError(f"s must not be an integer, got {s}")
-    lhs = mellin_transform(spec, s)
+    return math.pi / math.sin(math.pi * s) * spec.phi(-s)
+
+
+def rmt_residual(spec: PhiSpec, s: float) -> float:
+    """Relative residual between the numerical transform and the closed form."""
     rhs = rmt_closed_form(spec, s)
+    lhs = mellin_transform(spec, s)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -155,13 +155,6 @@ def quadrature(integrand, spec):
     )
 
 
-def _exp_or_zero(arg):
-    """exp for complex arguments that underflows to 0 instead of overflowing range."""
-    if arg.real < -745.0:
-        return 0.0j
-    return cmath.exp(arg)
-
-
 def beta_integral(z, w, spec):
     """Beta function via its half-line integral representation.
 
@@ -180,7 +173,7 @@ def beta_integral(z, w, spec):
             l1p = u
         else:
             l1p = math.log1p(math.exp(u))
-        return _exp_or_zero(zc * u - zw * l1p)
+        return cmath.exp(zc * u - zw * l1p)
 
     value, _ = integrate_real_line(
         g, rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels
@@ -199,7 +192,7 @@ def gamma_integral(z, spec):
     def g(u):
         if u > 700.0:
             return 0.0j
-        return _exp_or_zero(zc * u - math.exp(u))
+        return cmath.exp(zc * u - math.exp(u))
 
     value, _ = integrate_real_line(
         g, rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels

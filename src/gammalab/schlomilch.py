@@ -16,9 +16,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .core import _gamma_factor, gamma, pochhammer, pole_distance
+from .core import _check_finite, _gamma_factor, gamma, pochhammer, pole_distance
 from .errors import ConvergenceError, DomainError, PoleError
+from .identities import _residual
 
 _LN2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -142,6 +144,8 @@ def generalized_lhs(w: complex, z: complex) -> complex:
 
 
 def _check_generalized_args(w: complex, z: complex) -> None:
+    _check_finite(w, "w")
+    _check_finite(z, "z")
     s = w + z - 0.5
     if abs(s - round(s.real)) <= 1e-8:
         raise DomainError(
@@ -168,6 +172,45 @@ def _generalized_term_ratio(s: complex, u: complex, n: int) -> complex:
     return ((u - n - 1.0) * (u + n)) / ((s - n - 1.0) * 2.0 * (n + 1.0))
 
 
+def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
+    """The stopping rule of both series over an iterator of terms; the budget
+    is checked before a term is drawn, so ahead of the terms' own checks."""
+    if not tolerance > 0:
+        raise DomainError(f"tolerance must be > 0, got {tolerance}")
+    if max_terms < 1:
+        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+    total = 0.0 + 0.0j
+    small_streak = 0
+    for n, term in zip(range(max_terms), terms):
+        total += term
+        mag = abs(term)
+        if mag <= tolerance * abs(total):
+            small_streak += 1
+            if small_streak >= 3:
+                return SeriesResult(total, n + 1, mag, True)
+        else:
+            small_streak = 0
+    return SeriesResult(total, max_terms, mag, False)
+
+
+def _generalized_terms(w, z):
+    w = complex(w)
+    z = complex(z)
+    _check_generalized_args(w, z)
+    s = w + z - 0.5
+    u = w - z + 0.5
+    term = None
+    for n in count():
+        direct = _generalized_term_direct(s, u, n) if n <= _DIRECT_TERM_LIMIT else None
+        if direct is not None:
+            term = direct
+        elif term is not None:
+            term = term * _generalized_term_ratio(s, u, n - 1)
+        else:  # pragma: no cover - first term is always representable
+            raise ConvergenceError("series head not representable in doubles")
+        yield term
+
+
 def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int) -> SeriesResult:
     """Partial sums of sum_n Gamma(w+z-n-1/2) * (w-z-n+1/2)_{2n} / (2**n n!).
 
@@ -178,41 +221,14 @@ def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int)
     deep-tail terms whose factors leave the double range are continued with
     the term-ratio recurrence, harmless because those terms are negligible.
     """
-    if not tolerance > 0:
-        raise DomainError(f"tolerance must be > 0, got {tolerance}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    w = complex(w)
-    z = complex(z)
-    _check_generalized_args(w, z)
-    s = w + z - 0.5
-    u = w - z + 0.5
-    total = 0.0 + 0.0j
-    term = None
-    small_streak = 0
-    terms_used = 0
-    last_mag = math.inf
-    for n in range(max_terms):
-        if n <= _DIRECT_TERM_LIMIT:
-            direct = _generalized_term_direct(s, u, n)
-        else:
-            direct = None
-        if direct is not None:
-            term = direct
-        elif term is not None:
-            term = term * _generalized_term_ratio(s, u, n - 1)
-        else:  # pragma: no cover - first term is always representable
-            raise ConvergenceError("series head not representable in doubles")
-        total += term
-        terms_used = n + 1
-        last_mag = abs(term)
-        if last_mag <= tolerance * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return SeriesResult(total, terms_used, last_mag, True)
-        else:
-            small_streak = 0
-    return SeriesResult(total, terms_used, last_mag, False)
+    return _partial_sums(_generalized_terms(w, z), tolerance, max_terms)
+
+
+def _hyp2f1_terms(p: Hyp2F1Params):
+    term = 1.0 + 0.0j
+    for n in count():
+        yield term
+        term = term * (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * 0.5
 
 
 def hyp2f1_half(p: Hyp2F1Params, tolerance: float, max_terms: int) -> SeriesResult:
@@ -222,26 +238,12 @@ def hyp2f1_half(p: Hyp2F1Params, tolerance: float, max_terms: int) -> SeriesResu
     exhaustion of max_terms raises ConvergenceError here — downstream
     residual checks have no use for an unconverged value.
     """
-    if not tolerance > 0:
-        raise DomainError(f"tolerance must be > 0, got {tolerance}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    term = 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    small_streak = 0
-    for n in range(max_terms):
-        total += term
-        mag = abs(term)
-        if mag <= tolerance * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return SeriesResult(total, n + 1, mag, True)
-        else:
-            small_streak = 0
-        term = term * (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * 0.5
-    raise ConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms at {p!r}"
-    )
+    result = _partial_sums(_hyp2f1_terms(p), tolerance, max_terms)
+    if not result.converged:
+        raise ConvergenceError(
+            f"2F1 series did not converge within {max_terms} terms at {p!r}"
+        )
+    return result
 
 
 def gauss_second_summation(a: complex, b: complex) -> complex:
@@ -263,11 +265,7 @@ def euler_transform_residual(p: Hyp2F1Params) -> float:
     lhs = hyp2f1_half(p, 1e-13, 1000).value
     q = Hyp2F1Params(p.c - p.a, p.c - p.b, p.c)
     rhs = cmath.exp(-(p.c - p.a - p.b) * _LN2) * hyp2f1_half(q, 1e-13, 1000).value
-    scale = max(abs(lhs), abs(rhs))
-    diff = abs(lhs - rhs)
-    if scale < 1e-3:
-        return diff
-    return diff / scale
+    return _residual(lhs, rhs)
 
 
 def binomial_identity_check(m: int, l: int):

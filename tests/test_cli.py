@@ -346,6 +346,35 @@ class TestSmallTools:
         assert code == 1
         assert report["error"] == "domain"
 
+    @pytest.mark.parametrize("s", ["1", "2", "5"])
+    def test_mellin_integer_s_is_domain_error(self, s, capsys):
+        # phi = exp has the strip (0, inf): the transform exists, but the
+        # closed form pi / sin(pi s) * phi(-s) does not at an integer
+        code, report = run_json(["mellin", "--phi", "exp", "--s", s], capsys)
+        assert code == 1
+        assert report == {"error": "domain", "detail": f"s must not be an integer, got {s}.0"}
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (["complex-trace", "--delta", "1/2", "--z=nan,0"], "z must be finite, got (nan+0j)"),
+            (["complex-trace", "--delta", "1/2", "--z=0.5,nan"], "z must be finite, got (0.5+nanj)"),
+            (["complex-trace", "--delta", "1/2", "--z=inf,0"], "z must be finite, got (inf+0j)"),
+            (["schlomilch", "general", "--w", "nan", "--z", "0.7"], "w must be finite, got (nan+0j)"),
+            (["schlomilch", "general", "--w", "inf", "--z", "0.7"], "w must be finite, got (inf+0j)"),
+            (["schlomilch", "general", "--w", "0.7", "--z", "nan"], "z must be finite, got (nan+0j)"),
+            (["mellin", "--phi", "geom:inf", "--s", "0.5"], "geometric ratio must be finite, got inf"),
+        ],
+        ids=["trace-nan-re", "trace-nan-im", "trace-inf-re", "general-nan-w", "general-inf-w",
+             "general-nan-z", "mellin-geom-inf"],
+    )
+    def test_domain_error(self, argv, detail, capsys):
+        code, report = run_json(argv, capsys)
+        assert code == 1
+        assert report == {"error": "domain", "detail": detail}
+
 
 class TestFormats:
     def test_csv_is_header_plus_row(self, capsys):

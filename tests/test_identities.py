@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -212,6 +214,55 @@ class TestVerifyGrid:
             SampleSpec(count=5, re_range=(2.0, 1.0))
         with pytest.raises(DomainError):
             SampleSpec(count=5, pole_exclusion=-0.1)
+
+
+def _report_digest(tag, spec):
+    report = verify_grid(tag, spec, 1e-10).to_json_dict()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestReportDigests:
+    """verify_grid reports pinned by the sha256 of their sorted JSON: every
+    tag of the benchmark's residual sweep plus mult:1, 500 draws on the
+    default box, and comb on its window (0, 1/4)."""
+
+    @pytest.mark.parametrize(
+        "tag,digest",
+        [
+            ("functional", "ec7d2c51b3fa3a1961510abadb9f21f844c25748d48dd968e10c7c02b871ae0b"),
+            ("reflection", "b33f37ee8fbb0dc2404375faa50cecc2954d42bbcc5d7cc33622d9795d8120c0"),
+            ("duplication", "36d0b7c76855b784672677b7573745b38162b8250090e184b7fce068dfb09c52"),
+            ("mult:1", "5eb483b254cfb19a56fd9577211f054e3abc3c09d2859f3e5f3e6f8be4575904"),
+            ("mult:2", "b9e2a5a1fa4b97fa994bad971f16b882cd8d6d01707487e5fc6e462fe3742a90"),
+            ("mult:3", "c449e70c957c59885dad47ac4ad3062c14672f2af44b6784c89cf6ce63482f46"),
+            ("mult:4", "fd7cc7733d12575cb33bec6ef0dd4c74103f9498a1bcd1e3af3822737df2303a"),
+            ("mult:5", "a260c94dc4d02d8719fb3cf50be9f161cf9ce45647c5a62ddd41a8765401774f"),
+            ("mult:6", "0287c7a1bb5c416f536307b389d31583cd6f9c75725324c384a12bd121a8d46b"),
+            ("cosine:0", "5eab06da657ffb8d098b2a142949388edc1a821674a7d426207d99b0f89501b8"),
+            ("cosine:1", "e46a7abf9c0dc3caaacf26e5f509a8c0f313ef47810091dea42d35b451e1e1bc"),
+            ("cosine:2", "fc0cd4416747e05c3c5a3a5a94ee3bc941fdf20925cd871743c4753fd338ffa8"),
+            ("cosine:3", "96ff45fa5f7b43cb878c4cbe8a28ffe12056b3ab4f51726367b11e899824a93a"),
+            ("cosine:4", "b55785e7d48a379d21756c5e18a5ca1d5437bbeede0d1a69520b2edb875dec27"),
+            ("cosine:5", "ea8138937091da5fd4ec5a9b3d58a26d5a5688d11270c44fb92f14bb5897ac45"),
+            ("cosine:6", "e3eb06e680549fc9999095a2112a99402f1e1f30d285cbec3517535961635b5a"),
+            ("cosine:7", "26f6da8de684b39184eea450b4cda71f02601ac2a0d35616da97a5ae02fbe331"),
+            ("cosine:8", "acef3dfe81d9c4f3564c0541a6894e93929adba14399ae3881a6440652d412bd"),
+            ("sine:1", "dc692ef572dfd09de3762b60db7c08c80966d040612518c38a5ecf71b6d9e3e3"),
+            ("sine:2", "40452043402641f2b9af6ae5aa7943f6f0326fa90c483e9fa0e5d6fe86fcf638"),
+            ("sine:3", "035773a680bd93981328bd480676982b6d8c103e4ccb79e8ea4b35bbd58dc217"),
+            ("sine:4", "59fac10be02bb98a02881b88e7f4df34d6bb876a5ffbfd5286bfc95781bd67e5"),
+            ("sine:5", "8dc2b96656183722d9295657263f2f249fe43a0ba8b69de2c2ac0a4024d72385"),
+            ("sine:6", "a5b9887db5f224b6d3a721104101456add7a6e2939e987b9ef45010fa97ce801"),
+        ],
+    )
+    def test_default_box(self, tag, digest):
+        assert _report_digest(tag, SampleSpec(count=500)) == digest
+
+    def test_comb_window(self):
+        spec = SampleSpec(count=500, re_range=(0.0, 0.25))
+        assert _report_digest("comb", spec) == (
+            "8c3a54a39148351147b6dd374f2958348aa70acffdf3e8221d5a9cd66953a203"
+        )
 
 
 class TestNonvanishingScan:

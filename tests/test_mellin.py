@@ -28,6 +28,12 @@ class TestCatalog:
     def test_unknown_tag(self):
         with pytest.raises(DomainError):
             catalog_entry("zeta")
+
+    def test_geometric_ratio_must_be_finite(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            catalog_entry("geom:inf")
+        with pytest.raises(DomainError, match="must be > 0"):
+            catalog_entry("geom:nan")
         with pytest.raises(DomainError):
             catalog_entry("geom:xyz")
         with pytest.raises(DomainError):
@@ -131,3 +137,8 @@ class TestResidual:
     def test_integer_s_rejected(self):
         with pytest.raises(DomainError):
             rmt_residual(catalog_entry("exp"), 2.0)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3])
+    def test_closed_form_rejects_integer_s(self, s):
+        with pytest.raises(DomainError, match="must not be an integer"):
+            rmt_closed_form(catalog_entry("exp"), s)

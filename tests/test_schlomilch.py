@@ -134,6 +134,19 @@ class TestGeneralizedSeries:
         with pytest.raises(DomainError):
             generalized_lhs(0.0, 1.3)
 
+    def test_budget_is_checked_before_the_arguments(self):
+        # (1.25, 1.25) sits on a cosine pole, yet the budget error comes first
+        with pytest.raises(DomainError, match="tolerance must be > 0"):
+            generalized_series(1.25, 1.25, 0.0, 100)
+        with pytest.raises(DomainError, match="max_terms must be >= 1"):
+            generalized_series(1.25, 1.25, 1e-10, 0)
+
+    @pytest.mark.parametrize("max_terms", [1, 2, 8])
+    def test_exhausted_series_reports_every_term(self, max_terms):
+        result = generalized_series(0.7, 0.9, 1e-13, max_terms)
+        assert not result.converged
+        assert result.terms_used == max_terms
+
 
 class TestHypergeometric:
     def test_log_series_value(self):
@@ -154,6 +167,12 @@ class TestHypergeometric:
     def test_convergence_error_on_tiny_budget(self):
         with pytest.raises(ConvergenceError):
             hyp2f1_half(Hyp2F1Params(1.0, 1.0, 2.0), 1e-14, 5)
+
+    def test_exhausted_budget_and_empty_budget(self):
+        with pytest.raises(ConvergenceError, match="within 5 terms"):
+            hyp2f1_half(Hyp2F1Params(1.0, 1.0, 2.0), 1e-14, 5)
+        with pytest.raises(DomainError, match="max_terms must be >= 1"):
+            hyp2f1_half(Hyp2F1Params(1.0, 1.0, 2.0), 1e-14, 0)
 
     def test_c_at_pole_rejected(self):
         with pytest.raises(DomainError):
