@@ -6,6 +6,9 @@ reflection formula Gamma(z)Gamma(1-z) = pi/sin(pi z).  Conjugate symmetry is
 enforced structurally: arguments with negative imaginary part are evaluated
 through the mirrored call, so gamma(conj(z)) == conj(gamma(z)) bit for bit.
 
+Every sin(pi x) and cos(pi x) in gammalab is ``sinpi``/``cospi`` (x reduced
+exactly first), save the log-space reflection here and ``mellin.rmt_closed_form``.
+
 Real arguments take a pure-float path (and return float); complex arguments
 return complex.  Accuracy target: relative error <= 1e-12 for |z| <= 170 away
 from poles.  The pole test is absolute: an argument within 1e-12 of a
@@ -71,8 +74,8 @@ _POLE_TOL = 1e-12
 def pole_distance(z):
     """Distance from z to the nearest pole of gamma (the non-positive integers).
 
-    Accepts real or complex input; returns +inf when no pole is nearby in the
-    sense that Re z rounds to a positive integer.
+    Accepts real or complex input; where Re z rounds to a positive integer
+    the nearest pole is 0, and the distance is |z|.
     """
     z = complex(z)
     k = round(z.real)
@@ -102,12 +105,22 @@ def _lanczos_sum(z):
     )
 
 
-def _sinpi(x):
-    """sin(pi x) with exact argument reduction: r = x - round(x) is exact in
-    binary floating point, and sin(pi (n + r)) = (-1)**n sin(pi r)."""
-    n = round(x)
-    s = math.sin(math.pi * (x - n))
+def sinpi(z):
+    """sin(pi z), float or complex, after the exact reduction r = z - n,
+    n = round(Re z): sin(pi (n + r)) = (-1)**n sin(pi r), 0 at integers."""
+    n = round(z.real)
+    r = z - n
+    s = cmath.sin(math.pi * r) if isinstance(z, complex) else math.sin(math.pi * r)
     return -s if n % 2 else s
+
+
+def cospi(z):
+    """cos(pi z) as sin(pi (1/2 - |r|)) after sinpi's reduction: exactly 0
+    at half-integers, where sinpi(z + 1/2) would round z + 1/2 first."""
+    n = round(z.real)
+    r = z - n
+    c = sinpi(0.5 - (-r if r.real < 0.0 else r))
+    return -c if n % 2 else c
 
 
 def _gamma_real(x):
@@ -117,7 +130,7 @@ def _gamma_real(x):
         if k <= 0 and abs(x - k) <= _POLE_TOL:
             raise PoleError(f"gamma pole at non-positive integer near {x!r}")
         # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
-        return math.pi / (_sinpi(x) * _gamma_real(1.0 - x))
+        return math.pi / (sinpi(x) * _gamma_real(1.0 - x))
     t = x + _LG - 0.5
     # split the power so neither factor overflows before the exp(-t) damping;
     # if even the half power overflows (x >~ 256), so does Gamma(x)
@@ -152,10 +165,9 @@ def _gamma_complex(z):
         if z.imag > 50.0:
             # sin(pi z) overflows long before gamma loses meaning; assemble in
             # log space instead.
-            w = 1.0 - z
-            lg = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(w)
+            lg = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
             return cmath.exp(lg)
-        return cmath.pi / (cmath.sin(cmath.pi * z) * _gamma_complex(1.0 - z))
+        return cmath.pi / (sinpi(z) * _gamma_complex(1.0 - z))
     t = z + (_LG - 0.5)
     pref = cmath.exp((z - 0.5) * cmath.log(t) - t)
     return _SQRT_TWO_PI * pref * _lanczos_sum(z)

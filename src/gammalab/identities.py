@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core import _gamma_factor, pole_distance
+from .core import _gamma_factor, pole_distance, sinpi
 from .errors import DomainError, EmptyGridError, PoleError
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -86,7 +86,7 @@ def residual_reflection(z: complex) -> float:
     """
     z = _clear("reflection", None, z)
     lhs = _gamma_factor(z) * _gamma_factor(1.0 - z)
-    rhs = math.pi / cmath.sin(math.pi * z)
+    rhs = math.pi / sinpi(z)
     return _residual(lhs, rhs)
 
 
@@ -123,10 +123,10 @@ def residual_sine_factorization(k: int, z: complex) -> float:
     residual switches to absolute.
     """
     z = _clear("sine", k, z, "factorization order")
-    lhs = cmath.sin(math.pi * z)
+    lhs = sinpi(z)
     rhs = 2.0 ** (k - 1)
     for j in range(k):
-        rhs *= cmath.sin(math.pi * (z + j) / k)
+        rhs *= sinpi((z + j) / k)
     return _residual(lhs, rhs)
 
 
@@ -152,7 +152,7 @@ def residual_comb(alpha: float) -> float:
         2.0 ** (6.0 * alpha - 1.5)
         * _gamma_factor(2.0 * alpha)
         * _gamma_factor(alpha + 0.25)
-        / math.sin(math.pi * (alpha + 0.75))
+        / sinpi(alpha + 0.75)
     )
     return _residual(lhs, rhs)
 

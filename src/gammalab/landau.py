@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_finite, gamma, pole_distance
+from .core import _check_finite, gamma, pole_distance, sinpi
 from .errors import (
     DepthError,
     DomainError,
@@ -472,10 +472,6 @@ def _pow2(x):
     return 2.0**x
 
 
-def _sin(x):
-    return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
-
-
 def _comb_children(a):
     four_alpha = 4 * a - 1  # alpha = a - 1/4
     return four_alpha, (1 - four_alpha) / 4, four_alpha / 2
@@ -483,7 +479,7 @@ def _comb_children(a):
 
 def _comb_value(a, g4, gq, g2):
     alpha = a - 0.25
-    return g4 * gq * math.sin(math.pi * (alpha + 0.75)) / (2.0 ** (6 * alpha - 1.5) * g2)
+    return g4 * gq * sinpi(alpha + 0.75) / (2.0 ** (6 * alpha - 1.5) * g2)
 
 
 @dataclass(frozen=True)
@@ -535,7 +531,7 @@ _RULES = {
     ),
     # Gamma(a) Gamma(1 - a) = pi / sin(pi a)
     "reflection": (
-        _Form(lambda a: (1 - a,), lambda a, g: math.pi / (_sin(math.pi * a) * g)),
+        _Form(lambda a: (1 - a,), lambda a, g: math.pi / (sinpi(a) * g)),
     ),
     # Gamma(a) = 2**(a - 1) Gamma(a/2) Gamma((a + 1)/2) / sqrt(pi), and the
     # same at 2a - 1 solved for Gamma(a) (the inverse form)

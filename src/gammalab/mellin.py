@@ -202,6 +202,7 @@ def rmt_closed_form(spec: PhiSpec, s: float) -> float:
     s = float(s)
     if s == int(s):
         raise DomainError(f"s must not be an integer, got {s}")
+    # not core.sinpi: criterion 10 compares with ==; sinpi(0.6) differs in the last bit
     return math.pi / math.sin(math.pi * s) * spec.phi(-s)
 
 

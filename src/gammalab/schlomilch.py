@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .core import _check_finite, _gamma_factor, gamma, pochhammer, pole_distance
+from .core import _check_finite, _gamma_factor, cospi, gamma, pochhammer, pole_distance, sinpi
 from .errors import ConvergenceError, DomainError, PoleError
 from .identities import _residual
 
@@ -137,10 +137,10 @@ def generalized_lhs(w: complex, z: complex) -> complex:
         -cmath.exp((w + z - 0.5) * _LN2)
         * _gamma_factor(w)
         * _gamma_factor(z)
-        * cmath.sin(math.pi * w)
-        * cmath.sin(math.pi * z)
+        * sinpi(w)
+        * sinpi(z)
     )
-    return num / (_SQRT_PI * cmath.cos(math.pi * (w + z)))
+    return num / (_SQRT_PI * cospi(w + z))
 
 
 def _check_generalized_args(w: complex, z: complex) -> None:

@@ -9,10 +9,12 @@ from gammalab.core import (
     _LANCZOS_COEFFS,
     _lanczos_sum,
     beta,
+    cospi,
     gamma,
     log_gamma,
     pochhammer,
     pole_distance,
+    sinpi,
 )
 from gammalab.errors import DomainError, PoleError
 
@@ -62,6 +64,23 @@ class TestGammaComplex:
             if pole_distance(z) < 0.05:
                 continue
             assert gamma(z.conjugate()) == gamma(z).conjugate()
+
+    def test_conjugate_symmetry_left_of_the_reflection(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            z = complex(rng.uniform(-60.0, 0.5), 10 ** rng.uniform(-9.0, 1.0))
+            assert gamma(z.conjugate()) == gamma(z).conjugate()
+
+    def test_left_strip_against_mpmath(self):
+        # the module header's 1e-12 target where Gamma(z) comes from the
+        # reflection and sin(pi z) is near a zero of its real part
+        rng = random.Random(0)
+        worst = 0.0
+        for _ in range(3000):
+            z = complex(rng.uniform(-170.0, 0.0), 10 ** rng.uniform(-9.0, 0.0))
+            ref = _mp_gamma(z)
+            worst = max(worst, abs(gamma(z) - ref) / abs(ref))
+        assert worst <= 1e-12
 
     def test_large_imaginary(self):
         z = complex(0.5, 120.0)
@@ -251,3 +270,32 @@ class TestBetaPochhammer:
         z = complex(0.3, 1.1)
         direct = z * (z + 1) * (z + 2)
         assert abs(pochhammer(z, 3) - direct) < 1e-14 * abs(direct)
+
+
+class TestSinPiCosPi:
+    @pytest.mark.parametrize("n", [0, 1, 2, -1, -2, 7, -30, 2**40])
+    def test_exact_zeros(self, n):
+        assert sinpi(float(n)) == 0.0
+        assert cospi(n + 0.5) == 0.0
+        assert sinpi(complex(n, 0.0)) == 0.0
+        assert cospi(complex(n + 0.5, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9, 1.25, 1.75, -0.3, -1.6, 2.5, 3.125, -7.9])
+    def test_sign_and_value(self, x):
+        assert math.copysign(1.0, sinpi(x)) == math.copysign(1.0, math.sin(math.pi * x))
+        assert sinpi(x) == pytest.approx(math.sin(math.pi * x), rel=1e-14, abs=1e-15)
+        assert cospi(x) == pytest.approx(math.cos(math.pi * x), rel=1e-14, abs=1e-15)
+        z = complex(x, 0.75)
+        assert sinpi(z) == pytest.approx(cmath.sin(math.pi * z), rel=1e-14)
+        assert cospi(z) == pytest.approx(cmath.cos(math.pi * z), rel=1e-14)
+
+    def test_unit_values(self):
+        assert [sinpi(x) for x in (0.5, 1.5, -0.5, 2.5)] == [1.0, -1.0, -1.0, 1.0]
+        assert [cospi(x) for x in (0.0, 1.0, -1.0, 2.0)] == [1.0, -1.0, -1.0, 1.0]
+
+    def test_cospi_reduces_before_the_shift(self):
+        # sinpi(x + 1/2) rounds x + 1/2 to 2.0 here and reads 0.0
+        x = 1.5 + 2.0**-52
+        assert sinpi(x + 0.5) == 0.0
+        assert cospi(x) == pytest.approx(float(mpmath.cospi(mpmath.mpf(x))), rel=1e-15)
+        assert cospi(x) > 0.0

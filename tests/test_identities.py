@@ -229,15 +229,15 @@ class TestReportDigests:
     @pytest.mark.parametrize(
         "tag,digest",
         [
-            ("functional", "ec7d2c51b3fa3a1961510abadb9f21f844c25748d48dd968e10c7c02b871ae0b"),
-            ("reflection", "b33f37ee8fbb0dc2404375faa50cecc2954d42bbcc5d7cc33622d9795d8120c0"),
-            ("duplication", "36d0b7c76855b784672677b7573745b38162b8250090e184b7fce068dfb09c52"),
+            ("functional", "6d4e0524a22842e195565fe473d9df3324f8a2d97a96cf0df6dbb7da444dcd8e"),
+            ("reflection", "3a8299d674c68d20eeeae4e5366cddfd056d39f0b26f219a9825190182f498e1"),
+            ("duplication", "cb5a84d2ddd672eb4714017eb04b604ea860667e2750574100f51799726a2580"),
             ("mult:1", "5eb483b254cfb19a56fd9577211f054e3abc3c09d2859f3e5f3e6f8be4575904"),
-            ("mult:2", "b9e2a5a1fa4b97fa994bad971f16b882cd8d6d01707487e5fc6e462fe3742a90"),
-            ("mult:3", "c449e70c957c59885dad47ac4ad3062c14672f2af44b6784c89cf6ce63482f46"),
-            ("mult:4", "fd7cc7733d12575cb33bec6ef0dd4c74103f9498a1bcd1e3af3822737df2303a"),
-            ("mult:5", "a260c94dc4d02d8719fb3cf50be9f161cf9ce45647c5a62ddd41a8765401774f"),
-            ("mult:6", "0287c7a1bb5c416f536307b389d31583cd6f9c75725324c384a12bd121a8d46b"),
+            ("mult:2", "63656dcee9609c09deb12d3ecaebdad4e0d38ca90b0bcfad9d88856b2b27fb80"),
+            ("mult:3", "3119bf237ed4b33b027822f142c3bbab9abbfa260714e568ef2d54763cf3d979"),
+            ("mult:4", "e059cf0c13437981338009e3574047bcbb4dc59e473047788bff59675d450f47"),
+            ("mult:5", "a8f4f785c63c3834e04de47842a2677d92081b125605ff4dc979d245a03d21d6"),
+            ("mult:6", "c380da5a9b25c6585f376440b2b5fcebc123e367621a1424be45f23f934a1853"),
             ("cosine:0", "5eab06da657ffb8d098b2a142949388edc1a821674a7d426207d99b0f89501b8"),
             ("cosine:1", "e46a7abf9c0dc3caaacf26e5f509a8c0f313ef47810091dea42d35b451e1e1bc"),
             ("cosine:2", "fc0cd4416747e05c3c5a3a5a94ee3bc941fdf20925cd871743c4753fd338ffa8"),
@@ -248,11 +248,11 @@ class TestReportDigests:
             ("cosine:7", "26f6da8de684b39184eea450b4cda71f02601ac2a0d35616da97a5ae02fbe331"),
             ("cosine:8", "acef3dfe81d9c4f3564c0541a6894e93929adba14399ae3881a6440652d412bd"),
             ("sine:1", "dc692ef572dfd09de3762b60db7c08c80966d040612518c38a5ecf71b6d9e3e3"),
-            ("sine:2", "40452043402641f2b9af6ae5aa7943f6f0326fa90c483e9fa0e5d6fe86fcf638"),
-            ("sine:3", "035773a680bd93981328bd480676982b6d8c103e4ccb79e8ea4b35bbd58dc217"),
-            ("sine:4", "59fac10be02bb98a02881b88e7f4df34d6bb876a5ffbfd5286bfc95781bd67e5"),
-            ("sine:5", "8dc2b96656183722d9295657263f2f249fe43a0ba8b69de2c2ac0a4024d72385"),
-            ("sine:6", "a5b9887db5f224b6d3a721104101456add7a6e2939e987b9ef45010fa97ce801"),
+            ("sine:2", "1cbdc5927d960e3221d5b72dbd6264bd496d93da75ea572378d83e6465a2b4c9"),
+            ("sine:3", "45aab4956995f0a5485cede0a898dc90180988cb133711b8f034501daf79de18"),
+            ("sine:4", "5265800d222fa65989336b47f3fb695fbf7ef54dc358cfac50e1de44a55286d2"),
+            ("sine:5", "a2ae0c2ebd2d9efc272b2320520a8ab43e67d041b1beb6f4b9947e7632143cde"),
+            ("sine:6", "afb00e6cb706081029fe3da31b6e7e7ff533b720b9f85299dae5e08d1a71af8f"),
         ],
     )
     def test_default_box(self, tag, digest):
@@ -261,7 +261,7 @@ class TestReportDigests:
     def test_comb_window(self):
         spec = SampleSpec(count=500, re_range=(0.0, 0.25))
         assert _report_digest("comb", spec) == (
-            "8c3a54a39148351147b6dd374f2958348aa70acffdf3e8221d5a9cd66953a203"
+            "206fc18338d52df012e4c10847087fd0ecb2b83163de6970276d55d71a823e80"
         )
 
 

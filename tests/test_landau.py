@@ -560,7 +560,7 @@ class TestRuleTable:
         traces = [complex_reduce_trace(z, fs_half)[1] for z in zs]
         assert sum(t.node_count for t in traces) == 28697
         assert _trace_digest(traces) == (
-            "4e33b4497722ae71759a87f994d873bc290e8ad6330b69af7b68b2602f2e3c4a"
+            "eba19d5046cc89398c5f4ae7161187d1624b23b4b6331b13020c66e392b82766"
         )
 
     def test_quarter_traces_pinned(self):
@@ -570,7 +570,7 @@ class TestRuleTable:
         assert len(traces) == 200
         assert sum(t.node_count for t in traces) == 587
         assert _trace_digest(traces) == (
-            "0e28f59a2aa4c684632580f96c1537cb319e0caa0d94072acfc8777c60f0479d"
+            "df34a8eb9519a7b62c57eeb23f81cf250af24ee4a6039e8f477871e62786009a"
         )
 
     def test_six_forms(self):
@@ -926,7 +926,7 @@ class TestLeftHalfPlaneComplexTraces:
         traces = [complex_reduce_trace(z, fs_half)[1] for z in zs]
         assert [t.node_count for t in traces] == [4097, 12288, 12, 6, 12, 8203]
         assert _trace_digest(traces) == (
-            "d1b708d0c83fd1b2659f8fe5abd260947d893c28c8069de419038334e74b2a5d"
+            "eb8be5329ebf854d0c3ac578da9a9d0a29104bfd7f3bef272670bd4a9cd7dd20"
         )
         for trace in traces:
             assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count

@@ -130,6 +130,11 @@ class TestGeneralizedSeries:
         with pytest.raises(DomainError):
             generalized_series(1.25, 1.25, 1e-10, 100)
 
+    @pytest.mark.parametrize("w,z", [(1.0, 0.7), (2.0, 0.3), (0.7, 3.0)])
+    def test_closed_form_vanishes_at_a_positive_integer(self, w, z):
+        # sin(pi w) sin(pi z) is exactly 0 there: the continuous extension
+        assert generalized_lhs(w, z) == 0
+
     def test_rejects_gamma_pole(self):
         with pytest.raises(DomainError):
             generalized_lhs(0.0, 1.3)
