@@ -28,7 +28,7 @@ from . import closure as closure_mod
 from . import mellin as mellin_mod
 from . import schlomilch
 from . import stern as stern_mod
-from .core import gamma
+from .core import _residual, gamma
 from .errors import (
     ConvergenceError,
     DepthError,
@@ -212,32 +212,28 @@ def _verdict(report: dict, residual: float, tol: float, ok: bool = True):
     return (0 if ok else 1), report
 
 
-def _relative(a, b) -> float:
-    return abs(a - b) / max(abs(a), abs(b))
-
-
 def _cmd_schlomilch_finite(args, tol):
     lhs = schlomilch.schlomilch_finite_lhs(args.m, args.z)
     rhs = schlomilch.schlomilch_finite_rhs(args.m, args.z)
     return _verdict(
         {"m": args.m, "z": _pair(args.z), "lhs": _pair(lhs), "rhs": _pair(rhs)},
-        _relative(lhs, rhs),
+        _residual(lhs, rhs),
         tol,
     )
 
 
 def _cmd_schlomilch_general(args, tol):
-    w = complex(args.w)
-    z = complex(args.z)
-    closed = schlomilch.generalized_lhs(w, z)
-    series = schlomilch.generalized_series(w, z, tolerance=tol, max_terms=args.max_terms)
+    closed = schlomilch.generalized_lhs(args.w, args.z)
+    series = schlomilch.generalized_series(args.w, args.z, tolerance=tol, max_terms=args.max_terms)
     report = {
-        "w": _pair(w),
-        "z": _pair(z),
+        "w": _pair(args.w),
+        "z": _pair(args.z),
         "closed_form": _pair(closed),
         "series": series.to_json_dict(),
     }
-    return _verdict(report, _relative(closed, series.value), tol, series.converged)
+    # at a positive-integer w or z both are 0 but for the sum's rounding
+    residual = _residual(closed, series.value, max(abs(closed), series.mass))
+    return _verdict(report, residual, tol, series.converged)
 
 
 def _cmd_schlomilch_binom(args, tol):
@@ -259,7 +255,7 @@ def _cmd_landau_construct(args, tol):
 def _trace_report(args, head: dict, value, trace, reference, tol, membership):
     """The report of one derivation trace, checked against the reference
     value and replayed by validate_trace; --emit-trace adds the tree."""
-    residual = abs(value - reference) / abs(reference)
+    residual = _residual(value, reference, abs(reference))
     report = dict(
         head,
         value=_pair(value),
@@ -334,7 +330,7 @@ def _cmd_mellin(args, tol):
     transform = mellin_mod.mellin_transform(spec, args.s)
     closed = mellin_mod.rmt_closed_form(spec, args.s)
     report = {"phi": spec.id, "s": args.s, "transform": transform, "closed_form": closed}
-    return _verdict(report, _relative(transform, closed), tol)
+    return _verdict(report, _residual(transform, closed), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,15 @@ def _gamma_factor(z):
     return out
 
 
+def _residual(lhs, rhs, scale=None):
+    """|lhs - rhs| / scale, the scale max(|lhs|, |rhs|) by default; 0 where
+    the two sides are equal, so where both are exactly 0."""
+    diff = abs(lhs - rhs)
+    if not diff:
+        return 0.0
+    return diff / (max(abs(lhs), abs(rhs)) if scale is None else scale)
+
+
 def _log_gamma_right(z):
     """log Gamma on Re z > 0 via recurrence shift plus Stirling series."""
     acc = 0.0 + 0.0j

@@ -1,13 +1,10 @@
 """Residual checks for the classical gamma and trigonometric identities.
 
 Each ``residual_*`` function evaluates both sides of one identity at a point
-and returns a scale-free residual: relative in ``max(|lhs|, |rhs|)`` when at
-least one side is appreciable, absolute when both sides are tiny (identities
-with zeros, such as the sine factorization at integers, need the fallback).
-The fallback holds for every identity: below 1e-3 on both sides a point
-counts by its absolute difference.  So where |Gamma| itself is tiny, as
-for the duplication formula on Re z in (-170, -160), a passing residual
-says only that both sides are tiny, not that their digits agree.
+and returns their relative residual, ``core._residual``: |lhs - rhs| over
+max(|lhs|, |rhs|), or over the size of the summed terms for the cosine
+expansion, and 0 where both sides are exactly 0 (the sine factorization at
+an integer).
 ``verify_grid`` drives any of them over a seeded random sample and aggregates
 the result into an :class:`IdentityReport`.
 
@@ -30,27 +27,15 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core import _gamma_factor, pole_distance, sinpi
+from .core import _gamma_factor, _residual, pole_distance, sinpi
 from .errors import DomainError, EmptyGridError, PoleError
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# Below this magnitude on both sides, relative residuals are meaningless in
-# doubles and we report the absolute difference instead.
-_ABS_FALLBACK = 1e-3
-
 # Minimum pole clearance demanded by the point-wise residual functions.  The
 # sampling layer uses a larger radius (SampleSpec.pole_exclusion).
 _MIN_CLEARANCE = 1e-6
-
-
-def _residual(lhs: complex, rhs: complex) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    diff = abs(lhs - rhs)
-    if scale < _ABS_FALLBACK:
-        return diff
-    return diff / scale
 
 
 def _clear(tag, param, z, name=None):
@@ -76,7 +61,7 @@ def residual_functional(z: complex) -> float:
     z = _clear("functional", None, z)
     lhs = _gamma_factor(z + 1.0)
     rhs = z * _gamma_factor(z)
-    return abs(lhs - rhs) / abs(lhs)
+    return _residual(lhs, rhs, abs(lhs))
 
 
 def residual_reflection(z: complex) -> float:
@@ -119,8 +104,8 @@ def residual_multiplication(n: int, z: complex) -> float:
 def residual_sine_factorization(k: int, z: complex) -> float:
     """Residual of sin(pi*z) = 2**(k-1) * prod_{j=0}^{k-1} sin(pi*(z+j)/k).
 
-    Degenerates gracefully at integers: both sides vanish there and the
-    residual switches to absolute.
+    At an integer z both sides are exactly 0 (sinpi is exact there), and so
+    is the residual.
     """
     z = _clear("sine", k, z, "factorization order")
     lhs = sinpi(z)
@@ -163,7 +148,8 @@ def residual_cosine_identity(m: int, u: complex) -> float:
         cos(k*u) = cos(u) * sum_{n=0}^{m} (-1)^n / (2n)! * sin(u)**(2n)
                                          * prod_{j=1}^{n} (k**2 - (2j-1)**2)
 
-    Relative when |cos(k*u)| > 1e-3, absolute otherwise.
+    Scaled by max(|cos(k*u)|, |cos(u)| * sum_n |term_n|), the size of what
+    was summed, which bounds the sum's rounding (Higham, ASNA, sec. 4.2).
     """
     u = _clear("cosine", m, u, "m")
     k = 2 * m + 1
@@ -171,17 +157,16 @@ def residual_cosine_identity(m: int, u: complex) -> float:
     s = cmath.sin(u)
     s2 = s * s
     acc = 0.0 + 0.0j
+    mass = 0.0
     term = 1.0 + 0.0j  # (-1)^n/(2n)! * sin^{2n} * prod, built incrementally
     for n in range(m + 1):
         if n > 0:
             j = 2 * n - 1
             term *= -s2 * (k * k - j * j) / ((2 * n) * (2 * n - 1))
         acc += term
-    rhs = cmath.cos(u) * acc
-    diff = abs(lhs - rhs)
-    if abs(lhs) > _ABS_FALLBACK:
-        return diff / abs(lhs)
-    return diff
+        mass += abs(term)
+    c = cmath.cos(u)
+    return _residual(lhs, c * acc, max(abs(lhs), abs(c) * mass))
 
 
 # tag -> (floor, args, residual): the least parameter of the tag (None: it

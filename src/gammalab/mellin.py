@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _check_finite
+from .core import _check_finite, _residual
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate_real_line
 
@@ -209,5 +209,4 @@ def rmt_closed_form(spec: PhiSpec, s: float) -> float:
 def rmt_residual(spec: PhiSpec, s: float) -> float:
     """Relative residual between the numerical transform and the closed form."""
     rhs = rmt_closed_form(spec, s)
-    lhs = mellin_transform(spec, s)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    return _residual(mellin_transform(spec, s), rhs)

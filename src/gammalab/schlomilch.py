@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .core import _check_finite, _gamma_factor, cospi, gamma, pochhammer, pole_distance, sinpi
+from .core import (
+    _check_finite, _gamma_factor, _residual, cospi, gamma, pochhammer, pole_distance, sinpi,
+)
 from .errors import ConvergenceError, DomainError, PoleError
-from .identities import _residual
 
 _LN2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -52,12 +53,13 @@ class SchlomilchCoefficients:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of a truncated series evaluation."""
+    """Outcome of a truncated series evaluation; mass = sum |term| (not serialised)."""
 
     value: complex
     terms_used: int
     last_term_magnitude: float
     converged: bool
+    mass: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,9 +132,7 @@ def generalized_lhs(w: complex, z: complex) -> complex:
     cot(pi z))) wherever the cot form is defined, and extends it by
     continuity (value 0) to positive-integer w or z.
     """
-    w = complex(w)
-    z = complex(z)
-    _check_generalized_args(w, z)
+    w, z = _generalized_args(w, z)
     num = (
         -cmath.exp((w + z - 0.5) * _LN2)
         * _gamma_factor(w)
@@ -143,9 +143,10 @@ def generalized_lhs(w: complex, z: complex) -> complex:
     return num / (_SQRT_PI * cospi(w + z))
 
 
-def _check_generalized_args(w: complex, z: complex) -> None:
-    _check_finite(w, "w")
-    _check_finite(z, "z")
+def _generalized_args(w, z):
+    """(complex(w), complex(z)), finite and clear of the closed form's poles."""
+    w = _check_finite(complex(w), "w")
+    z = _check_finite(complex(z), "z")
     s = w + z - 0.5
     if abs(s - round(s.real)) <= 1e-8:
         raise DomainError(
@@ -154,6 +155,7 @@ def _check_generalized_args(w: complex, z: complex) -> None:
     for p, name in ((w, "w"), (z, "z")):
         if pole_distance(p) <= 1e-8:
             raise DomainError(f"{name} = {p!r} is within 1e-8 of a pole of Gamma")
+    return w, z
 
 
 def _generalized_term_direct(s: complex, u: complex, n: int):
@@ -180,23 +182,23 @@ def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms}")
     total = 0.0 + 0.0j
+    mass = 0.0
     small_streak = 0
     for n, term in zip(range(max_terms), terms):
         total += term
         mag = abs(term)
+        mass += mag
         if mag <= tolerance * abs(total):
             small_streak += 1
             if small_streak >= 3:
-                return SeriesResult(total, n + 1, mag, True)
+                return SeriesResult(total, n + 1, mag, True, mass)
         else:
             small_streak = 0
-    return SeriesResult(total, max_terms, mag, False)
+    return SeriesResult(total, max_terms, mag, False, mass)
 
 
 def _generalized_terms(w, z):
-    w = complex(w)
-    z = complex(z)
-    _check_generalized_args(w, z)
+    w, z = _generalized_args(w, z)
     s = w + z - 0.5
     u = w - z + 0.5
     term = None

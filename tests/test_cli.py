@@ -151,6 +151,24 @@ class TestVerify:
         assert code == 1
         assert report["error"] == "empty_grid"
 
+    def test_cosine_expansion_on_a_real_segment(self, capsys):
+        # the sum cancels from terms of 1.6e5 to |cos 17u| = 9e-3 at the worst
+        # draw: scaled by that value alone it read 3.8e-10 and failed
+        code, report = run_json(
+            ["verify", "--identity", "cosine:8", "--grid", "120:-3:3:0:0", "--seed", "0"],
+            capsys,
+        )
+        assert code == 0
+        assert report["max_rel_residual"] < 1e-13
+
+    def test_tiny_gamma_values_are_compared_relatively(self, capsys):
+        # |Gamma| is below 1e-280 here: an absolute residual read 1.3e-298
+        code, report = run_json(
+            ["verify", "--identity", "duplication", "--grid", "60:-170:-160:-1:1"], capsys
+        )
+        assert code == 0
+        assert 1e-300 < report["max_rel_residual"] < 1e-10
+
     def test_bad_identity_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", "zeta"])
@@ -180,6 +198,15 @@ class TestSchlomilch:
         assert code == 0
         assert report["series"]["converged"] is True
         assert report["pass"] is True
+
+    @pytest.mark.parametrize("w,z", [("1", "0.7"), ("2", "0.3")])
+    def test_general_at_a_positive_integer(self, w, z, capsys):
+        # the closed form is exactly 0 and the series cancels to about 1e-15:
+        # the residual is read against the size of the summed terms
+        code, report = run_json(["schlomilch", "general", "--w", w, "--z", z], capsys)
+        assert code == 0
+        assert report["closed_form"] == [0.0, 0.0]
+        assert report["residual"] < 1e-14
 
     def test_general_cosine_pole(self, capsys):
         code, report = run_json(
@@ -587,7 +614,7 @@ class TestColdStart:
         _VALIDATOR.validate(json.loads(proc.stdout))
         assert proc.stdout == (
             '{"identity":"reflection","max_rel_residual":3.2663422071782e-16,'
-            '"mean_rel_residual":6.519610087279668e-17,"pass":true,"samples":50,'
+            '"mean_rel_residual":9.879209419171699e-17,"pass":true,"samples":50,'
             '"seed":1,"skipped":0,"tolerance":1e-10,'
             '"worst_point":[0.22871410608017317,-2.6839418682071896]}\n'
         )
