@@ -546,22 +546,25 @@ class TestUsage:
         assert json.loads(proc.stdout)["gamma"][0] == pytest.approx(6.0, rel=1e-13)
 
 
+_EMIT_TRACE_DIGESTS = [
+    (["landau", "trace", "--delta", "1/2", "--x", "611178493/1073741824",
+      "--emit-trace"],
+     "8483548471831e1b58423e29b0ca5c260032c0190ec5f62af354ff9ef63cfe06"),
+    (["landau", "quarter", "--x", "0.041506346120978574", "--emit-trace"],
+     "c5cd8e82db3b99b562cdb917f30cfbefb6559d21c5f15bf727329e2a559b0ad3"),
+    (["complex-trace", "--delta", "1/2",
+      "--z=0.03155937884002924,-7.576238917452786", "--emit-trace"],
+     "5391543669cac4dcadd69160185f1ff1598f949e604e8b5314e5d528253654df"),
+]
+
+
 class TestEmitTraceReports:
     """--emit-trace reports at the benchmark's cli-session points (seed 101),
     pinned by the sha256 of their bytes: 4093 and 12283 trace nodes."""
 
     @pytest.mark.parametrize(
-        "argv,digest",
-        [
-            (["landau", "trace", "--delta", "1/2", "--x", "611178493/1073741824",
-              "--emit-trace"],
-             "8483548471831e1b58423e29b0ca5c260032c0190ec5f62af354ff9ef63cfe06"),
-            (["landau", "quarter", "--x", "0.041506346120978574", "--emit-trace"],
-             "c5cd8e82db3b99b562cdb917f30cfbefb6559d21c5f15bf727329e2a559b0ad3"),
-            (["complex-trace", "--delta", "1/2",
-              "--z=0.03155937884002924,-7.576238917452786", "--emit-trace"],
-             "5391543669cac4dcadd69160185f1ff1598f949e604e8b5314e5d528253654df"),
-        ],
+        "argv,digest", _EMIT_TRACE_DIGESTS,
+        ids=[" ".join(argv) for argv, _ in _EMIT_TRACE_DIGESTS],
     )
     def test_report_bytes(self, argv, digest, capsys):
         code, out = run(argv, capsys)

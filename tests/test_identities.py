@@ -221,39 +221,41 @@ def _report_digest(tag, spec):
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+_DEFAULT_BOX_DIGESTS = [
+    ("functional", "6d4e0524a22842e195565fe473d9df3324f8a2d97a96cf0df6dbb7da444dcd8e"),
+    ("reflection", "097af0522812829ef824767ee110214952c1f50a9b76444aa05be03e70bc9a36"),
+    ("duplication", "2482d7991158521bc4be8d9dfec62a1aebc90b9ba1a56b35c27a708d802d1dab"),
+    ("mult:1", "5eb483b254cfb19a56fd9577211f054e3abc3c09d2859f3e5f3e6f8be4575904"),
+    ("mult:2", "7aaa9a75732620c806722712596ed2941b1ee049ee6f30354e118d6089a3676d"),
+    ("mult:3", "3119bf237ed4b33b027822f142c3bbab9abbfa260714e568ef2d54763cf3d979"),
+    ("mult:4", "e059cf0c13437981338009e3574047bcbb4dc59e473047788bff59675d450f47"),
+    ("mult:5", "a8f4f785c63c3834e04de47842a2677d92081b125605ff4dc979d245a03d21d6"),
+    ("mult:6", "c380da5a9b25c6585f376440b2b5fcebc123e367621a1424be45f23f934a1853"),
+    ("cosine:0", "5eab06da657ffb8d098b2a142949388edc1a821674a7d426207d99b0f89501b8"),
+    ("cosine:1", "e4eddd1f9496bc629993c1b119510ce9970103e1f30f5ee3589ca12ce7893e6d"),
+    ("cosine:2", "30a609a1eeabafd9a4499948f43d0f620097d9bceaafa9c95a8d559294c4104e"),
+    ("cosine:3", "28d52a66a7df986703610ad781f67a8e505831f521bc82ac5a8ebb7150e46e67"),
+    ("cosine:4", "19fb281c3a0442a003dd4d6796899e51df29966fb904a52dd5c9ccc826de98ca"),
+    ("cosine:5", "fcb982625c82604135dc5884eeac87d6e2a735df0d89ab5d9cf9cb41019b7714"),
+    ("cosine:6", "dd4075ce75ba374d4c5c99fd3740f7cd2a04376e649c9e0220076bc5ecc635f1"),
+    ("cosine:7", "a7a66a9fa8531720e937f325224344e8b5538bd4bbfe64a587cea5aebff2b42b"),
+    ("cosine:8", "f9977ef07a770fec2d54b90cfb591cf21fa28e2a2dac20925215789799177e41"),
+    ("sine:1", "dc692ef572dfd09de3762b60db7c08c80966d040612518c38a5ecf71b6d9e3e3"),
+    ("sine:2", "1cbdc5927d960e3221d5b72dbd6264bd496d93da75ea572378d83e6465a2b4c9"),
+    ("sine:3", "45aab4956995f0a5485cede0a898dc90180988cb133711b8f034501daf79de18"),
+    ("sine:4", "5265800d222fa65989336b47f3fb695fbf7ef54dc358cfac50e1de44a55286d2"),
+    ("sine:5", "a2ae0c2ebd2d9efc272b2320520a8ab43e67d041b1beb6f4b9947e7632143cde"),
+    ("sine:6", "afb00e6cb706081029fe3da31b6e7e7ff533b720b9f85299dae5e08d1a71af8f"),
+]
+
+
 class TestReportDigests:
     """verify_grid reports pinned by the sha256 of their sorted JSON: every
     tag of the benchmark's residual sweep plus mult:1, 500 draws on the
     default box, and comb on its window (0, 1/4)."""
 
     @pytest.mark.parametrize(
-        "tag,digest",
-        [
-            ("functional", "6d4e0524a22842e195565fe473d9df3324f8a2d97a96cf0df6dbb7da444dcd8e"),
-            ("reflection", "097af0522812829ef824767ee110214952c1f50a9b76444aa05be03e70bc9a36"),
-            ("duplication", "2482d7991158521bc4be8d9dfec62a1aebc90b9ba1a56b35c27a708d802d1dab"),
-            ("mult:1", "5eb483b254cfb19a56fd9577211f054e3abc3c09d2859f3e5f3e6f8be4575904"),
-            ("mult:2", "7aaa9a75732620c806722712596ed2941b1ee049ee6f30354e118d6089a3676d"),
-            ("mult:3", "3119bf237ed4b33b027822f142c3bbab9abbfa260714e568ef2d54763cf3d979"),
-            ("mult:4", "e059cf0c13437981338009e3574047bcbb4dc59e473047788bff59675d450f47"),
-            ("mult:5", "a8f4f785c63c3834e04de47842a2677d92081b125605ff4dc979d245a03d21d6"),
-            ("mult:6", "c380da5a9b25c6585f376440b2b5fcebc123e367621a1424be45f23f934a1853"),
-            ("cosine:0", "5eab06da657ffb8d098b2a142949388edc1a821674a7d426207d99b0f89501b8"),
-            ("cosine:1", "e4eddd1f9496bc629993c1b119510ce9970103e1f30f5ee3589ca12ce7893e6d"),
-            ("cosine:2", "30a609a1eeabafd9a4499948f43d0f620097d9bceaafa9c95a8d559294c4104e"),
-            ("cosine:3", "28d52a66a7df986703610ad781f67a8e505831f521bc82ac5a8ebb7150e46e67"),
-            ("cosine:4", "19fb281c3a0442a003dd4d6796899e51df29966fb904a52dd5c9ccc826de98ca"),
-            ("cosine:5", "fcb982625c82604135dc5884eeac87d6e2a735df0d89ab5d9cf9cb41019b7714"),
-            ("cosine:6", "dd4075ce75ba374d4c5c99fd3740f7cd2a04376e649c9e0220076bc5ecc635f1"),
-            ("cosine:7", "a7a66a9fa8531720e937f325224344e8b5538bd4bbfe64a587cea5aebff2b42b"),
-            ("cosine:8", "f9977ef07a770fec2d54b90cfb591cf21fa28e2a2dac20925215789799177e41"),
-            ("sine:1", "dc692ef572dfd09de3762b60db7c08c80966d040612518c38a5ecf71b6d9e3e3"),
-            ("sine:2", "1cbdc5927d960e3221d5b72dbd6264bd496d93da75ea572378d83e6465a2b4c9"),
-            ("sine:3", "45aab4956995f0a5485cede0a898dc90180988cb133711b8f034501daf79de18"),
-            ("sine:4", "5265800d222fa65989336b47f3fb695fbf7ef54dc358cfac50e1de44a55286d2"),
-            ("sine:5", "a2ae0c2ebd2d9efc272b2320520a8ab43e67d041b1beb6f4b9947e7632143cde"),
-            ("sine:6", "afb00e6cb706081029fe3da31b6e7e7ff533b720b9f85299dae5e08d1a71af8f"),
-        ],
+        "tag,digest", _DEFAULT_BOX_DIGESTS, ids=[tag for tag, _ in _DEFAULT_BOX_DIGESTS]
     )
     def test_default_box(self, tag, digest):
         assert _report_digest(tag, SampleSpec(count=500)) == digest
