@@ -38,7 +38,7 @@ from .errors import (
     ResourceError,
     TraceDepthError,
 )
-from .identities import IdentityReport, SampleSpec, parse_identity_tag, verify_grid
+from .identities import _IDENTITIES, IdentityReport, SampleSpec, parse_identity_tag, verify_grid
 from .intervals import as_fraction
 from .landau import (
     DEFAULT_NODE_BUDGET,
@@ -192,12 +192,10 @@ def _cmd_verify(args, tol):
         spec = SampleSpec(
             count=count, re_range=re_range, im_range=im_range, seed=args.seed
         )
-    elif parse_identity_tag(args.identity)[0] == "comb":
-        # real-only identity with domain (0, 1/4): sampling the generic
-        # box would leave almost every draw outside the admissible window
-        spec = SampleSpec(
-            count=args.samples, re_range=(0.0, 0.25), seed=args.seed
-        )
+    elif window := _IDENTITIES[parse_identity_tag(args.identity)[0]].window:
+        # a real-only identity: sampling the generic box would leave almost
+        # every draw outside its window
+        spec = SampleSpec(count=args.samples, re_range=window, seed=args.seed)
     else:
         spec = SampleSpec(count=args.samples, seed=args.seed)
     report: IdentityReport = verify_grid(args.identity, spec, tol)

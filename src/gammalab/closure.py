@@ -1,20 +1,19 @@
 """Finite affine closures of rational point sets under the gamma identities.
 
 Each identity relates Gamma at an argument x to Gamma at finitely many
-affinely-transformed arguments: the recurrence links x to x +- 1, the
-reflection to 1 - x, and the n-fold multiplication formula links any of
-its n + 1 argument slots to the others (x/n + j/n and n x - j for the
-product slots against the nx slot, x + d/n between product slots).  The
-closure of a finite set under finitely many affine maps stays finite —
-and so of measure zero — which is what makes small fundamental sets
-possible; this module makes the growth bound |S| * K**depth concrete.
+affinely-transformed arguments, the slots of its row in the identity table
+(``identities._IDENTITIES``, the one statement of every identity): the
+recurrence links x to x +- 1, the reflection to 1 - x, and the n-fold
+multiplication formula links any of its n + 1 slots to the others.  The
+closure of a finite set under finitely many affine maps stays finite — and
+so of measure zero — which is what makes small fundamental sets possible;
+this module makes the growth bound |S| * K**depth concrete.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, ResourceError
+from .identities import _node_maps, _slots_of
 from .intervals import as_fraction
 
 DEFAULT_CARDINALITY_BUDGET = 100_000
@@ -23,24 +22,18 @@ DEFAULT_CARDINALITY_BUDGET = 100_000
 def generating_maps(max_n: int) -> list:
     """Affine maps (p, q) meaning x -> p*x + q, excluding the identity.
 
-    Always includes x+1, x-1, 1-x; for each n = 2..max_n adds the n-fold
-    multiplication maps: x/n + j/n (j = 0..n-1), n*x - j (j = 0..n-1),
-    and x + d/n (d = +-1..+-(n-1)).
+    The slot-to-slot maps of the functional, reflection and mult:n rows of
+    the identity table, n = 2..max_n, each row's maps distinct and the rows
+    concatenated: x+1, x-1 and 1-x, then for each n the maps x/n + j/n and
+    n*x - j (j = 0..n-1) and x + d/n (d = +-1..+-(n-1)).
     """
     if max_n < 1:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
-    maps = [
-        (Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(-1)),
-        (Fraction(-1), Fraction(1)),
-    ]
-    for n in range(2, max_n + 1):
-        for j in range(n):
-            maps.append((Fraction(1, n), Fraction(j, n)))
-            maps.append((Fraction(n), Fraction(-j)))
-        for d in range(1, n):
-            maps.append((Fraction(1), Fraction(d, n)))
-            maps.append((Fraction(1), Fraction(-d, n)))
+    rows = [("functional", None), ("reflection", None)] + [("mult", n) for n in range(2, max_n + 1)]
+    maps = []
+    for kind, n in rows:
+        slots = _slots_of(kind, n)
+        maps += dict.fromkeys(m for node in range(len(slots)) for m in _node_maps(slots, node))
     return maps
 
 

@@ -1,18 +1,16 @@
 """Residual checks for the classical gamma and trigonometric identities.
 
-Each ``residual_*`` function evaluates both sides of one identity at a point
-and returns their relative residual, ``core._residual``: |lhs - rhs| over
-max(|lhs|, |rhs|), or over the size of the summed terms for the cosine
-expansion, and 0 where both sides are exactly 0 (the sine factorization at
-an integer).
-``verify_grid`` drives any of them over a seeded random sample and aggregates
-the result into an :class:`IdentityReport`.
-
-One table, ``_IDENTITIES``, states each identity once under its tag: the
-least parameter of the tag (None for the parameter-free ones), the gamma
-arguments of the identity at z, and its residual.  The tag parser,
-``verify_grid``'s pole exclusion and the 1e-6 pole check of every
-``residual_*`` function read the table.
+One table, ``_IDENTITIES``, is the one statement of every identity in
+gammalab.  A gamma row (functional, reflection, duplication, comb, mult:n)
+states its gamma arguments once, as affine slots p z + q with Fraction p
+and q, and its forms as (node slot, combine) pairs.  Everything else reads
+the slots: each gamma ``residual_*`` function replays the form at its row's
+first slot, the 1e-6 pole check of those functions and ``verify_grid``'s
+pole exclusion test the slots, ``landau``'s trace rules are the forms of
+four rows, and ``closure``'s generating maps the slot-to-slot maps of
+three.  sine:k and cosine:m have no slots and keep their own residuals.
+``verify_grid`` drives any residual over a seeded random sample and
+aggregates the result into an :class:`IdentityReport`.
 
 numpy is imported inside the two functions that use it, ``verify_grid``
 (its seeded PCG64 stream) and ``nonvanishing_scan`` (its grid), so
@@ -25,80 +23,171 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from fractions import Fraction
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .core import _gamma_factor, _residual, pole_distance, sinpi
 from .errors import DomainError, EmptyGridError, PoleError
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
+_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
 
 # Minimum pole clearance demanded by the point-wise residual functions.  The
 # sampling layer uses a larger radius (SampleSpec.pole_exclusion).
 _MIN_CLEARANCE = 1e-6
 
 
-def _clear(tag, param, z, name=None):
-    """complex(z), after the tag's parameter check (the message calls the
-    parameter name) and the 1e-6 pole check of its gamma arguments at z."""
-    floor, args, _ = _IDENTITIES[tag]
-    if name is not None and param < floor:
+def _slots(*pairs):
+    """Slots from (p, q) pairs of ints or Fractions, each standing for p z + q."""
+    return tuple((Fraction(p), Fraction(q)) for p, q in pairs)
+
+
+def _node_maps(slots, node):
+    """The maps (P, Q), x -> P x + Q, from slot `node` to each other slot."""
+    p0, q0 = slots[node]
+    return [(p / p0, q - p / p0 * q0) for j, (p, q) in enumerate(slots) if j != node]
+
+
+def _term(c, var):
+    return var if c == 1 else f"-{var}" if c == -1 else f"{c} * {var}"
+
+
+def _compile(maps, const=Fraction):
+    """(children, ratios) of maps (P, Q), each one straight-line expression.
+
+    children(a) gives P a + Q for each map as the plain formula of its
+    shape: a + Q or a - |Q| for P = 1, Q - a for P = -1 and an integer Q,
+    else (P S a + Q S) / S over the least common denominator S of P and Q,
+    trivial parts left out.  The shape matters on a complex a, where mixed
+    int and complex arithmetic sets the sign of a zero imaginary part: P a
+    + Q would flip some.  A Q of P = 1 that is not an integer enters as
+    const(Q): as a Fraction, a Fraction a gives Fractions; as a float, which
+    gives the same float and complex values, a float or complex a takes no
+    Fraction arithmetic.  ratios(n, d) gives the values at a = n/d, d > 0,
+    as integer pairs (P S n + Q S d, S d).
+    """
+    consts = {}
+
+    def lit(c):
+        if c.denominator == 1:
+            return str(c.numerator)
+        name = f"_c{len(consts)}"
+        consts[name] = const(c)
+        return name
+
+    children = ratios = ""
+    for p, q in maps:
+        s = math.lcm(p.denominator, q.denominator)
+        if p == -1 and q.denominator == 1 and q:
+            child = f"{q} - a"
+        elif p == 1 and q:
+            child = f"a + {lit(q)}" if q > 0 else f"a - {lit(-q)}"
+        else:
+            child = _term(p * s, "a")
+            if q:
+                child = f"({child} + {q * s})" if q > 0 else f"({child} - {-q * s})"
+            if s != 1:
+                child = f"{child} / {s}"
+        num = " + ".join(_term(c, v) for c, v in ((p * s, "n"), (q * s, "d")) if c)
+        children += f"{child}, "
+        ratios += f"({num or 0}, {_term(s, 'd')}), "
+    return eval(f"lambda a: ({children})", consts), eval(f"lambda n, d: ({ratios})")
+
+
+def _pow2(x):
+    """2**x for a float or complex exponent."""
+    if isinstance(x, complex):
+        return cmath.exp(x * _LN2)
+    return 2.0**x
+
+
+def _comb_value(a, g4, gq, g2):
+    alpha = a - 0.25
+    return g4 * gq * sinpi(alpha + 0.75) / (2.0 ** (6 * alpha - 1.5) * g2)
+
+
+def _multiply(a, *g):
+    n = len(g)
+    return math.prod(g) / (_TWO_PI ** (0.5 * (n - 1)) * cmath.exp((0.5 - a) * math.log(n)))
+
+
+def _floor_check(kind, param, name):
+    floor = _IDENTITIES[kind].floor
+    if param < floor:
         raise DomainError(f"{name} must be >= {floor}, got {param}")
-    z = complex(z)
-    for p in args(param, z) if args else ():
-        if pole_distance(p) <= _MIN_CLEARANCE:
-            if tag == "reflection":
-                raise DomainError(f"{z!r} is within {_MIN_CLEARANCE} of an integer")
-            raise PoleError(f"argument {p!r} is within {_MIN_CLEARANCE} of a pole")
-    return z
+
+
+def _slots_of(kind, param):
+    """The slots of a gamma row, at the parameter of a family (mult:n)."""
+    slots = _IDENTITIES[kind].slots
+    return slots(param) if callable(slots) else slots
+
+
+@lru_cache(maxsize=64)
+def _plan(kind, param):
+    """(slot values at z, combine of the form at the first slot) of a gamma row."""
+    return _compile(_slots_of(kind, param), float)[0], dict(_IDENTITIES[kind].forms)[0]
+
+
+def _gamma_residual(kind, param, z, clearance=_MIN_CLEARANCE):
+    """Residual of a gamma row at z (a real z on a real-only row's window):
+    Gamma at the first slot against the combine of Gamma at the others.
+
+    Raises DomainError off the window, and PoleError where a slot lies
+    within `clearance` of a pole (DomainError for the reflection, whose
+    slots meet a pole at every integer).
+    """
+    window = _IDENTITIES[kind].window
+    if window:
+        z = float(z)
+        if not window[0] < z < window[1]:
+            raise DomainError(f"{kind} is stated on ({window[0]}, {window[1]}), got {z}")
+    else:
+        z = complex(z)
+    at, combine = _plan(kind, param)
+    a, *others = values = at(z)
+    for v in values:
+        if pole_distance(v) <= clearance:
+            if kind == "reflection":
+                raise DomainError(f"{z!r} is within {clearance} of an integer")
+            raise PoleError(f"argument {v!r} is within {clearance} of a pole")
+    return _residual(_gamma_factor(a), combine(a, *[_gamma_factor(c) for c in others]))
 
 
 def residual_functional(z: complex) -> float:
-    """Residual of the functional relation Gamma(z+1) = z*Gamma(z).
-
-    Normalized by |Gamma(z+1)|, which never vanishes.
-    """
-    z = _clear("functional", None, z)
-    lhs = _gamma_factor(z + 1.0)
-    rhs = z * _gamma_factor(z)
-    return _residual(lhs, rhs, abs(lhs))
+    """Residual of the functional relation Gamma(z+1) = z*Gamma(z), read up
+    from z: Gamma(z) against Gamma(z + 1) / z."""
+    return _gamma_residual("functional", None, z)
 
 
 def residual_reflection(z: complex) -> float:
-    """Residual of Gamma(z)*Gamma(1-z) = pi / sin(pi*z).
+    """Residual of Gamma(z)*Gamma(1-z) = pi / sin(pi*z): Gamma(z) against
+    pi / (sin(pi z) Gamma(1 - z)).
 
     Raises DomainError within 1e-6 of any integer, where both sides blow up.
     """
-    z = _clear("reflection", None, z)
-    lhs = _gamma_factor(z) * _gamma_factor(1.0 - z)
-    rhs = math.pi / sinpi(z)
-    return _residual(lhs, rhs)
+    return _gamma_residual("reflection", None, z)
 
 
 def residual_duplication(z: complex) -> float:
-    """Residual of sqrt(pi)*Gamma(z) = 2**(z-1) * Gamma(z/2) * Gamma(z/2 + 1/2)."""
-    z = _clear("duplication", None, z)
-    lhs = _SQRT_PI * _gamma_factor(z)
-    rhs = (
-        cmath.exp((z - 1.0) * math.log(2.0))
-        * _gamma_factor(0.5 * z)
-        * _gamma_factor(0.5 * z + 0.5)
-    )
-    return _residual(lhs, rhs)
+    """Residual of sqrt(pi)*Gamma(z) = 2**(z-1) * Gamma(z/2) * Gamma(z/2 + 1/2):
+    Gamma(z) against the right-hand side over sqrt(pi)."""
+    return _gamma_residual("duplication", None, z)
 
 
 def residual_multiplication(n: int, z: complex) -> float:
     """Residual of the order-n multiplication formula.
 
-    (2*pi)**((n-1)/2) * n**(1/2 - z) * Gamma(z) = prod_{j=0}^{n-1} Gamma(z/n + j/n).
-    The n = 2 case coincides with the duplication identity.
+    (2*pi)**((n-1)/2) * n**(1/2 - z) * Gamma(z) = prod_{j=0}^{n-1} Gamma(z/n + j/n),
+    Gamma(z) against the product over the factor on the left.  The n = 2
+    case is the duplication identity.
     """
-    z = _clear("mult", n, z, "multiplication order")
-    lhs = _TWO_PI ** (0.5 * (n - 1)) * cmath.exp((0.5 - z) * math.log(n)) * _gamma_factor(z)
-    rhs = 1.0 + 0.0j
-    for j in range(n):
-        rhs *= _gamma_factor((z + j) / n)
-    return _residual(lhs, rhs)
+    _floor_check("mult", n, "multiplication order")
+    return _gamma_residual("mult", n, z)
 
 
 def residual_sine_factorization(k: int, z: complex) -> float:
@@ -107,19 +196,13 @@ def residual_sine_factorization(k: int, z: complex) -> float:
     At an integer z both sides are exactly 0 (sinpi is exact there), and so
     is the residual.
     """
-    z = _clear("sine", k, z, "factorization order")
+    _floor_check("sine", k, "factorization order")
+    z = complex(z)
     lhs = sinpi(z)
     rhs = 2.0 ** (k - 1)
     for j in range(k):
         rhs *= sinpi((z + j) / k)
     return _residual(lhs, rhs)
-
-
-def _comb_args(_, z):
-    alpha = z.real
-    if not 0.0 < alpha < 0.25:
-        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
-    return 4.0 * alpha, 0.25 - alpha, 2.0 * alpha, alpha + 0.25
 
 
 def residual_comb(alpha: float) -> float:
@@ -128,18 +211,10 @@ def residual_comb(alpha: float) -> float:
         Gamma(4a) * Gamma(1/4 - a)
             = 2**(6a - 3/2) * Gamma(2a) * Gamma(a + 1/4) / sin(pi*(a + 3/4))
 
-    for real a in the open interval (0, 1/4).
+    for real a in the open interval (0, 1/4): Gamma(a + 1/4) against the
+    relation solved for it.
     """
-    alpha = float(alpha)
-    _clear("comb", None, alpha)
-    lhs = _gamma_factor(4.0 * alpha) * _gamma_factor(0.25 - alpha)
-    rhs = (
-        2.0 ** (6.0 * alpha - 1.5)
-        * _gamma_factor(2.0 * alpha)
-        * _gamma_factor(alpha + 0.25)
-        / sinpi(alpha + 0.75)
-    )
-    return _residual(lhs, rhs)
+    return _gamma_residual("comb", None, alpha)
 
 
 def residual_cosine_identity(m: int, u: complex) -> float:
@@ -151,7 +226,8 @@ def residual_cosine_identity(m: int, u: complex) -> float:
     Scaled by max(|cos(k*u)|, |cos(u)| * sum_n |term_n|), the size of what
     was summed, which bounds the sum's rounding (Higham, ASNA, sec. 4.2).
     """
-    u = _clear("cosine", m, u, "m")
+    _floor_check("cosine", m, "m")
+    u = complex(u)
     k = 2 * m + 1
     lhs = cmath.cos(k * u)
     s = cmath.sin(u)
@@ -169,19 +245,48 @@ def residual_cosine_identity(m: int, u: complex) -> float:
     return _residual(lhs, c * acc, max(abs(lhs), abs(c) * mass))
 
 
-# tag -> (floor, args, residual): the least parameter of the tag (None: it
-# takes none); args(param, z), the gamma arguments at z (None: the identity
-# is entire); the residual at a complex z, parameter first where there is one
+class _Row(NamedTuple):
+    """One identity; a gamma row has slots and forms, an entire one a residual."""
+
+    floor: int | None = None  # the least parameter of the tag; None: it takes none
+    # the gamma arguments, (p, q) Fraction pairs standing for p z + q, or the
+    # function of the parameter giving them for a family (mult:n)
+    slots: object = ()
+    # (node slot, combine): combine(a, *g) is Gamma at the node slot a, a
+    # float or complex, from Gamma at the other slots, in slot order; one
+    # form sits at the first slot, the one the residual replays
+    forms: tuple = ()
+    residual: object = None  # residual(param, z) of an entire identity
+    window: tuple | None = None  # the open real interval of a real-only identity
+
+
 _IDENTITIES = {
-    "functional": (None, lambda _, z: (z, z + 1.0), residual_functional),
-    # Gamma(z) Gamma(1 - z) has a pole at every integer: the pole distance of
-    # z - round(Re z), an exact difference, is z's distance to the nearest one
-    "reflection": (None, lambda _, z: (z - round(z.real),), residual_reflection),
-    "duplication": (None, lambda _, z: (z, 0.5 * z, 0.5 * z + 0.5), residual_duplication),
-    "comb": (None, _comb_args, lambda z: residual_comb(z.real)),
-    "mult": (1, lambda n, z: (z, *[(z + j) / n for j in range(n)]), residual_multiplication),
-    "sine": (1, None, residual_sine_factorization),
-    "cosine": (0, None, residual_cosine_identity),
+    # Gamma(z + 1) = z Gamma(z), read down from z + 1 and up from z
+    "functional": _Row(slots=_slots((1, 0), (1, 1)), forms=(
+        (1, lambda a, g: (a - 1) * g),
+        (0, lambda a, g: g / a),
+    )),
+    # Gamma(z) Gamma(1 - z) = pi / sin(pi z)
+    "reflection": _Row(slots=_slots((1, 0), (-1, 1)), forms=(
+        (0, lambda a, g: math.pi / (sinpi(a) * g)),
+    )),
+    # sqrt(pi) Gamma(z) = 2**(z - 1) Gamma(z/2) Gamma(z/2 + 1/2), solved for
+    # Gamma(z) and, with z/2 + 1/2 = a, for Gamma(a) (the inverse form)
+    "duplication": _Row(slots=_slots((1, 0), (_HALF, 0), (_HALF, _HALF)), forms=(
+        (0, lambda a, g1, g2: _pow2(a - 1) * g1 * g2 / _SQRT_PI),
+        (2, lambda a, g1, g2: _SQRT_PI * g1 * _pow2(2 - 2 * a) / g2),
+    )),
+    # the quarter-step relation at real alpha in (0, 1/4), solved for
+    # Gamma(alpha + 1/4):
+    # Gamma(4 alpha) Gamma(1/4 - alpha) sin(pi (alpha + 3/4))
+    #     = 2**(6 alpha - 3/2) Gamma(2 alpha) Gamma(alpha + 1/4)
+    "comb": _Row(slots=_slots((1, _QUARTER), (4, 0), (-1, _QUARTER), (2, 0)),
+                 forms=((0, _comb_value),), window=(0.0, 0.25)),
+    # (2 pi)**((n - 1)/2) n**(1/2 - z) Gamma(z) = prod_{j<n} Gamma(z/n + j/n)
+    "mult": _Row(1, lambda n: _slots((1, 0), *[(Fraction(1, n), Fraction(j, n)) for j in range(n)]),
+                 forms=((0, _multiply),)),
+    "sine": _Row(1, residual=residual_sine_factorization),
+    "cosine": _Row(0, residual=residual_cosine_identity),
 }
 
 
@@ -230,10 +335,12 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise DomainError(f"sample count must be >= 1, got {self.count}")
-        if not self.re_range[0] <= self.re_range[1]:
-            raise DomainError("re_range must be ordered")
-        if not self.im_range[0] <= self.im_range[1]:
-            raise DomainError("im_range must be ordered")
+        for name, (lo, hi) in (("re_range", self.re_range), ("im_range", self.im_range)):
+            if not lo <= hi:
+                raise DomainError(f"{name} must be ordered")
+            # an infinite end, or a width hi - lo that overflows, is no region
+            if not math.isfinite(hi - lo):
+                raise DomainError(f"{name} must be finite, got ({lo}, {hi})")
         if self.pole_exclusion < 0:
             raise DomainError("pole_exclusion must be >= 0")
 
@@ -275,7 +382,7 @@ def parse_identity_tag(tag: str):
     base, sep, arg = tag.partition(":")
     if base not in _IDENTITIES:
         raise DomainError(f"unknown identity tag {tag!r}")
-    floor, _, _ = _IDENTITIES[base]
+    floor = _IDENTITIES[base].floor
     if floor is None:
         if sep:
             raise DomainError(f"identity {base!r} takes no parameter")
@@ -285,9 +392,13 @@ def parse_identity_tag(tag: str):
     try:
         n = int(arg)
     except ValueError:
-        raise DomainError(f"bad integer parameter {arg!r} in tag {tag!r}") from None
-    if n < floor:
-        raise DomainError(f"parameter of {base!r} must be >= {floor}, got {n}")
+        n = None
+    # the canonical decimal only: int() also takes a sign, underscores,
+    # spaces, leading zeros and non-ASCII digits, and the report echoes the
+    # tag as given
+    if n is None or str(n) != arg:
+        raise DomainError(f"bad integer parameter {arg!r} in tag {tag!r}")
+    _floor_check(base, n, f"parameter of {base!r}")
     return base, n
 
 
@@ -304,17 +415,20 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     kind, param = parse_identity_tag(identity_id)
-    _, args, residual = _IDENTITIES[kind]
-    if param is not None:
-        residual = partial(residual, param)
-    radius = sample_spec.pole_exclusion
+    row = _IDENTITIES[kind]
+    if row.slots:
+        # one pole test per draw, at the larger of the two radii
+        clearance = max(sample_spec.pole_exclusion, _MIN_CLEARANCE)
+        residual = partial(_gamma_residual, kind, param, clearance=clearance)
+    else:
+        residual = partial(row.residual, param)
     import numpy as np
 
     rng = np.random.default_rng(sample_spec.seed)
     res = rng.uniform(sample_spec.re_range[0], sample_spec.re_range[1], sample_spec.count)
     ims = rng.uniform(sample_spec.im_range[0], sample_spec.im_range[1], sample_spec.count)
-    if kind == "comb":
-        ims = np.zeros_like(ims)  # the quarter-step relation is real-only
+    if row.window:
+        ims = np.zeros_like(ims)  # a real-only identity
 
     worst = 0.0
     worst_point = None
@@ -324,10 +438,7 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     for x, y in zip(res, ims):
         z = complex(x, y)
         try:
-            if args and min(map(pole_distance, args(param, z))) <= radius:
-                r = None
-            else:
-                r = residual(z)
+            r = residual(z.real if row.window else z)
         except (DomainError, PoleError, OverflowError):
             r = None
         if r is None:

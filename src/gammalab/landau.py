@@ -30,9 +30,11 @@ Tracers turn the records into derivation trees: `trace_evaluate` walks the
 explicit forest, `quarter_set_trace` derives Gamma on (0, 1/2) from
 (0, 1/4] and {1/3, 1} alone, and `complex_reduce_trace` extends the real
 pattern into the strip |Im z| < 1 by duplication halvings.  The tracers and
-`validate_trace` share one rule table (`_RULES`): each rule's forms give a
-node's child arguments and its value from theirs, written once for the
-tracers and the replay alike.
+`validate_trace` share one rule table (`_RULES`), a view of the functional,
+reflection, duplication and comb rows of the identity table
+(`identities._IDENTITIES`, the one statement of every identity): each
+rule's forms give a node's child arguments, compiled from the row's slots,
+and its value from theirs.
 
 The real chains run on integers.  The real walk carries the pair (n, d) of
 y = n/d and builds one Fraction per node, the argument its TraceNode
@@ -40,12 +42,9 @@ stores; the halving form's integer ratios give the children's pairs, (n, 2d)
 and (n + d, 2d), from y's lowest terms, and its value formula takes n / d,
 the correctly rounded float of y.  The complex walk calls the same form's
 float children and value formula, so each node of either walk is one call
-of the walker, and no walker restates a formula of the rule table.  Only
-the halving form, the form of every internal node of a real trace, carries
-integer ratios: the validator matches its Fraction children to them by
-cross-multiplication, with no Fraction division; every other form states
-its children once, in a formula exact on a Fraction.  The class of a piece
-(a, b], the length of its halving chain, is the least m with
+of the walker.  The validator matches Fraction children to a form's integer
+ratios by cross-multiplication, with no Fraction division.  The class of a
+piece (a, b], the length of its halving chain, is the least m with
 2 num(b) den(delta) <= num(delta) den(b) 2**m, read off the bit lengths of
 the two sides.
 """
@@ -57,17 +56,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_finite, gamma, pole_distance, sinpi
+from .core import _check_finite, gamma, pole_distance
 from .errors import (
     DepthError,
     DomainError,
     ResourceError,
     TraceDepthError,
 )
+from .identities import _IDENTITIES, _compile, _node_maps
 from .intervals import IntervalSet, as_fraction
 
-_SQRT_PI = math.sqrt(math.pi)
-_LN2 = math.log(2.0)
 _HALF = Fraction(1, 2)
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -465,49 +463,29 @@ class DerivationTrace:
         return self.root.to_json_dict()
 
 
-def _pow2(x):
-    """2**x for a float or complex exponent."""
-    if isinstance(x, complex):
-        return cmath.exp(x * _LN2)
-    return 2.0**x
-
-
-def _comb_children(a):
-    four_alpha = 4 * a - 1  # alpha = a - 1/4
-    return four_alpha, (1 - four_alpha) / 4, four_alpha / 2
-
-
-def _comb_value(a, g4, gq, g2):
-    alpha = a - 0.25
-    return g4 * gq * sinpi(alpha + 0.75) / (2.0 ** (6 * alpha - 1.5) * g2)
-
-
 @dataclass(frozen=True)
 class _Form:
     """One form of a rule.
 
     generic(a): the child arguments of a node at a, in a's own type (exact
-    on a Fraction); combine(a, *values): Gamma(a) from the children's gamma
-    values, with a as a float or complex.  A form unpacks as (generic,
-    combine).  Only the halving form, the form of every internal node of a
-    real trace, also has ratios(n, d): the children of a = n/d as integer
-    pairs (p, q), q > 0, each standing for p/q, so that the real walk and the
-    replay of a real trace need no Fraction division.
+    on a Fraction); ratios(n, d): the children of a = n/d, d > 0, as integer
+    pairs (p, q), q > 0, each standing for p/q; combine(a, *values): Gamma(a)
+    from the children's gamma values, with a as a float or complex.  A form
+    unpacks as (generic, combine).
     """
 
     generic: object
+    ratios: object
     combine: object
-    ratios: object = None
 
     def __iter__(self):
         return iter((self.generic, self.combine))
 
     def matches(self, a, args: tuple) -> bool:
         """Whether args are the child arguments of a node at a.  Fraction
-        children of a Fraction a are matched to integer ratios, where the
-        form has them, by cross-multiplication; anything else compares
-        generic(a) == args."""
-        if type(a) is not Fraction or self.ratios is None:
+        children of a Fraction a are matched to the integer ratios by
+        cross-multiplication; anything else compares generic(a) == args."""
+        if type(a) is not Fraction:
             return self.generic(a) == args
         want = self.ratios(*a.as_integer_ratio())
         if len(want) != len(args):
@@ -521,35 +499,16 @@ class _Form:
         return True
 
 
-# The rule table: every trace node is built from one of its rule's forms, and
-# validate_trace replays every node against the same forms.
+# The rule table, a view of four rows of the identity table: each form's
+# children are compiled from its row's slots.  Every trace node is built
+# from one of its rule's forms, and validate_trace replays every node
+# against the same forms.
 _RULES = {
-    # Gamma(a) = (a - 1) Gamma(a - 1), and the same read one step up
-    "functional": (
-        _Form(lambda a: (a - 1,), lambda a, g: (a - 1) * g),
-        _Form(lambda a: (a + 1,), lambda a, g: g / a),
-    ),
-    # Gamma(a) Gamma(1 - a) = pi / sin(pi a)
-    "reflection": (
-        _Form(lambda a: (1 - a,), lambda a, g: math.pi / (sinpi(a) * g)),
-    ),
-    # Gamma(a) = 2**(a - 1) Gamma(a/2) Gamma((a + 1)/2) / sqrt(pi), and the
-    # same at 2a - 1 solved for Gamma(a) (the inverse form)
-    "duplication": (
-        _Form(
-            lambda a: (a / 2, (a + 1) / 2),
-            lambda a, g1, g2: _pow2(a - 1) * g1 * g2 / _SQRT_PI,
-            lambda n, d: ((n, 2 * d), (n + d, 2 * d)),
-        ),
-        _Form(
-            lambda a: (2 * a - 1, a - _HALF),
-            lambda a, g1, g2: _SQRT_PI * g1 * _pow2(2 - 2 * a) / g2,
-        ),
-    ),
-    # the quarter-step relation, solved for Gamma(alpha + 1/4):
-    # Gamma(4 alpha) Gamma(1/4 - alpha) sin(pi (alpha + 3/4))
-    #     = 2**(6 alpha - 3/2) Gamma(2 alpha) Gamma(alpha + 1/4)
-    "comb": (_Form(_comb_children, _comb_value),),
+    tag: tuple(
+        _Form(*_compile(_node_maps(_IDENTITIES[tag].slots, node)), combine)
+        for node, combine in _IDENTITIES[tag].forms
+    )
+    for tag in ("functional", "reflection", "duplication", "comb")
 }
 
 

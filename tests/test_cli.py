@@ -169,6 +169,20 @@ class TestVerify:
         assert code == 0
         assert 1e-300 < report["max_rel_residual"] < 1e-10
 
+    @pytest.mark.parametrize(
+        "grid", ["10:0:inf:0:0", "10:-inf:0:0:0", "10:0:1:0:inf", "10:-1.7e308:1.7e308:0:0"]
+    )
+    def test_non_finite_grid_is_domain_error(self, grid, capsys):
+        # an infinite end or width once reached numpy's draw, which raised an
+        # OverflowError the report called a gamma overflow
+        code = main(["verify", "--identity", "functional", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        _VALIDATOR.validate(report)
+        assert report["error"] == "domain"
+
     def test_bad_identity_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", "zeta"])
@@ -616,8 +630,8 @@ class TestColdStart:
         assert proc.stderr == ""
         _VALIDATOR.validate(json.loads(proc.stdout))
         assert proc.stdout == (
-            '{"identity":"reflection","max_rel_residual":3.2663422071782e-16,'
-            '"mean_rel_residual":9.879209419171699e-17,"pass":true,"samples":50,'
+            '{"identity":"reflection","max_rel_residual":2.1898045207641434e-16,'
+            '"mean_rel_residual":3.933642526694938e-17,"pass":true,"samples":50,'
             '"seed":1,"skipped":0,"tolerance":1e-10,'
-            '"worst_point":[0.22871410608017317,-2.6839418682071896]}\n'
+            '"worst_point":[1.7983195261882692,-3.8040745800530944]}\n'
         )

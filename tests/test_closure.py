@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,30 @@ class TestGeneratingMaps:
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             generating_maps(0)
+
+
+def _loop_maps(max_n):
+    """The generating maps as hand-written loops before they were read off
+    the identity table: the oracle."""
+    maps = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))]
+    for n in range(2, max_n + 1):
+        for j in range(n):
+            maps.append((Fraction(1, n), Fraction(j, n)))
+            maps.append((Fraction(n), Fraction(-j)))
+        for d in range(1, n):
+            maps.append((Fraction(1), Fraction(d, n)))
+            maps.append((Fraction(1), Fraction(-d, n)))
+    return maps
+
+
+class TestTableMaps:
+    @pytest.mark.parametrize("max_n", range(1, 9))
+    def test_maps_are_the_hand_written_loops(self, max_n):
+        # as a multiset: x + 1/2 comes from both mult:2 and mult:4
+        assert Counter(generating_maps(max_n)) == Counter(_loop_maps(max_n))
+
+    def test_branching_factors(self):
+        assert [branching_factor(n) for n in range(1, 5)] == [4, 10, 20, 34]
 
 
 class TestAffineClosure:

@@ -3,10 +3,12 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 
 from gammalab.errors import DomainError, EmptyGridError, PoleError
 from gammalab.identities import (
+    _IDENTITIES,
     IdentityReport,
     SampleSpec,
     nonvanishing_scan,
@@ -18,6 +20,7 @@ from gammalab.identities import (
     residual_multiplication,
     residual_reflection,
     residual_sine_factorization,
+    _plan,
     verify_grid,
 )
 
@@ -131,7 +134,9 @@ class TestParseIdentityTag:
         assert parse_identity_tag(tag) == expected
 
     @pytest.mark.parametrize(
-        "tag", ["functional:2", "mult", "mult:x", "mult:0", "sine:0", "cosine:-1", "zeta"]
+        "tag",
+        ["functional:2", "mult", "mult:x", "mult:0", "sine:0", "cosine:-1", "zeta",
+         "mult:+3", "mult:1_0", "mult: 3", "mult:03", "sine:\u0663"],
     )
     def test_rejected(self, tag):
         with pytest.raises(DomainError):
@@ -215,6 +220,22 @@ class TestVerifyGrid:
         with pytest.raises(DomainError):
             SampleSpec(count=5, pole_exclusion=-0.1)
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            {"re_range": (0.0, math.inf)},
+            {"re_range": (-math.inf, 0.0)},
+            {"re_range": (-math.inf, math.inf)},
+            {"im_range": (0.0, math.inf)},
+            {"im_range": (-math.inf, -math.inf)},
+            {"re_range": (-1.7e308, 1.7e308)},  # finite ends, infinite width
+        ],
+    )
+    def test_sample_spec_rejects_non_finite_ranges(self, ranges):
+        # numpy's uniform draw would raise its own OverflowError on these
+        with pytest.raises(DomainError, match="must be finite"):
+            SampleSpec(count=10, **ranges)
+
 
 def _report_digest(tag, spec):
     report = verify_grid(tag, spec, 1e-10).to_json_dict()
@@ -222,15 +243,15 @@ def _report_digest(tag, spec):
 
 
 _DEFAULT_BOX_DIGESTS = [
-    ("functional", "6d4e0524a22842e195565fe473d9df3324f8a2d97a96cf0df6dbb7da444dcd8e"),
-    ("reflection", "097af0522812829ef824767ee110214952c1f50a9b76444aa05be03e70bc9a36"),
-    ("duplication", "2482d7991158521bc4be8d9dfec62a1aebc90b9ba1a56b35c27a708d802d1dab"),
+    ("functional", "07efa5c64dddca828702ba8524bf412de01520b77ce461d2050bfd8472fdd110"),
+    ("reflection", "ed8782b8181c78ff56ddb8c4493f8ae6833c644958bfab801e7b3047354c1c9b"),
+    ("duplication", "e06ed1fd95caacef81c04b5be6ff63f3b5226e5ec72c467fcac124e4e572e11f"),
     ("mult:1", "5eb483b254cfb19a56fd9577211f054e3abc3c09d2859f3e5f3e6f8be4575904"),
-    ("mult:2", "7aaa9a75732620c806722712596ed2941b1ee049ee6f30354e118d6089a3676d"),
-    ("mult:3", "3119bf237ed4b33b027822f142c3bbab9abbfa260714e568ef2d54763cf3d979"),
-    ("mult:4", "e059cf0c13437981338009e3574047bcbb4dc59e473047788bff59675d450f47"),
-    ("mult:5", "a8f4f785c63c3834e04de47842a2677d92081b125605ff4dc979d245a03d21d6"),
-    ("mult:6", "c380da5a9b25c6585f376440b2b5fcebc123e367621a1424be45f23f934a1853"),
+    ("mult:2", "b4f0a6ec5a301225b5d6816cf3d16d83266284b29d173286d8dcc1450ea58791"),
+    ("mult:3", "f57641e60b19aa990f7aa68f0749378f73de28ebe43d7c1ff929eb9bcf69496a"),
+    ("mult:4", "d6e197ebb1f66167279a9c6705959b6f0ab3a0265e4fa513a00b7ee63712c69b"),
+    ("mult:5", "2a8d277de6e8bbed428735fe955cd7c449b469eb77f971ef7c50e447775f9f87"),
+    ("mult:6", "437ac59058ee753e5925ea11940eb0a60f3f8dcec47f6a699fc04e438850ccec"),
     ("cosine:0", "5eab06da657ffb8d098b2a142949388edc1a821674a7d426207d99b0f89501b8"),
     ("cosine:1", "e4eddd1f9496bc629993c1b119510ce9970103e1f30f5ee3589ca12ce7893e6d"),
     ("cosine:2", "30a609a1eeabafd9a4499948f43d0f620097d9bceaafa9c95a8d559294c4104e"),
@@ -263,7 +284,7 @@ class TestReportDigests:
     def test_comb_window(self):
         spec = SampleSpec(count=500, re_range=(0.0, 0.25))
         assert _report_digest("comb", spec) == (
-            "206fc18338d52df012e4c10847087fd0ecb2b83163de6970276d55d71a823e80"
+            "91dee41f1494644b0a0c258283f0d6247f9c1c165d13e2c9a6cc3c416c3171bc"
         )
 
 
@@ -292,3 +313,22 @@ class TestNonvanishingScan:
         # |Gamma| underflows to 0 there: reporting 0.0 would claim a zero
         with pytest.raises(OverflowError, match="underflows to zero"):
             nonvanishing_scan((-200.0, -190.0), (0.0, 1.0), 1.0)
+
+
+class TestMultiplicationRows:
+    """The mult:n rows of the identity table against mpmath: the slots at z,
+    and the combine of the form at the first slot from mpmath's Gamma at the
+    other slots."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_slots_and_combine(self, n):
+        at, combine = _plan("mult", n)
+        forms = _IDENTITIES["mult"].forms
+        assert [node for node, _ in forms] == [0]
+        for z in (0.37 + 0.2j, 2.9 - 1.5j, -1.3 + 0.4j, 3.7, 0.55):
+            a, *others = at(z)
+            assert a == z
+            assert others == pytest.approx([(z + j) / n for j in range(n)], rel=1e-15)
+            values = [complex(mpmath.gamma(mpmath.mpc(c))) for c in others]
+            want = complex(mpmath.gamma(mpmath.mpc(z)))
+            assert abs(combine(a, *values) - want) <= 1e-13 * abs(want), (n, z)

@@ -29,6 +29,7 @@ from gammalab.landau import (
     trace_evaluate,
     validate_trace,
 )
+from gammalab.identities import _IDENTITIES
 from gammalab.intervals import IntervalSet
 from gammalab.landau import _class_bounds, _class_of
 
@@ -769,6 +770,18 @@ _FORM_RATIOS = {
 }
 _form_points = st.fractions(min_value=-64, max_value=64, max_denominator=2**40)
 
+# The six forms' child formulas as written by hand before they were
+# compiled from the identity table's slots: the oracle for the compiled
+# children on floats and complex numbers.
+_HAND_CHILDREN = {
+    ("functional", 0): lambda a: (a - 1,),
+    ("functional", 1): lambda a: (a + 1,),
+    ("reflection", 0): lambda a: (1 - a,),
+    ("duplication", 0): lambda a: (a / 2, (a + 1) / 2),
+    ("duplication", 1): lambda a: (2 * a - 1, a - Fraction(1, 2)),
+    ("comb", 0): lambda a: (4 * a - 1, (1 - (4 * a - 1)) / 4, (4 * a - 1) / 2),
+}
+
 
 class TestFormChildren:
     @settings(max_examples=300, deadline=None)
@@ -786,6 +799,73 @@ class TestFormChildren:
         halves = _RULES["duplication"][0]
         got = tuple(Fraction(p, q) for p, q in halves.ratios(*a.as_integer_ratio()))
         assert got == halves.generic(a)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_HAND_CHILDREN)), _form_points)
+    def test_children_are_the_slot_maps(self, key, a):
+        # each form's children, generic and ratios, are the other slots of
+        # its identity-table row at the z that puts the node slot at a
+        rule, form = key
+        row = _IDENTITIES[rule]
+        node = row.forms[form][0]
+        p0, q0 = row.slots[node]
+        z = (a - q0) / p0
+        want = tuple(p * z + q for j, (p, q) in enumerate(row.slots) if j != node)
+        spec = _RULES[rule][form]
+        assert spec.generic(a) == want == _HAND_CHILDREN[key](a)
+        assert tuple(Fraction(p, q) for p, q in spec.ratios(*a.as_integer_ratio())) == want
+
+
+def _bits(values):
+    """float.hex of each value, of its real and imaginary parts if complex."""
+    return [(c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c.hex() for c in values]
+
+
+def _child_grid(count, seed):
+    """Seeded floats: uniform on (-8, 8), random signs and binades from the
+    subnormals to 2**1000, and a few exact values; each also as complex with
+    every signed zero for a part and a random part."""
+    rng = random.Random(seed)
+    special = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 2.0, -0.5, 1 / 3, 5e-324]
+    points = []
+    for _ in range(count):
+        xs = [rng.uniform(-8.0, 8.0), rng.choice(special),
+              rng.choice((-1, 1)) * 2.0 ** rng.uniform(-1074, 1000)]
+        y = rng.uniform(-8.0, 8.0)
+        for x in xs:
+            points += [x, complex(x, y), complex(x, 0.0), complex(x, -0.0),
+                       complex(0.0, x), complex(-0.0, x)]
+    return points
+
+
+class TestFormChildBits:
+    """The compiled children are the hand-written ones bit for bit, signed
+    zeros included, with one exception: comb's middle child is now the
+    correctly rounded 1/2 - a, which (1 - (4a - 1))/4 rounds twice."""
+
+    @pytest.mark.parametrize("key", sorted(_HAND_CHILDREN), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_seeded_grid(self, key):
+        generic = _RULES[key[0]][key[1]].generic
+        for a in _child_grid(2000, seed=17):
+            got, want = generic(a), _HAND_CHILDREN[key](a)
+            if key == ("comb", 0) and _bits(got) != _bits(want):
+                assert _bits(got[::2]) == _bits(want[::2]), a
+                x, y = (a.real, a.imag) if isinstance(a, complex) else (a, None)
+                middle, hand = complex(got[1]), complex(want[1])
+                assert middle.real == float(Fraction(1, 2) - Fraction(x)) != hand.real, a
+                assert middle.imag.hex() == hand.imag.hex(), a
+                continue
+            assert _bits(got) == _bits(want), (key, a)
+
+    def test_comb_on_its_window(self):
+        # the quarter-set tracer applies comb on (1/4, 1/3), where 4a - 1 is
+        # exact and both middle children are 1/2 - a
+        rng = random.Random(23)
+        generic, hand = _RULES["comb"][0].generic, _HAND_CHILDREN[("comb", 0)]
+        for _ in range(20000):
+            a = rng.uniform(0.25, 1 / 3)
+            assert _bits(generic(a)) == _bits(hand(a)), a
 
 
 def _inconsistent(fs, broken):
