@@ -9,6 +9,7 @@ import pytest
 from gammalab.errors import DomainError, EmptyGridError, PoleError
 from gammalab.identities import (
     _IDENTITIES,
+    _plan,
     IdentityReport,
     SampleSpec,
     nonvanishing_scan,
@@ -20,7 +21,6 @@ from gammalab.identities import (
     residual_multiplication,
     residual_reflection,
     residual_sine_factorization,
-    _plan,
     verify_grid,
 )
 

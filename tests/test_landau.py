@@ -800,7 +800,6 @@ class TestFormChildren:
         got = tuple(Fraction(p, q) for p, q in halves.ratios(*a.as_integer_ratio()))
         assert got == halves.generic(a)
 
-
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(_HAND_CHILDREN)), _form_points)
     def test_children_are_the_slot_maps(self, key, a):
