@@ -61,8 +61,9 @@ print()
 print("Two-parameter series extension")
 print("------------------------------")
 # generalized_lhs(w, z) is a closed form built from four gamma values;
-# generalized_series sums the factorial series directly.  They agree
-# wherever both sides are defined.
+# generalized_series sums the factorial series term by term, as Gamma(s)
+# times the Gauss series 2F1(1 - u, u; 1 - s; 1/2) with s = w + z - 1/2 and
+# u = w - z + 1/2.  They agree wherever both sides are defined.
 shown = 0
 while shown < 6:
     w = rng.uniform(0.1, 3.0)

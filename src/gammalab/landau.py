@@ -346,8 +346,10 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     t = iteration_count(delta)
     residual, count, nodes = _threshold_recursion(delta, t - 1)
+    # nodes bounds the explicit forest: each piece of its set union shares
+    # its right end, so its class, with a distinct piece the recursion counts
     if nodes <= node_budget:
-        fs = _construct_explicit(delta, t, node_budget)
+        fs = _construct_explicit(delta, t)
     else:
         fs = _construct_summary(delta, t, residual, count)
     if not fs.residual_mass < (1 - delta / 4) ** t:
@@ -357,7 +359,7 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     return fs
 
 
-def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> FundamentalSet:
+def _construct_explicit(delta: Fraction, t: int) -> FundamentalSet:
     I0, J0, node0 = landau_lemma_decompose(0, 1, delta)
     roots = [node0]
     i_leaves = [I0]
@@ -375,10 +377,6 @@ def _construct_explicit(delta: Fraction, t: int, node_budget: int) -> Fundamenta
             next_pieces.extend(Js)
             extracted += I[1] - I[0]
             node_count += 2 * len(Js) + 1
-            if node_count > node_budget:
-                raise ResourceError(
-                    f"decomposition forest exceeded {node_budget} nodes"
-                )
         new_leftover = IntervalSet(next_pieces)
         # pieces born after round 0 live in disjoint dyadic bands, so the
         # set union must preserve the multiset mass exactly
@@ -580,7 +578,7 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
         value = node.value
         want = form.combine(x, *[c.value for c in children])
         scale = max(abs(value), abs(want), 1e-300)
-        if abs(value - want) / scale > 1e-12:
+        if not abs(value - want) / scale <= 1e-12:  # NaN fails too
             raise DomainError(f"{rule} node at {a!r} fails replay: {value!r} vs {want!r}")
         stack.extend(reversed(children))
     return checked

@@ -4,10 +4,12 @@ The finite identity expresses (2**(z-1)/sqrt(pi)) * Gamma((z+m+1)/2) *
 Gamma((z-m)/2) as a sum of m+1 gamma values at unit shifts; m = 0 is the
 duplication formula rearranged.  Replacing the two half-arguments by free
 parameters (w, z) turns the sum into an infinite series with a sin/cos
-closed form, and the proof machinery (a 2F1 evaluated at 1/2, the Euler
-transformation, Gauss's second summation theorem) is exposed here as
-checkable operations.  An exact binomial identity that falls out of the
-coefficient algebra is verified in rational arithmetic.
+closed form.  That series is Gamma(s) * 2F1(1 - u, u; 1 - s; 1/2) with
+s = w + z - 1/2 and u = w - z + 1/2, and it is summed as that Gauss series;
+the rest of the proof machinery (the Euler transformation, Gauss's second
+summation theorem) is exposed here as checkable operations.  An exact
+binomial identity that falls out of the coefficient algebra is verified in
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,17 +21,12 @@ from fractions import Fraction
 from itertools import count
 
 from .core import (
-    _check_finite, _gamma_factor, _residual, cospi, gamma, pochhammer, pole_distance, sinpi,
+    _check_finite, _gamma_factor, _residual, cospi, gamma, pole_distance, sinpi,
 )
 from .errors import ConvergenceError, DomainError, PoleError
 
 _LN2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
-
-# Beyond this index the per-term gamma/Pochhammer factors can individually
-# leave the double range even though the term itself is tiny; the tail is
-# continued by the exact term-ratio recurrence instead.
-_DIRECT_TERM_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -158,22 +155,6 @@ def _generalized_args(w, z):
     return w, z
 
 
-def _generalized_term_direct(s: complex, u: complex, n: int):
-    """Term n = Gamma(s-n) * (u-n)_{2n} / (2**n n!), or None on range trouble."""
-    g = _gamma_factor(s - n)
-    p = pochhammer(u - n, 2 * n)
-    denom = math.exp(n * _LN2 + math.lgamma(n + 1))
-    t = g * p / denom
-    if math.isfinite(t.real) and math.isfinite(t.imag):
-        return t
-    return None
-
-
-def _generalized_term_ratio(s: complex, u: complex, n: int) -> complex:
-    """Exact ratio term_{n+1}/term_n of the generalized series."""
-    return ((u - n - 1.0) * (u + n)) / ((s - n - 1.0) * 2.0 * (n + 1.0))
-
-
 def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
     """The stopping rule of both series over an iterator of terms; the budget
     is checked before a term is drawn, so ahead of the terms' own checks."""
@@ -198,19 +179,16 @@ def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
 
 
 def _generalized_terms(w, z):
+    """Terms of generalized_series: Gamma(s - n) = (-1)**n Gamma(s) / (1 - s)_n
+    and (u - n)_{2n} = (-1)**n (1 - u)_n (u)_n make the n-th Gamma(s) times
+    the n-th term of 2F1(1 - u, u; 1 - s; 1/2).  _generalized_args keeps s
+    1e-8 from every integer, so c = 1 - s passes Hyp2F1Params' pole check."""
     w, z = _generalized_args(w, z)
     s = w + z - 0.5
     u = w - z + 0.5
-    term = None
-    for n in count():
-        direct = _generalized_term_direct(s, u, n) if n <= _DIRECT_TERM_LIMIT else None
-        if direct is not None:
-            term = direct
-        elif term is not None:
-            term = term * _generalized_term_ratio(s, u, n - 1)
-        else:  # pragma: no cover - first term is always representable
-            raise ConvergenceError("series head not representable in doubles")
-        yield term
+    g = _gamma_factor(s)
+    for term in _hyp2f1_terms(Hyp2F1Params(1.0 - u, u, 1.0 - s)):
+        yield g * term
 
 
 def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int) -> SeriesResult:
@@ -218,10 +196,10 @@ def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int)
 
     Stops once three consecutive terms fall below tolerance * |partial sum|
     (isolated terms can be anomalously small when a Pochhammer factor nearly
-    vanishes); reports converged=False if max_terms is reached first.  Gamma
-    at negative real parts goes through the reflection path inside gamma();
-    deep-tail terms whose factors leave the double range are continued with
-    the term-ratio recurrence, harmless because those terms are negligible.
+    vanishes); reports converged=False if max_terms is reached first.  The
+    series is Gamma(s) * 2F1(1 - u, u; 1 - s; 1/2) with s = w + z - 1/2 and
+    u = w - z + 1/2, so its terms are the Gauss series' term recurrence
+    scaled by the one gamma value Gamma(s).
     """
     return _partial_sums(_generalized_terms(w, z), tolerance, max_terms)
 

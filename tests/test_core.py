@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -80,6 +81,27 @@ class TestGammaComplex:
             z = complex(rng.uniform(-170.0, 0.0), 10 ** rng.uniform(-9.0, 0.0))
             ref = _mp_gamma(z)
             worst = max(worst, abs(gamma(z) - ref) / abs(ref))
+        assert worst <= 1e-12
+
+    def test_log_space_reflection_against_mpmath(self):
+        # Re z < 1/2 with Im z > 50 assembles the reflection in log space;
+        # the header's 1e-12 holds for |z| <= 170 wherever Gamma is normal
+        rng = random.Random(0)
+        worst = 0.0
+        drawn = normal = 0
+        while drawn < 3000:
+            z = complex(rng.uniform(-150.0, 0.5), rng.uniform(50.0, 170.0))
+            if abs(z) > 170.0:
+                continue
+            drawn += 1
+            value = gamma(z)
+            assert gamma(z.conjugate()) == value.conjugate()
+            ref = _mp_gamma(z)
+            if abs(ref) < sys.float_info.min:
+                continue  # subnormal or flushed to zero: no relative accuracy
+            normal += 1
+            worst = max(worst, abs(value - ref) / abs(ref))
+        assert normal == 2679
         assert worst <= 1e-12
 
     def test_large_imaginary(self):

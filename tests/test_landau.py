@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,7 +32,7 @@ from gammalab.landau import (
 )
 from gammalab.identities import _IDENTITIES
 from gammalab.intervals import IntervalSet
-from gammalab.landau import _class_bounds, _class_of
+from gammalab.landau import _class_bounds, _class_of, _threshold_recursion
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +294,20 @@ class TestThresholdRecursion:
         assert not landau_construct(Fraction(3, 7)).explicit
         assert not landau_construct(Fraction(3, 7), node_budget=231920).explicit
 
+    @pytest.mark.parametrize(
+        "delta, explicit_nodes, recursion_nodes",
+        [("1/2", 2565, 5120), ("3/7", 103221, 231921), ("4/9", 37715, 83167),
+         ("3/4", 36, 52), ("1", 9, 9)],
+    )
+    def test_explicit_forest_within_the_recursion_count(self, delta, explicit_nodes, recursion_nodes):
+        # the budget is compared with the recursion's count only, so the
+        # explicit forest must never exceed it
+        delta = Fraction(delta)
+        _, _, nodes = _threshold_recursion(delta, iteration_count(delta) - 1)
+        fs = landau_construct(delta, node_budget=nodes)
+        assert (fs.explicit, fs.node_count, nodes) == (True, explicit_nodes, recursion_nodes)
+        assert fs.node_count <= nodes
+
 
 class TestTraceEvaluate:
     def test_seeded_points_match_gamma(self, fs_half):
@@ -498,6 +513,22 @@ class TestValidateTrace:
         bad = DerivationTrace(bad_root, trace.direct_count, trace.node_count)
         with pytest.raises(DomainError):
             validate_trace(bad, quarter_set_membership)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_leaf_value_detected(self, fs_half, bad):
+        _, trace = trace_evaluate(Fraction(3, 7), fs_half)
+        tampered = []
+
+        def tamper(node):
+            if node.rule == "direct" and not tampered:
+                tampered.append(node)
+                return TraceNode(node.rule, node.argument, bad, ())
+            return TraceNode(node.rule, node.argument, node.value, tuple(map(tamper, node.children)))
+
+        bad_trace = DerivationTrace(tamper(trace.root), trace.direct_count, trace.node_count)
+        assert tampered
+        with pytest.raises(DomainError, match="fails replay"):
+            validate_trace(bad_trace, lambda a: a in fs_half.leaf_union)
 
     def test_leaf_outside_set_detected(self):
         leaf = TraceNode("direct", 0.9, gamma(0.9), ())

@@ -118,6 +118,21 @@ class TestGeneralizedSeries:
             finite = schlomilch_finite_lhs(m, z)
             assert abs(series.value - finite) / abs(finite) < 1e-10
 
+    @pytest.mark.parametrize(
+        "w, z, terms",
+        [(2.6, 2.8, 65), (2.9, 2.95, 71), (0.8 + 0.3j, 1.1 - 0.2j, 50)],
+    )
+    def test_is_gamma_times_a_gauss_series(self, w, z, terms):
+        # Gamma(s) 2F1(1 - u, u; 1 - s; 1/2), s = w + z - 1/2, u = w - z + 1/2;
+        # the real pairs run past n = 60 into the deep tail
+        s = mpmath.mpc(w) + z - 0.5
+        u = mpmath.mpc(w) - z + 0.5
+        want = complex(mpmath.gamma(s) * mpmath.hyp2f1(1 - u, u, 1 - s, 0.5))
+        series = generalized_series(w, z, 1e-13, 500)
+        assert series.converged
+        assert series.terms_used == terms
+        assert abs(series.value - want) / abs(want) <= 1e-12
+
     def test_reports_unconverged_when_starved(self):
         result = generalized_series(0.7, 0.9, 1e-13, 3)
         assert not result.converged
