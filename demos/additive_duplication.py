@@ -14,7 +14,7 @@ formula, the two-parameter series extension, and the exact binomial
 identity that falls out along the way.
 """
 
-import numpy as np
+import random
 
 from gammalab import GammalabError, gamma, residual_duplication
 from gammalab.schlomilch import (
@@ -26,7 +26,7 @@ from gammalab.schlomilch import (
     schlomilch_finite_rhs,
 )
 
-rng = np.random.default_rng(777)
+rng = random.Random(777)
 
 print("Coefficient triangle")
 print("--------------------")

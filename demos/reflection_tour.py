@@ -9,8 +9,7 @@ finishes with the nonvanishing scan.
 """
 
 import math
-
-import numpy as np
+import random
 
 from gammalab import (
     QuadratureSpec,
@@ -24,7 +23,7 @@ from gammalab import (
     verify_grid,
 )
 
-rng = np.random.default_rng(42)
+rng = random.Random(42)
 
 print("Some landmark values")
 print("--------------------")

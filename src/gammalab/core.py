@@ -142,16 +142,14 @@ def _gamma_real(x):
 
 
 def _log_sin_pi(z):
-    """log(sin(pi z)) stable for large |Im z| (principal-ish branch)."""
-    if z.imag >= 0.0:
-        # sin(pi z) = exp(-i pi z) (exp(2 i pi z) - 1) / (2 i); the leading
-        # minus sign from (e^{2 i pi z} - 1) -> -(1 - e^{2 i pi z}) carries i pi
-        return (
-            1j * cmath.pi * (1.0 - z)
-            + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
-            - cmath.log(2j)
-        )
-    return _log_sin_pi(z.conjugate()).conjugate()
+    """log(sin(pi z)) for Im z > 50, where sin(pi z) overflows (principal-ish branch)."""
+    # sin(pi z) = exp(-i pi z) (exp(2 i pi z) - 1) / (2 i); the leading
+    # minus sign from (e^{2 i pi z} - 1) -> -(1 - e^{2 i pi z}) carries i pi
+    return (
+        1j * cmath.pi * (1.0 - z)
+        + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
+        - cmath.log(2j)
+    )
 
 
 def _gamma_complex(z):

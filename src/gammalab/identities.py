@@ -11,17 +11,13 @@ four rows, and ``closure``'s generating maps the slot-to-slot maps of
 three.  sine:k and cosine:m have no slots and keep their own residuals.
 ``verify_grid`` drives any residual over a seeded random sample and
 aggregates the result into an :class:`IdentityReport`.
-
-numpy is imported inside the two functions that use it, ``verify_grid``
-(its seeded PCG64 stream) and ``nonvanishing_scan`` (its grid), so
-importing gammalab, and every CLI subcommand but ``verify``, runs without
-loading it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -290,6 +286,12 @@ _IDENTITIES = {
 }
 
 
+def _arange(start, stop, step):
+    """The points of numpy.arange(start, stop, step), bit for bit."""
+    delta = (start + step) - start
+    return [start + i * delta for i in range(math.ceil((stop - start) / step))]
+
+
 def nonvanishing_scan(re_range, im_range, step):
     """Scan |Gamma| over a rectangular grid and return (min_modulus, argmin).
 
@@ -302,10 +304,8 @@ def nonvanishing_scan(re_range, im_range, step):
     im_lo, im_hi = float(im_range[0]), float(im_range[1])
     if re_hi < re_lo or im_hi < im_lo:
         raise DomainError("ranges must be ordered (lo, hi)")
-    import numpy as np
-
-    res = np.arange(re_lo, re_hi + 0.5 * step, step)
-    ims = np.arange(im_lo, im_hi + 0.5 * step, step)
+    res = _arange(re_lo, re_hi + 0.5 * step, step)
+    ims = _arange(im_lo, im_hi + 0.5 * step, step)
     best = math.inf
     argmin = None
     for y in ims:
@@ -324,7 +324,7 @@ def nonvanishing_scan(re_range, im_range, step):
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sampling region and reproducibility knobs for verify_grid."""
+    """Sampling region of verify_grid, which draws from ``random.Random(seed)``, seed >= 0."""
 
     count: int
     re_range: tuple = (-4.0, 4.0)
@@ -343,6 +343,9 @@ class SampleSpec:
                 raise DomainError(f"{name} must be finite, got ({lo}, {hi})")
         if self.pole_exclusion < 0:
             raise DomainError("pole_exclusion must be >= 0")
+        # Random(-n) replays the stream of Random(n)
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -422,21 +425,18 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
         residual = partial(_gamma_residual, kind, param, clearance=clearance)
     else:
         residual = partial(row.residual, param)
-    import numpy as np
-
-    rng = np.random.default_rng(sample_spec.seed)
-    res = rng.uniform(sample_spec.re_range[0], sample_spec.re_range[1], sample_spec.count)
-    ims = rng.uniform(sample_spec.im_range[0], sample_spec.im_range[1], sample_spec.count)
-    if row.window:
-        ims = np.zeros_like(ims)  # a real-only identity
+    draw = random.Random(sample_spec.seed).random
+    (re_lo, re_hi), (im_lo, im_hi) = sample_spec.re_range, sample_spec.im_range
+    re_w, im_w = re_hi - re_lo, im_hi - im_lo
 
     worst = 0.0
     worst_point = None
     total = 0.0
     used = 0
     skipped = 0
-    for x, y in zip(res, ims):
-        z = complex(x, y)
+    for _ in range(sample_spec.count):
+        # Random.uniform's formula; a real-only identity draws no imaginary part
+        z = complex(re_lo + re_w * draw(), 0.0 if row.window else im_lo + im_w * draw())
         try:
             r = residual(z.real if row.window else z)
         except (DomainError, PoleError, OverflowError):

@@ -173,14 +173,22 @@ class TestVerify:
         "grid", ["10:0:inf:0:0", "10:-inf:0:0:0", "10:0:1:0:inf", "10:-1.7e308:1.7e308:0:0"]
     )
     def test_non_finite_grid_is_domain_error(self, grid, capsys):
-        # an infinite end or width once reached numpy's draw, which raised an
-        # OverflowError the report called a gamma overflow
+        # an infinite end or width is no region: unchecked, it would put inf
+        # or nan draws in the sample
         code = main(["verify", "--identity", "functional", "--grid", grid])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""
         report = json.loads(captured.out)
         _VALIDATOR.validate(report)
+        assert report["error"] == "domain"
+
+    def test_negative_seed_is_domain_error(self, capsys):
+        # Random(-1) would silently replay the stream of Random(1)
+        code, report = run_json(
+            ["verify", "--identity", "functional", "--seed", "-1", "--samples", "5"], capsys
+        )
+        assert code == 1
         assert report["error"] == "domain"
 
     def test_bad_identity_is_usage_error(self, capsys):
@@ -596,8 +604,7 @@ def _run_src(code, *argv):
 
 
 class TestColdStart:
-    """Only sampling loads numpy: the package and every subcommand but
-    verify start without it."""
+    """No subcommand loads numpy: gammalab runs on the standard library."""
 
     def test_import_does_not_load_numpy(self):
         proc = _run_src("import sys, gammalab; print('numpy' in sys.modules)")
@@ -610,6 +617,7 @@ class TestColdStart:
             ["stern", "--m", "20"],
             ["landau", "construct", "--delta", "1/2"],
             ["mellin", "--phi", "exp", "--s", "0.5"],
+            ["verify", "--identity", "reflection", "--samples", "50"],
         ],
     )
     def test_subcommand_does_not_load_numpy(self, argv):
@@ -630,8 +638,8 @@ class TestColdStart:
         assert proc.stderr == ""
         _VALIDATOR.validate(json.loads(proc.stdout))
         assert proc.stdout == (
-            '{"identity":"reflection","max_rel_residual":2.1898045207641434e-16,'
-            '"mean_rel_residual":3.933642526694938e-17,"pass":true,"samples":50,'
+            '{"identity":"reflection","max_rel_residual":3.294566120484569e-16,'
+            '"mean_rel_residual":4.749031457654566e-17,"pass":true,"samples":50,'
             '"seed":1,"skipped":0,"tolerance":1e-10,'
-            '"worst_point":[1.7983195261882692,-3.8040745800530944]}\n'
+            '"worst_point":[1.771875260666147,1.6895341575622371]}\n'
         )

@@ -112,6 +112,11 @@ class TestPointwiseResiduals:
         for m in range(1, 9):
             assert residual_cosine_identity(m, 0.4 + 0.1j) < 1e-10
 
+    def test_cosine_cancelling_sum_on_the_real_line(self):
+        # the sum cancels from terms of 1.6e5 to |cos 17u| = 9e-3: scaled by
+        # that value alone the residual read 3.8e-10
+        assert residual_cosine_identity(8, -1.2017286567756913) < 1e-13
+
     def test_cosine_rejects_negative_order(self):
         with pytest.raises(DomainError):
             residual_cosine_identity(-1, 0.5)
@@ -219,6 +224,8 @@ class TestVerifyGrid:
             SampleSpec(count=5, re_range=(2.0, 1.0))
         with pytest.raises(DomainError):
             SampleSpec(count=5, pole_exclusion=-0.1)
+        with pytest.raises(DomainError, match="seed"):
+            SampleSpec(count=5, seed=-1)
 
     @pytest.mark.parametrize(
         "ranges",
@@ -232,7 +239,7 @@ class TestVerifyGrid:
         ],
     )
     def test_sample_spec_rejects_non_finite_ranges(self, ranges):
-        # numpy's uniform draw would raise its own OverflowError on these
+        # an infinite end or width would put inf or nan draws in the sample
         with pytest.raises(DomainError, match="must be finite"):
             SampleSpec(count=10, **ranges)
 
@@ -243,30 +250,30 @@ def _report_digest(tag, spec):
 
 
 _DEFAULT_BOX_DIGESTS = [
-    ("functional", "07efa5c64dddca828702ba8524bf412de01520b77ce461d2050bfd8472fdd110"),
-    ("reflection", "ed8782b8181c78ff56ddb8c4493f8ae6833c644958bfab801e7b3047354c1c9b"),
-    ("duplication", "e06ed1fd95caacef81c04b5be6ff63f3b5226e5ec72c467fcac124e4e572e11f"),
-    ("mult:1", "5eb483b254cfb19a56fd9577211f054e3abc3c09d2859f3e5f3e6f8be4575904"),
-    ("mult:2", "b4f0a6ec5a301225b5d6816cf3d16d83266284b29d173286d8dcc1450ea58791"),
-    ("mult:3", "f57641e60b19aa990f7aa68f0749378f73de28ebe43d7c1ff929eb9bcf69496a"),
-    ("mult:4", "d6e197ebb1f66167279a9c6705959b6f0ab3a0265e4fa513a00b7ee63712c69b"),
-    ("mult:5", "2a8d277de6e8bbed428735fe955cd7c449b469eb77f971ef7c50e447775f9f87"),
-    ("mult:6", "437ac59058ee753e5925ea11940eb0a60f3f8dcec47f6a699fc04e438850ccec"),
-    ("cosine:0", "5eab06da657ffb8d098b2a142949388edc1a821674a7d426207d99b0f89501b8"),
-    ("cosine:1", "e4eddd1f9496bc629993c1b119510ce9970103e1f30f5ee3589ca12ce7893e6d"),
-    ("cosine:2", "30a609a1eeabafd9a4499948f43d0f620097d9bceaafa9c95a8d559294c4104e"),
-    ("cosine:3", "28d52a66a7df986703610ad781f67a8e505831f521bc82ac5a8ebb7150e46e67"),
-    ("cosine:4", "19fb281c3a0442a003dd4d6796899e51df29966fb904a52dd5c9ccc826de98ca"),
-    ("cosine:5", "fcb982625c82604135dc5884eeac87d6e2a735df0d89ab5d9cf9cb41019b7714"),
-    ("cosine:6", "dd4075ce75ba374d4c5c99fd3740f7cd2a04376e649c9e0220076bc5ecc635f1"),
-    ("cosine:7", "a7a66a9fa8531720e937f325224344e8b5538bd4bbfe64a587cea5aebff2b42b"),
-    ("cosine:8", "f9977ef07a770fec2d54b90cfb591cf21fa28e2a2dac20925215789799177e41"),
-    ("sine:1", "dc692ef572dfd09de3762b60db7c08c80966d040612518c38a5ecf71b6d9e3e3"),
-    ("sine:2", "1cbdc5927d960e3221d5b72dbd6264bd496d93da75ea572378d83e6465a2b4c9"),
-    ("sine:3", "45aab4956995f0a5485cede0a898dc90180988cb133711b8f034501daf79de18"),
-    ("sine:4", "5265800d222fa65989336b47f3fb695fbf7ef54dc358cfac50e1de44a55286d2"),
-    ("sine:5", "a2ae0c2ebd2d9efc272b2320520a8ab43e67d041b1beb6f4b9947e7632143cde"),
-    ("sine:6", "afb00e6cb706081029fe3da31b6e7e7ff533b720b9f85299dae5e08d1a71af8f"),
+    ("functional", "abfe6f024fa1235656866b23265b37bed93a86f5b076427374499b98a1038b6e"),
+    ("reflection", "5dae20ba3bcc3937f18a4260f9ccc7f638775210fc93949d642df592fcc7b3f0"),
+    ("duplication", "584a7bd99a784060659d3c598bf0cd709f918e5794192ccdad25cb15c6fcc8fe"),
+    ("mult:1", "3d6136b007f8554bdccdae9f530dab69f5f73086d6fc3ec3363e064b30c1dc9f"),
+    ("mult:2", "801d8e883663b4c1b29f51acc4a6463890d332c6c92e7ea95c2aa122b11caeca"),
+    ("mult:3", "dc4ba3f24f738a4a1f254175804c084922d6be3ae07993c70cb0b8671994d10c"),
+    ("mult:4", "4d9ab94a3239dee66823f021be59cad95ce15fc1d42d5e082882c939d23ce86b"),
+    ("mult:5", "64319bc74dbd8c0c0f606f9c2d8e75a59728fc7c6e1bf912fcdf86bba8295fbf"),
+    ("mult:6", "49f42547f58c7ad9059bccb55f12e13aecbd68800cb7b0c2852fca14546c28bb"),
+    ("cosine:0", "34c70a67fadc3b45a7509638a9bcac4c4de67920cdf84eddbc0aab99add522d9"),
+    ("cosine:1", "68550ddcdd9d1644bb508f84ea41b2694cd3bfa752c9cffdff63b2ad7a0e9bb4"),
+    ("cosine:2", "01ba16a1e8b9e563e789c6848f527f64e666f902230112c5c8513bfaf8e3fb1c"),
+    ("cosine:3", "0b00d934e9d4a049066542632127024f540212d4f47beb15c81d4cdb08b8a3d9"),
+    ("cosine:4", "7ac6140dd45cf1bf5e5024cdda15bf407654a590078773cd98f2641002ef69ca"),
+    ("cosine:5", "7722d064edb85b7678815bf7c2f2de119be41885c69a7dc689fa4264a4898557"),
+    ("cosine:6", "5a36891035b2580614c5338a7ad249feddac59ef81742ca3e6c5650091894af4"),
+    ("cosine:7", "f0a37ffa9c72989e6a553fe69a7cf59eb7fcf8048325db22421747bc99c7804f"),
+    ("cosine:8", "64f1263bfcaf841d25c3c52b903dc8baa92a5dc3ee3d40b1c1c0aa5ff1a67c58"),
+    ("sine:1", "dff26c223faa6cfc88bf2ced56150debb145f06f7c7f02590a87ecdc017b3293"),
+    ("sine:2", "d3cf5347a2184aa4db2b6205303e61f57f76cdc3d8a88f15441397bb50af79a8"),
+    ("sine:3", "8900cb97068ba0ec64d3f2ad158e122ad44edbca792ea31b293a32981f672312"),
+    ("sine:4", "3a0a66b37926569ad7e20a5713ab93137f4847362a3292695fa0cce13d670385"),
+    ("sine:5", "74425bf0be139909f28de44170eb1bfd79c57cd5f3047625fff6f56984b11ffb"),
+    ("sine:6", "3f847fab37b169bcab07a26ee25d3cfdce5fb4371b6bfd8ed86e62c28f1f7108"),
 ]
 
 
@@ -284,7 +291,7 @@ class TestReportDigests:
     def test_comb_window(self):
         spec = SampleSpec(count=500, re_range=(0.0, 0.25))
         assert _report_digest("comb", spec) == (
-            "91dee41f1494644b0a0c258283f0d6247f9c1c165d13e2c9a6cc3c416c3171bc"
+            "47bccb4e0b4cad609d35ede5966550c0519985a0c60a6f182ca45e6204b7e457"
         )
 
 
@@ -293,6 +300,12 @@ class TestNonvanishingScan:
         best, argmin = nonvanishing_scan((-2.0, 2.0), (-1.0, 1.0), 0.25)
         assert best > 0.0
         assert argmin is not None
+
+    def test_grid_points_are_pinned(self):
+        assert nonvanishing_scan((1.0, 2.0), (0.0, 0.0), 1e-3) == (
+            0.8856032523860746, 1.4619999999999491 + 0j
+        )
+        assert nonvanishing_scan((-2.0, 2.0), (-1.0, 1.0), 0.25) == (0.1649330333748014, -2 - 1j)
 
     def test_real_axis_minimum_location(self):
         # |Gamma| on [1, 2] dips to ~0.8856 near x ~ 1.4616
