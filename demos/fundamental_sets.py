@@ -45,7 +45,8 @@ print("measure (exact)   =", fs.measure, f"  ~ {float(fs.measure):.6f}  < 1/2")
 print("residual mass     =", fs.residual_mass, f"  = (1/2)(3/4)^10")
 print("leaf intervals    =", len(fs.leaf_union))
 print("tree nodes        =", fs.node_count)
-print("pieces per round  =", [len(r) for r in fs.rounds_pieces])
+print("forest roots      =", len(fs.root_forest))
+print("final pieces      =", fs.final_piece_count)
 print()
 
 # Evaluate gamma at a point outside the set by walking the recurrence

@@ -302,6 +302,8 @@ def nonvanishing_scan(re_range, im_range, step):
         raise DomainError(f"step must be > 0, got {step}")
     re_lo, re_hi = float(re_range[0]), float(re_range[1])
     im_lo, im_hi = float(im_range[0]), float(im_range[1])
+    if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi, step))):
+        raise DomainError("ranges and step must be finite")
     if re_hi < re_lo or im_hi < im_lo:
         raise DomainError("ranges must be ordered (lo, hi)")
     res = _arange(re_lo, re_hi + 0.5 * step, step)

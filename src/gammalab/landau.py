@@ -13,25 +13,24 @@ computable rational mass below (1 - delta/4)**t, so the final set
 
 has measure < delta.
 
-Two construction modes share the same arithmetic:
+One construction serves both modes.  Round 0 splits (0, 1] and its nested
+high images unite into (1/2, 1]; later rounds split every piece as it
+comes, with no merging.  The threshold-state recursion below counts these
+pieces exactly in integers, so its remainder mass, piece count and node
+count are the set's in both modes:
 
-* explicit — the full decomposition forest is materialized (feasible when
-  the round-by-round piece count stays within the node budget, e.g.
-  delta = 1/2 needs about a thousand pieces), enabling derivation traces;
-* summary — for small delta the piece count grows geometrically over
-  hundreds of rounds and no explicit forest fits in memory, but the pieces
-  occupy finitely many "class bands" and their masses and counts obey a
-  closed finite-state linear recursion over a rational threshold set.  It
-  runs as one integer transition matrix: masses are integers over a power
-  of two 2**E, counts are plain integers, and the exact mass balance is
-  asserted every round, so the exact measure is still computed.
+* explicit — when the forest fits in the node budget, one loop also
+  enumerates the pieces as integers over 2**(K t), K the class of 1, and
+  unites the I-leaves and the remainder into leaf_union; tracers need it;
+* summary — leaf_union is (0, delta/2], and the remainder enters through
+  its exact mass only.
 
-Tracers turn the records into derivation trees: `trace_evaluate` walks the
-explicit forest, `quarter_set_trace` derives Gamma on (0, 1/2) from
-(0, 1/4] and {1/3, 1} alone, and `complex_reduce_trace` extends the real
-pattern into the strip |Im z| < 1 by duplication halvings.  The tracers and
-`validate_trace` share one rule table (`_RULES`), a view of the functional,
-reflection, duplication and comb rows of the identity table
+Tracers turn the construction into derivation trees: `trace_evaluate` walks
+the halving chains over (0, 1], `quarter_set_trace` derives Gamma on
+(0, 1/2) from (0, 1/4] and {1/3, 1} alone, and `complex_reduce_trace`
+extends the real pattern into the strip |Im z| < 1 by duplication halvings.
+The tracers and `validate_trace` share one rule table (`_RULES`), a view of
+the functional, reflection, duplication and comb rows of the identity table
 (`identities._IDENTITIES`, the one statement of every identity): each
 rule's forms give a node's child arguments, compiled from the row's slots,
 and its value from theirs.
@@ -42,11 +41,13 @@ stores; the halving form's integer ratios give the children's pairs, (n, 2d)
 and (n + d, 2d), from y's lowest terms, and its value formula takes n / d,
 the correctly rounded float of y.  The complex walk calls the same form's
 float children and value formula, so each node of either walk is one call
-of the walker.  The validator matches Fraction children to a form's integer
-ratios by cross-multiplication, with no Fraction division.  The class of a
-piece (a, b], the length of its halving chain, is the least m with
-2 num(b) den(delta) <= num(delta) den(b) 2**m, read off the bit lengths of
-the two sides.
+of the walker.  Each walker also carries the right end (p, q) of its chain:
+the same ratios of (p, q) give the low child's and the high child's J
+image's, whose class starts the next round's chain.  The validator matches
+Fraction children to a form's integer ratios by cross-multiplication, with
+no Fraction division.  The class of a piece (a, b], the length of its
+halving chain, is the least m with 2 num(b) den(delta) <= num(delta) den(b)
+2**m, read off the bit lengths of the two sides.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_finite, gamma, pole_distance
+from .core import _check_finite, _residual, gamma, pole_distance
 from .errors import (
     DepthError,
     DomainError,
@@ -288,26 +289,40 @@ def iteration_count(delta) -> int:
 class FundamentalSet:
     """A constructed fundamental set with exact rational bookkeeping.
 
-    explicit mode materializes the decomposition forest (root_forest holds
-    every per-piece chain; rounds_pieces holds, per round, the pieces that
-    round decomposes as an IntervalSet, whose integer index the tracers
-    query through find) and leaf_union is the exact union of all I-leaves
-    and the final remainder.  summary mode keeps leaf_union = (0, delta/2]
-    and accounts for the remainder only through residual_mass; its measure
-    is delta/2 + residual_mass, the measure of the closed-form set
-    (0, delta/2] union remainder.  In both modes measure < delta exactly.
+    residual_mass and final_piece_count (the pieces left after t rounds,
+    unmerged) and node_count (their forest's) are the threshold recursion's
+    in both modes.  In explicit mode leaf_union is the exact union of all
+    I-leaves and the remainder, and root_forest regenerates every chain.
+    summary mode keeps leaf_union = (0, delta/2] and no forest; its measure
+    delta/2 + residual_mass bounds the explicit one.  In both modes
+    measure < delta exactly.
     """
 
     delta: Fraction
     t: int
-    root_forest: tuple
     leaf_union: IntervalSet
     measure: Fraction
     residual_mass: Fraction
     explicit: bool
-    rounds_pieces: tuple
     final_piece_count: int
     node_count: int
+
+    @property
+    def root_forest(self) -> tuple:
+        """The halving chain of every decomposed piece, round by round, by
+        landau_lemma_decompose; () in summary mode."""
+        if not self.explicit:
+            return ()
+        roots, pieces = [], [(Fraction(0), Fraction(1))]
+        for r in range(self.t):
+            nxt = []
+            for lo, hi in pieces:
+                _, Js, node = landau_lemma_decompose(lo, hi, self.delta)
+                roots.append(node)
+                nxt += Js
+            # round 0's nested J's unite into the one piece (1/2, 1]
+            pieces = nxt if r else [(_HALF, Fraction(1))]
+        return tuple(roots)
 
     def to_json_dict(self) -> dict:
         leaves = []
@@ -335,82 +350,55 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     """Build a fundamental set of measure < delta for delta in (0, 1].
 
     Runs t rounds of the interval lemma, t minimal with
-    (1 - delta/4)**t < delta/2.  The forest is materialized when it fits in
-    node_budget nodes (then tracers work); otherwise the exact measure is
-    computed by the threshold-state recursion and the set is reported in
-    summary form.  Either way every measure statement is an exact rational
-    comparison.
+    (1 - delta/4)**t < delta/2, through the threshold-state recursion.  The
+    pieces are also enumerated when their forest fits in node_budget nodes
+    (then tracers work); otherwise the set is reported in summary form.
+    Either way every measure statement is an exact rational comparison.
     """
     delta = as_fraction(delta)
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     t = iteration_count(delta)
     residual, count, nodes = _threshold_recursion(delta, t - 1)
-    # nodes bounds the explicit forest: each piece of its set union shares
-    # its right end, so its class, with a distinct piece the recursion counts
-    if nodes <= node_budget:
-        fs = _construct_explicit(delta, t)
+    explicit = nodes <= node_budget
+    if explicit:
+        leaf_union = _enumerate_leaves(delta, t, residual, count)
+        measure = leaf_union.measure
     else:
-        fs = _construct_summary(delta, t, residual, count)
-    if not fs.residual_mass < (1 - delta / 4) ** t:
+        leaf_union = IntervalSet([(Fraction(0), delta / 2)])
+        measure = delta / 2 + residual
+    if not residual < (1 - delta / 4) ** t:
         raise AssertionError("remainder bound violated")  # pragma: no cover
-    if not fs.measure < delta:
+    if not measure < delta:
         raise AssertionError("constructed set not small")  # pragma: no cover
-    return fs
+    return FundamentalSet(delta, t, leaf_union, measure, residual, explicit, count, nodes)
 
 
-def _construct_explicit(delta: Fraction, t: int) -> FundamentalSet:
-    I0, J0, node0 = landau_lemma_decompose(0, 1, delta)
-    roots = [node0]
-    i_leaves = [I0]
-    rounds_pieces = [IntervalSet([(0, 1)])]
-    leftover = IntervalSet(J0)  # round-0 J's are nested; take the set union
-    node_count = 2 * len(J0) + 1  # a class-m chain has 2m + 1 nodes
+def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -> IntervalSet:
+    """The I-leaves of t rounds and the remainder, as one IntervalSet.
+
+    Endpoints are integers over S = 2**(K t), K the class of 1; no piece's
+    denominator exceeds S, so every shift below is exact.  Round 0 leaves
+    (0, S >> K] and the one piece (1/2, 1]; each later round replaces a
+    piece (a, b] of class m by its I-leaf (a >> m, b >> m] and its m J's
+    ((a >> i) + S/2, (b >> i) + S/2], with no merging, so the remainder must
+    have the recursion's mass and count.
+    """
+    K = _class_of(Fraction(1), delta)
+    scale = 1 << (K * t)
+    half = scale >> 1
+    leaves = [(0, scale >> K)]
+    pieces = [(half, scale)]
     for _ in range(1, t):
-        rounds_pieces.append(leftover)
-        next_pieces = []
-        extracted = Fraction(0)
-        for lo, hi in leftover:
-            I, Js, node = landau_lemma_decompose(lo, hi, delta)
-            roots.append(node)
-            i_leaves.append(I)
-            next_pieces.extend(Js)
-            extracted += I[1] - I[0]
-            node_count += 2 * len(Js) + 1
-        new_leftover = IntervalSet(next_pieces)
-        # pieces born after round 0 live in disjoint dyadic bands, so the
-        # set union must preserve the multiset mass exactly
-        if new_leftover.measure + extracted != leftover.measure:
-            raise AssertionError("round lost mass")  # pragma: no cover
-        leftover = new_leftover
-    leaf_union = IntervalSet(i_leaves).union(leftover)
-    return FundamentalSet(
-        delta=delta,
-        t=t,
-        root_forest=tuple(roots),
-        leaf_union=leaf_union,
-        measure=leaf_union.measure,
-        residual_mass=leftover.measure,
-        explicit=True,
-        rounds_pieces=tuple(rounds_pieces),
-        final_piece_count=len(leftover),
-        node_count=node_count,
-    )
-
-
-def _construct_summary(delta: Fraction, t: int, residual: Fraction, count: int) -> FundamentalSet:
-    return FundamentalSet(
-        delta=delta,
-        t=t,
-        root_forest=(),
-        leaf_union=IntervalSet([(Fraction(0), delta / 2)]),
-        measure=delta / 2 + residual,
-        residual_mass=residual,
-        explicit=False,
-        rounds_pieces=(),
-        final_piece_count=count,
-        node_count=0,
-    )
+        nxt = []
+        for a, b in pieces:
+            m = _class_of(Fraction(b, scale), delta)
+            leaves.append((a >> m, b >> m))
+            nxt += [((a >> i) + half, (b >> i) + half) for i in range(1, m + 1)]
+        pieces = nxt
+    if Fraction(sum(b - a for a, b in pieces), scale) != residual or len(pieces) != count:
+        raise AssertionError("enumeration disagrees with the recursion")  # pragma: no cover
+    return IntervalSet([(Fraction(a, scale), Fraction(b, scale)) for a, b in leaves + pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +565,7 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
         x = a.numerator / a.denominator if type(a) is Fraction else a
         value = node.value
         want = form.combine(x, *[c.value for c in children])
-        scale = max(abs(value), abs(want), 1e-300)
-        if not abs(value - want) / scale <= 1e-12:  # NaN fails too
+        if not _residual(value, want) <= 1e-12:  # NaN fails too
             raise DomainError(f"{rule} node at {a!r} fails replay: {value!r} vs {want!r}")
         stack.extend(reversed(children))
     return checked
@@ -597,26 +584,24 @@ def _require_explicit(fs: FundamentalSet):
         )
 
 
-def _walk_real(n: int, d: int, r: int, fs: FundamentalSet, m: int | None = None) -> TraceNode:
+def _walk_real(n: int, d: int, fs: FundamentalSet, end=None, m: int | None = None) -> TraceNode:
     """Trace node for y = n/d (d > 0): a direct leaf if y is in the set, else
-    a halving step.  m is y's remaining chain length inside a round-r piece;
-    None (a fresh piece) looks it up from the round-r pieces."""
+    a halving step.  end is the right end (p, q) of the interval of y's
+    chain, None on round 0's chain over (0, 1]; m is y's remaining chain
+    length, None (a fresh piece) for the class of end."""
     y = Fraction(n, d)
     # n / d is correctly rounded, so it is float(y) whether or not n/d is reduced
     if y in fs.leaf_union:
         return TraceNode("direct", y, gamma(n / d), ())
     if m is None:
-        if r >= fs.t:
-            raise TraceDepthError(f"point {y} uncovered after {fs.t} rounds")
-        piece = fs.rounds_pieces[r].find(y)
-        if piece is None:
-            raise TraceDepthError(f"point {y} not covered by round {r} pieces")
-        m = _class_of(piece[1], fs.delta)
+        m = _class_of(Fraction(*end) if end else Fraction(1), fs.delta)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {y} outside the set")
     (ln, ld), (hn, hd) = _HALVES.ratios(*y.as_integer_ratio())
-    low = _walk_real(ln, ld, r, fs, m - 1)
-    high = _walk_real(hn, hd, r + 1, fs)
+    # round 0's nested J images unite into the one piece (1/2, 1]
+    low_end, high_end = _HALVES.ratios(*end) if end else (None, (1, 1))
+    low = _walk_real(ln, ld, fs, low_end, m - 1)
+    high = _walk_real(hn, hd, fs, high_end)
     return TraceNode("duplication", y, _HALVES.combine(n / d, low.value, high.value), (low, high))
 
 
@@ -631,7 +616,7 @@ def trace_evaluate(x, fs: FundamentalSet):
     if not (0 < x <= 1):
         raise DomainError(f"x must lie in (0, 1], got {x}")
     _require_explicit(fs)
-    return _finish_trace(_walk_real(x.numerator, x.denominator, 0, fs))
+    return _finish_trace(_walk_real(x.numerator, x.denominator, fs))
 
 
 # ---------------------------------------------------------------------------
@@ -736,27 +721,23 @@ def _reduce_complex(z: complex, fs: FundamentalSet, budget) -> TraceNode:
     if abs(z.imag) >= 1.0:
         _spend(budget)
         return _node("duplication", z, reduce)
-    return _walk_complex(z, 0, fs, budget)
+    return _walk_complex(z, fs, budget)
 
 
 def _walk_complex(
-    z: complex, r: int, fs: FundamentalSet, budget, m: int | None = None
+    z: complex, fs: FundamentalSet, budget, end=None, m: int | None = None
 ) -> TraceNode:
     """Complex counterpart of _walk_real on the real part of z."""
     if z.real in fs.leaf_union:
         _spend(budget)
         return TraceNode("direct", z, gamma(z), ())
     if m is None:
-        if r >= fs.t:
-            raise TraceDepthError(f"real part {z.real} uncovered after {fs.t} rounds")
-        piece = fs.rounds_pieces[r].find(z.real)
-        if piece is None:
-            raise TraceDepthError(f"real part {z.real} not covered at round {r}")
-        m = _class_of(piece[1], fs.delta)
+        m = _class_of(Fraction(*end) if end else Fraction(1), fs.delta)
     _spend(budget)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
     low, high = _HALVES.generic(z)
-    low = _walk_complex(low, r, fs, budget, m - 1)
-    high = _walk_complex(high, r + 1, fs, budget)
+    low_end, high_end = _HALVES.ratios(*end) if end else (None, (1, 1))
+    low = _walk_complex(low, fs, budget, low_end, m - 1)
+    high = _walk_complex(high, fs, budget, high_end)
     return TraceNode("duplication", z, _HALVES.combine(z, low.value, high.value), (low, high))

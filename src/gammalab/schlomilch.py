@@ -156,8 +156,9 @@ def _generalized_args(w, z):
 
 
 def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
-    """The stopping rule of both series over an iterator of terms; the budget
-    is checked before a term is drawn, so ahead of the terms' own checks."""
+    """The stopping rule of both series over (term, settled) pairs from
+    _hyp2f1_terms, where only settled terms count as small; the budget is
+    checked before a term is drawn, so ahead of the terms' own checks."""
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     if max_terms < 1:
@@ -165,11 +166,11 @@ def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
     total = 0.0 + 0.0j
     mass = 0.0
     small_streak = 0
-    for n, term in zip(range(max_terms), terms):
+    for n, (term, settled) in zip(range(max_terms), terms):
         total += term
         mag = abs(term)
         mass += mag
-        if mag <= tolerance * abs(total):
+        if settled and mag <= tolerance * abs(total):
             small_streak += 1
             if small_streak >= 3:
                 return SeriesResult(total, n + 1, mag, True, mass)
@@ -187,8 +188,8 @@ def _generalized_terms(w, z):
     s = w + z - 0.5
     u = w - z + 0.5
     g = _gamma_factor(s)
-    for term in _hyp2f1_terms(Hyp2F1Params(1.0 - u, u, 1.0 - s)):
-        yield g * term
+    for term, settled in _hyp2f1_terms(Hyp2F1Params(1.0 - u, u, 1.0 - s)):
+        yield g * term, settled
 
 
 def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int) -> SeriesResult:
@@ -196,8 +197,10 @@ def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int)
 
     Stops once three consecutive terms fall below tolerance * |partial sum|
     (isolated terms can be anomalously small when a Pochhammer factor nearly
-    vanishes); reports converged=False if max_terms is reached first.  The
-    series is Gamma(s) * 2F1(1 - u, u; 1 - s; 1/2) with s = w + z - 1/2 and
+    vanishes), counting only settled terms: those past n = Re(s) - 1, before
+    which the terms may still grow, or past the end of a terminating series;
+    reports converged=False if max_terms is reached first.  The series is
+    Gamma(s) * 2F1(1 - u, u; 1 - s; 1/2) with s = w + z - 1/2 and
     u = w - z + 1/2, so its terms are the Gauss series' term recurrence
     scaled by the one gamma value Gamma(s).
     """
@@ -205,9 +208,15 @@ def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int)
 
 
 def _hyp2f1_terms(p: Hyp2F1Params):
+    """(term, settled) for the n-th term of the Gauss series of p.  A term is
+    settled once Re(c) + n > 0, before which a factor c + n of the term
+    ratio's denominator may come near 0 and make the terms grow again, or
+    past n = k when a or b is within 1e-10 of -k and the series has ended."""
+    ends = [-round(x.real) for x in (p.a, p.b) if pole_distance(x) <= 1e-10]
+    end = min(ends, default=math.inf)
     term = 1.0 + 0.0j
     for n in count():
-        yield term
+        yield term, p.c.real + n > 0 or n > end
         term = term * (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * 0.5
 
 

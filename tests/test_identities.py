@@ -318,6 +318,15 @@ class TestNonvanishingScan:
         with pytest.raises(DomainError):
             nonvanishing_scan((0.0, 1.0), (0.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "re_range, step",
+        [((0.0, math.inf), 1.0), ((math.nan, 1.0), 0.5), ((0.0, 1.0), math.inf)],
+        ids=["inf-end", "nan-end", "inf-step"],
+    )
+    def test_rejects_non_finite_range_or_step(self, re_range, step):
+        with pytest.raises(DomainError, match="finite"):
+            nonvanishing_scan(re_range, (0.0, 0.0), step)
+
     def test_all_points_excluded(self):
         with pytest.raises(EmptyGridError):
             nonvanishing_scan((-0.01, 0.01), (0.0, 0.0), 0.005)

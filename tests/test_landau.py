@@ -142,11 +142,10 @@ class TestExplicitConstruction:
         # at delta = 1/2 every leftover piece has class 2, so each round
         # keeps 3/4 of the mass: residual = (1/2) * (3/4)**10
         assert fs_half.residual_mass == Fraction(1, 2) * Fraction(3, 4) ** 10
-        assert fs_half.final_piece_count == 512
-        assert fs_half.node_count == 2565
-        assert [len(p) for p in fs_half.rounds_pieces] == [
-            1, 1, 1, 2, 4, 8, 16, 32, 64, 128, 256,
-        ]
+        # rounds 1..10 double the one piece (1/2, 1]; each class-2 chain
+        # has 5 nodes, round 0's included
+        assert fs_half.final_piece_count == 1024
+        assert fs_half.node_count == 5120
 
     def test_half_measure_below_delta(self, fs_half):
         assert fs_half.measure < Fraction(1, 2)
@@ -296,17 +295,27 @@ class TestThresholdRecursion:
 
     @pytest.mark.parametrize(
         "delta, explicit_nodes, recursion_nodes",
-        [("1/2", 2565, 5120), ("3/7", 103221, 231921), ("4/9", 37715, 83167),
-         ("3/4", 36, 52), ("1", 9, 9)],
+        [("1/2", 5120, 5120), ("3/7", 231921, 231921), ("4/9", 83167, 83167),
+         ("3/4", 52, 52), ("1", 9, 9)],
     )
     def test_explicit_forest_within_the_recursion_count(self, delta, explicit_nodes, recursion_nodes):
-        # the budget is compared with the recursion's count only, so the
-        # explicit forest must never exceed it
+        # the budget is compared with the recursion's count, which is the
+        # explicit forest's own
         delta = Fraction(delta)
         _, _, nodes = _threshold_recursion(delta, iteration_count(delta) - 1)
         fs = landau_construct(delta, node_budget=nodes)
         assert (fs.explicit, fs.node_count, nodes) == (True, explicit_nodes, recursion_nodes)
         assert fs.node_count <= nodes
+
+    @pytest.mark.parametrize("delta", ["1", "3/4", "2/3", "5/8", "1/2", "4/9", "3/7"])
+    def test_explicit_and_summary_modes_agree(self, delta):
+        delta = Fraction(delta)
+        summary = landau_construct(delta, node_budget=1)
+        explicit = landau_construct(delta, node_budget=10**7)
+        assert (summary.explicit, explicit.explicit) == (False, True)
+        fields = ("t", "residual_mass", "final_piece_count", "node_count")
+        assert [getattr(explicit, f) for f in fields] == [getattr(summary, f) for f in fields]
+        assert explicit.measure <= summary.measure
 
 
 class TestTraceEvaluate:
@@ -898,44 +907,24 @@ class TestFormChildBits:
             assert _bits(generic(a)) == _bits(hand(a)), a
 
 
-def _inconsistent(fs, broken):
-    """fs with one part made inconsistent with the rest."""
-    if broken == "rounds":
-        return dataclasses.replace(fs, t=0)
-    if broken == "pieces":
-        empty = tuple(IntervalSet([]) for _ in fs.rounds_pieces)
-        return dataclasses.replace(fs, rounds_pieces=empty)
+def _without_leaves(fs):
+    """fs with an empty leaf_union, so that every halving chain runs out."""
     return dataclasses.replace(fs, leaf_union=IntervalSet([]))
 
 
 class TestTraceDepthErrors:
-    """Each walker's three TraceDepthError sites: a point left uncovered
-    after t rounds, a point no round-r piece covers, and a halving chain
-    that ends outside the set."""
+    """Each walker's TraceDepthError site: a halving chain that ends outside
+    the set."""
 
-    @pytest.mark.parametrize(
-        "broken,match",
-        [
-            ("rounds", "point 3/5 uncovered after 0 rounds"),
-            ("pieces", "point 3/5 not covered by round 0 pieces"),
-            ("leaves", "chain bottomed out at .* outside the set"),
-        ],
-    )
+    @pytest.mark.parametrize("broken,match", [("leaves", "chain bottomed out at .* outside the set")])
     def test_real_walk(self, fs_half, broken, match):
         with pytest.raises(TraceDepthError, match=match):
-            trace_evaluate(Fraction(3, 5), _inconsistent(fs_half, broken))
+            trace_evaluate(Fraction(3, 5), _without_leaves(fs_half))
 
-    @pytest.mark.parametrize(
-        "broken,match",
-        [
-            ("rounds", "real part 0.6 uncovered after 0 rounds"),
-            ("pieces", "real part 0.6 not covered at round 0"),
-            ("leaves", "chain bottomed out at .* outside the set"),
-        ],
-    )
+    @pytest.mark.parametrize("broken,match", [("leaves", "chain bottomed out at .* outside the set")])
     def test_complex_walk(self, fs_half, broken, match):
         with pytest.raises(TraceDepthError, match=match):
-            complex_reduce_trace(0.6 + 0.2j, _inconsistent(fs_half, broken))
+            complex_reduce_trace(0.6 + 0.2j, _without_leaves(fs_half))
 
 
 _TINY = Fraction(1, 2**61)

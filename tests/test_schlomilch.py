@@ -161,6 +161,14 @@ class TestGeneralizedSeries:
         with pytest.raises(DomainError, match="max_terms must be >= 1"):
             generalized_series(1.25, 1.25, 1e-10, 0)
 
+    def test_no_stop_before_the_terms_can_no_longer_grow(self):
+        # c = 1 - s = -24.5: the terms shrink, then grow again as n nears
+        # Re s - 1, so three small terms at n < 24.5 prove nothing
+        result = generalized_series(12.7, 13.3, 1e-8, 500)
+        assert result.converged
+        assert result.terms_used > 25
+        assert abs(result.value - generalized_lhs(12.7, 13.3)) <= 1e-8 * result.mass
+
     @pytest.mark.parametrize("max_terms", [1, 2, 8])
     def test_exhausted_series_reports_every_term(self, max_terms):
         result = generalized_series(0.7, 0.9, 1e-13, max_terms)
