@@ -21,89 +21,74 @@ with exact-arithmetic constructions and residual checkers:
 * :mod:`gammalab.mellin` — Mellin-transform checks of the master theorem
   for alternating power series;
 * :mod:`gammalab.cli` — the ``gammalab`` command-line front end.
+
+Imports are lazy (PEP 562): ``import gammalab`` loads no submodule, and a
+public name such as ``gammalab.gamma`` loads its home module on first use.
+So each ``gammalab`` subcommand loads only the modules it uses.
 """
 
-from .core import beta, gamma, log_gamma, pochhammer, pole_distance
-from .errors import (
-    ConvergenceError,
-    DepthError,
-    DomainError,
-    EmptyGridError,
-    GammalabError,
-    PoleError,
-    ResourceError,
-    TraceDepthError,
-)
-from .identities import (
-    IdentityReport,
-    SampleSpec,
-    nonvanishing_scan,
-    residual_comb,
-    residual_cosine_identity,
-    residual_duplication,
-    residual_functional,
-    residual_multiplication,
-    residual_reflection,
-    residual_sine_factorization,
-    verify_grid,
-)
-from .intervals import IntervalSet, as_fraction
-from .landau import (
-    DerivationTrace,
-    FundamentalSet,
-    TraceNode,
-    complex_reduce_trace,
-    iteration_count,
-    landau_construct,
-    landau_lemma_decompose,
-    quarter_set_trace,
-    trace_evaluate,
-    validate_trace,
-)
-from .quadrature import QuadratureSpec, beta_integral, gamma_integral, tanh_sinh
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "gamma",
-    "log_gamma",
-    "beta",
-    "pochhammer",
-    "pole_distance",
-    "GammalabError",
-    "DomainError",
-    "PoleError",
-    "ConvergenceError",
-    "EmptyGridError",
-    "ResourceError",
-    "TraceDepthError",
-    "DepthError",
-    "QuadratureSpec",
-    "tanh_sinh",
-    "gamma_integral",
-    "beta_integral",
-    "SampleSpec",
-    "IdentityReport",
-    "verify_grid",
-    "nonvanishing_scan",
-    "residual_functional",
-    "residual_reflection",
-    "residual_duplication",
-    "residual_multiplication",
-    "residual_sine_factorization",
-    "residual_comb",
-    "residual_cosine_identity",
-    "IntervalSet",
-    "as_fraction",
-    "FundamentalSet",
-    "TraceNode",
-    "DerivationTrace",
-    "iteration_count",
-    "landau_lemma_decompose",
-    "landau_construct",
-    "trace_evaluate",
-    "quarter_set_trace",
-    "complex_reduce_trace",
-    "validate_trace",
-]
+# each public name, by its home module
+_HOMES = {
+    "core": ("gamma", "log_gamma", "beta", "pochhammer", "pole_distance"),
+    "errors": (
+        "GammalabError",
+        "DomainError",
+        "PoleError",
+        "ConvergenceError",
+        "EmptyGridError",
+        "ResourceError",
+        "TraceDepthError",
+        "DepthError",
+    ),
+    "quadrature": ("QuadratureSpec", "tanh_sinh", "gamma_integral", "beta_integral"),
+    "identities": (
+        "SampleSpec",
+        "IdentityReport",
+        "verify_grid",
+        "nonvanishing_scan",
+        "residual_functional",
+        "residual_reflection",
+        "residual_duplication",
+        "residual_multiplication",
+        "residual_sine_factorization",
+        "residual_comb",
+        "residual_cosine_identity",
+    ),
+    "intervals": ("IntervalSet", "as_fraction"),
+    "landau": (
+        "FundamentalSet",
+        "TraceNode",
+        "DerivationTrace",
+        "iteration_count",
+        "landau_lemma_decompose",
+        "landau_construct",
+        "trace_evaluate",
+        "quarter_set_trace",
+        "complex_reduce_trace",
+        "validate_trace",
+    ),
+}
+_EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset({*_HOMES, "cli", "closure", "mellin", "schlomilch", "stern"})
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    """Load a public name's home module, or a submodule, on first access."""
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,24 +11,19 @@ fixed argument vector (plus seed) reproduces identical bytes.
 Tolerance resolution: an explicit --tol wins, else the GAMMALAB_TOL
 environment variable, else a per-family default (1e-10 identities, 1e-8
 series/quadrature, 1e-7 transforms, 1e-9 real traces, 1e-8 complex).
+
+Each handler imports its own modules, so a subcommand loads only what it
+uses: ``eval`` loads ``core`` and nothing of ``landau`` or ``identities``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from . import closure as closure_mod
-from . import mellin as mellin_mod
-from . import schlomilch
-from . import stern as stern_mod
-from .core import _residual, gamma
 from .errors import (
     ConvergenceError,
     DepthError,
@@ -37,17 +32,6 @@ from .errors import (
     PoleError,
     ResourceError,
     TraceDepthError,
-)
-from .identities import _IDENTITIES, IdentityReport, SampleSpec, parse_identity_tag, verify_grid
-from .intervals import as_fraction
-from .landau import (
-    DEFAULT_NODE_BUDGET,
-    complex_reduce_trace,
-    landau_construct,
-    quarter_set_membership,
-    quarter_set_trace,
-    trace_evaluate,
-    validate_trace,
 )
 
 _DEFAULTS = {
@@ -75,7 +59,9 @@ _ERROR_KINDS = (
 # argument parsing helpers (all failures here are usage errors, exit 2)
 
 
-def _arg_rational(text: str) -> Fraction:
+def _arg_rational(text: str):
+    from .intervals import as_fraction
+
     try:
         return as_fraction(text)
     except (DomainError, ValueError, ZeroDivisionError):
@@ -89,6 +75,8 @@ def _arg_complex(text: str) -> complex:
             re_s, im_s = text.split(",", 1)
             return complex(float(re_s), float(im_s))
         if "/" in text:
+            from fractions import Fraction
+
             return complex(float(Fraction(text)))
         return complex(float(text))
     except (ValueError, ZeroDivisionError):
@@ -96,6 +84,8 @@ def _arg_complex(text: str) -> complex:
 
 
 def _arg_identity(text: str) -> str:
+    from .identities import parse_identity_tag
+
     try:
         parse_identity_tag(text)
     except DomainError as exc:
@@ -159,6 +149,9 @@ def _render(report: dict, fmt: str) -> str:
         ) + "\n"
     pairs = [(k, _scalar_text(v)) for k, v in _flatten(report)]
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([k for k, _ in pairs])
@@ -177,6 +170,8 @@ def _pair(z: complex) -> list:
 
 
 def _cmd_eval(args, tol):
+    from .core import gamma
+
     value = gamma(args.z if args.z.imag != 0.0 else args.z.real)
     value = complex(value)
     return 0, {
@@ -187,6 +182,8 @@ def _cmd_eval(args, tol):
 
 
 def _cmd_verify(args, tol):
+    from .identities import _IDENTITIES, SampleSpec, parse_identity_tag, verify_grid
+
     if args.grid is not None:
         count, re_range, im_range = args.grid
         spec = SampleSpec(
@@ -198,7 +195,7 @@ def _cmd_verify(args, tol):
         spec = SampleSpec(count=args.samples, re_range=window, seed=args.seed)
     else:
         spec = SampleSpec(count=args.samples, seed=args.seed)
-    report: IdentityReport = verify_grid(args.identity, spec, tol)
+    report = verify_grid(args.identity, spec, tol)
     return (0 if report.passed else 1), report.to_json_dict()
 
 
@@ -211,6 +208,9 @@ def _verdict(report: dict, residual: float, tol: float, ok: bool = True):
 
 
 def _cmd_schlomilch_finite(args, tol):
+    from . import schlomilch
+    from .core import _residual
+
     lhs = schlomilch.schlomilch_finite_lhs(args.m, args.z)
     rhs = schlomilch.schlomilch_finite_rhs(args.m, args.z)
     return _verdict(
@@ -221,6 +221,9 @@ def _cmd_schlomilch_finite(args, tol):
 
 
 def _cmd_schlomilch_general(args, tol):
+    from . import schlomilch
+    from .core import _residual
+
     closed = schlomilch.generalized_lhs(args.w, args.z)
     series = schlomilch.generalized_series(args.w, args.z, tolerance=tol, max_terms=args.max_terms)
     report = {
@@ -235,6 +238,8 @@ def _cmd_schlomilch_general(args, tol):
 
 
 def _cmd_schlomilch_binom(args, tol):
+    from . import schlomilch
+
     lhs, rhs, equal = schlomilch.binomial_identity_check(args.m, args.l)
     return (0 if equal else 1), {
         "m": args.m,
@@ -245,14 +250,25 @@ def _cmd_schlomilch_binom(args, tol):
     }
 
 
+def _fundamental_set(args):
+    """The set of measure < --delta, under --node-budget or, when that is
+    not given, landau's own default."""
+    from .landau import DEFAULT_NODE_BUDGET, landau_construct
+
+    budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
+    return landau_construct(args.delta, node_budget=budget)
+
+
 def _cmd_landau_construct(args, tol):
-    fs = landau_construct(args.delta, node_budget=args.node_budget)
-    return 0, fs.to_json_dict()
+    return 0, _fundamental_set(args).to_json_dict()
 
 
 def _trace_report(args, head: dict, value, trace, reference, tol, membership):
     """The report of one derivation trace, checked against the reference
     value and replayed by validate_trace; --emit-trace adds the tree."""
+    from .core import _residual
+    from .landau import validate_trace
+
     residual = _residual(value, reference, abs(reference))
     report = dict(
         head,
@@ -268,7 +284,10 @@ def _trace_report(args, head: dict, value, trace, reference, tol, membership):
 
 
 def _cmd_landau_trace(args, tol):
-    fs = landau_construct(args.delta, node_budget=args.node_budget)
+    from .core import gamma
+    from .landau import trace_evaluate
+
+    fs = _fundamental_set(args)
     value, trace = trace_evaluate(args.x, fs)
     head = {"x": str(args.x), "delta": str(args.delta)}
     return _trace_report(
@@ -277,6 +296,9 @@ def _cmd_landau_trace(args, tol):
 
 
 def _cmd_landau_quarter(args, tol):
+    from .core import gamma
+    from .landau import quarter_set_membership, quarter_set_trace
+
     value, trace = quarter_set_trace(args.x)
     return _trace_report(
         args, {"x": args.x}, value, trace, gamma(args.x), tol, quarter_set_membership
@@ -284,7 +306,10 @@ def _cmd_landau_quarter(args, tol):
 
 
 def _cmd_complex_trace(args, tol):
-    fs = landau_construct(args.delta, node_budget=args.node_budget)
+    from .core import gamma
+    from .landau import complex_reduce_trace
+
+    fs = _fundamental_set(args)
     value, trace = complex_reduce_trace(args.z, fs)
 
     def membership(a):
@@ -295,8 +320,10 @@ def _cmd_complex_trace(args, tol):
 
 
 def _cmd_stern(args, tol):
-    independent = stern_mod.independent_count(args.m)
-    expected = stern_mod.totient(args.m) // 2
+    from . import stern
+
+    independent = stern.independent_count(args.m)
+    expected = stern.totient(args.m) // 2
     return (0 if independent == expected else 1), {
         "m": args.m,
         "independent": independent,
@@ -305,10 +332,11 @@ def _cmd_stern(args, tol):
 
 
 def _cmd_closure(args, tol):
-    pts = closure_mod.affine_closure(
-        args.points, args.depth, args.max_n, budget=args.budget
-    )
-    K = closure_mod.branching_factor(args.max_n)
+    from . import closure
+
+    budget = closure.DEFAULT_CARDINALITY_BUDGET if args.budget is None else args.budget
+    pts = closure.affine_closure(args.points, args.depth, args.max_n, budget=budget)
+    K = closure.branching_factor(args.max_n)
     bound = len(args.points) * K**args.depth
     within = len(pts) <= bound
     return (0 if within else 1), {
@@ -324,9 +352,12 @@ def _cmd_closure(args, tol):
 
 
 def _cmd_mellin(args, tol):
-    spec = mellin_mod.catalog_entry(args.phi)
-    transform = mellin_mod.mellin_transform(spec, args.s)
-    closed = mellin_mod.rmt_closed_form(spec, args.s)
+    from . import mellin
+    from .core import _residual
+
+    spec = mellin.catalog_entry(args.phi)
+    transform = mellin.mellin_transform(spec, args.s)
+    closed = mellin.rmt_closed_form(spec, args.s)
     report = {"phi": spec.id, "s": args.s, "transform": transform, "closed_form": closed}
     return _verdict(report, _residual(transform, closed), tol)
 
@@ -395,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = lsub.add_parser("construct", help="build the measure-<delta set")
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int)
     _add_common(p, "trace")
     p.set_defaults(handler=_cmd_landau_construct)
 
     p = lsub.add_parser("trace", help="derive Gamma(x) from the constructed set")
     p.add_argument("--x", type=_arg_rational, required=True)
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int)
     p.add_argument("--emit-trace", action="store_true",
                    help="include the full derivation tree in the report")
     _add_common(p, "trace")
@@ -424,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rationals, e.g. 1/3,2/5")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=closure_mod.DEFAULT_CARDINALITY_BUDGET)
+    p.add_argument("--budget", type=int)
     _add_common(p, "identities")
     p.set_defaults(handler=_cmd_closure)
 
@@ -438,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_arg_complex, required=True,
                    help="RE,IM (use --z=RE,IM when RE is negative)")
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int)
     p.add_argument("--emit-trace", action="store_true")
     _add_common(p, "complex_trace")
     p.set_defaults(handler=_cmd_complex_trace)

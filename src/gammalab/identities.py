@@ -133,12 +133,15 @@ def _gamma_residual(kind, param, z, clearance=_MIN_CLEARANCE):
     """Residual of a gamma row at z (a real z on a real-only row's window):
     Gamma at the first slot against the combine of Gamma at the others.
 
-    Raises DomainError off the window, and PoleError where a slot lies
-    within `clearance` of a pole (DomainError for the reflection, whose
-    slots meet a pole at every integer).
+    Raises DomainError off the window or at a complex z on a real-only row,
+    and PoleError where a slot lies within `clearance` of a pole
+    (DomainError for the reflection, whose slots meet a pole at every
+    integer).
     """
     window = _IDENTITIES[kind].window
     if window:
+        if isinstance(z, complex):
+            raise DomainError(f"{kind} is stated for real arguments, got {z!r}")
         z = float(z)
         if not window[0] < z < window[1]:
             raise DomainError(f"{kind} is stated on ({window[0]}, {window[1]}), got {z}")
@@ -208,7 +211,8 @@ def residual_comb(alpha: float) -> float:
             = 2**(6a - 3/2) * Gamma(2a) * Gamma(a + 1/4) / sin(pi*(a + 3/4))
 
     for real a in the open interval (0, 1/4): Gamma(a + 1/4) against the
-    relation solved for it.
+    relation solved for it.  Raises DomainError for any other a, a complex
+    one included.
     """
     return _gamma_residual("comb", None, alpha)
 

@@ -632,8 +632,10 @@ def quarter_set_trace(x: float, *, depth_cap: int = _QUARTER_DEPTH_CAP):
     whose recursive argument 4*alpha quadruples the distance to the fixed
     point 1/3 and so escapes the window; points in (1/3, 1/2) first reflect
     to 1 - x and then peel that with an inverted duplication step.  Raises
-    DepthError if the escape exceeds depth_cap, and DomainError within
-    1e-9 of 1/3 (except at the representable 1/3 itself, a direct leaf).
+    DepthError if the escape exceeds depth_cap, DomainError within 1e-9 of
+    1/3 (except at the representable 1/3 itself, a direct leaf), and
+    PoleError within 1e-12 of 1/2, where the duplication step's child
+    1/2 - x meets the absolute pole test at 0.
     """
     x = float(x)
     if not (0.0 < x < 0.5):

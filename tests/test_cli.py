@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -324,6 +325,14 @@ class TestLandau:
         assert code == 1
         assert report["error"] == "domain"
 
+    def test_quarter_next_to_half_is_pole(self, capsys):
+        code, out = run(["landau", "quarter", "--x", "0.4999999999999"], capsys)
+        assert code == 1
+        assert out == (
+            '{"detail":"gamma pole at non-positive integer near 1.9984014443252818e-13",'
+            '"error":"pole"}\n'
+        )
+
     def test_complex_trace(self, capsys):
         code, report = run_json(
             ["complex-trace", "--z=-2.3,1.7", "--delta", "1/2"], capsys
@@ -603,8 +612,74 @@ def _run_src(code, *argv):
     )
 
 
+def _loaded_by(argv):
+    """The gammalab submodules one process loads to run main(argv)."""
+    proc = _run_src(
+        "import sys; from gammalab.cli import main; main(sys.argv[1:]); "
+        "sys.stderr.write(' '.join(sorted(m[9:] for m in sys.modules "
+        "if m.startswith('gammalab.'))))",
+        *argv,
+    )
+    json.loads(proc.stdout)
+    return set(proc.stderr.split())
+
+
 class TestColdStart:
-    """No subcommand loads numpy: gammalab runs on the standard library."""
+    """No subcommand loads numpy: gammalab runs on the standard library.
+    Imports are lazy, so each subcommand loads only the modules it uses."""
+
+    def test_import_loads_no_submodule(self):
+        proc = _run_src(
+            "import sys, gammalab; "
+            "print([m for m in sys.modules if m.startswith('gammalab.')])"
+        )
+        assert proc.stdout == "[]\n", proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["eval", "--z", "0.5,2"], {"cli", "core", "errors"}),
+            (["eval", "--z", "1/3"], {"cli", "core", "errors"}),
+            (["stern", "--m", "27"], {"cli", "errors", "stern"}),
+        ],
+    )
+    def test_subcommand_loads_only_its_modules(self, argv, modules):
+        assert _loaded_by(argv) == modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--identity", "reflection", "--samples", "50"],
+            ["verify", "--identity", "comb", "--samples", "20"],
+            ["mellin", "--phi", "exp", "--s", "0.5"],
+        ],
+    )
+    def test_sweeps_load_no_exact_modules(self, argv):
+        assert not _loaded_by(argv) & {"landau", "intervals", "schlomilch"}
+
+    @pytest.mark.parametrize("name", [n for n in gammalab.__all__ if n != "__version__"])
+    def test_public_name_resolves_to_its_home(self, name):
+        home = importlib.import_module(f"gammalab.{gammalab._EXPORTS[name]}")
+        assert getattr(gammalab, name) is getattr(home, name)
+
+    def test_dir_and_unknown_names(self):
+        assert set(gammalab.__all__) <= set(dir(gammalab))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gammalab.no_such_name
+
+    def test_submodule_after_bare_import(self):
+        proc = _run_src("import gammalab; print(gammalab.landau.DEFAULT_NODE_BUDGET > 0)")
+        assert proc.stdout == "True\n", proc.stderr
+
+    def test_default_node_budget_applies(self, capsys, monkeypatch):
+        # the default is landau's, read when the handler runs
+        argv = ["landau", "construct", "--delta", "1/2"]
+        _, explicit = run_json(argv, capsys)
+        _, summary = run_json(argv + ["--node-budget", "5119"], capsys)
+        assert explicit["explicit"] is True
+        assert summary["explicit"] is False
+        monkeypatch.setattr(gammalab.landau, "DEFAULT_NODE_BUDGET", 5119)
+        assert run_json(argv, capsys)[1] == summary
 
     def test_import_does_not_load_numpy(self):
         proc = _run_src("import sys, gammalab; print('numpy' in sys.modules)")

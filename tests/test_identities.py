@@ -105,6 +105,13 @@ class TestPointwiseResiduals:
         with pytest.raises(DomainError):
             residual_comb(0.0)
 
+    def test_comb_rejects_complex_argument(self):
+        # the relation is stated for real a; float() used to raise TypeError
+        with pytest.raises(DomainError):
+            residual_comb(0.1 + 0j)
+        with pytest.raises(DomainError):
+            residual_comb(0.1 + 0.01j)
+
     def test_cosine_order_zero_exact(self):
         assert residual_cosine_identity(0, 1.234) == 0.0
 

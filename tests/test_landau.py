@@ -14,6 +14,7 @@ from gammalab.core import gamma
 from gammalab.errors import (
     DepthError,
     DomainError,
+    PoleError,
     ResourceError,
     TraceDepthError,
 )
@@ -406,6 +407,13 @@ class TestQuarterSet:
             quarter_set_trace(0.0)
         with pytest.raises(DomainError):
             quarter_set_trace(0.6)
+
+    def test_pole_next_to_half(self):
+        # the duplication step's child 1/2 - x meets the pole test at 0
+        with pytest.raises(PoleError):
+            quarter_set_trace(0.5 - 1e-13)
+        value, _ = quarter_set_trace(0.5 - 1e-11)
+        assert value == pytest.approx(gamma(0.5 - 1e-11), rel=1e-9)
 
     def test_membership_predicate(self):
         assert quarter_set_membership(0.1)
