@@ -8,12 +8,20 @@ multiplication formula links any of its n + 1 slots to the others.  The
 closure of a finite set under finitely many affine maps stays finite — and
 so of measure zero — which is what makes small fundamental sets possible;
 this module makes the growth bound |S| * K**depth concrete.
+
+The closure runs on reduced integer pairs (n, d), d > 0: the maps' compiled
+integer ratios (``identities._compile``) give each image of n/d as a pair
+that one gcd reduces, and Fractions are made only for the returned set.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+
 from .errors import DomainError, ResourceError
-from .identities import _node_maps, _slots_of
+from .identities import _compile, _node_maps, _slots_of
 from .intervals import as_fraction
 
 DEFAULT_CARDINALITY_BUDGET = 100_000
@@ -42,6 +50,12 @@ def branching_factor(max_n: int) -> int:
     return 1 + len(generating_maps(max_n))
 
 
+@lru_cache(maxsize=16)
+def _image_ratios(max_n: int):
+    """The compiled integer ratios of generating_maps(max_n)."""
+    return _compile(generating_maps(max_n))[1]
+
+
 def affine_closure(points, depth: int, max_n: int,
                    *, budget: int = DEFAULT_CARDINALITY_BUDGET) -> frozenset:
     """Depth-step closure of `points` under the identity maps, in (0, inf).
@@ -49,7 +63,7 @@ def affine_closure(points, depth: int, max_n: int,
     Images outside (0, inf) are discarded (gamma arguments stay positive
     here); the identity map is implicit, so the input is contained in the
     output and |output| <= |points| * K**depth with K = branching_factor.
-    Raises ResourceError when the set exceeds `budget` elements.
+    Raises ResourceError when the set, input included, exceeds `budget`.
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
@@ -58,22 +72,16 @@ def affine_closure(points, depth: int, max_n: int,
         p = as_fraction(p)
         if not p > 0:
             raise DomainError(f"points must be positive, got {p}")
-        pts.add(p)
-    maps = generating_maps(max_n)
-    frontier = set(pts)
-    for _ in range(depth):
-        new = set()
-        for x in frontier:
-            for a, b in maps:
-                y = a * x + b
-                if y > 0 and y not in pts:
-                    new.add(y)
-        pts |= new
+        pts.add(p.as_integer_ratio())
+    images = _image_ratios(max_n)
+    frontier = pts
+    for step in range(depth + 1):
         if len(pts) > budget:
-            raise ResourceError(
-                f"closure exceeded the cardinality budget {budget}"
-            )
-        if not new:
+            raise ResourceError(f"closure exceeded the cardinality budget {budget}")
+        if step == depth or not frontier:
             break
-        frontier = new
-    return frozenset(pts)
+        new = {(n // g, d // g) for x in frontier for n, d in images(*x) if n > 0
+               for g in (gcd(n, d),)}
+        frontier = new - pts
+        pts = pts | frontier
+    return frozenset(Fraction(n, d) for n, d in pts)

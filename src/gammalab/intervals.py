@@ -4,18 +4,20 @@ Endpoints are exact fractions, so measures and membership tests are exact
 integer arithmetic — the set constructions downstream turn on exact
 comparisons like measure < delta, never floating tests.
 
-The constructor also builds an integer index.  With D the lcm of the
-denominators of the given endpoints, every endpoint e becomes the integer
-D * e; sorting and merging run on these integers, and the canonical
-intervals (a_i, b_i] are kept as two sorted lists lo[i] = D * a_i and
-hi[i] = D * b_i.  A point x = p/q is scaled once to c = ceil(p * D / q);
-since lo[i] and hi[i] are integers, a_i < x <= b_i holds exactly when
-lo[i] < c <= hi[i].  So a membership test or `find` is one integer
-division, one `bisect_left` on lo and one integer comparison, with no
-Fraction compared, and the measure is (sum(hi) - sum(lo)) / D.  The
-public `intervals` stay the Fraction pairs.
+Every set is built on integers.  Its endpoints are held as integers over
+one index denominator D: the scale S = 2**(K t) of the construction for a
+set that `landau_construct` builds, and otherwise the lcm of the reduced
+denominators of the given endpoints.  Sorting and merging run on these
+integers, the canonical intervals (a_i, b_i] are kept as two sorted lists
+lo[i] = D * a_i and hi[i] = D * b_i, and one Fraction pair is made per
+merged interval, the public `intervals`.  A point x = p/q is scaled once to
+c = ceil(p * D / q); since lo[i] and hi[i] are integers, a_i < x <= b_i
+holds exactly when lo[i] < c <= hi[i], whichever D was used.  So a
+membership test is one integer division, one `bisect_left` on lo and one
+integer comparison, with no Fraction compared, and the measure is
+(sum(hi) - sum(lo)) / D.
 
-A membership test or `find` takes p and q straight from the point, as the
+A membership test takes p and q straight from the point, as the
 `as_integer_ratio()` of a Fraction, an int or a float (exact, as every
 double is a dyadic rational).  Only other inputs, such as 'p/q' strings, go
 through `as_fraction` first.
@@ -65,35 +67,33 @@ class IntervalSet:
     intervals: tuple = field(default=())
 
     def __init__(self, pairs=()):
-        cleaned = []
+        pairs = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
         for lo, hi in pairs:
-            lo = as_fraction(lo)
-            hi = as_fraction(hi)
             if not lo < hi:
                 raise DomainError(f"empty or inverted interval ({lo}, {hi}]")
-            cleaned.append((lo, hi))
-        # sort and merge on the scaled integer endpoints, keeping the Fractions
-        den = lcm(*(e.denominator for pair in cleaned for e in pair))
-        keyed = sorted(
-            (
-                lo.numerator * (den // lo.denominator),
-                hi.numerator * (den // hi.denominator),
-                lo,
-                hi,
-            )
-            for lo, hi in cleaned
-        )
-        merged, ilo, ihi = [], [], []
-        for a, b, lo, hi in keyed:
+        den = lcm(*(e.denominator for pair in pairs for e in pair))
+        self._merge([(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+                     for a, b in pairs], den)
+
+    @classmethod
+    def _scaled(cls, pairs, den: int) -> "IntervalSet":
+        """The union of (a/den, b/den] over integer pairs (a, b) with a < b."""
+        self = object.__new__(cls)
+        self._merge(pairs, den)
+        return self
+
+    def _merge(self, pairs, den: int) -> None:
+        """Sort and merge integer pairs over den: the one merge of both constructors."""
+        ilo, ihi = [], []
+        for a, b in sorted(pairs):
             if ihi and a <= ihi[-1]:
                 if b > ihi[-1]:
                     ihi[-1] = b
-                    merged[-1] = (merged[-1][0], hi)
             else:
-                merged.append((lo, hi))
                 ilo.append(a)
                 ihi.append(b)
-        object.__setattr__(self, "intervals", tuple(merged))
+        intervals = tuple((Fraction(a, den), Fraction(b, den)) for a, b in zip(ilo, ihi))
+        object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_lo", ilo)
         object.__setattr__(self, "_hi", ihi)
@@ -110,19 +110,6 @@ class IntervalSet:
         # the rightmost interval with lo < c holds x when c <= its hi
         idx = bisect_left(self._lo, c) - 1
         return idx >= 0 and c <= self._hi[idx]
-
-    def find(self, x):
-        """The interval (lo, hi] holding x, or None."""
-        # the scaling of __contains__, which inlines it to stay one call
-        if type(x) is not Fraction and type(x) is not float and type(x) is not int:
-            x = as_fraction(x)
-        p, q = x.as_integer_ratio()
-        c = -(-p * self._den // q)
-        idx = bisect_left(self._lo, c) - 1
-        return self.intervals[idx] if idx >= 0 and c <= self._hi[idx] else None
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
 
     def __iter__(self):
         return iter(self.intervals)

@@ -20,8 +20,9 @@ pieces exactly in integers, so its remainder mass, piece count and node
 count are the set's in both modes:
 
 * explicit — when the forest fits in the node budget, one loop also
-  enumerates the pieces as integers over 2**(K t), K the class of 1, and
-  unites the I-leaves and the remainder into leaf_union; tracers need it;
+  enumerates the pieces as integers over S = 2**(K t), K the class of 1,
+  and sorts and merges the I-leaves and the remainder on those integers
+  into leaf_union; tracers need it;
 * summary — leaf_union is (0, delta/2], and the remainder enters through
   its exact mass only.
 
@@ -46,8 +47,8 @@ the same ratios of (p, q) give the low child's and the high child's J
 image's, whose class starts the next round's chain.  The validator matches
 Fraction children to a form's integer ratios by cross-multiplication, with
 no Fraction division.  The class of a piece (a, b], the length of its
-halving chain, is the least m with 2 num(b) den(delta) <= num(delta) den(b)
-2**m, read off the bit lengths of the two sides.
+halving chain, is the least m with 2 p den(delta) <= num(delta) q 2**m for
+any integer pair b = p/q, read off the bit lengths of the two sides.
 """
 
 from __future__ import annotations
@@ -92,16 +93,16 @@ class DecompositionNode:
     children: tuple
 
 
-def _class_of(b: Fraction, delta: Fraction) -> int:
-    """Least m >= 0 with b / 2**m <= delta / 2.
+def _class_of(p: int, q: int, delta: Fraction) -> int:
+    """Least m >= 0 with (p/q) / 2**m <= delta / 2, for q > 0.
 
-    For b = p/q and delta = r/s that is the least m with 2ps <= rq * 2**m.
-    When 2ps > rq, shifting rq left by the difference of the bit lengths
-    gives it the bit length of 2ps, so m is that difference, or one more
-    when the shifted rq is still below 2ps.
+    For delta = r/s that is the least m with 2ps <= rq * 2**m, whether or
+    not p/q is in lowest terms.  When 2ps > rq, shifting rq left by the
+    difference of the bit lengths gives it the bit length of 2ps, so m is
+    that difference, or one more when the shifted rq is still below 2ps.
     """
-    lhs = 2 * b.numerator * delta.denominator
-    rhs = delta.numerator * b.denominator
+    lhs = 2 * p * delta.denominator
+    rhs = delta.numerator * q
     if lhs <= rhs:
         return 0
     m = lhs.bit_length() - rhs.bit_length()
@@ -124,8 +125,8 @@ def landau_lemma_decompose(alpha, beta, delta):
         raise DomainError(f"need 0 <= alpha < beta <= 1, got ({alpha}, {beta}]")
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    m = _class_of(beta, delta)
     an, ad, bn, bd = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    m = _class_of(bn, bd, delta)
     # for x = p/q, x / 2**i is p / (q << i) and x / 2**i + 1/2 is
     # (p + (q << (i - 1))) / (q << i): no Fraction division
     I = (Fraction(an, ad << m), Fraction(bn, bd << m))
@@ -160,7 +161,7 @@ def landau_lemma_decompose(alpha, beta, delta):
 # threshold-state recursion (exact masses without enumeration)
 #
 # From round 1 on every piece lies in (1/2, 1] and each round replaces a
-# piece (a, b] of class m (= _class_of(b)) by its m images
+# piece (a, b] of class m (the class of b) by its m images
 # (a/2**i + 1/2, b/2**i + 1/2], which land in pairwise disjoint dyadic
 # bands — so the leftover stays a disjoint union and its mass evolves
 # linearly.  The class of a piece depends only on whether its right end
@@ -180,7 +181,7 @@ def landau_lemma_decompose(alpha, beta, delta):
 def _class_bounds(delta: Fraction):
     """Classes of right ends just above 1/2 and at 1: K - 1 and K, or K and K
     when delta * 2**(K - 1) is exactly 1 (K = the class of 1)."""
-    K = _class_of(Fraction(1), delta)
+    K = _class_of(1, 1, delta)
     return (K if delta * 2 ** (K - 1) == 1 else K - 1), K
 
 
@@ -382,9 +383,10 @@ def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -
     (0, S >> K] and the one piece (1/2, 1]; each later round replaces a
     piece (a, b] of class m by its I-leaf (a >> m, b >> m] and its m J's
     ((a >> i) + S/2, (b >> i) + S/2], with no merging, so the remainder must
-    have the recursion's mass and count.
+    have the recursion's mass and count.  Classes, sort and merge run on
+    these integers; Fractions are made only for the merged intervals.
     """
-    K = _class_of(Fraction(1), delta)
+    K = _class_of(1, 1, delta)
     scale = 1 << (K * t)
     half = scale >> 1
     leaves = [(0, scale >> K)]
@@ -392,13 +394,13 @@ def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -
     for _ in range(1, t):
         nxt = []
         for a, b in pieces:
-            m = _class_of(Fraction(b, scale), delta)
+            m = _class_of(b, scale, delta)
             leaves.append((a >> m, b >> m))
             nxt += [((a >> i) + half, (b >> i) + half) for i in range(1, m + 1)]
         pieces = nxt
     if Fraction(sum(b - a for a, b in pieces), scale) != residual or len(pieces) != count:
         raise AssertionError("enumeration disagrees with the recursion")  # pragma: no cover
-    return IntervalSet([(Fraction(a, scale), Fraction(b, scale)) for a, b in leaves + pieces])
+    return IntervalSet._scaled(leaves + pieces, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +596,7 @@ def _walk_real(n: int, d: int, fs: FundamentalSet, end=None, m: int | None = Non
     if y in fs.leaf_union:
         return TraceNode("direct", y, gamma(n / d), ())
     if m is None:
-        m = _class_of(Fraction(*end) if end else Fraction(1), fs.delta)
+        m = _class_of(*(end or (1, 1)), fs.delta)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {y} outside the set")
     (ln, ld), (hn, hd) = _HALVES.ratios(*y.as_integer_ratio())
@@ -734,7 +736,7 @@ def _walk_complex(
         _spend(budget)
         return TraceNode("direct", z, gamma(z), ())
     if m is None:
-        m = _class_of(Fraction(*end) if end else Fraction(1), fs.delta)
+        m = _class_of(*(end or (1, 1)), fs.delta)
     _spend(budget)
     if m == 0:
         raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")

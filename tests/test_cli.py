@@ -388,6 +388,20 @@ class TestSmallTools:
         assert code == 1
         assert report["error"] == "resource"
 
+    def test_closure_budget_at_depth_zero(self, capsys):
+        code, report = run_json(
+            [
+                "closure", "--points", "1/2,1/3,1/5", "--depth", "0", "--max-n", "2",
+                "--budget", "2",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert report == {
+            "error": "resource",
+            "detail": "closure exceeded the cardinality budget 2",
+        }
+
     def test_mellin(self, capsys):
         code, report = run_json(["mellin", "--phi", "one", "--s", "0.5"], capsys)
         assert code == 0

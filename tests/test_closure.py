@@ -5,6 +5,7 @@ import pytest
 
 from gammalab.closure import affine_closure, branching_factor, generating_maps
 from gammalab.errors import DomainError, ResourceError
+from gammalab.intervals import as_fraction
 
 
 class TestGeneratingMaps:
@@ -119,3 +120,53 @@ class TestAffineClosure:
     def test_all_elements_positive_rationals(self):
         out = affine_closure(["2/3", 0.5], 3, 3)
         assert all(isinstance(x, Fraction) and x > 0 for x in out)
+
+    def test_budget_enforced_at_depth_zero(self):
+        with pytest.raises(ResourceError):
+            affine_closure(["1/2", "1/3", "1/5"], 0, 2, budget=2)
+        assert len(affine_closure(["1/2", "1/3", "1/5"], 0, 2, budget=3)) == 3
+
+
+def _fraction_closure(points, depth, max_n, budget):
+    """Reference: the closure by Fraction arithmetic, one map at a time."""
+    pts = {as_fraction(p) for p in points}
+    maps = generating_maps(max_n)
+    frontier = set(pts)
+    for _ in range(depth):
+        new = set()
+        for x in frontier:
+            for a, b in maps:
+                y = a * x + b
+                if y > 0 and y not in pts:
+                    new.add(y)
+        pts |= new
+        if len(pts) > budget:
+            raise ResourceError(f"closure exceeded the cardinality budget {budget}")
+        if not new:
+            break
+        frontier = new
+    return frozenset(pts)
+
+
+class TestIntegerClosure:
+    """affine_closure holds points as integer pairs; the Fraction loop is the oracle."""
+
+    @pytest.mark.parametrize("points", [["1/7"], ["2/3", "5/11"], ["3", "1/2", "9/4"]])
+    @pytest.mark.parametrize("max_n", range(1, 5))
+    @pytest.mark.parametrize("depth", range(4))
+    def test_matches_fraction_loop(self, points, depth, max_n):
+        want = _fraction_closure(points, depth, max_n, budget=10**6)
+        got = affine_closure(points, depth, max_n)
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("points, depth, max_n", [(["1/7"], 2, 4), (["2/3", "5/11"], 3, 2), (["1/3"], 1, 1)])
+    def test_resource_error_boundary(self, points, depth, max_n):
+        size = len(_fraction_closure(points, depth, max_n, budget=10**6))
+        assert affine_closure(points, depth, max_n, budget=size) == _fraction_closure(
+            points, depth, max_n, budget=size
+        )
+        with pytest.raises(ResourceError):
+            _fraction_closure(points, depth, max_n, budget=size - 1)
+        with pytest.raises(ResourceError):
+            affine_closure(points, depth, max_n, budget=size - 1)

@@ -53,7 +53,7 @@ class TestIntervalSet:
     def test_union(self):
         a = IntervalSet([(Fraction(0), Fraction(1, 3))])
         b = IntervalSet([(Fraction(1, 3), Fraction(1))])
-        assert list(a.union(b)) == [(Fraction(0), Fraction(1))]
+        assert list(IntervalSet(a.intervals + b.intervals)) == [(Fraction(0), Fraction(1))]
 
     def test_overlap_merge(self):
         s = IntervalSet([(Fraction(0), Fraction(2, 3)), (Fraction(1, 3), Fraction(1))])
@@ -105,7 +105,7 @@ class TestIntervalSetProperties:
     @given(_ivs, _ivs)
     def test_union_is_membership_or(self, pa, pb):
         a, b = IntervalSet(pa), IntervalSet(pb)
-        u = a.union(b)
+        u = IntervalSet(a.intervals + b.intervals)
         for num in range(0, 53):
             x = Fraction(num, 41)
             assert (x in u) == ((x in a) or (x in b))
@@ -129,9 +129,8 @@ _mixed_ivs = st.lists(
 )
 
 
-def _brute_find(pairs, x):
-    hits = [(lo, hi) for lo, hi in pairs if lo < x <= hi]
-    return hits[0] if hits else None
+def _brute_member(pairs, x):
+    return any(lo < x <= hi for lo, hi in pairs)
 
 
 def _probes(pairs, extra):
@@ -148,13 +147,10 @@ def _probes(pairs, extra):
 class TestIntegerIndex:
     @settings(max_examples=150, deadline=None)
     @given(_mixed_ivs, st.lists(_points, max_size=6))
-    def test_membership_and_find_match_brute_force(self, pairs, extra):
+    def test_membership_matches_brute_force(self, pairs, extra):
         s = IntervalSet(pairs)
         for x in _probes(pairs, extra):
-            want = _brute_find(s.intervals, x)
-            assert (x in s) == any(lo < x <= hi for lo, hi in pairs)
-            assert (x in s) == (want is not None)
-            assert s.find(x) == want
+            assert (x in s) == _brute_member(pairs, x) == _brute_member(s.intervals, x)
 
     @settings(max_examples=100, deadline=None)
     @given(_mixed_ivs)
@@ -162,9 +158,7 @@ class TestIntegerIndex:
         s = IntervalSet(pairs)
         for lo, hi in s:
             assert lo not in s
-            assert s.find(lo) is None
             assert hi in s
-            assert s.find(hi) == (lo, hi)
 
     @settings(max_examples=100, deadline=None)
     @given(_mixed_ivs, st.lists(_points, max_size=6))
@@ -173,54 +167,49 @@ class TestIntegerIndex:
         for x in _probes(pairs, extra):
             text = f"{x.numerator}/{x.denominator}"
             assert (text in s) == (x in s)
-            assert s.find(text) == s.find(x)
             f = float(x)
             assert (f in s) == (Fraction(f) in s)
-            assert s.find(f) == _brute_find(s.intervals, Fraction(f))
         for n in (-1, 0, 1, 2):
             assert (n in s) == (Fraction(n) in s)
-            assert s.find(n) == _brute_find(s.intervals, Fraction(n))
 
     @settings(max_examples=50, deadline=None)
     @given(_points)
     def test_empty_set(self, x):
         s = IntervalSet()
         assert x not in s
-        assert s.find(x) is None
         assert 0 not in s and 1.0 not in s and "1/2" not in s
 
     @settings(max_examples=100, deadline=None)
     @given(_mixed_ivs, _mixed_ivs)
     def test_union_index(self, pa, pb):
-        u = IntervalSet(pa).union(IntervalSet(pb))
+        u = IntervalSet(IntervalSet(pa).intervals + IntervalSet(pb).intervals)
         for x in _probes(pa + pb, ()):
-            assert (x in u) == any(lo < x <= hi for lo, hi in pa + pb)
-            assert u.find(x) == _brute_find(u.intervals, x)
+            assert (x in u) == _brute_member(pa + pb, x) == _brute_member(u.intervals, x)
 
     @settings(max_examples=100, deadline=None)
     @given(_mixed_ivs, st.lists(_points, max_size=6))
-    def test_contains_agrees_with_find(self, pairs, extra):
+    def test_contains_agrees_with_intervals(self, pairs, extra):
         s = IntervalSet(pairs)
         for x in _probes(pairs, extra):
             for point in (x, float(x), f"{x.numerator}/{x.denominator}"):
-                assert (point in s) == (s.find(point) is not None)
+                assert (point in s) == _brute_member(s.intervals, as_fraction(point))
         for n in (-1, 0, 1, 2):
-            assert (n in s) == (s.find(n) is not None)
+            assert (n in s) == _brute_member(s.intervals, n)
 
     @settings(max_examples=150, deadline=None)
     @given(_mixed_ivs, st.lists(_points, max_size=6))
-    def test_find_matches_brute_force_on_every_input_kind(self, pairs, extra):
+    def test_membership_matches_brute_force_on_every_input_kind(self, pairs, extra):
         s = IntervalSet(pairs)
         for x in _probes(pairs, extra):
             f = float(x)
             floats = (f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
             for point in floats:
-                assert s.find(point) == _brute_find(s.intervals, Fraction(point))
-            assert s.find(x) == _brute_find(s.intervals, x)
+                assert (point in s) == _brute_member(pairs, Fraction(point))
+            assert (x in s) == _brute_member(pairs, x)
             text = f"{x.numerator}/{x.denominator}"
-            assert s.find(text) == _brute_find(s.intervals, x)
+            assert (text in s) == _brute_member(pairs, x)
         for n in (-1, 0, 1, 2):
-            assert s.find(n) == _brute_find(s.intervals, Fraction(n))
+            assert (n in s) == _brute_member(pairs, n)
 
     def test_contains_rejects_junk(self):
         s = IntervalSet([(Fraction(0), Fraction(1))])
@@ -228,3 +217,49 @@ class TestIntegerIndex:
             "three sevenths" in s
         with pytest.raises(DomainError):
             object() in s
+
+
+# Integer pairs (a, b) over 2**k on a grid of 16 cells, each end moved up by
+# 0 or 1, so that pieces overlap, touch and nest often.
+_scaled_pairs = st.integers(min_value=4, max_value=30).flatmap(
+    lambda k: st.tuples(
+        st.just(1 << k),
+        st.lists(
+            st.tuples(st.integers(0, 15), st.integers(1, 16), st.integers(0, 1), st.integers(0, 1))
+            .map(lambda t: ((t[0] << (k - 4)) + t[2], ((t[0] + t[1]) << (k - 4)) + t[3]))
+            .filter(lambda p: p[0] < p[1]),
+            max_size=10,
+        ),
+    )
+)
+
+
+class TestScaledConstructor:
+    """IntervalSet._scaled, which landau's explicit construction calls, against
+    the public constructor on the same pieces as Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scaled_pairs)
+    def test_agrees_with_public_constructor(self, case):
+        den, pairs = case
+        fast = IntervalSet._scaled(pairs, den)
+        pairs_q = [(Fraction(a, den), Fraction(b, den)) for a, b in pairs]
+        slow = IntervalSet(pairs_q)
+        assert fast.intervals == slow.intervals
+        assert fast == slow
+        assert fast.measure == slow.measure
+        for a, b in pairs:
+            for c in (a - 1, a, a + 1, b - 1, b, b + 1):
+                for x in (Fraction(c, den), Fraction(2 * c + 1, 2 * den)):
+                    assert (x in fast) == (x in slow) == _brute_member(pairs_q, x)
+                    assert (float(x) in fast) == (x in slow)
+
+    def test_touching_nested_and_overlapping(self):
+        s = IntervalSet._scaled([(4, 8), (0, 2), (2, 4), (5, 6), (7, 12), (14, 16)], 16)
+        assert s.intervals == ((Fraction(0), Fraction(3, 4)), (Fraction(7, 8), Fraction(1)))
+        assert s.measure == Fraction(7, 8)
+        assert Fraction(3, 4) in s and Fraction(13, 16) not in s and 0 not in s
+
+    def test_empty(self):
+        s = IntervalSet._scaled([], 1 << 20)
+        assert not s and s.measure == 0 and Fraction(1, 2) not in s

@@ -319,6 +319,47 @@ class TestThresholdRecursion:
         assert explicit.measure <= summary.measure
 
 
+def _unmerged_pieces(delta):
+    """Reference: every I-leaf of t rounds and the remainder, unmerged, by
+    the Fraction interval lemma.  Round 0's high images of (0, 1] are
+    nested; their union is the one piece (1/2, 1]."""
+    I, _, _ = landau_lemma_decompose(0, 1, delta)
+    leaves, pieces = [I], [(Fraction(1, 2), Fraction(1))]
+    for _ in range(iteration_count(delta) - 1):
+        nxt = []
+        for lo, hi in pieces:
+            I, Js, _ = landau_lemma_decompose(lo, hi, delta)
+            leaves.append(I)
+            nxt += Js
+        pieces = nxt
+    return leaves + pieces
+
+
+class TestIntegerEnumeration:
+    """The explicit construction classes, sorts and merges its pieces on
+    integers over S = 2**(K t); the public IntervalSet constructor over the
+    same pieces as Fractions is the oracle."""
+
+    @pytest.mark.parametrize("delta", ["1/2", "2/3", "5/8", "4/9"])
+    def test_leaf_union_is_the_public_union_of_the_pieces(self, delta):
+        delta = Fraction(delta)
+        fs = landau_construct(delta)
+        assert fs.explicit
+        pieces = _unmerged_pieces(delta)
+        scale = 2 ** (_class_of(1, 1, delta) * fs.t)
+        assert all((e * scale).denominator == 1 for piece in pieces for e in piece)
+        oracle = IntervalSet(pieces)
+        assert fs.leaf_union.intervals == oracle.intervals
+        assert fs.leaf_union.measure == oracle.measure == fs.measure
+        rng = random.Random(f"integer-enumeration/{delta}")
+        probes = [Fraction(rng.randrange(1, 2**40), 2**40) for _ in range(300)]
+        probes += [Fraction(rng.randrange(1, 3**25), 3**25) for _ in range(300)]
+        probes += [e for piece in rng.sample(pieces, 50) for e in piece]
+        assert [x in fs.leaf_union for x in probes] == [x in oracle for x in probes]
+        for x in probes[::50]:
+            assert (x in oracle) == any(lo < x <= hi for lo, hi in pieces)
+
+
 class TestTraceEvaluate:
     def test_seeded_points_match_gamma(self, fs_half):
         rng = random.Random(42)
@@ -750,7 +791,13 @@ class TestClassOf:
     @settings(max_examples=300, deadline=None)
     @given(_unit_points, _deltas)
     def test_matches_halving_loop(self, b, delta):
-        assert _class_of(b, delta) == _halving_class_of(b, delta)
+        assert _class_of(*b.as_integer_ratio(), delta) == _halving_class_of(b, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_unit_points, _deltas, st.integers(min_value=1, max_value=2**40))
+    def test_unreduced_pair_has_the_class_of_its_value(self, b, delta, k):
+        p, q = b.as_integer_ratio()
+        assert _class_of(p * k, q * k, delta) == _class_of(p, q, delta)
 
     @settings(max_examples=300, deadline=None)
     @given(_deltas, st.integers(min_value=0, max_value=45))
@@ -758,22 +805,20 @@ class TestClassOf:
         b = delta / 2 * 2**m
         if b > 1:
             return
-        assert _class_of(b, delta) == m == _halving_class_of(b, delta)
+        assert _class_of(*b.as_integer_ratio(), delta) == m == _halving_class_of(b, delta)
         above = b + Fraction(1, 2**80)
-        assert _class_of(above, delta) == m + 1 == _halving_class_of(above, delta)
+        assert _class_of(*above.as_integer_ratio(), delta) == m + 1 == _halving_class_of(above, delta)
 
     @settings(max_examples=200, deadline=None)
     @given(_deltas, _unit_points)
     def test_at_most_half_delta_is_class_zero(self, delta, u):
-        assert _class_of(delta / 2 * u, delta) == 0
+        assert _class_of(*(delta / 2 * u).as_integer_ratio(), delta) == 0
 
     def test_known_classes(self):
         half = Fraction(1, 2)
-        assert [_class_of(b, half) for b in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1))] == [
-            0, 1, 1, 2,
-        ]
-        assert _class_of(Fraction(1), Fraction(1)) == 1
-        assert _class_of(Fraction(1), Fraction(1, 10)) == 5
+        assert [_class_of(p, q, half) for p, q in ((1, 4), (1, 3), (1, 2), (1, 1))] == [0, 1, 1, 2]
+        assert _class_of(1, 1, Fraction(1)) == 1
+        assert _class_of(1, 1, Fraction(1, 10)) == 5
 
 
 def _loop_class_bounds(delta):
