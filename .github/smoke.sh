@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Console-script smoke: run each gammalab subcommand once through the
+# installed `gammalab` entry point, from the root of a checkout, and check
+# the exit codes and error kinds of a few failing argv.  Output files are
+# written to the working directory (and listed in .gitignore).
+set -euo pipefail
+
+gammalab landau construct --delta 1/200 > /dev/null
+python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '4/9', *b], capture_output=True, check=True).stdout) for b in ([], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
+python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '3/7', *b], capture_output=True, check=True).stdout) for b in (['--node-budget', '10000000'], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
+gammalab stern --m 40
+python -c "import sys, gammalab.cli; assert 'numpy' not in sys.modules"
+python -c "import sys; from gammalab.cli import main; assert main(['eval', '--z', '0.5']) == 0; assert not {'gammalab.landau', 'gammalab.identities', 'gammalab.schlomilch'} & set(sys.modules)" > /dev/null
+gammalab verify --identity reflection --samples 50 > /dev/null
+gammalab landau trace --delta 1/2 --x 3/5 --emit-trace > /dev/null
+gammalab complex-trace --delta 1/2 --z=-3.25,6.5 --emit-trace > /dev/null
+if gammalab eval --z=171.65,0.001 > overflow.json; then exit 1; fi
+grep -q '"error":"overflow"' overflow.json
+gammalab verify --identity comb --samples 50 > /dev/null
+gammalab schlomilch general --w 1.2 --z 0.7 > /dev/null
+gammalab schlomilch general --w 1 --z 0.7 > /dev/null
+gammalab schlomilch general --w=0.8,0.3 --z=1.1,-0.2 > /dev/null
+gammalab verify --identity cosine:8 --grid 120:-3:3:0:0 --seed 0 > /dev/null
+gammalab verify --identity duplication --grid 60:-170:-160:-1:1 > /dev/null
+gammalab mellin --phi geom:2 --s 0.35 > /dev/null
+code=0; gammalab complex-trace --delta 1/2 --z=nan,0 > nonfinite.json || code=$?
+test "$code" -eq 1
+grep -q '"error":"domain"' nonfinite.json
+gammalab verify --identity mult:4 --samples 50 > /dev/null
+gammalab closure --points 1/7 --depth 2 --max-n 4 > closure.json
+grep -q '"K":34' closure.json
+code=0; gammalab closure --points 1/2,1/3,1/5 --depth 0 --max-n 2 --budget 2 > closure_budget.json || code=$?
+test "$code" -eq 1
+grep -q '"error":"resource"' closure_budget.json
+code=0; gammalab verify --identity functional --grid 10:0:inf:0:0 > infgrid.json || code=$?
+test "$code" -eq 1
+grep -q '"error":"domain"' infgrid.json

@@ -495,8 +495,9 @@ def _resolve_tolerance(parser, args) -> float:
 
 
 def main(argv=None) -> int:
-    # exact reports print integers of tens of thousands of digits at small
-    # delta, past the default str() limit of Python >= 3.11 (3.10 has none)
+    # exact reports may print integers past the default str() digit limit
+    # that Python sets from 3.10.7 and 3.11 on (landau's reports write theirs
+    # in pieces and need no lift; the binomial corollary's str() does)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()

@@ -17,7 +17,11 @@ One construction serves both modes.  Round 0 splits (0, 1] and its nested
 high images unite into (1/2, 1]; later rounds split every piece as it
 comes, with no merging.  The threshold-state recursion below counts these
 pieces exactly in integers, so its remainder mass, piece count and node
-count are the set's in both modes:
+count are the set's in both modes.  It runs as one function, compiled
+per delta from the recursion's rows and cached, that loops over local
+integers and checks the mass balance on every round.  The round count t
+is a float estimate moved to the least t that passes the exact integer
+test.  The two modes:
 
 * explicit — when the forest fits in the node budget, one loop also
   enumerates the pieces as integers over S = 2**(K t), K the class of 1,
@@ -57,6 +61,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import _check_finite, _residual, gamma, pole_distance
 from .errors import (
@@ -176,6 +181,12 @@ def landau_lemma_decompose(alpha, beta, delta):
 # weights give the piece counts in the same loop.  Each round checks the
 # mass balance new_total + extracted == total * 2**K (extracted: the
 # round's I-leaves, band M for class-M pieces, band K for the deeper ones).
+#
+# The loop is generated per delta, as identities._compile generates its
+# lambdas: each statistic's mass and count is a local variable, each round
+# one tuple assignment per vector whose sums spell out the rows' integer
+# coefficients, so a round does its small-by-big products and no list,
+# generator or index work.  The compiled loop is cached per delta.
 
 
 def _class_bounds(delta: Fraction):
@@ -241,44 +252,77 @@ def _threshold_plan(delta: Fraction):
     return M, K, index.get(beta_star), rows
 
 
+def _sum(terms) -> str:
+    """Source of the sum of (variable, coefficient) terms."""
+    return " + ".join(v if c == 1 else f"{v} * {c}" for v, c in terms) or "0"
+
+
+@lru_cache(maxsize=64)
+def _threshold_loop(delta: Fraction):
+    """The recursion for delta as one compiled function of `steps`.
+
+    The statistics are local integers: masses m0, m1, ... and counts c0,
+    c1, ..., index 0 the total; each round is one tuple assignment per
+    vector from _threshold_plan's rows, with the mass-balance check.
+    """
+    M, K, b, rows = _threshold_plan(delta)
+    n = len(rows)
+    masses = ", ".join(f"m{j}" for j in range(n))
+    counts = ", ".join(f"c{j}" for j in range(n))
+    # a class-M chain has 2M + 1 nodes, a class-K one (right end > beta*) 2K + 1
+    nodes = f"c0 * {2 * M + 1}" + (f" + c{b} * {2 * (K - M)}" if b else "")
+    # extracted mass: band M of the class-M pieces, band K of the deeper ones
+    extracted = f"((prev - m{b}) << {K - M}) + m{b}" if b else "prev"
+    source = f"""\
+def loop(steps):
+    {masses} = {", ".join(["1"] * n)}
+    {counts} = {", ".join(["1"] * n)}
+    nodes = {2 * K + 1}
+    for _ in range(steps):
+        nodes += {nodes}
+        prev = m0
+        extracted = {extracted}
+        {masses} = {", ".join(_sum((f"m{k}", c) for k, c, _ in terms) for terms in rows)}
+        {counts} = {", ".join(_sum((f"c{k}", c) for k, _, c in terms) for terms in rows)}
+        if m0 + extracted != prev << {K}:
+            raise AssertionError("threshold recursion lost mass")
+    return Fraction(m0, 1 << (1 + {K} * steps)), c0, nodes
+"""
+    namespace = {"Fraction": Fraction}
+    exec(source, namespace)
+    return namespace["loop"]
+
+
 def _threshold_recursion(delta: Fraction, steps: int):
     """(residual mass, piece count, forest nodes) `steps` rounds after
-    round 1; a decomposed piece of class m adds a chain of 2m + 1 nodes."""
-    M, K, b, rows = _threshold_plan(delta)
-    # round 1: the one piece (1/2, 1] of mass 1 / 2**1; round 0 decomposed
-    # (0, 1], whose right end 1 has class K
-    mass = [1] * len(rows)
-    count = [1] * len(rows)
-    nodes = 2 * K + 1
-    for _ in range(steps):
-        deep_mass = mass[b] if b else 0
-        deep_count = count[b] if b else 0
-        nodes += (count[0] - deep_count) * (2 * M + 1) + deep_count * (2 * K + 1)
-        prev = mass[0]
-        mass = [sum(mass[k] * c for k, c, _ in terms) for terms in rows]
-        count = [sum(count[k] * c for k, _, c in terms) for terms in rows]
-        extracted = ((prev - deep_mass) << (K - M)) + deep_mass
-        if mass[0] + extracted != prev << K:
-            raise AssertionError("threshold recursion lost mass")  # pragma: no cover
-    return Fraction(mass[0], 1 << (1 + K * steps)), count[0], nodes
+    round 1; a decomposed piece of class m adds a chain of 2m + 1 nodes.
+    Round 1 holds the one piece (1/2, 1] of mass 1 / 2**1, so every
+    statistic starts at mass 1 and count 1; round 0 decomposed (0, 1],
+    whose right end 1 has class K, into 2K + 1 nodes."""
+    return _threshold_loop(delta)(steps)
 
 
 def iteration_count(delta) -> int:
     """Least t with (1 - delta/4)**t < delta/2.
 
-    For delta = p/q this is the least t with (4q - p)**t * 2q < p * (4q)**t,
-    found by integer search.
+    For delta = p/q this is the least t with (4q - p)**t * 2q < p * (4q)**t.
+    A float estimate, log(2q/p) / -log(1 - p/(4q)), starts t, and the exact
+    integer test moves it to the least t that passes.
     """
     delta = as_fraction(delta)
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     p, q = delta.numerator, delta.denominator
-    lhs, rhs = 2 * q, p
-    t = 0
-    while not lhs < rhs:
-        lhs *= 4 * q - p
-        rhs *= 4 * q
+
+    def passes(t):
+        return (4 * q - p) ** t * 2 * q < p * (4 * q) ** t
+
+    # t = 0 never passes (2q > p), so the descent stops at t >= 1
+    t = max(1, math.ceil((math.log(2 * q) - math.log(p)) / -math.log1p(-p / (4 * q))))
+    while not passes(t):
         t += 1
+    while passes(t - 1):
+        t -= 1
     return t
 
 
@@ -331,20 +375,39 @@ class FundamentalSet:
         for lo, hi in self.leaf_union:
             leaves.append(
                 {
-                    "lo": str(lo),
-                    "hi": str(hi),
+                    "lo": _text(lo),
+                    "hi": _text(hi),
                     "kind": "I" if hi <= boundary else "J",
                 }
             )
         return {
-            "delta": str(self.delta),
+            "delta": _text(self.delta),
             "t": self.t,
             "leaves": leaves,
-            "measure": str(self.measure),
+            "measure": _text(self.measure),
             "explicit": self.explicit,
-            "residual_mass": str(self.residual_mass),
-            "final_piece_count": str(self.final_piece_count),
+            "residual_mass": _text(self.residual_mass),
+            "final_piece_count": _text(self.final_piece_count),
         }
+
+
+def _text(x) -> str:
+    """str(x) of a non-negative int or Fraction, at any size.
+
+    Python caps str() of an int at a process-wide digit limit (4300 by
+    default, 640 at least), and a summary report's integers run to tens of
+    thousands of digits.  A big integer is split by divmod at about half
+    its digits, recursively, and str() sees only pieces below 10**600, so
+    the text never depends on the limit and the limit is never changed.
+    """
+    if type(x) is Fraction:
+        n, d = x.as_integer_ratio()
+        return _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
+    if x.bit_length() <= 1990:  # below 10**600
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(x, 10**k)
+    return _text(hi) + _text(lo).zfill(k)
 
 
 def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> FundamentalSet:

@@ -33,7 +33,14 @@ from gammalab.landau import (
 )
 from gammalab.identities import _IDENTITIES
 from gammalab.intervals import IntervalSet
-from gammalab.landau import _class_bounds, _class_of, _threshold_recursion
+from gammalab import landau
+from gammalab.landau import (
+    _class_bounds,
+    _class_of,
+    _threshold_loop,
+    _threshold_plan,
+    _threshold_recursion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +134,17 @@ class TestIterationCount:
         if t > 0:
             assert not ratio ** (t - 1) < delta / 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6), st.data())
+    def test_matches_fraction_definition_on_large_denominators(self, den, data):
+        # num >= den / 16 keeps t below 250, within reach of the Fraction loop
+        num = data.draw(st.integers(min_value=max(1, den // 16), max_value=den))
+        delta = Fraction(num, den)
+        assert iteration_count(delta) == _fraction_iteration_count(delta)
+
+    def test_delta_one_matches_fraction_definition(self):
+        assert iteration_count(1) == _fraction_iteration_count(Fraction(1)) == 3
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             iteration_count(0)
@@ -206,6 +224,32 @@ class TestSummaryConstruction:
         assert fs_tenth.residual_mass < (1 - Fraction(1, 40)) ** 119
         assert list(fs_tenth.leaf_union) == [(Fraction(0), Fraction(1, 20))]
         assert 5.1e72 < float(fs_tenth.final_piece_count) < 5.2e72
+
+    def test_report_text_needs_no_digit_limit_lift(self):
+        # at 1/100 the residual numerator has about 14,800 bits, past the
+        # default str() limit of 4300 digits; the report is written in
+        # pieces under that limit and must equal str() with it lifted
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no str() digit limit")
+        fs = landau_construct(Fraction(1, 100))
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            report = fs.to_json_dict()
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            assert report == {
+                "delta": "1/100",
+                "t": fs.t,
+                "leaves": [{"lo": "0", "hi": "1/200", "kind": "I"}],
+                "measure": str(fs.measure),
+                "explicit": False,
+                "residual_mass": str(fs.residual_mass),
+                "final_piece_count": str(fs.final_piece_count),
+            }
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(report["residual_mass"]) > 8000
 
     def test_tenth_counts_match_brute_force(self):
         # replay the first rounds by raw interval enumeration (no merging)
@@ -317,6 +361,72 @@ class TestThresholdRecursion:
         fields = ("t", "residual_mass", "final_piece_count", "node_count")
         assert [getattr(explicit, f) for f in fields] == [getattr(summary, f) for f in fields]
         assert explicit.measure <= summary.measure
+
+
+def _reference_recursion(delta, steps):
+    """Reference: the threshold recursion as a plain loop over lists of the
+    plan's rows."""
+    M, K, b, rows = _threshold_plan(delta)
+    mass = [1] * len(rows)
+    count = [1] * len(rows)
+    nodes = 2 * K + 1
+    for _ in range(steps):
+        deep_mass = mass[b] if b else 0
+        deep_count = count[b] if b else 0
+        nodes += (count[0] - deep_count) * (2 * M + 1) + deep_count * (2 * K + 1)
+        prev = mass[0]
+        mass = [sum(mass[k] * c for k, c, _ in terms) for terms in rows]
+        count = [sum(count[k] * c for k, _, c in terms) for terms in rows]
+        extracted = ((prev - deep_mass) << (K - M)) + deep_mass
+        assert mass[0] + extracted == prev << K
+    return Fraction(mass[0], 1 << (1 + K * steps)), count[0], nodes
+
+
+# the summary ladder of the exact-construct benchmark, and 1/100
+_LADDER = ["1/64", "1/32", "1/25", "7/200", "1/30", "1/20", "1/10", "3/7",
+           "1/2", "2/3", "5/8", "1/100"]
+
+
+class TestCompiledRecursion:
+    @pytest.mark.parametrize("den", range(1, 31))
+    def test_matches_reference_on_small_denominators(self, den):
+        for num in range(1, den + 1):
+            delta = Fraction(num, den)
+            steps = iteration_count(delta) - 1
+            assert _threshold_recursion(delta, steps) == _reference_recursion(delta, steps)
+
+    @pytest.mark.parametrize("delta", _LADDER)
+    def test_matches_reference_on_the_ladder(self, delta):
+        delta = Fraction(delta)
+        steps = iteration_count(delta) - 1
+        assert _threshold_recursion(delta, steps) == _reference_recursion(delta, steps)
+
+    def test_zero_steps_is_round_one(self):
+        # the one piece (1/2, 1]; round 0's chain over (0, 1] has 2K + 1 nodes
+        K = _class_of(1, 1, Fraction(1, 25))
+        assert _threshold_recursion(Fraction(1, 25), 0) == (Fraction(1, 2), 1, 2 * K + 1)
+
+    def test_loop_is_cached_per_delta(self):
+        assert _threshold_loop(Fraction(1, 25)) is _threshold_loop(Fraction(2, 50))
+        assert _threshold_loop(Fraction(1, 25)) is not _threshold_loop(Fraction(1, 20))
+
+    def test_every_round_checks_the_mass_balance(self, monkeypatch):
+        # one row-0 mass coefficient off by one changes the total by the mass
+        # of that statistic, which the first round's balance check catches
+        def tampered(delta):
+            M, K, b, rows = _threshold_plan(delta)
+            (k, mass, count), *rest = rows[0]
+            return M, K, b, [((k, mass + 1, count), *rest), *rows[1:]]
+
+        _threshold_loop.cache_clear()
+        try:
+            monkeypatch.setattr(landau, "_threshold_plan", tampered)
+            with pytest.raises(AssertionError, match="threshold recursion lost mass"):
+                landau_construct(Fraction(1, 25), node_budget=1)
+        finally:
+            monkeypatch.undo()
+            _threshold_loop.cache_clear()
+        assert landau_construct(Fraction(1, 25), node_budget=1).residual_mass > 0
 
 
 def _unmerged_pieces(delta):
