@@ -6,6 +6,9 @@
 set -euo pipefail
 
 gammalab landau construct --delta 1/200 > /dev/null
+python -X int_max_str_digits=640 -c "import sys; from gammalab.cli import main; assert main(['schlomilch', 'binom', '--m', '1100', '--l', '1100']) == 0; assert main(['landau', 'construct', '--delta', '1/200']) == 0; assert sys.get_int_max_str_digits() == 640" > /dev/null
+code=0; gammalab eval --z 1 --tol 1e-3 2> /dev/null || code=$?
+test "$code" -eq 2
 python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '4/9', *b], capture_output=True, check=True).stdout) for b in ([], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
 python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '3/7', *b], capture_output=True, check=True).stdout) for b in (['--node-budget', '10000000'], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
 gammalab stern --m 40

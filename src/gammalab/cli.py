@@ -8,9 +8,12 @@ not a documented numeric error), 2 on usage errors.  All floats are written
 in their shortest round-trip form (repr) and all JSON keys are sorted, so a
 fixed argument vector (plus seed) reproduces identical bytes.
 
-Tolerance resolution: an explicit --tol wins, else the GAMMALAB_TOL
-environment variable, else a per-family default (1e-10 identities, 1e-8
-series/quadrature, 1e-7 transforms, 1e-9 real traces, 1e-8 complex).
+The seven subcommands that check a residual take --tol, each with its own
+default: verify 1e-10; schlomilch finite and general 1e-8; mellin 1e-7;
+landau trace and quarter 1e-9; complex-trace 1e-8.  An explicit --tol wins,
+else the GAMMALAB_TOL environment variable, else that default.  The other
+five (eval, schlomilch binom, landau construct, stern, closure) check no
+residual, take no --tol and do not read GAMMALAB_TOL.
 
 Each handler imports its own modules, so a subcommand loads only what it
 uses: ``eval`` loads ``core`` and nothing of ``landau`` or ``identities``.
@@ -33,14 +36,6 @@ from .errors import (
     ResourceError,
     TraceDepthError,
 )
-
-_DEFAULTS = {
-    "identities": 1e-10,
-    "series": 1e-8,
-    "mellin": 1e-7,
-    "trace": 1e-9,
-    "complex_trace": 1e-8,
-}
 
 _ERROR_KINDS = (
     (PoleError, "pole"),
@@ -166,7 +161,8 @@ def _pair(z: complex) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, report_dict)
+# subcommand handlers: each takes (args, tol), tol None where the subcommand
+# has no --tol, and returns (exit_code, report_dict)
 
 
 def _cmd_eval(args, tol):
@@ -239,13 +235,14 @@ def _cmd_schlomilch_general(args, tol):
 
 def _cmd_schlomilch_binom(args, tol):
     from . import schlomilch
+    from .core import _text
 
     lhs, rhs, equal = schlomilch.binomial_identity_check(args.m, args.l)
     return (0 if equal else 1), {
         "m": args.m,
         "l": args.l,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
+        "lhs": _text(lhs),
+        "rhs": _text(rhs),
         "equal": equal,
     }
 
@@ -333,6 +330,7 @@ def _cmd_stern(args, tol):
 
 def _cmd_closure(args, tol):
     from . import closure
+    from .core import _text
 
     budget = closure.DEFAULT_CARDINALITY_BUDGET if args.budget is None else args.budget
     pts = closure.affine_closure(args.points, args.depth, args.max_n, budget=budget)
@@ -340,14 +338,14 @@ def _cmd_closure(args, tol):
     bound = len(args.points) * K**args.depth
     within = len(pts) <= bound
     return (0 if within else 1), {
-        "points": [str(p) for p in args.points],
+        "points": [_text(p) for p in args.points],
         "depth": args.depth,
         "max_n": args.max_n,
         "K": K,
         "cardinality": len(pts),
         "bound": bound,
         "within_bound": within,
-        "elements": [str(p) for p in sorted(pts)],
+        "elements": [_text(p) for p in sorted(pts)],
     }
 
 
@@ -366,12 +364,14 @@ def _cmd_mellin(args, tol):
 # parser assembly
 
 
-def _add_common(p, family):
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"residual tolerance (default {_DEFAULTS[family]:g})")
+def _add_common(p, tol=None):
+    """--format, and --tol with its default tol where the subcommand checks
+    a residual."""
+    if tol is not None:
+        p.add_argument("--tol", type=float, help=f"residual tolerance (default {tol:g})")
+        p.set_defaults(default_tol=tol)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
                    help="report format (default json)")
-    p.set_defaults(family=family)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate Gamma at a point")
     p.add_argument("--z", type=_arg_complex, required=True,
                    help="argument, as RE or RE,IM or P/Q")
-    _add_common(p, "identities")
+    _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("verify", help="residual-check one identity on a seeded sample")
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200,
                    help="sample count when --grid is not given (default 200)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    _add_common(p, "identities")
+    _add_common(p, 1e-10)
     p.set_defaults(handler=_cmd_verify)
 
     ps = sub.add_parser("schlomilch", help="factorial-series identities")
@@ -405,20 +405,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("finite", help="degree-m finite identity at z")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--z", type=_arg_complex, required=True)
-    _add_common(p, "series")
+    _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_schlomilch_finite)
 
     p = ssub.add_parser("general", help="two-parameter series vs closed form")
     p.add_argument("--w", type=_arg_complex, required=True)
     p.add_argument("--z", type=_arg_complex, required=True)
     p.add_argument("--max-terms", type=int, default=500)
-    _add_common(p, "series")
+    _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_schlomilch_general)
 
     p = ssub.add_parser("binom", help="exact binomial corollary at (m, l)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    _add_common(p, "series")
+    _add_common(p)
     p.set_defaults(handler=_cmd_schlomilch_binom)
 
     pl = sub.add_parser("landau", help="fundamental-set construction and traces")
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lsub.add_parser("construct", help="build the measure-<delta set")
     p.add_argument("--delta", type=_arg_rational, required=True)
     p.add_argument("--node-budget", type=int)
-    _add_common(p, "trace")
+    _add_common(p)
     p.set_defaults(handler=_cmd_landau_construct)
 
     p = lsub.add_parser("trace", help="derive Gamma(x) from the constructed set")
@@ -436,18 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", type=int)
     p.add_argument("--emit-trace", action="store_true",
                    help="include the full derivation tree in the report")
-    _add_common(p, "trace")
+    _add_common(p, 1e-9)
     p.set_defaults(handler=_cmd_landau_trace)
 
     p = lsub.add_parser("quarter", help="derive Gamma(x) from (0,1/4] + {1/3, 1}")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--emit-trace", action="store_true")
-    _add_common(p, "trace")
+    _add_common(p, 1e-9)
     p.set_defaults(handler=_cmd_landau_quarter)
 
     p = sub.add_parser("stern", help="count independent log-gamma values mod m")
     p.add_argument("--m", type=int, required=True)
-    _add_common(p, "identities")
+    _add_common(p)
     p.set_defaults(handler=_cmd_stern)
 
     p = sub.add_parser("closure", help="finite affine closure of rational points")
@@ -456,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--budget", type=int)
-    _add_common(p, "identities")
+    _add_common(p)
     p.set_defaults(handler=_cmd_closure)
 
     p = sub.add_parser("mellin", help="master-theorem residual for a catalog phi")
     p.add_argument("--phi", required=True, help="one|geom:A|exp|log1p")
     p.add_argument("--s", type=float, required=True)
-    _add_common(p, "mellin")
+    _add_common(p, 1e-7)
     p.set_defaults(handler=_cmd_mellin)
 
     p = sub.add_parser("complex-trace", help="reduce Gamma(z) to strip evaluations")
@@ -471,13 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_arg_rational, required=True)
     p.add_argument("--node-budget", type=int)
     p.add_argument("--emit-trace", action="store_true")
-    _add_common(p, "complex_trace")
+    _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_complex_trace)
 
     return parser
 
 
-def _resolve_tolerance(parser, args) -> float:
+def _resolve_tolerance(parser, args):
+    """The tolerance a handler gets: None where its subcommand takes no --tol."""
+    if "default_tol" not in args:
+        return None
     if args.tol is not None:
         if not args.tol > 0:
             parser.error(f"--tol must be > 0, got {args.tol}")
@@ -491,15 +494,10 @@ def _resolve_tolerance(parser, args) -> float:
         if not tol > 0:
             parser.error(f"GAMMALAB_TOL must be > 0, got {env!r}")
         return tol
-    return _DEFAULTS[args.family]
+    return args.default_tol
 
 
 def main(argv=None) -> int:
-    # exact reports may print integers past the default str() digit limit
-    # that Python sets from 3.10.7 and 3.11 on (landau's reports write theirs
-    # in pieces and need no lift; the binomial corollary's str() does)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     tol = _resolve_tolerance(parser, args)

@@ -223,6 +223,30 @@ def _residual(lhs, rhs, scale=None):
     return diff / (max(abs(lhs), abs(rhs)) if scale is None else scale)
 
 
+def _text(x) -> str:
+    """str(x) of an int or Fraction, at any size.
+
+    Python caps str() of an int at a process-wide digit limit (4300 by
+    default, 640 at least), and reports pass it: landau's summary reports
+    hold integers of tens of thousands of digits, the binomial corollary
+    661 at m = l = 1100, and the closure or trace of a rational near the
+    limit grows its denominators past it.  A big integer is split by divmod
+    at about half its digits, recursively, and str() sees only pieces below
+    10**600, so the text never depends on the limit and the limit is never
+    changed.
+    """
+    if type(x) is not int:
+        n, d = x.as_integer_ratio()
+        return _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
+    if x.bit_length() <= 1990:  # below 10**600 in size
+        return str(x)
+    if x < 0:
+        return "-" + _text(-x)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(x, 10**k)
+    return _text(hi) + _text(lo).zfill(k)
+
+
 def _log_gamma_right(z):
     """log Gamma on Re z > 0 via recurrence shift plus Stirling series."""
     acc = 0.0 + 0.0j

@@ -33,8 +33,9 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 # Minimum pole clearance demanded by the point-wise residual functions.  The
-# sampling layer uses a larger radius (SampleSpec.pole_exclusion).
+# sampling layer skips every draw within the larger _POLE_EXCLUSION of a pole.
 _MIN_CLEARANCE = 1e-6
+_POLE_EXCLUSION = 0.1
 
 
 def _slots(*pairs):
@@ -335,7 +336,6 @@ class SampleSpec:
     count: int
     re_range: tuple = (-4.0, 4.0)
     im_range: tuple = (-4.0, 4.0)
-    pole_exclusion: float = 0.1
     seed: int = 20260825
 
     def __post_init__(self):
@@ -347,8 +347,6 @@ class SampleSpec:
             # an infinite end, or a width hi - lo that overflows, is no region
             if not math.isfinite(hi - lo):
                 raise DomainError(f"{name} must be finite, got ({lo}, {hi})")
-        if self.pole_exclusion < 0:
-            raise DomainError("pole_exclusion must be >= 0")
         # Random(-n) replays the stream of Random(n)
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
@@ -415,8 +413,8 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     """Check one identity over a seeded uniform sample of its region.
 
     Draws sample_spec.count points from the rectangle re_range x im_range.
-    Points where a gamma argument of the identity lies within the
-    pole-exclusion radius of a pole, or whose evaluation raises a
+    Points where a gamma argument of the identity lies within
+    _POLE_EXCLUSION = 0.1 of a pole, or whose evaluation raises a
     domain/pole/overflow error, are counted as skipped rather than failing
     the run.  The report is deterministic for a fixed spec (same seed, same
     bytes).
@@ -426,9 +424,8 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     kind, param = parse_identity_tag(identity_id)
     row = _IDENTITIES[kind]
     if row.slots:
-        # one pole test per draw, at the larger of the two radii
-        clearance = max(sample_spec.pole_exclusion, _MIN_CLEARANCE)
-        residual = partial(_gamma_residual, kind, param, clearance=clearance)
+        # one pole test per draw, at the sampling layer's radius
+        residual = partial(_gamma_residual, kind, param, clearance=_POLE_EXCLUSION)
     else:
         residual = partial(row.residual, param)
     draw = random.Random(sample_spec.seed).random

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import _check_finite, _residual, gamma, pole_distance
+from .core import _check_finite, _residual, _text, gamma, pole_distance
 from .errors import (
     DepthError,
     DomainError,
@@ -391,25 +391,6 @@ class FundamentalSet:
         }
 
 
-def _text(x) -> str:
-    """str(x) of a non-negative int or Fraction, at any size.
-
-    Python caps str() of an int at a process-wide digit limit (4300 by
-    default, 640 at least), and a summary report's integers run to tens of
-    thousands of digits.  A big integer is split by divmod at about half
-    its digits, recursively, and str() sees only pieces below 10**600, so
-    the text never depends on the limit and the limit is never changed.
-    """
-    if type(x) is Fraction:
-        n, d = x.as_integer_ratio()
-        return _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
-    if x.bit_length() <= 1990:  # below 10**600
-        return str(x)
-    k = x.bit_length() * 3 // 20  # about half the digits
-    hi, lo = divmod(x, 10**k)
-    return _text(hi) + _text(lo).zfill(k)
-
-
 def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> FundamentalSet:
     """Build a fundamental set of measure < delta for delta in (0, 1].
 
@@ -495,7 +476,7 @@ class TraceNode:
             if isinstance(a, complex):
                 arg = [a.real, a.imag]
             elif isinstance(a, Fraction):
-                arg = str(a)
+                arg = _text(a)
             else:
                 arg = float(a)
             children = [{} for _ in node.children]

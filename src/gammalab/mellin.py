@@ -20,14 +20,12 @@ therefore supplies log(psi(e^u)) in a form stable for all u, and the
 integrand is assembled in log space.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
 from .core import _check_finite, _residual
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate_real_line
+from .quadrature import integrate_real_line
 
 
 @dataclass(frozen=True)
@@ -166,31 +164,25 @@ def psi_eval(spec: PhiSpec, x: float) -> float:
     return total
 
 
-def mellin_transform(spec: PhiSpec, s: float, q_spec: QuadratureSpec | None = None) -> float:
+def mellin_transform(spec: PhiSpec, s: float) -> float:
     """integral_0^inf x**(s-1) psi(x) dx for 0 < s < eta.
 
     With x = e^u this is integral exp(s*u + log psi(e^u)) du over the whole
-    line, truncated where the integrand drops below tolerance.  A tail that
-    never decays (s at or outside the admissible strip) raises
-    ConvergenceError.
+    line at relative tolerance 1e-9, truncated where the integrand drops
+    below it.  A tail that never decays (s at or outside the admissible
+    strip) raises ConvergenceError.
     """
     s = float(s)
     if not (0.0 < s < spec.eta):
         raise DomainError(
             f"s must lie in the strip (0, {spec.eta}), got {s}"
         )
-    if q_spec is None:
-        q_spec = QuadratureSpec(relative_tolerance=1e-9)
     log_psi = spec.log_psi_of_exp
 
     def g(u):
         return math.exp(s * u + log_psi(u))
 
-    value, _err = integrate_real_line(
-        g,
-        rtol=q_spec.relative_tolerance,
-        max_levels=q_spec.max_refinement_levels,
-    )
+    value, _err = integrate_real_line(g, rtol=1e-9)
     return value
 
 

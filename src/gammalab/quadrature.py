@@ -3,9 +3,9 @@
 The engine is deliberately self-contained: a tanh-sinh node ladder on a finite
 interval, plus one window-and-integrate recipe, `integrate_real_line`, which
 grows a truncation window on the whole line until the endpoint integrand
-magnitude falls below the tolerance times a coarse value.  The half-line
-integral (after s = e^u) and the independent oracles for the defining gamma
-integral and the beta integral representation all go through it.
+magnitude falls below the tolerance times a coarse value.  The independent
+oracles for the defining gamma integral and the beta integral representation
+both go through it, after s = e^u.
 """
 
 import cmath
@@ -18,9 +18,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "QuadratureSpec",
     "tanh_sinh",
-    "integrate_halfline",
     "integrate_real_line",
-    "quadrature",
     "beta_integral",
     "gamma_integral",
 ]
@@ -28,23 +26,18 @@ __all__ = [
 _T_CUT = 6.0          # |t| beyond this the DE weight underflows double precision
 _BASE_H = 0.5
 _TINY_WEIGHT = 1e-280
+_U_CAP = 4000.0       # integrate_real_line gives up on a tail past |u| = _U_CAP
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance/budget/domain bundle for the quadrature oracle."""
+    """Relative tolerance of the gamma and beta integral oracles."""
 
     relative_tolerance: float = 1e-10
-    max_refinement_levels: int = 12
-    domain: str = "halfline"  # "unit" or "halfline"
 
     def __post_init__(self):
         if not self.relative_tolerance > 0:
             raise DomainError("relative_tolerance must be > 0")
-        if self.max_refinement_levels < 1:
-            raise DomainError("max_refinement_levels must be >= 1")
-        if self.domain not in ("unit", "halfline"):
-            raise DomainError(f"unknown quadrature domain {self.domain!r}")
 
 
 def _de_node(t, a, b, half):
@@ -115,44 +108,6 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     )
 
 
-def integrate_halfline(f, *, rtol=1e-10, max_levels=12, u_cap=4000.0):
-    """Integrate f over (0, inf) via s = exp(u) and truncated tanh-sinh.
-
-    The truncation window [-U1, U2] grows until |f(e^u) e^u| at both endpoints
-    drops below rtol times the coarse value; a window that never satisfies the
-    bound (non-decaying tail) raises ConvergenceError.
-    """
-
-    def g(u):
-        if u > 709.0:
-            # the tail is still significant where e^u no longer fits a double:
-            # the substitution cannot represent this integrand
-            raise ConvergenceError(
-                "half-line tail has not decayed within the double range; "
-                "integrate in log space instead"
-            )
-        s = math.exp(u)
-        return f(s) * s
-
-    return integrate_real_line(g, rtol=rtol, max_levels=max_levels, u_cap=u_cap)
-
-
-def quadrature(integrand, spec):
-    """Public oracle entry: integrate a real function per the QuadratureSpec.
-
-    Returns (value, error_estimate).
-    """
-    if spec.domain == "unit":
-        return tanh_sinh(
-            integrand, 0.0, 1.0,
-            rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels,
-        )
-    return integrate_halfline(
-        integrand,
-        rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels,
-    )
-
-
 def beta_integral(z, w, spec):
     """Beta function via its half-line integral representation.
 
@@ -173,9 +128,7 @@ def beta_integral(z, w, spec):
             l1p = math.log1p(math.exp(u))
         return cmath.exp(zc * u - zw * l1p)
 
-    value, _ = integrate_real_line(
-        g, rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels
-    )
+    value, _ = integrate_real_line(g, rtol=spec.relative_tolerance)
     if isinstance(z, complex) or isinstance(w, complex):
         return value
     return value.real
@@ -192,28 +145,26 @@ def gamma_integral(z, spec):
             return 0.0j
         return cmath.exp(zc * u - math.exp(u))
 
-    value, _ = integrate_real_line(
-        g, rtol=spec.relative_tolerance, max_levels=spec.max_refinement_levels
-    )
+    value, _ = integrate_real_line(g, rtol=spec.relative_tolerance)
     if isinstance(z, complex):
         return value
     return value.real
 
 
-def integrate_real_line(g, *, rtol=1e-10, max_levels=12, u_cap=4000.0):
+def integrate_real_line(g, *, rtol=1e-10):
     """Integrate g over the whole real line with adaptive truncation.
 
     Meant for already-substituted integrands (x = e^u and the like) whose
     tails decay exponentially; the window [-U1, U2] grows until |g| at both
     ends drops below tolerance, then tanh-sinh runs on it.  Returns
     (value, error_estimate); ConvergenceError when a tail never decays
-    within u_cap.
+    within |u| <= 4000.
     """
-    lo, hi = _window(g, rtol, u_cap=u_cap)
-    return tanh_sinh(g, lo, hi, rtol=rtol, max_levels=max_levels)
+    lo, hi = _window(g, rtol)
+    return tanh_sinh(g, lo, hi, rtol=rtol)
 
 
-def _window(g, rtol, u_cap):
+def _window(g, rtol):
     """Truncation window on the u-line for an already-substituted integrand."""
     u1 = u2 = 8.0
     try:
@@ -223,10 +174,10 @@ def _window(g, rtol, u_cap):
     threshold = rtol * max(abs(coarse), 1e-300) * 1e-2
     while abs(g(-u1)) > threshold:
         u1 *= 1.4
-        if u1 > u_cap:
+        if u1 > _U_CAP:
             raise ConvergenceError("integrand tail near 0 does not decay below tolerance")
     while abs(g(u2)) > threshold:
         u2 *= 1.4
-        if u2 > u_cap:
+        if u2 > _U_CAP:
             raise ConvergenceError("integrand tail at infinity does not decay below tolerance")
     return -u1, u2

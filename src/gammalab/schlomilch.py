@@ -82,13 +82,19 @@ class Hyp2F1Params:
             )
 
 
-def schlomilch_finite_lhs(m: int, z: complex) -> complex:
-    """Closed form (2**(z-1)/sqrt(pi)) * Gamma((z+m+1)/2) * Gamma((z-m)/2)."""
+def _finite_args(m: int, z) -> complex:
+    """complex(z), checked for the finite identity: m >= 0 and Re z > m."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     z = complex(z)
     if not z.real > m:
         raise DomainError(f"need Re z > m, got Re z = {z.real} with m = {m}")
+    return z
+
+
+def schlomilch_finite_lhs(m: int, z: complex) -> complex:
+    """Closed form (2**(z-1)/sqrt(pi)) * Gamma((z+m+1)/2) * Gamma((z-m)/2)."""
+    z = _finite_args(m, z)
     scale = cmath.exp((z - 1.0) * _LN2) / _SQRT_PI
     return scale * gamma(0.5 * (z + m + 1.0)) * gamma(0.5 * (z - m))
 
@@ -99,19 +105,13 @@ def schlomilch_finite_rhs(m: int, z: complex) -> complex:
     Ascending n with compensated summation; for real z > m every term is
     positive so there is nothing to cancel.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    z = complex(z)
-    if not z.real > m:
-        raise DomainError(f"need Re z > m, got Re z = {z.real} with m = {m}")
+    z = _finite_args(m, z)
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan compensation
     for n in range(m + 1):
-        # (m-n+1)_{2n} / (2^n n!) is rational; keep it exact until the multiply
-        factor = Fraction(
-            math.perm(m + n, 2 * n), 2**n * math.factorial(n)
-        )
-        term = gamma(z - n) * float(factor)
+        # (m-n+1)_{2n} / (2^n n!) as one correctly rounded integer quotient
+        factor = math.perm(m + n, 2 * n) / (2**n * math.factorial(n))
+        term = gamma(z - n) * factor
         y = term - comp
         t = total + y
         comp = (t - total) - y

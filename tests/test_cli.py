@@ -507,6 +507,24 @@ class TestInternalErrors:
         assert report["error"] == "internal"
 
 
+# one argv per subcommand handler; the first five check no residual
+_ONE_RUN_EACH = [
+    ["eval", "--z", "1"],
+    ["schlomilch", "binom", "--m", "4", "--l", "6"],
+    ["landau", "construct", "--delta", "1/2"],
+    ["stern", "--m", "7"],
+    ["closure", "--points", "1/3", "--depth", "1", "--max-n", "2"],
+    ["verify", "--identity", "functional", "--samples", "20"],
+    ["schlomilch", "finite", "--m", "1", "--z", "3.5"],
+    ["schlomilch", "general", "--w", "1.2", "--z", "0.7"],
+    ["landau", "trace", "--x", "3/7", "--delta", "1/2"],
+    ["landau", "quarter", "--x", "0.1"],
+    ["mellin", "--phi", "one", "--s", "0.5"],
+    ["complex-trace", "--z=0.5,2", "--delta", "1/2"],
+]
+_NO_TOLERANCE = _ONE_RUN_EACH[:5]
+
+
 class TestToleranceResolution:
     def test_family_default(self, capsys):
         _, report = run_json(["mellin", "--phi", "one", "--s", "0.5"], capsys)
@@ -530,12 +548,77 @@ class TestToleranceResolution:
     def test_bad_env_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("GAMMALAB_TOL", "not-a-number")
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--z", "5"])
+            main(["schlomilch", "finite", "--m", "0", "--z", "3.5"])
         assert exc.value.code == 2
 
     def test_nonpositive_tol_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--z", "5", "--tol", "0"])
+            main(["schlomilch", "finite", "--m", "0", "--z", "3.5", "--tol", "0"])
+        assert exc.value.code == 2
+
+    def test_one_run_of_each_handler(self):
+        handlers = {v for k, v in vars(cli).items() if k.startswith("_cmd_")}
+        parser = cli.build_parser()
+        assert {parser.parse_args(argv).handler for argv in _ONE_RUN_EACH} == handlers
+
+    @pytest.mark.parametrize("argv", _ONE_RUN_EACH, ids=" ".join)
+    def test_tol_flag_exactly_where_report_has_tolerance(self, argv, capsys):
+        _, report = run_json(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert ("--tol" in capsys.readouterr().out) == ("tolerance" in report)
+
+    @pytest.mark.parametrize("argv", _NO_TOLERANCE, ids=" ".join)
+    def test_no_tolerance_ignores_env(self, argv, capsys, monkeypatch):
+        want = run(argv, capsys)
+        monkeypatch.setenv("GAMMALAB_TOL", "not-a-number")
+        assert run(argv, capsys) == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize("argv", _NO_TOLERANCE, ids=" ".join)
+    def test_no_tolerance_rejects_tol_flag(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+
+
+class TestDigitLimit:
+    """main leaves Python's int/str digit limit as it finds it, and its
+    reports do not depend on it."""
+
+    @pytest.fixture
+    def limit_640(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int/str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # both sides are C(2200, 1100), an integer of 661 digits
+            ["schlomilch", "binom", "--m", "1100", "--l", "1100"],
+            # 640-digit denominators, doubled past the limit by the maps
+            ["closure", "--points", f"{10**639}/{9 * 10**639 + 1}",
+             "--depth", "1", "--max-n", "2"],
+            ["landau", "trace", "--delta", "1/2", "--x", f"{3 * 10**639}/{7 * 10**639 + 1}",
+             "--emit-trace"],
+        ],
+        ids=["binom", "closure", "trace"],
+    )
+    def test_report_needs_no_lift(self, argv, limit_640, capsys):
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)
+        assert run(argv, capsys) == (code, out)
+
+    def test_argv_integer_past_the_limit_is_usage_error(self, limit_640):
+        with pytest.raises(SystemExit) as exc:
+            main(["stern", "--m", "7" * 641])
         assert exc.value.code == 2
 
 

@@ -198,9 +198,7 @@ class TestVerifyGrid:
 
     def test_empty_grid_raises(self):
         # a sliver of the real axis within the exclusion radius of z = 0
-        spec = SampleSpec(
-            count=20, re_range=(-0.05, 0.05), im_range=(0.0, 0.0), pole_exclusion=0.1
-        )
+        spec = SampleSpec(count=20, re_range=(-0.05, 0.05), im_range=(0.0, 0.0))
         with pytest.raises(EmptyGridError):
             verify_grid("functional", spec, 1e-10)
 
@@ -229,8 +227,6 @@ class TestVerifyGrid:
             SampleSpec(count=0)
         with pytest.raises(DomainError):
             SampleSpec(count=5, re_range=(2.0, 1.0))
-        with pytest.raises(DomainError):
-            SampleSpec(count=5, pole_exclusion=-0.1)
         with pytest.raises(DomainError, match="seed"):
             SampleSpec(count=5, seed=-1)
 

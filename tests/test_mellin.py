@@ -12,7 +12,6 @@ from gammalab.mellin import (
     rmt_closed_form,
     rmt_residual,
 )
-from gammalab.quadrature import QuadratureSpec
 
 
 class TestCatalog:
@@ -107,11 +106,6 @@ class TestMellinTransform:
         want = math.pi / math.sin(math.pi * s)
         got = mellin_transform(spec, s)
         assert abs(got - want) / want < 1e-8
-
-    def test_custom_quadrature_spec(self):
-        spec = catalog_entry("one")
-        got = mellin_transform(spec, 0.5, QuadratureSpec(relative_tolerance=1e-7))
-        assert abs(got - math.pi) / math.pi < 1e-6
 
     def test_strip_enforced(self):
         spec = catalog_entry("one")

@@ -12,11 +12,14 @@ from gammalab.quadrature import (
     _de_node,
     beta_integral,
     gamma_integral,
-    integrate_halfline,
     integrate_real_line,
-    quadrature,
     tanh_sinh,
 )
+
+
+def _halfline(f):
+    """integral_0^inf f(s) ds, by integrate_real_line after s = e^u."""
+    return integrate_real_line(lambda u: f(math.exp(u)) * math.exp(u))
 
 
 class TestTanhSinh:
@@ -82,22 +85,27 @@ class TestNonFiniteIntegrand:
 
 
 class TestHalfLine:
+    """Integrals over (0, inf) in the form the oracles take them: on the
+    whole u-line after s = e^u."""
+
     def test_exponential(self):
-        v, _ = integrate_halfline(lambda x: math.exp(-x))
+        v, _ = _halfline(lambda x: math.exp(-x))
         assert v == pytest.approx(1.0, rel=1e-11)
 
     def test_gaussian(self):
-        v, _ = integrate_halfline(lambda x: math.exp(-x * x))
+        v, _ = _halfline(lambda x: math.exp(-x * x))
         assert v == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-11)
 
     def test_algebraic_singularity_at_zero(self):
         # int_0^inf x^{-1/2} e^{-x} = Gamma(1/2)
-        v, _ = integrate_halfline(lambda x: math.exp(-x) / math.sqrt(x))
+        v, _ = _halfline(lambda x: math.exp(-x) / math.sqrt(x))
         assert v == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_nondecaying_tail_raises(self):
-        with pytest.raises(ConvergenceError):
-            integrate_halfline(lambda x: 1.0 / (1.0 + x))
+        # 1/(1+s) ds after s = e^u is 1/(1+e^-u) du, which tends to 1:
+        # the window grows past its cap |u| = 4000 and gives up
+        with pytest.raises(ConvergenceError, match="at infinity"):
+            integrate_real_line(lambda u: 1.0 / (1.0 + math.exp(-u)))
 
     def test_real_line_gaussian(self):
         v, _ = integrate_real_line(lambda u: math.exp(-u * u))
@@ -134,16 +142,6 @@ class TestOracleAgreement:
                 beta_closed(a, b), rel=1e-9
             )
 
-    def test_quadrature_dispatch(self):
-        unit = QuadratureSpec(domain="unit")
-        v, _ = quadrature(lambda x: 1.0, unit)
-        assert v == pytest.approx(1.0, abs=1e-12)
-        half = QuadratureSpec(domain="halfline")
-        v, _ = quadrature(lambda x: math.exp(-2 * x), half)
-        assert v == pytest.approx(0.5, rel=1e-10)
-
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(relative_tolerance=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(domain="plane")
