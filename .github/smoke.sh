@@ -11,7 +11,12 @@ code=0; gammalab eval --z 1 --tol 1e-3 2> /dev/null || code=$?
 test "$code" -eq 2
 python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '4/9', *b], capture_output=True, check=True).stdout) for b in ([], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
 python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '3/7', *b], capture_output=True, check=True).stdout) for b in (['--node-budget', '10000000'], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
-gammalab stern --m 40
+gammalab stern --m 120 > stern.json
+grep -q '"independent":16' stern.json
+python -O -c "import gammalab.stern as s; s.totient = lambda m: 0
+try: s.independent_count(7)
+except AssertionError: pass
+else: raise SystemExit('the phi(m)/2 check is gone under -O')"
 python -c "import sys, gammalab.cli; assert 'numpy' not in sys.modules"
 python -c "import sys; from gammalab.cli import main; assert main(['eval', '--z', '0.5']) == 0; assert not {'gammalab.landau', 'gammalab.identities', 'gammalab.schlomilch'} & set(sys.modules)" > /dev/null
 gammalab verify --identity reflection --samples 50 > /dev/null

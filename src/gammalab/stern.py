@@ -7,6 +7,17 @@ n >= 2 of m the multiplication relation sum_j v_{k + j m/n} - v_{nk} =
 const.  Writing all of them as rows of an integer matrix and computing its
 rank over the rationals yields the number of *independent* values left,
 which equals phi(m)/2 (phi the totient) for every m >= 3.
+
+The rank is taken on a smaller, folded matrix.  Reflection row k < m/2 is
+e_k + e_{m-k}, with entry 1 in column m - k, and for even m row m/2 is
+2 e_{m/2}; no other reflection row touches these columns.  Eliminating
+them first is therefore exact over Q: it substitutes v_{m-k} -> -v_k and
+v_{m/2} -> 0 in each multiplication row r, leaving r[k] - r[m-k] for
+k = 1..(m-1)//2.  So the rank of the whole matrix is floor(m/2) (the
+reflection rows, one pivot column each) plus the rank of the folded rows,
+and dropping folded rows that are zero or repeat another up to sign leaves
+that rank unchanged.  At m = 36 the 73 x 35 matrix folds to 20 x 17; at a
+prime m no row is left.
 """
 
 from __future__ import annotations
@@ -86,14 +97,34 @@ def _rank(rows: list) -> int:
     return rank
 
 
+def _folded_rows(m: int) -> list:
+    """The multiplication rows of relation_matrix(m) with the reflection
+    rows eliminated (see the module docstring): the nonzero ones, each once
+    up to sign with a positive first entry, sorted."""
+    folded = set()
+    for r in relation_matrix(m)[m // 2:]:
+        row = tuple(r[k - 1] - r[m - k - 1] for k in range(1, (m + 1) // 2))
+        lead = next((x for x in row if x), 0)
+        if lead:
+            folded.add(row if lead > 0 else tuple(-x for x in row))
+    return sorted(folded)
+
+
 def independent_count(m: int) -> int:
     """Number of log-gamma values at k/m not fixed by the relation families.
 
-    Computed as (m - 1) - rank(relation matrix); equals totient(m)/2 for
-    every m >= 3, which is asserted.
+    Computed as (m - 1) - rank(relation matrix).  The rank is floor(m/2),
+    one for each reflection row, plus the rank of the folded multiplication
+    rows; eliminating the reflection rows first is exact because each has a
+    pivot column that no other reflection row touches (module docstring).
+    The count equals totient(m)/2 for every m >= 3; this is checked, and a
+    mismatch raises AssertionError (also under python -O).
     """
-    rows = relation_matrix(m)
-    independent = (m - 1) - _rank(rows)
+    independent = (m - 1) - (m // 2 + _rank(_folded_rows(m)))
     expected, rem = divmod(totient(m), 2)
-    assert rem == 0 and independent == expected, (m, independent, totient(m))
+    if rem or independent != expected:
+        raise AssertionError(
+            f"independent count {independent} at m = {m} is not phi(m)/2 "
+            f"(phi(m) = {totient(m)})"
+        )
     return independent

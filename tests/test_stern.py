@@ -1,11 +1,22 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammalab
 from gammalab.errors import DomainError
-from gammalab.stern import _rank, independent_count, relation_matrix, totient
+from gammalab.stern import (
+    _folded_rows,
+    _rank,
+    independent_count,
+    relation_matrix,
+    totient,
+)
 
 
 def _fraction_rank(rows):
@@ -84,6 +95,35 @@ class TestIndependentCount:
         # (p-1)/2 independent values survive
         for p in (3, 5, 7, 11, 13):
             assert independent_count(p) == (p - 1) // 2
+
+    def test_folded_rank_matches_full_matrix(self):
+        for m in range(3, 101):
+            full = (m - 1) - _rank(relation_matrix(m))
+            assert independent_count(m) == full, m
+
+    def test_prime_modulus_folds_to_no_rows(self):
+        # the one multiplication row is all ones, which folds to zero
+        for p in (3, 7, 37, 101):
+            assert _folded_rows(p) == []
+
+    def test_folded_rows_at_36(self):
+        rows = _folded_rows(36)
+        assert (len(rows), len(rows[0])) == (20, 17)
+        assert rows == sorted(set(rows))
+        assert all(next(x for x in row if x) > 0 for row in rows)
+
+    def test_check_survives_optimize_flag(self):
+        # python -O strips assert statements; the phi(m)/2 check must stay
+        code = (
+            "import gammalab.stern as s; s.totient = lambda m: 0; "
+            "s.independent_count(7)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gammalab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: independent count 3 at m = 7" in proc.stderr
 
 
 class TestBareissRank:
