@@ -32,13 +32,11 @@ from .errors import (
     DepthError,
     DomainError,
     EmptyGridError,
-    PoleError,
     ResourceError,
     TraceDepthError,
 )
 
 _ERROR_KINDS = (
-    (PoleError, "pole"),
     (EmptyGridError, "empty_grid"),
     (DomainError, "domain"),
     (ConvergenceError, "convergence"),

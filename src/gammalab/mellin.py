@@ -21,7 +21,7 @@ integrand is assembled in log space.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import _check_finite, _residual
 from .errors import DomainError
@@ -45,10 +45,6 @@ class PhiSpec:
     eta: float
     log_psi_of_exp: object
     q: float = 0.0
-
-
-def _psi_one(x):
-    return 1.0 / (1.0 + x)
 
 
 def _log_psi_one(u):
@@ -102,13 +98,8 @@ def _geom_spec(a: float) -> PhiSpec:
 
 
 _CATALOG = {
-    "one": lambda: PhiSpec(
-        id="one",
-        phi=lambda n: 1.0,
-        psi_closed_form=_psi_one,
-        eta=1.0,
-        log_psi_of_exp=_log_psi_one,
-    ),
+    # phi = 1 is the geometric entry at ratio 1
+    "one": lambda: replace(_geom_spec(1.0), id="one"),
     "exp": lambda: PhiSpec(
         id="exp",
         phi=lambda n: 1.0 / math.gamma(n + 1),

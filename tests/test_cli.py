@@ -468,6 +468,17 @@ class TestFormats:
         assert code == 1
         assert any(line == "error = pole" for line in out.splitlines())
 
+    @pytest.mark.parametrize("tol,code,word", [([], 0, "true"), (["--tol", "1e-300"], 1, "false")])
+    def test_booleans_are_lowercase_words(self, tol, code, word, capsys):
+        argv = ["verify", "--identity", "functional", "--samples", "5", *tol, "--format"]
+        got, out = run([*argv, "csv"], capsys)
+        assert got == code
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["pass"] == word
+        got, out = run([*argv, "text"], capsys)
+        assert got == code
+        assert f"pass = {word}" in out.splitlines()
+
     def test_json_is_sorted_and_parseable(self, capsys):
         _, out = run(["mellin", "--phi", "exp", "--s", "0.3"], capsys)
         report = json.loads(out)

@@ -264,6 +264,28 @@ class TestLogGamma:
     def test_real_positive(self):
         assert log_gamma(10.0) == pytest.approx(math.lgamma(10.0), rel=1e-14)
 
+    @pytest.mark.parametrize("box", ["right-disc", "strip", "real", "tall"])
+    def test_seeded_boxes_against_mpmath(self, box):
+        # within 4e-15 (absolute, or relative above 1) of mpmath at 40 digits:
+        # the right half of |z| <= 170, the strip 0 < Re z < 1/2 that takes
+        # one recurrence step, real x in (1e-3, 1e6), and |Im z| up to 1e6
+        rng = random.Random(0)
+        draw = {
+            "right-disc": lambda: cmath.rect(170.0 * rng.random() ** 0.5, rng.uniform(-0.5, 0.5) * math.pi),
+            "strip": lambda: complex(rng.uniform(0.0, 0.5), rng.uniform(-5.0, 5.0)),
+            "real": lambda: 10 ** rng.uniform(-3.0, 6.0),
+            "tall": lambda: complex(rng.uniform(0.0, 3.0), rng.choice((-1, 1)) * 10 ** rng.uniform(0.0, 6.0)),
+        }[box]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(1000):
+                z = draw()
+                value = log_gamma(z)
+                assert type(value) is type(z)
+                ref = complex(mpmath.loggamma(mpmath.mpmathify(z)))
+                worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+        assert worst <= 4e-15
+
 
 class TestBetaPochhammer:
     def test_beta_symmetry_and_value(self):
@@ -278,6 +300,17 @@ class TestBetaPochhammer:
             b = rng.uniform(0.2, 6.0)
             ref = gamma(a) * gamma(b) / gamma(a + b)
             assert beta(a, b) == pytest.approx(ref, rel=1e-12)
+
+    def test_complex_beta_against_mpmath(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            z = complex(rng.uniform(-3.0, 5.0), rng.uniform(-4.0, 4.0))
+            w = complex(rng.uniform(0.2, 5.0), rng.uniform(-4.0, 4.0))
+            value = beta(z, w)
+            assert type(value) is complex
+            ref = complex(mpmath.beta(mpmath.mpc(z.real, z.imag), mpmath.mpc(w.real, w.imag)))
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+        assert type(beta(2.5, 0.5j + 1.0)) is complex
 
     def test_pochhammer_integers(self):
         assert pochhammer(3.0, 4) == pytest.approx(3 * 4 * 5 * 6)

@@ -330,6 +330,11 @@ class TestNonvanishingScan:
         with pytest.raises(DomainError, match="finite"):
             nonvanishing_scan(re_range, (0.0, 0.0), step)
 
+    @pytest.mark.parametrize("re_range, im_range", [((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, -1.0))])
+    def test_rejects_unordered_ranges(self, re_range, im_range):
+        with pytest.raises(DomainError, match="ordered"):
+            nonvanishing_scan(re_range, im_range, 0.5)
+
     def test_all_points_excluded(self):
         with pytest.raises(EmptyGridError):
             nonvanishing_scan((-0.01, 0.01), (0.0, 0.0), 0.005)

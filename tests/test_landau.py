@@ -225,6 +225,9 @@ class TestSummaryConstruction:
         assert list(fs_tenth.leaf_union) == [(Fraction(0), Fraction(1, 20))]
         assert 5.1e72 < float(fs_tenth.final_piece_count) < 5.2e72
 
+    def test_no_root_forest(self, fs_tenth):
+        assert fs_tenth.root_forest == ()
+
     def test_report_text_needs_no_digit_limit_lift(self):
         # at 1/100 the residual numerator has about 14,800 bits, past the
         # default str() limit of 4300 digits; the report is written in

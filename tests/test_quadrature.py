@@ -107,6 +107,11 @@ class TestHalfLine:
         with pytest.raises(ConvergenceError, match="at infinity"):
             integrate_real_line(lambda u: 1.0 / (1.0 + math.exp(-u)))
 
+    def test_nondecaying_left_tail_raises(self):
+        # 1/(1+e^u) tends to 1 as u -> -inf: the left end gives up first
+        with pytest.raises(ConvergenceError, match="near 0"):
+            integrate_real_line(lambda u: 1.0 / (1.0 + math.exp(u)))
+
     def test_real_line_gaussian(self):
         v, _ = integrate_real_line(lambda u: math.exp(-u * u))
         assert v == pytest.approx(math.sqrt(math.pi), rel=1e-11)
@@ -141,6 +146,11 @@ class TestOracleAgreement:
             assert beta_integral(a, b, self.SPEC) == pytest.approx(
                 beta_closed(a, b), rel=1e-9
             )
+
+    @pytest.mark.parametrize("z,w", [(0.0, 1.0), (complex(-0.5, 1.0), 1.0), (1.0, -2.0)])
+    def test_beta_left_half_rejected(self, z, w):
+        with pytest.raises(DomainError, match="Re z > 0 and Re w > 0"):
+            beta_integral(z, w, self.SPEC)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

@@ -231,6 +231,12 @@ class TestHypergeometric:
             # floor the scale rather than divide by a tiny closed form
             assert abs(series.value - closed) <= 1e-11 * max(abs(closed), 1e-3)
 
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -3.0 + 1e-9), (-2.5, -2.5)])
+    def test_gauss_second_summation_at_a_pole(self, a, b):
+        # (a+1)/2, (b+1)/2 and (a+b+1)/2 in turn within 1e-8 of a pole
+        with pytest.raises(PoleError, match="within 1e-8 of a pole"):
+            gauss_second_summation(a, b)
+
     def test_gauss_second_summation_with_an_underflowed_factor(self):
         # Gamma((a + 1)/2) underflows at Re a ~ -400: a zero denominator
         with pytest.raises(OverflowError, match="underflows to zero"):
