@@ -1,10 +1,12 @@
 # Master-theorem checks on a small catalog of alternating series.
 #
 # Each catalog entry packages a coefficient sequence phi together with
-# the closed form of psi(x) = sum_k phi(k) (-x)^k.  The master theorem
-# says the Mellin transform  integral x^(s-1) psi(x) dx  equals
-# (pi / sin(pi s)) * phi(-s) on the strip 0 < s < 1, with phi
-# interpolated off the integers in the natural way.
+# psi(x) = sum_k phi(k) (-x)^k, stated once as log psi(e^u): the form
+# the transform integrates, and that psi_eval uses past the series'
+# disc.  The master theorem says the Mellin transform
+# integral x^(s-1) psi(x) dx  equals (pi / sin(pi s)) * phi(-s) on the
+# strip 0 < s < 1, with phi interpolated off the integers in the
+# natural way.
 
 import math
 

@@ -302,16 +302,12 @@ def _cmd_landau_quarter(args, tol):
 
 def _cmd_complex_trace(args, tol):
     from .core import gamma
-    from .landau import complex_reduce_trace
+    from .landau import complex_reduce_trace, strip_membership
 
     fs = _fundamental_set(args)
     value, trace = complex_reduce_trace(args.z, fs)
-
-    def membership(a):
-        return isinstance(a, complex) and abs(a.imag) < 1.0 and a.real in fs.leaf_union
-
     head = {"z": _pair(args.z), "delta": str(args.delta)}
-    return _trace_report(args, head, value, trace, gamma(args.z), tol, membership)
+    return _trace_report(args, head, value, trace, gamma(args.z), tol, strip_membership(fs))
 
 
 def _cmd_stern(args, tol):

@@ -720,6 +720,16 @@ def quarter_set_membership(a) -> bool:
 # tracer 3: the complex strip
 
 
+def strip_membership(fs: FundamentalSet):
+    """Membership predicate of the strip that complex_reduce_trace's direct
+    leaves lie in: a complex a with |Im a| < 1 and Re a in fs.leaf_union."""
+
+    def member(a) -> bool:
+        return isinstance(a, complex) and abs(a.imag) < 1.0 and a.real in fs.leaf_union
+
+    return member
+
+
 def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_COMPLEX_BUDGET):
     """Reduce Gamma(z) to direct evaluations at points whose real part lies
     in fs.leaf_union and |Im| < 1.

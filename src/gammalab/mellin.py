@@ -13,11 +13,11 @@ for s in the strip (0, eta).  This module ships a small catalog of phi
 with known closed-form psi, evaluates both sides numerically, and reports
 the relative residual.  phi = 1 recovers the reflection-formula values.
 
-The transform is integrated after x = e^u.  Near the strip edges the
-integrand decays like exp(-c|u|) with tiny c, so the truncation window
-reaches far beyond where e^u is a representable float; each catalog entry
-therefore supplies log(psi(e^u)) in a form stable for all u, and the
-integrand is assembled in log space.
+Each catalog entry states psi once, as log(psi(e^u)) in a form stable for
+all u: near the strip edges the integrand decays like exp(-c|u|) with
+tiny c, so the truncation window reaches far beyond where e^u is a
+representable float.  The transform is the one Mellin integral that
+`quadrature` also evaluates the gamma and beta integrals with.
 """
 
 import math
@@ -25,56 +25,33 @@ from dataclasses import dataclass, replace
 
 from .core import _check_finite, _residual
 from .errors import DomainError
-from .quadrature import integrate_real_line
+from .quadrature import _mellin_integral, _minus_exp, _softplus
 
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """A catalog entry: the sequence phi, its closed-form psi, and the
-    growth/strip constants.
+    """A catalog entry: the sequence phi, psi stated once as log psi(e^u),
+    and the growth/strip constants.
 
     eta is the half-width of the admissible strip 0 < s < eta; |phi(n)|
     grows at most like exp(q n), so the series converges for x < exp(-q).
-    log_psi_of_exp(u) = log(psi(e^u)), computed stably for all u, powers
-    the transform.
+    log_psi_of_exp(u) = log(psi(e^u)), computed stably for all u, is the
+    only closed form of psi: the transform integrates it, and psi_eval
+    uses it beyond the series' disc.
     """
 
     id: str
     phi: object
-    psi_closed_form: object
     eta: float
     log_psi_of_exp: object
     q: float = 0.0
-
-
-def _log_psi_one(u):
-    # -log(1 + e^u), written from the dominant side
-    if u > 0.0:
-        return -(u + math.log1p(math.exp(-u)))
-    return -math.log1p(math.exp(u))
-
-
-def _psi_exp(x):
-    return math.exp(-x)
-
-
-def _log_psi_exp(u):
-    if u > 700.0:
-        return -math.inf
-    return -math.exp(u)
-
-
-def _psi_log1p(x):
-    return math.log1p(x) / x
 
 
 def _log_psi_log1p(u):
     # log(log(1 + e^u)) - u; for very negative u, psi(e^u) -> 1 - e^u/2
     if u < -35.0:
         return -0.5 * math.exp(u)
-    if u > 0.0:
-        return math.log(u + math.log1p(math.exp(-u))) - u
-    return math.log(math.log1p(math.exp(u))) - u
+    return math.log(_softplus(u)) - u
 
 
 def _geom_spec(a: float) -> PhiSpec:
@@ -82,18 +59,13 @@ def _geom_spec(a: float) -> PhiSpec:
         raise DomainError(f"geometric ratio must be > 0, got {a}")
     _check_finite(a, "geometric ratio")
     la = math.log(a)
-
-    def log_psi(u, la=la):
-        # -log(1 + a e^u) = shifted copy of the phi=1 case
-        return _log_psi_one(u + la)
-
     return PhiSpec(
         id=f"geom:{a:g}",
         phi=lambda n: a**n,
-        psi_closed_form=lambda x, a=a: 1.0 / (1.0 + a * x),
         eta=1.0,
         q=la,
-        log_psi_of_exp=log_psi,
+        # -log(1 + a e^u): a shifted copy of the phi = 1 case
+        log_psi_of_exp=lambda u: -_softplus(u + la),
     )
 
 
@@ -103,14 +75,12 @@ _CATALOG = {
     "exp": lambda: PhiSpec(
         id="exp",
         phi=lambda n: 1.0 / math.gamma(n + 1),
-        psi_closed_form=_psi_exp,
         eta=math.inf,
-        log_psi_of_exp=_log_psi_exp,
+        log_psi_of_exp=_minus_exp,
     ),
     "log1p": lambda: PhiSpec(
         id="log1p",
         phi=lambda n: 1.0 / (n + 1),
-        psi_closed_form=_psi_log1p,
         eta=1.0,
         log_psi_of_exp=_log_psi_log1p,
     ),
@@ -137,13 +107,14 @@ def catalog_entry(tag: str) -> PhiSpec:
 
 
 def psi_eval(spec: PhiSpec, x: float) -> float:
-    """psi(x): the alternating series inside 0.9 * exp(-q), the closed
-    form beyond (the series itself would diverge past exp(-q))."""
+    """psi(x): the alternating series inside 0.9 * exp(-q), and beyond it
+    exp(log_psi_of_exp(log x)), the form the transform integrates (the
+    series itself would diverge past exp(-q))."""
     x = float(x)
     if not x > 0:
         raise DomainError(f"x must be > 0, got {x}")
     if x >= 0.9 * math.exp(-spec.q):
-        return spec.psi_closed_form(x)
+        return math.exp(spec.log_psi_of_exp(math.log(x)))
     total = 0.0
     term_x = 1.0
     for n in range(0, 10_000):
@@ -168,13 +139,7 @@ def mellin_transform(spec: PhiSpec, s: float) -> float:
         raise DomainError(
             f"s must lie in the strip (0, {spec.eta}), got {s}"
         )
-    log_psi = spec.log_psi_of_exp
-
-    def g(u):
-        return math.exp(s * u + log_psi(u))
-
-    value, _err = integrate_real_line(g, rtol=1e-9)
-    return value
+    return _mellin_integral(spec.log_psi_of_exp, s, 1e-9)
 
 
 def rmt_closed_form(spec: PhiSpec, s: float) -> float:

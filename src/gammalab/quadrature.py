@@ -3,9 +3,10 @@
 The engine is deliberately self-contained: a tanh-sinh node ladder on a finite
 interval, plus one window-and-integrate recipe, `integrate_real_line`, which
 grows a truncation window on the whole line until the endpoint integrand
-magnitude falls below the tolerance times a coarse value.  The independent
-oracles for the defining gamma integral and the beta integral representation
-both go through it, after s = e^u.
+magnitude falls below the tolerance times a coarse value.  One Mellin integral,
+integral_0^inf x^(s-1) psi(x) dx = integral exp(s u + log psi(e^u)) du after
+x = e^u, goes through it; the gamma and beta oracles and the master-theorem
+transform of `mellin` are that integral, each psi stated as log psi(e^u).
 """
 
 import cmath
@@ -88,7 +89,8 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     Endpoint singularities of integrable type are fine - the nodes never touch
     a or b and the weights decay double-exponentially.
     """
-    if not (a < b):
+    # an infinite end, or a width b - a that overflows, is no interval
+    if not (a < b and math.isfinite(b - a)):
         raise DomainError(f"bad interval ({a!r}, {b!r})")
     half = 0.5 * (b - a)
     h = _BASE_H
@@ -111,44 +113,50 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
 def beta_integral(z, w, spec):
     """Beta function via its half-line integral representation.
 
-    Integrates s^{z-1} (1+s)^{-z-w} over (0, inf) after the log substitution.
-    Requires Re z > 0 and Re w > 0.
+    The Mellin integral of x^{z-1} (1+x)^{-z-w} over (0, inf): log psi(e^u)
+    = -(z+w) log(1+e^u).  Requires Re z > 0 and Re w > 0.
     """
     zc = _check_finite(z, "z")
     wc = _check_finite(w, "w")
     if zc.real <= 0 or wc.real <= 0:
         raise DomainError("beta_integral requires Re z > 0 and Re w > 0")
-    zw = zc + wc
-
-    def g(u):
-        # integrand in u-space: exp(z u - (z+w) log(1+e^u))
-        if u > 700.0:
-            l1p = u
-        else:
-            l1p = math.log1p(math.exp(u))
-        return cmath.exp(zc * u - zw * l1p)
-
-    value, _ = integrate_real_line(g, rtol=spec.relative_tolerance)
-    if isinstance(z, complex) or isinstance(w, complex):
-        return value
-    return value.real
+    if not (isinstance(z, complex) or isinstance(w, complex)):
+        zc, wc = zc.real, wc.real
+    c = -(zc + wc)
+    return _mellin_integral(lambda u: c * _softplus(u), zc, spec.relative_tolerance)
 
 
 def gamma_integral(z, spec):
-    """The defining gamma integral, evaluated numerically (oracle for gamma)."""
+    """The defining gamma integral, evaluated numerically (oracle for gamma):
+    the Mellin integral of e^{-x}, log psi(e^u) = -e^u."""
     zc = _check_finite(z, "z")
     if zc.real <= 0:
         raise DomainError("gamma_integral requires Re z > 0")
+    s = zc if isinstance(z, complex) else zc.real
+    return _mellin_integral(_minus_exp, s, spec.relative_tolerance)
 
-    def g(u):
-        if u > 700.0:
-            return 0.0j
-        return cmath.exp(zc * u - math.exp(u))
 
-    value, _ = integrate_real_line(g, rtol=spec.relative_tolerance)
-    if isinstance(z, complex):
-        return value
-    return value.real
+def _softplus(u):
+    """log(1 + e^u), written from the dominant side."""
+    if u > 0.0:
+        return u + math.log1p(math.exp(-u))
+    return math.log1p(math.exp(u))
+
+
+def _minus_exp(u):
+    """-e^u: log psi(e^u) for psi(x) = e^{-x}."""
+    return -math.exp(u)
+
+
+def _mellin_integral(log_psi, s, rtol):
+    """integral_0^inf x^{s-1} psi(x) dx = integral exp(s u + log_psi(u)) du.
+
+    log_psi(u) = log psi(e^u), stable for all u.  A float s integrates in
+    floats, a complex s in complex numbers, and the value has s's type.
+    """
+    exp = cmath.exp if isinstance(s, complex) else math.exp
+    value, _ = integrate_real_line(lambda u: exp(s * u + log_psi(u)), rtol=rtol)
+    return value
 
 
 def integrate_real_line(g, *, rtol=1e-10):

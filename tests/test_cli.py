@@ -669,6 +669,28 @@ class TestUsage:
             main(["verify", "--identity", "functional", "--grid", "5:0:1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["landau", "construct", "--delta", "abc"], "not a rational"),
+            (["landau", "construct", "--delta", "1/0"], "not a rational"),
+            (["eval", "--z", "abc"], "not a number"),
+            (["eval", "--z", "1/0"], "not a number"),
+            (["eval", "--z", "1,abc"], "not a number"),
+            (["verify", "--identity", "functional", "--grid", "5:a:1:0:1"], "bad grid spec"),
+            (["verify", "--identity", "functional", "--grid", "0:0:1:0:1"],
+             "degenerate grid spec"),
+            (["verify", "--identity", "functional", "--grid", "5:1:0:0:1"],
+             "degenerate grid spec"),
+            (["closure", "--points", ",", "--depth", "1", "--max-n", "2"], "empty point list"),
+        ],
+    )
+    def test_bad_argument_value(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

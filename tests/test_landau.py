@@ -28,6 +28,7 @@ from gammalab.landau import (
     landau_lemma_decompose,
     quarter_set_membership,
     quarter_set_trace,
+    strip_membership,
     trace_evaluate,
     validate_trace,
 )
@@ -578,17 +579,6 @@ class TestQuarterSet:
         assert not quarter_set_membership(0.0)
 
 
-def _strip_membership(fs):
-    def member(a):
-        return (
-            isinstance(a, complex)
-            and abs(a.imag) < 1.0
-            and a.real in fs.leaf_union
-        )
-
-    return member
-
-
 class TestComplexReduce:
     def test_seeded_strip_matches_gamma(self, fs_half):
         rng = random.Random(13)
@@ -599,7 +589,7 @@ class TestComplexReduce:
             ref = gamma(z)
             rel = abs(value - ref) / abs(ref)
             worst = max(worst, rel)
-            validate_trace(trace, _strip_membership(fs_half))
+            validate_trace(trace, strip_membership(fs_half))
         assert worst < 1e-8
 
     def test_functional_chain_for_large_real_part(self, fs_half):
@@ -608,7 +598,7 @@ class TestComplexReduce:
         assert trace.root.rule == "functional"
         ref = gamma(z)
         assert abs(value - ref) / abs(ref) < 1e-10
-        validate_trace(trace, _strip_membership(fs_half))
+        validate_trace(trace, strip_membership(fs_half))
 
     def test_reflection_for_left_half_plane(self, fs_half):
         z = -1.3 + 0.5j
@@ -835,7 +825,7 @@ class TestDeepComplexTraces:
         value, trace = complex_reduce_trace(160.5 + 0.5j, fs_half)
         ref = gamma(160.5 + 0.5j)
         assert abs(value - ref) / abs(ref) < 1e-10
-        assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count
+        assert validate_trace(trace, strip_membership(fs_half)) == trace.node_count
 
 
 def _json_reference(node):
@@ -1194,4 +1184,4 @@ class TestLeftHalfPlaneComplexTraces:
             "eb8be5329ebf854d0c3ac578da9a9d0a29104bfd7f3bef272670bd4a9cd7dd20"
         )
         for trace in traces:
-            assert validate_trace(trace, _strip_membership(fs_half)) == trace.node_count
+            assert validate_trace(trace, strip_membership(fs_half)) == trace.node_count

@@ -39,6 +39,15 @@ class TestCatalog:
             catalog_entry("geom:-1")
 
 
+# psi in closed form, written here independently of the catalog's log psi(e^u)
+_PSI = {
+    "one": lambda x: 1.0 / (1.0 + x),
+    "geom:2": lambda x: 1.0 / (1.0 + 2.0 * x),
+    "exp": lambda x: math.exp(-x),
+    "log1p": lambda x: math.log1p(x) / x,
+}
+
+
 class TestPsiEval:
     @pytest.mark.parametrize("tag", ["one", "exp", "log1p", "geom:2"])
     def test_series_matches_closed_form_inside_disc(self, tag):
@@ -47,12 +56,13 @@ class TestPsiEval:
         for k in range(1, 21):  # 20 points spread over the convergence disc
             x = 0.85 * radius * k / 20.0
             series = psi_eval(spec, x)
-            closed = spec.psi_closed_form(x)
-            assert series == pytest.approx(closed, rel=1e-10, abs=1e-14)
+            for closed in (_PSI[tag](x), math.exp(spec.log_psi_of_exp(math.log(x)))):
+                assert series == pytest.approx(closed, rel=1e-10, abs=1e-14)
 
     def test_beyond_disc_uses_closed_form(self):
         spec = catalog_entry("one")
-        assert psi_eval(spec, 50.0) == spec.psi_closed_form(50.0)
+        assert psi_eval(spec, 50.0) == math.exp(spec.log_psi_of_exp(math.log(50.0)))
+        assert psi_eval(spec, 50.0) == pytest.approx(1.0 / 51.0, rel=1e-15)
 
     def test_rejects_nonpositive_x(self):
         spec = catalog_entry("one")

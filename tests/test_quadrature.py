@@ -5,6 +5,7 @@ import pytest
 
 from gammalab.core import beta as beta_closed
 from gammalab.core import gamma as gamma_closed
+from gammalab.core import sinpi
 from gammalab.errors import ConvergenceError, DomainError
 from gammalab.quadrature import (
     _TINY_WEIGHT,
@@ -49,6 +50,14 @@ class TestTanhSinh:
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             tanh_sinh(lambda x: x, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (-1e308, 1e308)]
+    )
+    def test_infinite_interval_rejected(self, a, b):
+        # every node of an infinite width is NaN; the sum must not read 0
+        with pytest.raises(DomainError, match="bad interval"):
+            tanh_sinh(lambda x: math.exp(-abs(x)), a, b)
 
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
@@ -146,6 +155,18 @@ class TestOracleAgreement:
             assert beta_integral(a, b, self.SPEC) == pytest.approx(
                 beta_closed(a, b), rel=1e-9
             )
+
+    def test_beta_reflection_route(self):
+        # Euler's route: B(z, 1 - z) = pi / sin(pi z) on 0 < Re z < 1,
+        # with no gamma evaluation on either side
+        spec = QuadratureSpec(relative_tolerance=1e-10)
+        rng = random.Random(4)
+        worst = 0.0
+        for _ in range(40):
+            z = complex(rng.uniform(0.05, 0.95), rng.uniform(-2.0, 2.0))
+            want = math.pi / sinpi(z)
+            worst = max(worst, abs(beta_integral(z, 1 - z, spec) - want) / abs(want))
+        assert worst < 1e-10
 
     @pytest.mark.parametrize("z,w", [(0.0, 1.0), (complex(-0.5, 1.0), 1.0), (1.0, -2.0)])
     def test_beta_left_half_rejected(self, z, w):
