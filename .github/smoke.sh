@@ -13,6 +13,8 @@ python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab
 python -c "import json, subprocess; e, s = (json.loads(subprocess.run(['gammalab', 'landau', 'construct', '--delta', '3/7', *b], capture_output=True, check=True).stdout) for b in (['--node-budget', '10000000'], ['--node-budget', '1'])); assert e['explicit'] and not s['explicit']; assert [e[k] for k in ('residual_mass', 'final_piece_count')] == [s[k] for k in ('residual_mass', 'final_piece_count')]"
 gammalab stern --m 120 > stern.json
 grep -q '"independent":16' stern.json
+gammalab stern --m 480 > stern.json
+grep -q '"independent":64' stern.json
 python -O -c "import gammalab.stern as s; s.totient = lambda m: 0
 try: s.independent_count(7)
 except AssertionError: pass

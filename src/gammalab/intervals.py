@@ -8,14 +8,15 @@ Every set is built on integers.  Its endpoints are held as integers over
 one index denominator D: the scale S = 2**(K t) of the construction for a
 set that `landau_construct` builds, and otherwise the lcm of the reduced
 denominators of the given endpoints.  Sorting and merging run on these
-integers, the canonical intervals (a_i, b_i] are kept as two sorted lists
-lo[i] = D * a_i and hi[i] = D * b_i, and one Fraction pair is made per
-merged interval, the public `intervals`.  A point x = p/q is scaled once to
-c = ceil(p * D / q); since lo[i] and hi[i] are integers, a_i < x <= b_i
+integers, and the canonical intervals (a_i, b_i] are kept as two sorted
+lists lo[i] = D * a_i and hi[i] = D * b_i.  A point x = p/q is scaled once
+to c = ceil(p * D / q); since lo[i] and hi[i] are integers, a_i < x <= b_i
 holds exactly when lo[i] < c <= hi[i], whichever D was used.  So a
 membership test is one integer division, one `bisect_left` on lo and one
-integer comparison, with no Fraction compared, and the measure is
-(sum(hi) - sum(lo)) / D.
+integer comparison, with no Fraction compared; the measure is
+(sum(hi) - sum(lo)) / D, and `len` and `bool` count lo.  The public
+`intervals`, one Fraction pair per merged interval, are made on first read:
+by iteration, `==`, `hash` or `repr`.
 
 A membership test takes p and q straight from the point, as the
 `as_integer_ratio()` of a Fraction, an int or a float (exact, as every
@@ -26,7 +27,7 @@ through `as_fraction` first.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -54,17 +55,15 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as a rational")
 
 
-@dataclass(frozen=True)
 class IntervalSet:
     """Immutable union of half-open intervals (a, b] with Fraction endpoints.
 
     The constructor accepts intervals in any order, possibly overlapping or
     touching, and normalizes to the canonical sorted disjoint form; (a, b]
-    and (b, c] merge into (a, c].  The integer index of the module
-    docstring is built alongside.
+    and (b, c] merge into (a, c].  It keeps the integer index of the module
+    docstring; equality, hash and repr are those of the `intervals` tuple,
+    as for a frozen dataclass with that one field.
     """
-
-    intervals: tuple = field(default=())
 
     def __init__(self, pairs=()):
         pairs = [(as_fraction(lo), as_fraction(hi)) for lo, hi in pairs]
@@ -92,11 +91,37 @@ class IntervalSet:
             else:
                 ilo.append(a)
                 ihi.append(b)
-        intervals = tuple((Fraction(a, den), Fraction(b, den)) for a, b in zip(ilo, ihi))
-        object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_lo", ilo)
         object.__setattr__(self, "_hi", ihi)
+
+    @property
+    def intervals(self) -> tuple:
+        """The merged intervals as sorted (Fraction, Fraction) pairs."""
+        try:
+            return self._intervals
+        except AttributeError:
+            den = self._den
+            pairs = tuple((Fraction(a, den), Fraction(b, den)) for a, b in zip(self._lo, self._hi))
+            object.__setattr__(self, "_intervals", pairs)
+            return pairs
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.intervals == other.intervals
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.intervals,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(intervals={self.intervals!r})"
 
     @property
     def measure(self) -> Fraction:
@@ -115,7 +140,7 @@ class IntervalSet:
         return iter(self.intervals)
 
     def __len__(self):
-        return len(self.intervals)
+        return len(self._lo)
 
     def __bool__(self):
-        return bool(self.intervals)
+        return bool(self._lo)

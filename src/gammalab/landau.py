@@ -25,8 +25,9 @@ test.  The two modes:
 
 * explicit — when the forest fits in the node budget, one loop also
   enumerates the pieces as integers over S = 2**(K t), K the class of 1,
-  and sorts and merges the I-leaves and the remainder on those integers
-  into leaf_union; tracers need it;
+  classes each by one comparison of its right end with beta* S, and sorts
+  and merges the I-leaves and the remainder on those integers into
+  leaf_union; tracers need it;
 * summary — leaf_union is (0, delta/2], and the remainder enters through
   its exact mass only.
 
@@ -427,18 +428,23 @@ def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -
     (0, S >> K] and the one piece (1/2, 1]; each later round replaces a
     piece (a, b] of class m by its I-leaf (a >> m, b >> m] and its m J's
     ((a >> i) + S/2, (b >> i) + S/2], with no merging, so the remainder must
-    have the recursion's mass and count.  Classes, sort and merge run on
-    these integers; Fractions are made only for the merged intervals.
+    have the recursion's mass and count.  Every such piece lies in
+    (1/2, 1], so its class is M or K (_class_bounds), K exactly when its
+    right end exceeds beta* = delta * 2**(M - 1), as in the threshold
+    recursion: one comparison of b with floor(beta* S).  Sort and merge run
+    on these integers too; the IntervalSet makes its Fractions on first read.
     """
-    K = _class_of(1, 1, delta)
+    M, K = _class_bounds(delta)
     scale = 1 << (K * t)
     half = scale >> 1
+    # b <= floor(beta* S) exactly when b / S <= beta*; M == K needs no split
+    split = scale if M == K else (delta.numerator << (M - 1 + K * t)) // delta.denominator
     leaves = [(0, scale >> K)]
     pieces = [(half, scale)]
     for _ in range(1, t):
         nxt = []
         for a, b in pieces:
-            m = _class_of(b, scale, delta)
+            m = M if b <= split else K
             leaves.append((a >> m, b >> m))
             nxt += [((a >> i) + half, (b >> i) + half) for i in range(1, m + 1)]
         pieces = nxt

@@ -85,7 +85,9 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     """Integrate f over (a, b) with the double-exponential transformation.
 
     Returns (value, error_estimate) with |error_estimate| <= rtol*|value| on
-    success; raises ConvergenceError when the level budget runs out.
+    success; raises ConvergenceError when the level budget runs out, and
+    OverflowError when a level's value leaves the floating range (its error
+    estimate would be inf, which no tolerance can judge).
     Endpoint singularities of integrable type are fine - the nodes never touch
     a or b and the weights decay double-exponentially.
     """
@@ -99,6 +101,8 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     for _ in range(max_levels):
         h *= 0.5
         value = 0.5 * value + h * _level_sum(f, a, b, half, h, only_odd=True)
+        if not cmath.isfinite(value):
+            raise OverflowError(f"tanh-sinh sum on ({a!r}, {b!r}) left the floating range")
         if prev is not None:
             err = abs(value - prev)
             scale = max(abs(value), 1e-300)

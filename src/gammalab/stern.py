@@ -17,7 +17,9 @@ k = 1..(m-1)//2.  So the rank of the whole matrix is floor(m/2) (the
 reflection rows, one pivot column each) plus the rank of the folded rows,
 and dropping folded rows that are zero or repeat another up to sign leaves
 that rank unchanged.  At m = 36 the 73 x 35 matrix folds to 20 x 17; at a
-prime m no row is left.
+prime m no row is left.  The count builds the folded rows straight from the
+divisors of m (`_folded_rows`) and never the whole matrix, which
+`relation_matrix` still states.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ def totient(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
+def _check_modulus(m: int) -> None:
+    if m < 3:
+        raise DomainError(
+            "relation counting needs m >= 3; at m = 2 the only value "
+            "v_1 = log Gamma(1/2) is itself constant and the count "
+            "phi(m)/2 does not apply"
+        )
+
+
 def relation_matrix(m: int) -> list:
     """Integer relation rows over the unknowns v_1..v_{m-1}.
 
@@ -40,12 +51,7 @@ def relation_matrix(m: int) -> list:
     k = 1..m/n: sum_{j=0}^{n-1} e_{k + j m/n} - e_{nk}, with the v_m term
     (which is 0 = log Gamma(1) up to constants) simply dropped.
     """
-    if m < 3:
-        raise DomainError(
-            "relation counting needs m >= 3; at m = 2 the only value "
-            "v_1 = log Gamma(1/2) is itself constant and the count "
-            "phi(m)/2 does not apply"
-        )
+    _check_modulus(m)
     rows = []
     for k in range(1, m // 2 + 1):
         row = [0] * (m - 1)
@@ -100,13 +106,35 @@ def _rank(rows: list) -> int:
 def _folded_rows(m: int) -> list:
     """The multiplication rows of relation_matrix(m) with the reflection
     rows eliminated (see the module docstring): the nonzero ones, each once
-    up to sign with a positive first entry, sorted."""
+    up to sign with a positive first entry, sorted.
+
+    Each row is built from its divisor n of m straight into the folded
+    columns: v_i adds to column i for i < m/2 and subtracts from column
+    m - i for i > m/2.  The row k = m/n of each divisor, the n = m row
+    among them, is e_{m/n} + e_{2m/n} + ... + e_{m-m/n} once v_m is
+    dropped; it is symmetric under i -> m - i, folds to zero and is not
+    built.  Rows k < m/n have no v_m term.
+    """
+    _check_modulus(m)
     folded = set()
-    for r in relation_matrix(m)[m // 2:]:
-        row = tuple(r[k - 1] - r[m - k - 1] for k in range(1, (m + 1) // 2))
-        lead = next((x for x in row if x), 0)
-        if lead:
-            folded.add(row if lead > 0 else tuple(-x for x in row))
+    for n in range(2, m):
+        if m % n:
+            continue
+        step = m // n
+        for k in range(1, step):
+            acc = {}
+            for i, sign in [(k + j * step, 1) for j in range(n)] + [(n * k, -1)]:
+                if 2 * i < m:
+                    acc[i] = acc.get(i, 0) + sign
+                elif 2 * i > m:
+                    acc[m - i] = acc.get(m - i, 0) - sign
+            cols = sorted(c for c, v in acc.items() if v)
+            if cols:
+                flip = 1 if acc[cols[0]] > 0 else -1
+                row = [0] * ((m - 1) // 2)
+                for c in cols:
+                    row[c - 1] = flip * acc[c]
+                folded.add(tuple(row))
     return sorted(folded)
 
 

@@ -426,6 +426,14 @@ class TestSmallTools:
         assert code == 1
         assert report == {"error": "domain", "detail": f"s must not be an integer, got {s}.0"}
 
+    @pytest.mark.parametrize("s", ["171.0", "171.3"])
+    def test_mellin_overflowed_transform_is_overflow(self, s, capsys):
+        # the tanh-sinh sum for Gamma(s) overflows although Gamma(s) is finite;
+        # it was returned as inf and reached the JSON writer at s = 171.3
+        code, report = run_json(["mellin", "--phi", "exp", "--s", s], capsys)
+        assert code == 1
+        assert report["error"] == "overflow"
+
 
 class TestNonFiniteArguments:
     @pytest.mark.parametrize(

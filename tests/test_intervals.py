@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -217,6 +218,45 @@ class TestIntegerIndex:
             "three sevenths" in s
         with pytest.raises(DomainError):
             object() in s
+
+
+class TestFractionsOnFirstRead:
+    """The Fraction pairs of `intervals` are made on first read; equality,
+    hash and repr are those of a frozen dataclass with that one field."""
+
+    PAIRS = [(Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 4), 1), (0, Fraction(1, 4))]
+
+    def test_membership_length_and_measure_make_no_fractions(self):
+        for s in (IntervalSet(self.PAIRS), IntervalSet._scaled([(8, 12), (12, 16), (0, 4)], 16)):
+            assert Fraction(3, 8) not in s and 0.75 in s and 1 in s and "1/8" in s
+            assert len(s) == 2 and s and s.measure == Fraction(3, 4)
+            # the index is two lists and an int; the pairs would be a tuple
+            assert not any(isinstance(v, tuple) for v in vars(s).values())
+            assert list(s) == [(0, Fraction(1, 4)), (Fraction(1, 2), 1)]
+            assert any(isinstance(v, tuple) for v in vars(s).values())
+            assert s.intervals is s.intervals
+
+    def test_equality_hash_and_repr(self):
+        s = IntervalSet(self.PAIRS)
+        scaled = IntervalSet._scaled([(8, 12), (12, 16), (0, 4)], 16)
+        assert s == scaled and hash(s) == hash(scaled) == hash((s.intervals,))
+        assert s != IntervalSet([(0, Fraction(1, 4))])
+        assert s.__eq__(s.intervals) is NotImplemented
+        assert repr(scaled) == (
+            "IntervalSet(intervals=((Fraction(0, 1), Fraction(1, 4)), "
+            "(Fraction(1, 2), Fraction(1, 1))))"
+        )
+        assert repr(IntervalSet()) == "IntervalSet(intervals=())"
+        assert IntervalSet() == IntervalSet._scaled([], 8) and not IntervalSet()
+
+    def test_immutable(self):
+        s = IntervalSet(self.PAIRS)
+        for name in ("intervals", "_lo", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(s, name)
+        assert list(s) == [(0, Fraction(1, 4)), (Fraction(1, 2), 1)]
 
 
 # Integer pairs (a, b) over 2**k on a grid of 16 cells, each end moved up by

@@ -449,12 +449,33 @@ def _unmerged_pieces(delta):
     return leaves + pieces
 
 
-class TestIntegerEnumeration:
-    """The explicit construction classes, sorts and merges its pieces on
-    integers over S = 2**(K t); the public IntervalSet constructor over the
-    same pieces as Fractions is the oracle."""
+def _small_forest_deltas(max_q=12, max_nodes=20_000):
+    """Every reduced p/q in (0, 1] with q <= max_q whose forest has at most
+    max_nodes nodes, as 'p/q' strings."""
+    deltas = []
+    for q in range(1, max_q + 1):
+        for p in range(1, q + 1):
+            delta = Fraction(p, q)
+            if delta.denominator == q:
+                nodes = _threshold_recursion(delta, iteration_count(delta) - 1)[2]
+                if nodes <= max_nodes:
+                    deltas.append(str(delta))
+    return deltas
 
-    @pytest.mark.parametrize("delta", ["1/2", "2/3", "5/8", "4/9"])
+
+class TestIntegerEnumeration:
+    """The explicit construction classes its pieces against beta* and sorts
+    and merges them on integers over S = 2**(K t); the interval lemma's
+    pieces, united by the public IntervalSet constructor as Fractions, are
+    the oracle."""
+
+    def test_the_small_forests_cover_both_class_splits(self):
+        deltas = _small_forest_deltas()
+        assert len(deltas) == 24 and {"1/2", "2/3", "5/8"} <= set(deltas)
+        # M == K (no beta*) only at delta = 1 and 1/2
+        assert {M == K for M, K in map(_class_bounds, map(Fraction, deltas))} == {True, False}
+
+    @pytest.mark.parametrize("delta", sorted({*_small_forest_deltas(), "4/9"}))
     def test_leaf_union_is_the_public_union_of_the_pieces(self, delta):
         delta = Fraction(delta)
         fs = landau_construct(delta)
@@ -468,7 +489,7 @@ class TestIntegerEnumeration:
         rng = random.Random(f"integer-enumeration/{delta}")
         probes = [Fraction(rng.randrange(1, 2**40), 2**40) for _ in range(300)]
         probes += [Fraction(rng.randrange(1, 3**25), 3**25) for _ in range(300)]
-        probes += [e for piece in rng.sample(pieces, 50) for e in piece]
+        probes += [e for piece in rng.sample(pieces, min(50, len(pieces))) for e in piece]
         assert [x in fs.leaf_union for x in probes] == [x in oracle for x in probes]
         for x in probes[::50]:
             assert (x in oracle) == any(lo < x <= hi for lo, hi in pieces)

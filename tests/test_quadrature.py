@@ -93,6 +93,28 @@ class TestNonFiniteIntegrand:
         assert tanh_sinh(lambda s: bad if s == x else 1e9, a, b) == want
 
 
+class TestOverflowedSum:
+    """A level value that leaves the floating range raises OverflowError;
+    its error estimate inf - inf (or inf) can never pass for converged."""
+
+    def test_overflowing_integrand_raises(self):
+        with pytest.raises(OverflowError, match="left the floating range"):
+            tanh_sinh(lambda x: 1e308, 0.0, 10.0)
+
+    @pytest.mark.parametrize("z", [171.0, 171.3])
+    def test_gamma_integral_near_the_top_of_the_range(self, z):
+        # Gamma(171) = 7.26e306 and Gamma(171.3) = 3.39e307 are finite, but
+        # the level sums that approach them are not
+        assert math.isfinite(gamma_closed(z))
+        with pytest.raises(OverflowError):
+            gamma_integral(z, QuadratureSpec())
+
+    def test_largest_passing_points_still_converge(self):
+        for z in (170.0, 170.6):
+            got = gamma_integral(z, QuadratureSpec())
+            assert got == pytest.approx(gamma_closed(z), rel=1e-9)
+
+
 class TestHalfLine:
     """Integrals over (0, inf) in the form the oracles take them: on the
     whole u-line after s = e^u."""

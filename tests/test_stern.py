@@ -44,6 +44,19 @@ _matrices = st.integers(0, 6).flatmap(
 )
 
 
+def _fold_of_relation_matrix(m):
+    """Reference: fold the multiplication rows of the dense relation_matrix(m)
+    (v_{m-k} -> -v_k, v_{m/2} -> 0), keep the nonzero ones once up to sign
+    with a positive first entry, sorted."""
+    folded = set()
+    for r in relation_matrix(m)[m // 2:]:
+        row = tuple(r[k - 1] - r[m - k - 1] for k in range(1, (m + 1) // 2))
+        lead = next((x for x in row if x), 0)
+        if lead:
+            folded.add(row if lead > 0 else tuple(-x for x in row))
+    return sorted(folded)
+
+
 class TestTotient:
     @pytest.mark.parametrize(
         "m,expected",
@@ -111,6 +124,20 @@ class TestIndependentCount:
         assert (len(rows), len(rows[0])) == (20, 17)
         assert rows == sorted(set(rows))
         assert all(next(x for x in row if x) > 0 for row in rows)
+
+    def test_direct_fold_matches_the_fold_of_the_matrix(self):
+        for m in range(3, 301):
+            assert _folded_rows(m) == _fold_of_relation_matrix(m), m
+
+    def test_small_modulus_rejected_without_the_matrix(self):
+        for m in (2, 1, 0):
+            with pytest.raises(DomainError, match="relation counting needs m >= 3") as fold:
+                _folded_rows(m)
+            with pytest.raises(DomainError) as matrix:
+                relation_matrix(m)
+            with pytest.raises(DomainError) as count:
+                independent_count(m)
+            assert str(fold.value) == str(matrix.value) == str(count.value)
 
     def test_check_survives_optimize_flag(self):
         # python -O strips assert statements; the phi(m)/2 check must stay
