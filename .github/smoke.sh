@@ -24,8 +24,22 @@ python -c "import math; from gammalab.core import gamma, sinpi; from gammalab.qu
 python -c "import sys, gammalab.cli; assert 'numpy' not in sys.modules"
 python -c "import sys; from gammalab.cli import main; assert main(['eval', '--z', '0.5']) == 0; assert not {'gammalab.landau', 'gammalab.identities', 'gammalab.schlomilch'} & set(sys.modules)" > /dev/null
 gammalab verify --identity reflection --samples 50 > /dev/null
-gammalab landau trace --delta 1/2 --x 3/5 --emit-trace > /dev/null
-gammalab complex-trace --delta 1/2 --z=-3.25,6.5 --emit-trace > /dev/null
+# an emitted tree has the report's node count, every node validated, and
+# its "direct" rules number the report's direct leaves
+emitted_trace() {
+    gammalab "$@" --emit-trace > trace.json
+    python -c "import json
+r = json.load(open('trace.json'))
+stack, nodes, direct = [r['trace']], 0, 0
+while stack:
+    t = stack.pop()
+    nodes += 1
+    direct += t['rule'] == 'direct'
+    stack += t['children']
+assert nodes == r['nodes'] == r['validated_nodes'] and direct == r['direct_leaves'], (nodes, direct)"
+}
+emitted_trace landau trace --delta 1/2 --x 3/5
+emitted_trace complex-trace --delta 1/2 --z=-3.25,6.5
 if gammalab eval --z=171.65,0.001 > overflow.json; then exit 1; fi
 grep -q '"error":"overflow"' overflow.json
 gammalab verify --identity comb --samples 50 > /dev/null

@@ -348,6 +348,9 @@ def _cmd_mellin(args, tol):
     from .core import _residual
 
     spec = mellin.catalog_entry(args.phi)
+    if args.s.is_integer():
+        # rmt_closed_form refuses every integer s: ask it before the integral
+        mellin.rmt_closed_form(spec, args.s)
     transform = mellin.mellin_transform(spec, args.s)
     closed = mellin.rmt_closed_form(spec, args.s)
     report = {"phi": spec.id, "s": args.s, "transform": transform, "closed_form": closed}

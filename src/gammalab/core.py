@@ -18,9 +18,10 @@ exactly first), save the log-space reflection here and ``mellin.rmt_closed_form`
 
 Real arguments take a pure-float path (and return float); complex arguments
 return complex.  Accuracy target: relative error <= 1e-12 for |z| <= 170 away
-from poles.  The pole test is absolute: an argument within 1e-12 of a
-non-positive integer raises PoleError, even where Gamma is representable
-(Gamma(1e-13) ~ 1e13).
+from poles, wherever Gamma(z) is a normal double (|Gamma| >= 2**-1022); a
+subnormal or underflowed result has lost its relative accuracy.  The pole
+test is absolute: an argument within 1e-12 of a non-positive integer raises
+PoleError, even where Gamma is representable (Gamma(1e-13) ~ 1e13).
 
 The Lanczos sum is one straight-line expression for both types, with no
 loop; it adds its fifteen terms from the left over y = z - 1, in the order

@@ -21,7 +21,8 @@ by iteration, `==`, `hash` or `repr`.
 A membership test takes p and q straight from the point, as the
 `as_integer_ratio()` of a Fraction, an int or a float (exact, as every
 double is a dyadic rational).  Only other inputs, such as 'p/q' strings, go
-through `as_fraction` first.
+through `as_fraction` first.  `contains_ratio(p, q)` is the test itself,
+for a caller that holds the point as an integer pair already.
 """
 
 from __future__ import annotations
@@ -127,14 +128,17 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return Fraction(sum(self._hi) - sum(self._lo), self._den)
 
+    def contains_ratio(self, p: int, q: int) -> bool:
+        """Whether p/q lies in the set, for integers p and q > 0 in any terms."""
+        c = -(-p * self._den // q)
+        # the rightmost interval with lo < c holds p/q when c <= its hi
+        idx = bisect_left(self._lo, c) - 1
+        return idx >= 0 and c <= self._hi[idx]
+
     def __contains__(self, x) -> bool:
         if type(x) is not Fraction and type(x) is not float and type(x) is not int:
             x = as_fraction(x)
-        p, q = x.as_integer_ratio()
-        c = -(-p * self._den // q)
-        # the rightmost interval with lo < c holds x when c <= its hi
-        idx = bisect_left(self._lo, c) - 1
-        return idx >= 0 and c <= self._hi[idx]
+        return self.contains_ratio(*x.as_integer_ratio())
 
     def __iter__(self):
         return iter(self.intervals)

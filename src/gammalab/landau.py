@@ -41,19 +41,28 @@ the functional, reflection, duplication and comb rows of the identity table
 rule's forms give a node's child arguments, compiled from the row's slots,
 and its value from theirs.
 
-The real chains run on integers.  The real walk carries the pair (n, d) of
-y = n/d and builds one Fraction per node, the argument its TraceNode
-stores; the halving form's integer ratios give the children's pairs, (n, 2d)
-and (n + d, 2d), from y's lowest terms, and its value formula takes n / d,
-the correctly rounded float of y.  The complex walk calls the same form's
-float children and value formula, so each node of either walk is one call
-of the walker.  Each walker also carries the right end (p, q) of its chain:
-the same ratios of (p, q) give the low child's and the high child's J
-image's, whose class starts the next round's chain.  The validator matches
-Fraction children to a form's integer ratios by cross-multiplication, with
-no Fraction division.  The class of a piece (a, b], the length of its
-halving chain, is the least m with 2 p den(delta) <= num(delta) q 2**m for
-any integer pair b = p/q, read off the bit lengths of the two sides.
+A trace is built and replayed as one flat post-order record: parallel lists
+of rule, argument, value and child indices, each node after its children
+and the root last.  The tracers append to it and count its nodes and
+direct leaves as they go; `validate_trace` and the one JSON serialiser are
+each one loop over it, and `DerivationTrace.root`, the tree of TraceNodes,
+is built only when read (a trace made by hand from a root is flattened
+once instead).
+
+The real chains run on integers.  The real walk carries y = n/d as its
+reduced pair (n, d), the argument the record stores, and tests membership
+on the set's integer index with no Fraction; the halving form's integer
+ratios give the children's pairs, (n, 2d) and (n + d, 2d), and its value
+formula takes n / d, the correctly rounded float of y.  The complex walk
+calls the same form's float children and value formula, so each node of
+either walk is one call of the walker.  Each walker also carries the right
+end (p, q) of its chain: the same ratios of (p, q) give the low child's and
+the high child's J image's, whose class starts the next round's chain.  The
+validator matches pair children to a form's integer ratios by
+cross-multiplication, and makes a Fraction only for the membership callback
+at a direct leaf.  The class of a piece (a, b], the length of its halving
+chain, is the least m with 2 p den(delta) <= num(delta) q 2**m for any
+integer pair b = p/q, read off the bit lengths of the two sides.
 """
 
 from __future__ import annotations
@@ -472,33 +481,113 @@ class TraceNode:
     children: tuple
 
     def to_json_dict(self) -> dict:
-        """{"rule", "arg", "children"} for the whole subtree, built with an
-        explicit stack so that no depth meets the recursion limit."""
-        root = {}
-        stack = [(self, root)]
-        while stack:
-            node, out = stack.pop()
-            a = node.argument
-            if isinstance(a, complex):
+        """{"rule", "arg", "children"} for the whole subtree, built with no
+        recursion, so that no depth meets the recursion limit."""
+        return _flatten(self).to_json_dict()
+
+
+class _Record:
+    """A derivation trace as one post-order record.
+
+    Node i has rule rules[i], argument args[i], value values[i] and its
+    children at the indices kids[i], all below i; the root is last.  A
+    Fraction argument is held as its reduced integer pair (n, d), any
+    other as it is.  direct counts the direct leaves.
+    """
+
+    __slots__ = ("rules", "args", "values", "kids", "direct")
+
+    def __init__(self):
+        self.rules, self.args, self.values, self.kids = [], [], [], []
+        self.direct = 0
+
+    def add(self, rule: str, a, value, kids: tuple = ()) -> int:
+        """Append a node whose children are at kids; returns its index."""
+        self.rules.append(rule)
+        self.args.append(a)
+        self.values.append(value)
+        self.kids.append(kids)
+        self.direct += rule == "direct"
+        return len(self.kids) - 1
+
+    def to_json_dict(self) -> dict:
+        """The one trace serialiser: {"rule", "arg", "children"} per node."""
+        out = []
+        for rule, a, kids in zip(self.rules, self.args, self.kids):
+            if type(a) is tuple:
+                n, d = a
+                arg = _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
+            elif isinstance(a, complex):
                 arg = [a.real, a.imag]
-            elif isinstance(a, Fraction):
-                arg = _text(a)
             else:
                 arg = float(a)
-            children = [{} for _ in node.children]
-            out.update(rule=node.rule, arg=arg, children=children)
-            stack.extend(zip(node.children, children))
-        return root
+            out.append({"rule": rule, "arg": arg, "children": [out[k] for k in kids]})
+        return out[-1]
+
+
+def _arg(a):
+    """A record argument as a TraceNode holds it: a pair (n, d) as Fraction(n, d)."""
+    return Fraction(*a) if type(a) is tuple else a
+
+
+def _flatten(root: TraceNode) -> _Record:
+    """The post-order record of the tree at root, built with no recursion."""
+    # popping the children right to left is the post-order reversed
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    rec = _Record()
+    done = []  # the indices of finished subtrees that no parent has taken yet
+    for node in reversed(order):
+        k = len(done) - len(node.children)
+        kids = tuple(done[k:])
+        del done[k:]
+        a = node.argument
+        a = a.as_integer_ratio() if isinstance(a, Fraction) else a
+        done.append(rec.add(node.rule, a, node.value, kids))
+    return rec
 
 
 @dataclass(frozen=True)
 class DerivationTrace:
+    """A derivation tree with its direct-leaf and node counts.
+
+    A tracer's trace holds its post-order `_Record` alone; `root`, the tree
+    of TraceNodes with Fraction arguments, is built on first read.  A trace
+    made from a root is flattened once, on first use.  `validate_trace` and
+    `to_json_dict` read the record.
+    """
+
     root: TraceNode
     direct_count: int
     node_count: int
 
+    @classmethod
+    def _of(cls, rec: _Record) -> "DerivationTrace":
+        self = object.__new__(cls)
+        object.__setattr__(self, "_record", rec)
+        object.__setattr__(self, "direct_count", rec.direct)
+        object.__setattr__(self, "node_count", len(rec.rules))
+        return self
+
+    def __getattr__(self, name):
+        """root or the record, whichever the trace was made without, on first read."""
+        if name == "root":
+            rec, nodes = self._record, []
+            for rule, a, value, kids in zip(rec.rules, rec.args, rec.values, rec.kids):
+                nodes.append(TraceNode(rule, _arg(a), value, tuple([nodes[k] for k in kids])))
+            value = nodes[-1]
+        elif name == "_record":
+            value = _flatten(self.root)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
     def to_json_dict(self) -> dict:
-        return self.root.to_json_dict()
+        return self._record.to_json_dict()
 
 
 @dataclass(frozen=True)
@@ -519,22 +608,29 @@ class _Form:
     def __iter__(self):
         return iter((self.generic, self.combine))
 
-    def matches(self, a, args: tuple) -> bool:
-        """Whether args are the child arguments of a node at a.  Fraction
-        children of a Fraction a are matched to the integer ratios by
-        cross-multiplication; anything else compares generic(a) == args."""
-        if type(a) is not Fraction:
-            return self.generic(a) == args
-        want = self.ratios(*a.as_integer_ratio())
-        if len(want) != len(args):
-            return False
-        for c, (p, q) in zip(args, want):
-            if type(c) is not Fraction:
-                return self.generic(a) == args
-            n, d = c.as_integer_ratio()
-            if n * q != p * d:
-                return False
-        return True
+    def matches(self, a, kids: tuple, args: list) -> bool:
+        """Whether the record nodes at kids, whose arguments args holds, are
+        the children of a node at a.  Pair children of a pair a are matched
+        to the integer ratios by cross-multiplication; otherwise generic(a)
+        must equal their arguments, every pair read as its Fraction."""
+        if type(a) is tuple:
+            want = self.ratios(*a)
+            if len(want) == len(kids):
+                for (p, q), k in zip(want, kids):
+                    c = args[k]
+                    if type(c) is not tuple:
+                        break
+                    if c[0] * q != p * c[1]:
+                        return False
+                else:
+                    return True
+            a = Fraction(*a)
+        got = self.generic(a)
+        children = tuple([args[k] for k in kids])
+        if got == children:
+            return True
+        # a hand-built trace may mix pairs with floats: compare as Fractions
+        return tuple in map(type, children) and got == tuple(map(_arg, children))
 
 
 # The rule table, a view of four rows of the identity table: each form's
@@ -554,31 +650,26 @@ _RULES = {
 _HALVES = _RULES["duplication"][0]
 
 
-def _node(rule: str, a, build, form: int = 0) -> TraceNode:
-    """Node at a float or complex a by the given form of rule;
-    build(*child arguments) returns the child nodes."""
+def _node(rec: _Record, rule: str, a, build, form: int = 0) -> int:
+    """Append the node at a float or complex a by the given form of rule;
+    build(*child arguments) appends the children and returns their indices."""
     spec = _RULES[rule][form]
     kids = build(*spec.generic(a))
-    return TraceNode(rule, a, spec.combine(a, *[k.value for k in kids]), kids)
+    values = rec.values
+    return rec.add(rule, a, spec.combine(a, *[values[k] for k in kids]), kids)
 
 
-def _direct(a) -> TraceNode:
-    return TraceNode("direct", a, gamma(a), ())
+def _direct(rec: _Record, a) -> int:
+    return rec.add("direct", a, gamma(a))
 
 
-def _finish_trace(root: TraceNode):
+def _finish_trace(rec: _Record):
     """(value, DerivationTrace); OverflowError, as gamma raises, when the
     value is not finite."""
-    if not cmath.isfinite(root.value):
-        raise OverflowError(f"gamma({root.argument!r}) exceeds the floating range")
-    direct = total = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        total += 1
-        direct += node.rule == "direct"
-        stack.extend(node.children)
-    return root.value, DerivationTrace(root, direct, total)
+    value = rec.values[-1]
+    if not cmath.isfinite(value):
+        raise OverflowError(f"gamma({_arg(rec.args[-1])!r}) exceeds the floating range")
+    return value, DerivationTrace._of(rec)
 
 
 def validate_trace(trace: DerivationTrace, direct_membership) -> int:
@@ -586,41 +677,37 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
     internal node's child arguments match a form of its rule, and its value
     re-derives from the children's by that form to 1e-12 relative.
 
+    One loop over the trace's post-order record, children before parents.
+    A real argument stays an integer pair: it is matched by
+    cross-multiplication, replayed at n / d, and made a Fraction only for
+    direct_membership at a direct leaf.
+
     Returns the number of nodes checked; raises DomainError on violation.
     """
-    checked = 0
-    stack = [trace.root]
-    while stack:
-        node = stack.pop()
-        checked += 1
-        rule = node.rule
-        children = node.children
-        a = node.argument
+    rec = trace._record
+    args, values = rec.args, rec.values
+    for rule, a, value, ks in zip(rec.rules, args, values, rec.kids):
         if rule == "direct":
-            if children:
-                raise DomainError(f"direct node at {a!r} has children")
-            if not direct_membership(a):
-                raise DomainError(f"direct leaf {a!r} outside the restricted set")
+            if ks:
+                raise DomainError(f"direct node at {_arg(a)!r} has children")
+            if not direct_membership(_arg(a)):
+                raise DomainError(f"direct leaf {_arg(a)!r} outside the restricted set")
             continue
         forms = _RULES.get(rule)
         if forms is None:
             raise DomainError(f"unknown trace rule {rule!r}")
-        args = tuple([c.argument for c in children])
         for form in forms:
-            if form.matches(a, args):
+            if form.matches(a, ks, args):
                 break
         else:
             raise DomainError(
-                f"{rule} node at {a!r} has children {args!r}, "
+                f"{rule} node at {_arg(a)!r} has children {tuple([_arg(args[k]) for k in ks])!r}, "
                 "which match none of its forms"
             )
-        x = a.numerator / a.denominator if type(a) is Fraction else a
-        value = node.value
-        want = form.combine(x, *[c.value for c in children])
+        want = form.combine(a[0] / a[1] if type(a) is tuple else a, *[values[k] for k in ks])
         if not _residual(value, want) <= 1e-12:  # NaN fails too
-            raise DomainError(f"{rule} node at {a!r} fails replay: {value!r} vs {want!r}")
-        stack.extend(reversed(children))
-    return checked
+            raise DomainError(f"{rule} node at {_arg(a)!r} fails replay: {value!r} vs {want!r}")
+    return len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -636,25 +723,42 @@ def _require_explicit(fs: FundamentalSet):
         )
 
 
-def _walk_real(n: int, d: int, fs: FundamentalSet, end=None, m: int | None = None) -> TraceNode:
-    """Trace node for y = n/d (d > 0): a direct leaf if y is in the set, else
-    a halving step.  end is the right end (p, q) of the interval of y's
-    chain, None on round 0's chain over (0, 1]; m is y's remaining chain
-    length, None (a fresh piece) for the class of end."""
-    y = Fraction(n, d)
-    # n / d is correctly rounded, so it is float(y) whether or not n/d is reduced
-    if y in fs.leaf_union:
-        return TraceNode("direct", y, gamma(n / d), ())
-    if m is None:
-        m = _class_of(*(end or (1, 1)), fs.delta)
-    if m == 0:
-        raise TraceDepthError(f"chain bottomed out at {y} outside the set")
-    (ln, ld), (hn, hd) = _HALVES.ratios(*y.as_integer_ratio())
-    # round 0's nested J images unite into the one piece (1/2, 1]
-    low_end, high_end = _HALVES.ratios(*end) if end else (None, (1, 1))
-    low = _walk_real(ln, ld, fs, low_end, m - 1)
-    high = _walk_real(hn, hd, fs, high_end)
-    return TraceNode("duplication", y, _HALVES.combine(n / d, low.value, high.value), (low, high))
+def _walk_real(n: int, d: int, fs: FundamentalSet, rec: _Record) -> int:
+    """Append the trace at x = n/d (d > 0) to rec; returns the index of
+    x's node."""
+    add, values = rec.add, rec.values
+    member, delta, gcd = fs.leaf_union.contains_ratio, fs.delta, math.gcd
+    ratios, combine = _HALVES.ratios, _HALVES.combine
+
+    def walk(n, d, end, m):
+        """Append the node for y = n/d: a direct leaf if y is in the set,
+        else a halving step.  end is the right end (p, q) of the interval
+        of y's chain, None on round 0's chain over (0, 1]; m is y's
+        remaining chain length, None (a fresh piece) for the class of end."""
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if member(n, d):
+            # n / d is correctly rounded, so it is float(y)
+            return add("direct", (n, d), gamma(n / d))
+        if m is None:
+            m = _class_of(*(end or (1, 1)), delta)
+        if m == 0:
+            raise TraceDepthError(f"chain bottomed out at {Fraction(n, d)} outside the set")
+        (ln, ld), (hn, hd) = ratios(n, d)
+        # round 0's nested J images unite into the one piece (1/2, 1]
+        low_end, high_end = ratios(*end) if end else (None, (1, 1))
+        low = walk(ln, ld, low_end, m - 1)
+        high = walk(hn, hd, high_end, None)
+        return add("duplication", (n, d), combine(n / d, values[low], values[high]), (low, high))
+
+    try:
+        return walk(n, d, None, None)
+    finally:
+        # walk's closure holds walk: break that cycle, so that rec is freed
+        # with the trace and not kept until the cycle collector runs
+        del walk
 
 
 def trace_evaluate(x, fs: FundamentalSet):
@@ -668,7 +772,9 @@ def trace_evaluate(x, fs: FundamentalSet):
     if not (0 < x <= 1):
         raise DomainError(f"x must lie in (0, 1], got {x}")
     _require_explicit(fs)
-    return _finish_trace(_walk_real(x.numerator, x.denominator, fs))
+    rec = _Record()
+    _walk_real(x.numerator, x.denominator, fs, rec)
+    return _finish_trace(rec)
 
 
 # ---------------------------------------------------------------------------
@@ -694,26 +800,29 @@ def quarter_set_trace(x: float, *, depth_cap: int = _QUARTER_DEPTH_CAP):
         raise DomainError(f"x must lie in (0, 1/2), got {x}")
     if x != _THIRD and abs(x - _THIRD) <= 1e-9:
         raise DomainError(f"{x} is inside the 1e-9 exclusion band around 1/3")
-    return _finish_trace(_quarter_node(x, depth_cap))
+    rec = _Record()
+    _quarter_node(rec, x, depth_cap)
+    return _finish_trace(rec)
 
 
-def _quarter_node(x: float, depth_left: int) -> TraceNode:
+def _quarter_node(rec: _Record, x: float, depth_left: int) -> int:
     if depth_left < 0:
         raise DepthError("quarter-set escape exceeded the depth cap")
     if x == _THIRD or x <= 0.25:
-        return _direct(x)
+        return _direct(rec, x)
 
     def escape(c):
-        return _quarter_node(c, depth_left - 1)
+        return _quarter_node(rec, c, depth_left - 1)
 
     if x < _THIRD:
-        return _node("comb", x, lambda c4, cq, c2: (escape(c4), _direct(cq), _direct(c2)))
+        return _node(rec, "comb", x, lambda c4, cq, c2: (escape(c4), _direct(rec, cq), _direct(rec, c2)))
     # x in (1/3, 1/2): reflect, then invert a duplication step at w = 1 - x,
     # whose first child 2w - 1 lies in (0, 1/3)
     return _node(
+        rec,
         "reflection",
         x,
-        lambda w: (_node("duplication", w, lambda z, h: (escape(z), _direct(h)), form=1),),
+        lambda w: (_node(rec, "duplication", w, lambda z, h: (escape(z), _direct(rec, h)), form=1),),
     )
 
 
@@ -754,8 +863,9 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     if abs(z.imag) > 2.0**16:
         raise DomainError(f"|Im z| = {abs(z.imag)} exceeds 2**16")
     _require_explicit(fs)
-    budget = [node_budget]
-    return _finish_trace(_reduce_complex(z, fs, budget))
+    rec = _Record()
+    _reduce_complex(z, fs, rec, [node_budget])
+    return _finish_trace(rec)
 
 
 def _spend(budget):
@@ -764,9 +874,9 @@ def _spend(budget):
         raise DepthError("complex reduction exceeded the node budget")
 
 
-def _reduce_complex(z: complex, fs: FundamentalSet, budget) -> TraceNode:
+def _reduce_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int:
     def reduce(*args):
-        return tuple([_reduce_complex(c, fs, budget) for c in args])
+        return tuple([_reduce_complex(c, fs, rec, budget) for c in args])
 
     if z.real > 1.0:
         # shift down in a loop, not a recursion: Re z may run into thousands
@@ -777,31 +887,40 @@ def _reduce_complex(z: complex, fs: FundamentalSet, budget) -> TraceNode:
             (z,) = _RULES["functional"][0].generic(z)
         (node,) = reduce(z)
         for a in reversed(chain):
-            node = _node("functional", a, lambda _, child=node: (child,))
+            node = _node(rec, "functional", a, lambda _, child=node: (child,))
         return node
     if z.real <= 0.0:
         _spend(budget)
-        return _node("reflection", z, reduce)
+        return _node(rec, "reflection", z, reduce)
     if abs(z.imag) >= 1.0:
         _spend(budget)
-        return _node("duplication", z, reduce)
-    return _walk_complex(z, fs, budget)
+        return _node(rec, "duplication", z, reduce)
+    return _walk_complex(z, fs, rec, budget)
 
 
-def _walk_complex(
-    z: complex, fs: FundamentalSet, budget, end=None, m: int | None = None
-) -> TraceNode:
-    """Complex counterpart of _walk_real on the real part of z."""
-    if z.real in fs.leaf_union:
+def _walk_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int:
+    """Complex counterpart of _walk_real on the real part of z, appending
+    to rec; returns the index of z's node."""
+    add, values = rec.add, rec.values
+    member, delta = fs.leaf_union.contains_ratio, fs.delta
+    generic, ratios, combine = _HALVES.generic, _HALVES.ratios, _HALVES.combine
+
+    def walk(z, end, m):
+        if member(*z.real.as_integer_ratio()):
+            _spend(budget)
+            return add("direct", z, gamma(z))
+        if m is None:
+            m = _class_of(*(end or (1, 1)), delta)
         _spend(budget)
-        return TraceNode("direct", z, gamma(z), ())
-    if m is None:
-        m = _class_of(*(end or (1, 1)), fs.delta)
-    _spend(budget)
-    if m == 0:
-        raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
-    low, high = _HALVES.generic(z)
-    low_end, high_end = _HALVES.ratios(*end) if end else (None, (1, 1))
-    low = _walk_complex(low, fs, budget, low_end, m - 1)
-    high = _walk_complex(high, fs, budget, high_end)
-    return TraceNode("duplication", z, _HALVES.combine(z, low.value, high.value), (low, high))
+        if m == 0:
+            raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
+        low, high = generic(z)
+        low_end, high_end = ratios(*end) if end else (None, (1, 1))
+        low = walk(low, low_end, m - 1)
+        high = walk(high, high_end, None)
+        return add("duplication", z, combine(z, values[low], values[high]), (low, high))
+
+    try:
+        return walk(z, None, None)
+    finally:
+        del walk  # the cycle of _walk_real's walk

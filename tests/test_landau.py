@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import random
@@ -649,13 +650,13 @@ class TestMembershipCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
         counter = [0]
-        contains = IntervalSet.__contains__
+        contains = IntervalSet.contains_ratio
 
-        def counting(self, x):
+        def counting(self, p, q):
             counter[0] += 1
-            return contains(self, x)
+            return contains(self, p, q)
 
-        monkeypatch.setattr(IntervalSet, "__contains__", counting)
+        monkeypatch.setattr(IntervalSet, "contains_ratio", counting)
         return counter
 
     def test_real_trace_tests_each_node_once(self, fs_half, calls):
@@ -730,6 +731,105 @@ class TestValidateTrace:
         trace = DerivationTrace(node, 2, 2)
         with pytest.raises(DomainError):
             validate_trace(trace, quarter_set_membership)
+
+
+class TestFlatRecord:
+    """The tracers build one post-order record per trace; validate_trace and
+    to_json_dict read it, and the TraceNodes of trace.root, with their
+    Fraction arguments, are made only when root is read."""
+
+    def test_no_trace_node_and_no_fraction_until_root_is_read(self, fs_half, monkeypatch):
+        made = []
+
+        def no_node(*args):
+            raise AssertionError("a TraceNode was built")
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(landau, "TraceNode", no_node)
+        monkeypatch.setattr(landau, "Fraction", counting)
+        runs = [
+            (trace_evaluate(Fraction(3, 7), fs_half)[1], lambda a: a in fs_half.leaf_union),
+            (quarter_set_trace(0.3)[1], quarter_set_membership),
+            (complex_reduce_trace(-2.3 + 1.7j, fs_half)[1], strip_membership(fs_half)),
+        ]
+        for trace, _ in runs:
+            trace.to_json_dict()
+        assert made == []
+        for trace, member in runs:
+            assert validate_trace(trace, member) == trace.node_count
+            assert "root" not in vars(trace)
+            assert not any(isinstance(a, Fraction) for a in trace._record.args)
+        # validate_trace makes a Fraction only for the callback at a real leaf
+        real = runs[0][0]
+        assert len(made) == real.direct_count
+        monkeypatch.undo()
+        assert all(type(a) is tuple for a in real._record.args)
+        assert real.root is real.root and real.root.argument == Fraction(3, 7)
+        assert "root" in vars(real)
+
+    def test_a_trace_and_its_hand_built_twin_agree(self, fs_half):
+        # 100 seeded traces: real, quarter and complex in turn
+        rng = random.Random(24)
+        strip = strip_membership(fs_half)
+        runs = []
+        for j in range(100):
+            if j % 3 == 0:
+                x = Fraction(rng.randrange(1, 2**30), 2**30)
+                runs.append((trace_evaluate(x, fs_half)[1], lambda a: a in fs_half.leaf_union))
+            elif j % 3 == 1:
+                runs.append((quarter_set_trace(rng.uniform(1e-4, 0.5 - 1e-4))[1], quarter_set_membership))
+            else:
+                z = complex(rng.uniform(-2.0, 3.0), rng.uniform(-1.5, 1.5))
+                runs.append((complex_reduce_trace(z, fs_half)[1], strip))
+        for trace, member in runs:
+            twin = DerivationTrace(trace.root, trace.direct_count, trace.node_count)
+            assert validate_trace(twin, member) == validate_trace(trace, member) == trace.node_count
+            assert twin.to_json_dict() == trace.to_json_dict()
+            # flattening the tree gives back the tracer's record, in its order
+            flat, built = twin._record, trace._record
+            assert (flat.rules, flat.args, flat.values, flat.kids, flat.direct) == (
+                built.rules, built.args, built.values, built.kids, built.direct
+            )
+
+    def test_a_record_is_freed_without_the_cycle_collector(self, fs_half):
+        # a walker's record must not sit in a reference cycle, or every
+        # trace's lists stay alive until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            trace_evaluate(Fraction(3, 7), fs_half)
+            complex_reduce_trace(-2.3 + 1.7j, fs_half)
+            quarter_set_trace(0.3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_fraction_children_of_a_float_node(self):
+        # the record holds the Fractions as pairs; they still compare exactly
+        trace = _hand_trace("duplication", 0.375, [Fraction(3, 16), Fraction(11, 16)])
+        assert validate_trace(trace, lambda c: True) == 3
+        with pytest.raises(DomainError, match="match none of its forms"):
+            validate_trace(_hand_trace("duplication", 0.375, [Fraction(3, 16), Fraction(5, 8)]), lambda c: True)
+
+    def test_equality_hash_and_repr_of_a_frozen_dataclass(self, fs_half):
+        _, trace = quarter_set_trace(0.3)
+        twin = DerivationTrace(trace.root, trace.direct_count, trace.node_count)
+        fields = (trace.root, trace.direct_count, trace.node_count)
+        assert trace == twin and hash(trace) == hash(twin) == hash(fields)
+        assert trace != DerivationTrace(trace.root, trace.direct_count, trace.node_count + 1)
+        assert trace.__eq__(fields) is NotImplemented
+        assert repr(trace) == repr(twin) == (
+            f"DerivationTrace(root={trace.root!r}, direct_count={trace.direct_count!r}, "
+            f"node_count={trace.node_count!r})"
+        )
+        for name in ("root", "node_count", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(trace, name)
 
 
 def _trace_digest(traces):
