@@ -40,6 +40,13 @@ assert nodes == r['nodes'] == r['validated_nodes'] and direct == r['direct_leave
 }
 emitted_trace landau trace --delta 1/2 --x 3/5
 emitted_trace complex-trace --delta 1/2 --z=-3.25,6.5
+# a set that lost its leaves: each walker stops at its K t halvings
+python -c "import dataclasses; from fractions import Fraction; from gammalab.errors import TraceDepthError; from gammalab.intervals import IntervalSet; from gammalab.landau import complex_reduce_trace, landau_construct, trace_evaluate
+fs = dataclasses.replace(landau_construct(Fraction(1, 2)), leaf_union=IntervalSet([]))
+for walk, a in ((trace_evaluate, Fraction(3, 5)), (complex_reduce_trace, 0.6 + 0.2j)):
+    try: walk(a, fs)
+    except TraceDepthError: pass
+    else: raise SystemExit(f'{walk.__name__} ran past an empty set')"
 if gammalab eval --z=171.65,0.001 > overflow.json; then exit 1; fi
 grep -q '"error":"overflow"' overflow.json
 gammalab verify --identity comb --samples 50 > /dev/null

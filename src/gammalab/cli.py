@@ -3,10 +3,10 @@
 Every subcommand prints one report to stdout — JSON by default, CSV (one
 header row + one data row) or key = value text on request — and exits 0
 when its checks pass, 1 on a failed check or a structured error
-({"error": kind, "detail": ...}; kind "internal" for any failure that is
-not a documented numeric error), 2 on usage errors.  All floats are written
-in their shortest round-trip form (repr) and all JSON keys are sorted, so a
-fixed argument vector (plus seed) reproduces identical bytes.
+({"error": kind, "detail": ...}; kind "internal" for a failure that is no
+documented numeric error, "overflow" for a non-finite value), 2 on usage
+errors.  All floats are written in their shortest round-trip form (repr)
+and JSON keys are sorted, so a fixed argv (plus seed) gives identical bytes.
 
 The seven subcommands that check a residual take --tol, each with its own
 default: verify 1e-10; schlomilch finite and general 1e-8; mellin 1e-7;
@@ -130,16 +130,19 @@ def _scalar_text(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v!r} in report")
+            raise OverflowError("non-finite value in report")
         return repr(v)
     return str(v)
 
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(
-            report, sort_keys=True, allow_nan=False, separators=(",", ":"), ensure_ascii=False
-        ) + "\n"
+        try:
+            return json.dumps(
+                report, sort_keys=True, allow_nan=False, separators=(",", ":"), ensure_ascii=False
+            ) + "\n"
+        except ValueError:  # allow_nan=False refused a non-finite float
+            raise OverflowError("non-finite value in report") from None
     pairs = [(k, _scalar_text(v)) for k, v in _flatten(report)]
     if fmt == "csv":
         import csv

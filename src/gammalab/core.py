@@ -30,6 +30,7 @@ of the term-by-term loop it replaced, so every value is bit-identical to it.
 
 import cmath
 import math
+import sys
 
 from .errors import DomainError, PoleError
 
@@ -199,12 +200,12 @@ def gamma(z):
 def _gamma_factor(z):
     """gamma(z) as a factor of a product, quotient or residual.
 
-    Gamma has no zeros, so a zero value has underflowed and keeps none of
-    its digits: raises OverflowError there instead of returning it.
+    Gamma has no zeros: a zero or subnormal value has underflowed and lost
+    its digits, so raises OverflowError there instead of returning it.
     """
     out = gamma(z)
-    if not out:
-        raise OverflowError(f"gamma({z!r}) underflows to zero")
+    if abs(out) < sys.float_info.min:
+        raise OverflowError(f"gamma({z!r}) underflows to {'a subnormal value' if out else 'zero'}")
     return out
 
 

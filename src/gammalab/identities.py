@@ -135,9 +135,9 @@ def _gamma_residual(kind, param, z, clearance=_MIN_CLEARANCE):
     Gamma at the first slot against the combine of Gamma at the others.
 
     Raises DomainError off the window or at a complex z on a real-only row,
-    and PoleError where a slot lies within `clearance` of a pole
-    (DomainError for the reflection, whose slots meet a pole at every
-    integer).
+    PoleError where a slot lies within `clearance` of a pole (DomainError
+    for the reflection, whose slots meet a pole at every integer), and
+    OverflowError where a factor or the combine leaves the floating range.
     """
     window = _IDENTITIES[kind].window
     if window:
@@ -155,7 +155,11 @@ def _gamma_residual(kind, param, z, clearance=_MIN_CLEARANCE):
             if kind == "reflection":
                 raise DomainError(f"{z!r} is within {clearance} of an integer")
             raise PoleError(f"argument {v!r} is within {clearance} of a pole")
-    return _residual(_gamma_factor(a), combine(a, *[_gamma_factor(c) for c in others]))
+    lhs = _gamma_factor(a)
+    rhs = combine(a, *[_gamma_factor(c) for c in others])
+    if not cmath.isfinite(rhs):
+        raise OverflowError(f"the {kind} combine at {z!r} leaves the floating range")
+    return _residual(lhs, rhs)
 
 
 def residual_functional(z: complex) -> float:
@@ -414,8 +418,8 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
 
     Draws sample_spec.count points from the rectangle re_range x im_range.
     Points where a gamma argument of the identity lies within
-    _POLE_EXCLUSION = 0.1 of a pole, or whose evaluation raises a
-    domain/pole/overflow error, are counted as skipped rather than failing
+    _POLE_EXCLUSION = 0.1 of a pole, or whose residual is not finite or
+    raises a domain/pole/overflow error, are skipped rather than failing
     the run.  The report is deterministic for a fixed spec (same seed, same
     bytes).
     """
@@ -443,8 +447,8 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
         try:
             r = residual(z.real if row.window else z)
         except (DomainError, PoleError, OverflowError):
-            r = None
-        if r is None:
+            r = math.nan
+        if not math.isfinite(r):
             skipped += 1
             continue
         used += 1

@@ -43,26 +43,20 @@ and its value from theirs.
 
 A trace is built and replayed as one flat post-order record: parallel lists
 of rule, argument, value and child indices, each node after its children
-and the root last.  The tracers append to it and count its nodes and
-direct leaves as they go; `validate_trace` and the one JSON serialiser are
-each one loop over it, and `DerivationTrace.root`, the tree of TraceNodes,
-is built only when read (a trace made by hand from a root is flattened
-once instead).
+and the root last.  The tracers append to it; `validate_trace` and the
+one JSON serialiser are each one loop over it, and `DerivationTrace.root`,
+the tree of TraceNodes, is built only when read (a trace made by hand from
+a root is flattened once instead).
 
-The real chains run on integers.  The real walk carries y = n/d as its
-reduced pair (n, d), the argument the record stores, and tests membership
-on the set's integer index with no Fraction; the halving form's integer
-ratios give the children's pairs, (n, 2d) and (n + d, 2d), and its value
-formula takes n / d, the correctly rounded float of y.  The complex walk
-calls the same form's float children and value formula, so each node of
-either walk is one call of the walker.  Each walker also carries the right
-end (p, q) of its chain: the same ratios of (p, q) give the low child's and
-the high child's J image's, whose class starts the next round's chain.  The
-validator matches pair children to a form's integer ratios by
-cross-multiplication, and makes a Fraction only for the membership callback
-at a direct leaf.  The class of a piece (a, b], the length of its halving
-chain, is the least m with 2 p den(delta) <= num(delta) q 2**m for any
-integer pair b = p/q, read off the bit lengths of the two sides.
+The real walk carries y = n/d as its reduced pair (n, d), the argument the
+record stores, and tests membership on the set's integer index with no
+Fraction; the halving form's integer ratios give the children's pairs and
+its value formula takes n / d, the correctly rounded float of y.  The
+complex walk calls the same form's float children and value formula.  A
+walker only tests membership and halves, at most K t times on a path, K
+the class of 1: each round halves a point at most K times, and what is left
+after t rounds is in leaf_union.  A point still outside the set after K t
+halvings raises TraceDepthError.
 """
 
 from __future__ import annotations
@@ -124,6 +118,13 @@ def _class_of(p: int, q: int, delta: Fraction) -> int:
     return m if lhs <= rhs << m else m + 1
 
 
+def _check_delta(delta) -> Fraction:
+    delta = as_fraction(delta)
+    if not (0 < delta <= 1):
+        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    return delta
+
+
 def landau_lemma_decompose(alpha, beta, delta):
     """Split (alpha, beta] into I inside (0, delta/2] plus J's in (1/2, 1].
 
@@ -135,11 +136,9 @@ def landau_lemma_decompose(alpha, beta, delta):
     """
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
-    delta = as_fraction(delta)
     if not (0 <= alpha < beta <= 1):
         raise DomainError(f"need 0 <= alpha < beta <= 1, got ({alpha}, {beta}]")
-    if not (0 < delta <= 1):
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    delta = _check_delta(delta)
     an, ad, bn, bd = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     m = _class_of(bn, bd, delta)
     # for x = p/q, x / 2**i is p / (q << i) and x / 2**i + 1/2 is
@@ -319,9 +318,7 @@ def iteration_count(delta) -> int:
     A float estimate, log(2q/p) / -log(1 - p/(4q)), starts t, and the exact
     integer test moves it to the least t that passes.
     """
-    delta = as_fraction(delta)
-    if not (0 < delta <= 1):
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    delta = _check_delta(delta)
     p, q = delta.numerator, delta.denominator
 
     def passes(t):
@@ -411,8 +408,6 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     Either way every measure statement is an exact rational comparison.
     """
     delta = as_fraction(delta)
-    if not (0 < delta <= 1):
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
     t = iteration_count(delta)
     residual, count, nodes = _threshold_recursion(delta, t - 1)
     explicit = nodes <= node_budget
@@ -492,14 +487,13 @@ class _Record:
     Node i has rule rules[i], argument args[i], value values[i] and its
     children at the indices kids[i], all below i; the root is last.  A
     Fraction argument is held as its reduced integer pair (n, d), any
-    other as it is.  direct counts the direct leaves.
+    other as it is.
     """
 
-    __slots__ = ("rules", "args", "values", "kids", "direct")
+    __slots__ = ("rules", "args", "values", "kids")
 
     def __init__(self):
         self.rules, self.args, self.values, self.kids = [], [], [], []
-        self.direct = 0
 
     def add(self, rule: str, a, value, kids: tuple = ()) -> int:
         """Append a node whose children are at kids; returns its index."""
@@ -507,7 +501,6 @@ class _Record:
         self.args.append(a)
         self.values.append(value)
         self.kids.append(kids)
-        self.direct += rule == "direct"
         return len(self.kids) - 1
 
     def to_json_dict(self) -> dict:
@@ -556,35 +549,34 @@ class DerivationTrace:
 
     A tracer's trace holds its post-order `_Record` alone; `root`, the tree
     of TraceNodes with Fraction arguments, is built on first read.  A trace
-    made from a root is flattened once, on first use.  `validate_trace` and
-    `to_json_dict` read the record.
+    made from a root is flattened once, when it is made.  `validate_trace`
+    and `to_json_dict` read the record.
     """
 
     root: TraceNode
     direct_count: int
     node_count: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_record", _flatten(self.root))
+
     @classmethod
     def _of(cls, rec: _Record) -> "DerivationTrace":
         self = object.__new__(cls)
         object.__setattr__(self, "_record", rec)
-        object.__setattr__(self, "direct_count", rec.direct)
+        object.__setattr__(self, "direct_count", rec.rules.count("direct"))
         object.__setattr__(self, "node_count", len(rec.rules))
         return self
 
     def __getattr__(self, name):
-        """root or the record, whichever the trace was made without, on first read."""
-        if name == "root":
-            rec, nodes = self._record, []
-            for rule, a, value, kids in zip(rec.rules, rec.args, rec.values, rec.kids):
-                nodes.append(TraceNode(rule, _arg(a), value, tuple([nodes[k] for k in kids])))
-            value = nodes[-1]
-        elif name == "_record":
-            value = _flatten(self.root)
-        else:
+        """root, built from the record on first read."""
+        if name != "root":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+        rec, nodes = self._record, []
+        for rule, a, value, kids in zip(rec.rules, rec.args, rec.values, rec.kids):
+            nodes.append(TraceNode(rule, _arg(a), value, tuple([nodes[k] for k in kids])))
+        object.__setattr__(self, "root", nodes[-1])
+        return nodes[-1]
 
     def to_json_dict(self) -> dict:
         return self._record.to_json_dict()
@@ -727,14 +719,12 @@ def _walk_real(n: int, d: int, fs: FundamentalSet, rec: _Record) -> int:
     """Append the trace at x = n/d (d > 0) to rec; returns the index of
     x's node."""
     add, values = rec.add, rec.values
-    member, delta, gcd = fs.leaf_union.contains_ratio, fs.delta, math.gcd
+    member, gcd = fs.leaf_union.contains_ratio, math.gcd
     ratios, combine = _HALVES.ratios, _HALVES.combine
 
-    def walk(n, d, end, m):
+    def walk(n, d, depth):
         """Append the node for y = n/d: a direct leaf if y is in the set,
-        else a halving step.  end is the right end (p, q) of the interval
-        of y's chain, None on round 0's chain over (0, 1]; m is y's
-        remaining chain length, None (a fresh piece) for the class of end."""
+        else a halving step, with depth halvings left on its path."""
         g = gcd(n, d)
         if g != 1:
             n //= g
@@ -742,19 +732,15 @@ def _walk_real(n: int, d: int, fs: FundamentalSet, rec: _Record) -> int:
         if member(n, d):
             # n / d is correctly rounded, so it is float(y)
             return add("direct", (n, d), gamma(n / d))
-        if m is None:
-            m = _class_of(*(end or (1, 1)), delta)
-        if m == 0:
+        if not depth:
             raise TraceDepthError(f"chain bottomed out at {Fraction(n, d)} outside the set")
         (ln, ld), (hn, hd) = ratios(n, d)
-        # round 0's nested J images unite into the one piece (1/2, 1]
-        low_end, high_end = ratios(*end) if end else (None, (1, 1))
-        low = walk(ln, ld, low_end, m - 1)
-        high = walk(hn, hd, high_end, None)
+        low = walk(ln, ld, depth - 1)
+        high = walk(hn, hd, depth - 1)
         return add("duplication", (n, d), combine(n / d, values[low], values[high]), (low, high))
 
     try:
-        return walk(n, d, None, None)
+        return walk(n, d, _class_of(1, 1, fs.delta) * fs.t)
     finally:
         # walk's closure holds walk: break that cycle, so that rec is freed
         # with the trace and not kept until the cycle collector runs
@@ -764,7 +750,7 @@ def _walk_real(n: int, d: int, fs: FundamentalSet, rec: _Record) -> int:
 def trace_evaluate(x, fs: FundamentalSet):
     """Evaluate Gamma(x) for x in (0, 1] using direct gamma calls only on
     fs.leaf_union, combining intermediate values with the duplication
-    formula along the recorded decomposition.
+    formula along halving chains of at most K t steps.
 
     Returns (value, DerivationTrace).
     """
@@ -902,25 +888,21 @@ def _walk_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int:
     """Complex counterpart of _walk_real on the real part of z, appending
     to rec; returns the index of z's node."""
     add, values = rec.add, rec.values
-    member, delta = fs.leaf_union.contains_ratio, fs.delta
-    generic, ratios, combine = _HALVES.generic, _HALVES.ratios, _HALVES.combine
+    member = fs.leaf_union.contains_ratio
+    generic, combine = _HALVES.generic, _HALVES.combine
 
-    def walk(z, end, m):
-        if member(*z.real.as_integer_ratio()):
-            _spend(budget)
-            return add("direct", z, gamma(z))
-        if m is None:
-            m = _class_of(*(end or (1, 1)), delta)
+    def walk(z, depth):
         _spend(budget)
-        if m == 0:
+        if member(*z.real.as_integer_ratio()):
+            return add("direct", z, gamma(z))
+        if not depth:
             raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
         low, high = generic(z)
-        low_end, high_end = ratios(*end) if end else (None, (1, 1))
-        low = walk(low, low_end, m - 1)
-        high = walk(high, high_end, None)
+        low = walk(low, depth - 1)
+        high = walk(high, depth - 1)
         return add("duplication", z, combine(z, values[low], values[high]), (low, high))
 
     try:
-        return walk(z, None, None)
+        return walk(z, _class_of(1, 1, fs.delta) * fs.t)
     finally:
         del walk  # the cycle of _walk_real's walk

@@ -145,13 +145,21 @@ def mellin_transform(spec: PhiSpec, s: float) -> float:
 def rmt_closed_form(spec: PhiSpec, s: float) -> float:
     """The predicted transform pi/sin(pi s) * phi(-s).
 
-    s must be non-integral so phi(-s) and sin(pi s) are unambiguous.
+    s must be finite and non-integral so phi(-s) and sin(pi s) are
+    unambiguous; OverflowError where the value leaves the floating range.
     """
     s = float(s)
+    _check_finite(s, "s")
     if s == int(s):
         raise DomainError(f"s must not be an integer, got {s}")
-    # not core.sinpi: criterion 10 compares with ==; sinpi(0.6) differs in the last bit
-    return math.pi / math.sin(math.pi * s) * spec.phi(-s)
+    try:
+        # not core.sinpi: criterion 10 compares with ==; sinpi(0.6) differs in the last bit
+        value = math.pi / math.sin(math.pi * s) * spec.phi(-s)
+    except ZeroDivisionError:  # exp's phi(-s) = 1 / Gamma(1 - s) at an underflowed Gamma
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"the closed form at s = {s!r} exceeds the floating range")
+    return value
 
 
 def rmt_residual(spec: PhiSpec, s: float) -> float:

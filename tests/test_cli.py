@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import json
@@ -527,11 +528,48 @@ class TestInternalErrors:
         assert code == 1
         assert out.splitlines() == ["detail = RuntimeError: handler fault", "error = internal"]
 
-    def test_non_finite_report_value_is_internal(self, monkeypatch, capsys):
+    def test_non_finite_report_value_is_overflow(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_cmd_stern", lambda args, tol: (0, {"m": math.nan}))
         code, report = run_json(["stern", "--m", "7"], capsys)
         assert code == 1
-        assert report["error"] == "internal"
+        assert report == {"error": "overflow", "detail": "non-finite value in report"}
+
+
+class TestFloatRangeEdges:
+    """Far out in the plane Gamma is subnormal or the reports hold a value
+    past the floating range: the identities still pass where they hold, and
+    no report is internal."""
+
+    @pytest.mark.parametrize(
+        "identity,grid",
+        [
+            ("functional", "400:-160:-110:40:120"),
+            ("duplication", "400:-160:-110:40:120"),
+            ("mult:3", "400:-160:-110:40:120"),
+            ("mult:5", "400:-160:-110:40:120"),
+            ("reflection", "400:-160:-110:40:120"),
+            ("reflection", "200:100:170:-60:60"),
+            ("reflection", "200:-170:170:-170:170"),
+        ],
+    )
+    def test_subnormal_factors_are_skipped(self, identity, grid, capsys):
+        # a subnormal Gamma keeps too few digits for a residual: such draws
+        # are skipped, and what is left holds the identity to rounding
+        code, report = run_json(["verify", "--identity", identity, "--grid", grid, "--seed", "0"], capsys)
+        assert code == 0
+        assert report["pass"] is True and report["max_rel_residual"] < 1e-12
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_non_finite_value_is_overflow(self, fmt, capsys):
+        code, out = run(["schlomilch", "general", "--w", "170", "--z", "0.3", "--format", fmt], capsys)
+        assert code == 1
+        if fmt == "json":
+            report = json.loads(out)
+        elif fmt == "csv":
+            report = dict(zip(*csv.reader(out.splitlines())))
+        else:
+            report = dict(line.split(" = ", 1) for line in out.splitlines())
+        assert report == {"error": "overflow", "detail": "non-finite value in report"}
 
 
 # one argv per subcommand handler; the first five check no residual

@@ -8,6 +8,7 @@ import pytest
 
 from gammalab.core import (
     _LANCZOS_COEFFS,
+    _gamma_factor,
     _lanczos_sum,
     beta,
     cospi,
@@ -194,6 +195,14 @@ class TestGammaComplexRange:
         # factor must not turn into a zero or nan quotient
         with pytest.raises(OverflowError, match="underflows to zero"):
             beta(z, w)
+
+    @pytest.mark.parametrize("z", [-117.78 + 100.64j, -170.6])
+    def test_a_subnormal_factor_is_out_of_range(self, z):
+        # gamma returns the subnormal value, but as a factor it has lost
+        # most of its digits
+        assert 0 < abs(gamma(z)) < sys.float_info.min
+        with pytest.raises(OverflowError, match="underflows to a subnormal value"):
+            _gamma_factor(z)
 
 
 class TestPoles:

@@ -6,6 +6,7 @@ import random
 import mpmath
 import pytest
 
+from gammalab import identities
 from gammalab.errors import DomainError, EmptyGridError, PoleError
 from gammalab.identities import (
     _IDENTITIES,
@@ -54,6 +55,13 @@ class TestPointwiseResiduals:
         # can be read off a zero
         with pytest.raises(OverflowError, match="underflows to zero"):
             residual(-180.5 + 0.1j)
+
+    def test_non_finite_combine_raises(self, monkeypatch):
+        # a combine that leaves the floating range has no residual either
+        at, _ = _plan("functional", None)
+        monkeypatch.setattr(identities, "_plan", lambda kind, param: (at, lambda a, v: complex(math.inf, 0.0)))
+        with pytest.raises(OverflowError, match="functional combine at .* leaves the floating range"):
+            residual_functional(2.5 + 1j)
 
     def test_reflection_small(self):
         assert residual_reflection(0.3 + 0.7j) < 1e-13
@@ -195,6 +203,19 @@ class TestVerifyGrid:
         report = verify_grid("comb", spec, 1e-10)
         assert report.passed
         assert report.sample_count > 50
+
+    def test_non_finite_residual_is_skipped(self, monkeypatch):
+        # every other draw reads nan: it is skipped, never the worst residual
+        gamma_residual, draws = identities._gamma_residual, []
+
+        def every_other_nan(kind, param, z, clearance):
+            draws.append(z)
+            return math.nan if len(draws) % 2 else gamma_residual(kind, param, z, clearance)
+
+        monkeypatch.setattr(identities, "_gamma_residual", every_other_nan)
+        report = verify_grid("functional", SampleSpec(count=40), 1e-10)
+        assert report.sample_count <= 20 <= report.skipped_count
+        assert report.passed and math.isfinite(report.mean_relative_residual)
 
     def test_empty_grid_raises(self):
         # a sliver of the real axis within the exclusion radius of z = 0

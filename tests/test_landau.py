@@ -790,8 +790,8 @@ class TestFlatRecord:
             assert twin.to_json_dict() == trace.to_json_dict()
             # flattening the tree gives back the tracer's record, in its order
             flat, built = twin._record, trace._record
-            assert (flat.rules, flat.args, flat.values, flat.kids, flat.direct) == (
-                built.rules, built.args, built.values, built.kids, built.direct
+            assert (flat.rules, flat.args, flat.values, flat.kids) == (
+                built.rules, built.args, built.values, built.kids
             )
 
     def test_a_record_is_freed_without_the_cycle_collector(self, fs_half):
@@ -1202,6 +1202,47 @@ class TestTraceDepthErrors:
     def test_complex_walk(self, fs_half, broken, match):
         with pytest.raises(TraceDepthError, match=match):
             complex_reduce_trace(0.6 + 0.2j, _without_leaves(fs_half))
+
+
+def _height(trace):
+    """The most halvings on a root-to-leaf path of trace's record."""
+    heights = []
+    for kids in trace._record.kids:
+        heights.append(1 + max(heights[k] for k in kids) if kids else 0)
+    return heights[-1]
+
+
+class TestHalvingBound:
+    """A walker allows K t halvings on a path, K the class of 1: enough for
+    every point of (0, 1] on a valid set, and a TraceDepthError, not a
+    RecursionError, on a set that has lost a piece."""
+
+    @pytest.fixture(
+        scope="class", params=[Fraction(1, 2), Fraction(4, 9), Fraction(5, 7), Fraction(1)], ids=str
+    )
+    def fs(self, request):
+        return landau_construct(request.param)
+
+    def test_no_path_is_longer_than_the_bound(self, fs):
+        # 200 seeded points per delta: 100 real, 100 in the strip
+        bound = _class_of(1, 1, fs.delta) * fs.t
+        rng = random.Random(25)
+        for _ in range(100):
+            x = Fraction(rng.randrange(1, 2**30 + 1), 2**30)
+            z = complex(1.0 - rng.random(), rng.uniform(-0.999, 0.999))
+            assert _height(trace_evaluate(x, fs)[1]) <= bound
+            assert _height(complex_reduce_trace(z, fs)[1]) <= bound
+
+    def test_a_lost_remainder_piece_is_a_depth_error(self, fs):
+        # the last piece (lo, 1] holds the fixed point 1 of y -> y/2 + 1/2,
+        # so without it the chain of high halvings from inside never ends
+        *kept, (lo, hi) = fs.leaf_union
+        broken = dataclasses.replace(fs, leaf_union=IntervalSet(kept))
+        x = (lo + hi) / 2
+        with pytest.raises(TraceDepthError, match="chain bottomed out at .* outside the set"):
+            trace_evaluate(x, broken)
+        with pytest.raises(TraceDepthError, match="chain bottomed out at .* outside the set"):
+            complex_reduce_trace(complex(float(x), 0.25), broken)
 
 
 _TINY = Fraction(1, 2**61)

@@ -146,3 +146,18 @@ class TestResidual:
     def test_closed_form_rejects_integer_s(self, s):
         with pytest.raises(DomainError, match="must not be an integer"):
             rmt_closed_form(catalog_entry("exp"), s)
+
+    @pytest.mark.parametrize("f", [rmt_closed_form, rmt_residual])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_is_domain_error(self, f, s):
+        # the documented error, before any int(s) test can fail on it
+        with pytest.raises(DomainError, match="s must be finite"):
+            f(catalog_entry("exp"), s)
+
+    @pytest.mark.parametrize("f", [rmt_closed_form, rmt_residual])
+    @pytest.mark.parametrize("tag,s", [("exp", 200.5), ("exp", 180.5), ("exp", -200.5), ("geom:2", -2000.5)])
+    def test_phi_past_the_floating_range_is_overflow(self, f, tag, s):
+        # exp's phi(-s) = 1 / Gamma(1 - s) divided by an underflowed 0 at
+        # s = 200.5, and by a subnormal at 180.5
+        with pytest.raises(OverflowError):
+            f(catalog_entry(tag), s)
