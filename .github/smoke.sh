@@ -24,22 +24,31 @@ python -c "import math; from gammalab.core import gamma, sinpi; from gammalab.qu
 python -c "import sys, gammalab.cli; assert 'numpy' not in sys.modules"
 python -c "import sys; from gammalab.cli import main; assert main(['eval', '--z', '0.5']) == 0; assert not {'gammalab.landau', 'gammalab.identities', 'gammalab.schlomilch'} & set(sys.modules)" > /dev/null
 gammalab verify --identity reflection --samples 50 > /dev/null
-# an emitted tree has the report's node count, every node validated, and
-# its "direct" rules number the report's direct leaves
+# an emitted tree reads back with from_json_dict to the report's node and
+# direct-leaf counts and its value, bit for bit, and validate_trace replays
+# every node against the subcommand's set
 emitted_trace() {
     gammalab "$@" --emit-trace > trace.json
-    python -c "import json
+    python -c "import json, sys
+from fractions import Fraction
+from gammalab.landau import DerivationTrace, landau_construct, quarter_set_membership, strip_membership, validate_trace
 r = json.load(open('trace.json'))
-stack, nodes, direct = [r['trace']], 0, 0
-while stack:
-    t = stack.pop()
-    nodes += 1
-    direct += t['rule'] == 'direct'
-    stack += t['children']
-assert nodes == r['nodes'] == r['validated_nodes'] and direct == r['direct_leaves'], (nodes, direct)"
+trace = DerivationTrace.from_json_dict(r['trace'])
+counts = (trace.node_count, trace.direct_count)
+assert counts == (r['nodes'], r['direct_leaves']) and r['validated_nodes'] == r['nodes'], counts
+value = complex(trace.root.value)
+assert [value.real, value.imag] == r['value'], (value, r['value'])
+if sys.argv[1] == 'complex-trace':
+    member = strip_membership(landau_construct(Fraction(r['delta'])))
+elif sys.argv[2] == 'trace':
+    member = landau_construct(Fraction(r['delta'])).leaf_union.__contains__
+else:
+    member = quarter_set_membership
+assert validate_trace(trace, member) == r['nodes']" "$@"
 }
 emitted_trace landau trace --delta 1/2 --x 3/5
 emitted_trace complex-trace --delta 1/2 --z=-3.25,6.5
+emitted_trace landau quarter --x 0.3
 # a set that lost its leaves: each walker stops at its K t halvings
 python -c "import dataclasses; from fractions import Fraction; from gammalab.errors import TraceDepthError; from gammalab.intervals import IntervalSet; from gammalab.landau import complex_reduce_trace, landau_construct, trace_evaluate
 fs = dataclasses.replace(landau_construct(Fraction(1, 2)), leaf_union=IntervalSet([]))

@@ -242,6 +242,17 @@ def _text(x) -> str:
     return _text(hi) + _text(lo).zfill(k)
 
 
+def _int_of_text(s: str) -> int:
+    """int(s) at any size, the inverse of _text on integers: int() sees only
+    pieces of at most 600 digits."""
+    if len(s) <= 600:
+        return int(s)
+    if s[0] == "-":
+        return -_int_of_text(s[1:])
+    k = len(s) // 2
+    return _int_of_text(s[:-k]) * 10**k + _int_of_text(s[-k:])
+
+
 def _log_gamma_right(z):
     """log Gamma on Re z > 0 from the Lanczos sum, for a float or complex z
     in the same type: log Gamma(z) = (z - 1/2) log t - t + log(sqrt(2 pi) A(z)),

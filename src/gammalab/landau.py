@@ -45,8 +45,10 @@ A trace is built and replayed as one flat post-order record: parallel lists
 of rule, argument, value and child indices, each node after its children
 and the root last.  The tracers append to it; `validate_trace` and the
 one JSON serialiser are each one loop over it, and `DerivationTrace.root`,
-the tree of TraceNodes, is built only when read (a trace made by hand from
-a root is flattened once instead).
+the tree of TraceNodes, is built only when read.  A trace has one external
+form, the JSON of `to_json_dict`: `DerivationTrace.from_json_dict` reads it
+back into the same record, recomputing each value by the form its children
+match, and `validate_trace` replays what it reads.
 
 The real walk carries y = n/d as its reduced pair (n, d), the argument the
 record stores, and tests membership on the set's integer index with no
@@ -63,11 +65,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .core import _check_finite, _residual, _text, gamma, pole_distance
+from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance
 from .errors import (
     DepthError,
     DomainError,
@@ -463,22 +465,17 @@ def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -
 
 @dataclass(frozen=True, slots=True)
 class TraceNode:
-    """One evaluation in a derivation tree.
+    """One evaluation in DerivationTrace.root, the tree view of a trace.
 
     rule is one of direct / functional / reflection / duplication / comb;
-    argument is a Fraction (real traces) or complex; value the gamma value
-    obtained at this node.
+    argument is a Fraction (real traces), float (quarter traces) or complex;
+    value the gamma value obtained at this node.
     """
 
     rule: str
     argument: object
     value: object
     children: tuple
-
-    def to_json_dict(self) -> dict:
-        """{"rule", "arg", "children"} for the whole subtree, built with no
-        recursion, so that no depth meets the recursion limit."""
-        return _flatten(self).to_json_dict()
 
 
 class _Record:
@@ -487,7 +484,7 @@ class _Record:
     Node i has rule rules[i], argument args[i], value values[i] and its
     children at the indices kids[i], all below i; the root is last.  A
     Fraction argument is held as its reduced integer pair (n, d), any
-    other as it is.
+    other as it is.  Two records are equal when their four lists are.
     """
 
     __slots__ = ("rules", "args", "values", "kids")
@@ -503,83 +500,92 @@ class _Record:
         self.kids.append(kids)
         return len(self.kids) - 1
 
-    def to_json_dict(self) -> dict:
-        """The one trace serialiser: {"rule", "arg", "children"} per node."""
-        out = []
-        for rule, a, kids in zip(self.rules, self.args, self.kids):
-            if type(a) is tuple:
-                n, d = a
-                arg = _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
-            elif isinstance(a, complex):
-                arg = [a.real, a.imag]
-            else:
-                arg = float(a)
-            out.append({"rule": rule, "arg": arg, "children": [out[k] for k in kids]})
-        return out[-1]
+    def _lists(self) -> tuple:
+        return self.rules, self.args, self.values, self.kids
+
+    def __eq__(self, other) -> bool:
+        return self._lists() == other._lists()
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self._lists())))
 
 
 def _arg(a):
-    """A record argument as a TraceNode holds it: a pair (n, d) as Fraction(n, d)."""
+    """A record argument as TraceNode holds it: a pair (n, d) as Fraction(n, d)."""
     return Fraction(*a) if type(a) is tuple else a
 
 
-def _flatten(root: TraceNode) -> _Record:
-    """The post-order record of the tree at root, built with no recursion."""
-    # popping the children right to left is the post-order reversed
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    rec = _Record()
-    done = []  # the indices of finished subtrees that no parent has taken yet
-    for node in reversed(order):
-        k = len(done) - len(node.children)
-        kids = tuple(done[k:])
-        del done[k:]
-        a = node.argument
-        a = a.as_integer_ratio() if isinstance(a, Fraction) else a
-        done.append(rec.add(node.rule, a, node.value, kids))
-    return rec
+def _record_arg(arg):
+    """The record argument that to_json_dict wrote as arg: "n/d" (or "n") as
+    the reduced pair (n, d), [re, im] as a complex, a number as a float."""
+    if isinstance(arg, str):
+        n, _, d = arg.partition("/")
+        n, d = _int_of_text(n), _int_of_text(d or "1")
+        g = math.gcd(n, d)
+        return n // g, d // g
+    if isinstance(arg, list):
+        return complex(*arg)
+    return float(arg)
 
 
 @dataclass(frozen=True)
 class DerivationTrace:
-    """A derivation tree with its direct-leaf and node counts.
+    """A derivation trace: its post-order `_Record`, made by a tracer or by
+    `from_json_dict`, and its direct-leaf and node counts.  `root`, the tree
+    of TraceNodes with Fraction arguments, is built on first read."""
 
-    A tracer's trace holds its post-order `_Record` alone; `root`, the tree
-    of TraceNodes with Fraction arguments, is built on first read.  A trace
-    made from a root is flattened once, when it is made.  `validate_trace`
-    and `to_json_dict` read the record.
-    """
-
-    root: TraceNode
+    _record: _Record = field(repr=False)
     direct_count: int
     node_count: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_record", _flatten(self.root))
-
-    @classmethod
-    def _of(cls, rec: _Record) -> "DerivationTrace":
-        self = object.__new__(cls)
-        object.__setattr__(self, "_record", rec)
-        object.__setattr__(self, "direct_count", rec.rules.count("direct"))
-        object.__setattr__(self, "node_count", len(rec.rules))
-        return self
-
-    def __getattr__(self, name):
-        """root, built from the record on first read."""
-        if name != "root":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def root(self) -> TraceNode:
+        """The tree of TraceNodes, built from the record on first read."""
         rec, nodes = self._record, []
-        for rule, a, value, kids in zip(rec.rules, rec.args, rec.values, rec.kids):
+        for rule, a, value, kids in zip(*rec._lists()):
             nodes.append(TraceNode(rule, _arg(a), value, tuple([nodes[k] for k in kids])))
-        object.__setattr__(self, "root", nodes[-1])
         return nodes[-1]
 
     def to_json_dict(self) -> dict:
-        return self._record.to_json_dict()
+        """The one trace serialiser: {"rule", "arg", "children"} per node, a
+        pair's arg as "n" or "n/d", a complex's as [re, im]."""
+        out, rec = [], self._record
+        for rule, a, kids in zip(rec.rules, rec.args, rec.kids):
+            if type(a) is tuple:
+                n, d = a
+                arg = _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
+            else:
+                arg = [a.real, a.imag] if isinstance(a, complex) else float(a)
+            out.append({"rule": rule, "arg": arg, "children": [out[k] for k in kids]})
+        return out[-1]
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "DerivationTrace":
+        """The trace that to_json_dict wrote as d, read with no recursion.
+
+        Arguments read back exactly (JSON floats are shortest round-trip);
+        values are recomputed bottom-up, by core.gamma at a direct leaf and
+        above it by the form of its rule that its children match, or else
+        DomainError.  validate_trace then checks the leaves and replays."""
+        # popping the children right to left is the post-order reversed
+        order, stack = [], [d]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node["children"])
+        rec = _Record()
+        done = []  # the indices of finished subtrees that no parent has taken yet
+        for node in reversed(order):
+            k = len(done) - len(node["children"])
+            kids = tuple(done[k:])
+            del done[k:]
+            rule, a = node["rule"], _record_arg(node["arg"])
+            if rule == "direct":
+                value = gamma(a[0] / a[1] if type(a) is tuple else a)
+            else:
+                value = _replay(rec, rule, a, kids)
+            done.append(rec.add(rule, a, value, kids))
+        return _finish_trace(rec)[1]
 
 
 @dataclass(frozen=True)
@@ -602,27 +608,19 @@ class _Form:
 
     def matches(self, a, kids: tuple, args: list) -> bool:
         """Whether the record nodes at kids, whose arguments args holds, are
-        the children of a node at a.  Pair children of a pair a are matched
-        to the integer ratios by cross-multiplication; otherwise generic(a)
-        must equal their arguments, every pair read as its Fraction."""
-        if type(a) is tuple:
-            want = self.ratios(*a)
-            if len(want) == len(kids):
-                for (p, q), k in zip(want, kids):
-                    c = args[k]
-                    if type(c) is not tuple:
-                        break
-                    if c[0] * q != p * c[1]:
-                        return False
-                else:
-                    return True
-            a = Fraction(*a)
-        got = self.generic(a)
-        children = tuple([args[k] for k in kids])
-        if got == children:
-            return True
-        # a hand-built trace may mix pairs with floats: compare as Fractions
-        return tuple in map(type, children) and got == tuple(map(_arg, children))
+        the children of a node at a.  The children of a pair a are pairs,
+        matched to the integer ratios by cross-multiplication; those of any
+        other a must equal generic(a)."""
+        if type(a) is not tuple:
+            return self.generic(a) == tuple([args[k] for k in kids])
+        want = self.ratios(*a)
+        if len(want) != len(kids):
+            return False
+        for (p, q), k in zip(want, kids):
+            c = args[k]
+            if type(c) is not tuple or c[0] * q != p * c[1]:
+                return False
+        return True
 
 
 # The rule table, a view of four rows of the identity table: each form's
@@ -661,7 +659,24 @@ def _finish_trace(rec: _Record):
     value = rec.values[-1]
     if not cmath.isfinite(value):
         raise OverflowError(f"gamma({_arg(rec.args[-1])!r}) exceeds the floating range")
-    return value, DerivationTrace._of(rec)
+    return value, DerivationTrace(rec, rec.rules.count("direct"), len(rec.rules))
+
+
+def _replay(rec: _Record, rule: str, a, kids: tuple):
+    """Gamma(a) from the values of the record nodes at kids, by the form of
+    rule that they are the children of; DomainError when rule is unknown or
+    no form matches."""
+    forms = _RULES.get(rule)
+    if forms is None:
+        raise DomainError(f"unknown trace rule {rule!r}")
+    args, values = rec.args, rec.values
+    for form in forms:
+        if form.matches(a, kids, args):
+            return form.combine(a[0] / a[1] if type(a) is tuple else a, *[values[k] for k in kids])
+    raise DomainError(
+        f"{rule} node at {_arg(a)!r} has children {tuple([_arg(args[k]) for k in kids])!r}, "
+        "which match none of its forms"
+    )
 
 
 def validate_trace(trace: DerivationTrace, direct_membership) -> int:
@@ -677,29 +692,17 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
     Returns the number of nodes checked; raises DomainError on violation.
     """
     rec = trace._record
-    args, values = rec.args, rec.values
-    for rule, a, value, ks in zip(rec.rules, args, values, rec.kids):
+    for rule, a, value, ks in zip(*rec._lists()):
         if rule == "direct":
             if ks:
                 raise DomainError(f"direct node at {_arg(a)!r} has children")
             if not direct_membership(_arg(a)):
                 raise DomainError(f"direct leaf {_arg(a)!r} outside the restricted set")
             continue
-        forms = _RULES.get(rule)
-        if forms is None:
-            raise DomainError(f"unknown trace rule {rule!r}")
-        for form in forms:
-            if form.matches(a, ks, args):
-                break
-        else:
-            raise DomainError(
-                f"{rule} node at {_arg(a)!r} has children {tuple([_arg(args[k]) for k in ks])!r}, "
-                "which match none of its forms"
-            )
-        want = form.combine(a[0] / a[1] if type(a) is tuple else a, *[values[k] for k in ks])
+        want = _replay(rec, rule, a, ks)
         if not _residual(value, want) <= 1e-12:  # NaN fails too
             raise DomainError(f"{rule} node at {_arg(a)!r} fails replay: {value!r} vs {want!r}")
-    return len(values)
+    return len(rec.values)
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +841,15 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     Order of reduction: shifts/reflection bring Re z into (0, 1], then
     duplication halvings shrink the imaginary part below 1 (both children
     of z have imaginary part Im(z)/2), then the real decomposition pattern
-    runs on real parts, which are exact dyadic rationals.  Raises
-    DepthError when the tree would exceed node_budget nodes, and
+    runs on real parts, which are exact dyadic rationals.
+
+    The halvings end at 2**m strip points, m the bit length of int(|Im z|),
+    each a walk of about 1,000 nodes at delta = 1/2: there the default
+    budget reaches |Im z| < 256 (at most 266,111 nodes), and |Im z| = 2**16
+    would need about 2**27.
+
+    Raises DepthError when the tree would exceed node_budget nodes, with
+    the strip points z needs and the nodes built when it stopped, and
     OverflowError, as gamma does, when the value exceeds the floating range.
     A non-finite z raises DomainError.
     """
@@ -850,14 +860,21 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
         raise DomainError(f"|Im z| = {abs(z.imag)} exceeds 2**16")
     _require_explicit(fs)
     rec = _Record()
-    _reduce_complex(z, fs, rec, [node_budget])
+    try:
+        _reduce_complex(z, fs, rec, [node_budget])
+    except DepthError:
+        raise DepthError(
+            f"complex reduction exceeded the node budget of {node_budget}: |Im z| = "
+            f"{abs(z.imag)!r} needs {1 << int(abs(z.imag)).bit_length()} strip points, "
+            f"and {len(rec.rules)} nodes were built when it stopped"
+        ) from None
     return _finish_trace(rec)
 
 
 def _spend(budget):
     budget[0] -= 1
     if budget[0] < 0:
-        raise DepthError("complex reduction exceeded the node budget")
+        raise DepthError  # complex_reduce_trace states the detail
 
 
 def _reduce_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int:

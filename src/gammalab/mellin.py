@@ -146,7 +146,8 @@ def rmt_closed_form(spec: PhiSpec, s: float) -> float:
     """The predicted transform pi/sin(pi s) * phi(-s).
 
     s must be finite and non-integral so phi(-s) and sin(pi s) are
-    unambiguous; OverflowError where the value leaves the floating range.
+    unambiguous; OverflowError where the value leaves the floating range, to
+    inf or to 0 (no catalog phi is 0 at a non-integer s).
     """
     s = float(s)
     _check_finite(s, "s")
@@ -157,8 +158,8 @@ def rmt_closed_form(spec: PhiSpec, s: float) -> float:
         value = math.pi / math.sin(math.pi * s) * spec.phi(-s)
     except ZeroDivisionError:  # exp's phi(-s) = 1 / Gamma(1 - s) at an underflowed Gamma
         value = math.inf
-    if not math.isfinite(value):
-        raise OverflowError(f"the closed form at s = {s!r} exceeds the floating range")
+    if not math.isfinite(value) or value == 0.0:
+        raise OverflowError(f"the closed form at s = {s!r} leaves the floating range")
     return value
 
 

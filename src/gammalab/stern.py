@@ -1,12 +1,13 @@
 """Counting independent linear relations among log-gamma values.
 
 For a modulus m, the values v_k = log Gamma(k/m), k = 1..m-1, satisfy two
-families of integer linear relations modulo the span of {1, log pi, log 2,
-..., log m}: reflection pairs v_k + v_{m-k} = const, and for every divisor
-n >= 2 of m the multiplication relation sum_j v_{k + j m/n} - v_{nk} =
-const.  Writing all of them as rows of an integer matrix and computing its
-rank over the rationals yields the number of *independent* values left,
-which equals phi(m)/2 (phi the totient) for every m >= 3.
+families of integer linear relations modulo constants: log pi and logs of
+algebraic numbers.  Reflection pairs give v_k + v_{m-k} = log pi -
+log sin(pi k/m), and every divisor n >= 2 of m the multiplication relation
+sum_j v_{k + j m/n} - v_{nk} = ((n-1)/2) log 2pi + (1/2 - nk/m) log n.
+Writing all of them as rows of an integer matrix and computing its rank
+over the rationals yields the number of *independent* values left, which
+equals phi(m)/2 (phi the totient) for every m >= 3.
 
 The rank is taken on a smaller, folded matrix.  Reflection row k < m/2 is
 e_k + e_{m-k}, with entry 1 in column m - k, and for even m row m/2 is
@@ -49,7 +50,7 @@ def relation_matrix(m: int) -> list:
     Reflection supplies rows for k = 1..floor(m/2): e_k + e_{m-k} (a single
     2 e_k when k = m - k).  Each divisor n >= 2 of m supplies rows for
     k = 1..m/n: sum_{j=0}^{n-1} e_{k + j m/n} - e_{nk}, with the v_m term
-    (which is 0 = log Gamma(1) up to constants) simply dropped.
+    (v_m = log Gamma(1) = 0) dropped.
     """
     _check_modulus(m)
     rows = []

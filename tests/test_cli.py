@@ -681,6 +681,18 @@ class TestDigitLimit:
         sys.set_int_max_str_digits(0)
         assert run(argv, capsys) == (code, out)
 
+    def test_emitted_trace_reads_back_under_the_limit(self, limit_640, capsys):
+        from gammalab.landau import DerivationTrace
+
+        argv = ["landau", "trace", "--delta", "1/2", "--x", f"{3 * 10**639}/{7 * 10**639 + 1}",
+                "--emit-trace"]
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        trace = DerivationTrace.from_json_dict(report["trace"])
+        assert trace.to_json_dict() == report["trace"]
+        assert [trace._record.values[-1], 0.0] == report["value"]
+        assert sys.get_int_max_str_digits() == 640
+
     def test_argv_integer_past_the_limit_is_usage_error(self, limit_640):
         with pytest.raises(SystemExit) as exc:
             main(["stern", "--m", "7" * 641])
@@ -785,6 +797,44 @@ class TestEmitTraceReports:
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv[:-1] for argv, _ in _EMIT_TRACE_DIGESTS] + [
+            # the argv of .github/smoke.sh
+            ["landau", "trace", "--delta", "1/2", "--x", "3/5"],
+            ["complex-trace", "--delta", "1/2", "--z=-3.25,6.5"],
+            ["landau", "quarter", "--x", "0.3"],
+        ],
+        ids=" ".join,
+    )
+    def test_trace_reads_back(self, argv, capsys):
+        # the emitted trace reads back, re-derives the reported value bit for
+        # bit, and replays every node against the subcommand's set
+        from fractions import Fraction
+
+        from gammalab.landau import (
+            DerivationTrace,
+            landau_construct,
+            quarter_set_membership,
+            strip_membership,
+            validate_trace,
+        )
+
+        code, out = run(argv + ["--emit-trace"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        trace = DerivationTrace.from_json_dict(report["trace"])
+        value = complex(trace._record.values[-1])
+        assert [value.real, value.imag] == report["value"]
+        if argv[0] == "complex-trace":
+            member = strip_membership(landau_construct(Fraction(report["delta"])))
+        elif argv[1] == "trace":
+            member = landau_construct(Fraction(report["delta"])).leaf_union.__contains__
+        else:
+            member = quarter_set_membership
+        assert validate_trace(trace, member) == report["nodes"] == trace.node_count
+        assert trace.to_json_dict() == report["trace"]
 
 
 def _run_src(code, *argv):

@@ -9,7 +9,9 @@ import pytest
 from gammalab.core import (
     _LANCZOS_COEFFS,
     _gamma_factor,
+    _int_of_text,
     _lanczos_sum,
+    _text,
     beta,
     cospi,
     gamma,
@@ -380,3 +382,23 @@ class TestSinPiCosPi:
         assert sinpi(x + 0.5) == 0.0
         assert cospi(x) == pytest.approx(float(mpmath.cospi(mpmath.mpf(x))), rel=1e-15)
         assert cospi(x) > 0.0
+
+
+class TestIntText:
+    """_int_of_text reads back what _text writes, at any size: int() sees
+    no piece above 600 digits, so the digit limit never matters."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 7, -7, 10**599, 10**600, -(10**600) - 1, 3 * 10**4000 + 1, 2**20000 - 1],
+        ids=["0", "7", "-7", "10^599", "10^600", "-10^600-1", "3*10^4000+1", "2^20000-1"],
+    )
+    def test_round_trip_under_the_least_limit(self, n):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int/str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert _int_of_text(_text(n)) == n
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import hashlib
+import json
 import math
 import random
 import sys
@@ -22,7 +24,6 @@ from gammalab.errors import (
 from gammalab.landau import (
     _RULES,
     DerivationTrace,
-    TraceNode,
     complex_reduce_trace,
     iteration_count,
     landau_construct,
@@ -633,6 +634,21 @@ class TestComplexReduce:
         with pytest.raises(DepthError):
             complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=3)
 
+    @pytest.mark.parametrize(
+        "z,strip,built",
+        [(0.37 + 5.0j, 8, 79), (0.37 - 64.0j, 128, 75), (0.6 + 0.2j, 1, 84), (-1.3 + 300.5j, 512, 71)],
+    )
+    def test_depth_error_states_the_strip_points_and_the_nodes_built(self, fs_half, z, strip, built):
+        # the halvings stop below |Im| = 1: 2**m strip points, m the bit
+        # length of int(|Im z|); the nodes built are the finished ones
+        detail = (
+            f"complex reduction exceeded the node budget of 100: |Im z| = {abs(z.imag)!r} needs "
+            f"{strip} strip points, and {built} nodes were built when it stopped"
+        )
+        with pytest.raises(DepthError) as exc:
+            complex_reduce_trace(z, fs_half, node_budget=100)
+        assert str(exc.value) == detail
+
     def test_domain_errors(self, fs_half):
         with pytest.raises(DomainError):
             complex_reduce_trace(-2.0 + 1e-9j, fs_half)
@@ -688,47 +704,41 @@ class TestMembershipCalls:
             complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=trace.node_count - 1)
 
 
+def _tampered(trace, i, value):
+    """A copy of trace whose record holds value at node i."""
+    bad = copy.deepcopy(trace)
+    bad._record.values[i] = value
+    return bad
+
+
 class TestValidateTrace:
     def test_tampered_value_detected(self):
         _, trace = quarter_set_trace(0.3)
-        root = trace.root
-        bad_root = TraceNode(root.rule, root.argument, root.value * (1 + 1e-6), root.children)
-        bad = DerivationTrace(bad_root, trace.direct_count, trace.node_count)
+        bad = _tampered(trace, -1, trace._record.values[-1] * (1 + 1e-6))
+        assert validate_trace(trace, quarter_set_membership) == trace.node_count
         with pytest.raises(DomainError):
             validate_trace(bad, quarter_set_membership)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_leaf_value_detected(self, fs_half, bad):
         _, trace = trace_evaluate(Fraction(3, 7), fs_half)
-        tampered = []
-
-        def tamper(node):
-            if node.rule == "direct" and not tampered:
-                tampered.append(node)
-                return TraceNode(node.rule, node.argument, bad, ())
-            return TraceNode(node.rule, node.argument, node.value, tuple(map(tamper, node.children)))
-
-        bad_trace = DerivationTrace(tamper(trace.root), trace.direct_count, trace.node_count)
-        assert tampered
+        bad_trace = _tampered(trace, trace._record.rules.index("direct"), bad)
         with pytest.raises(DomainError, match="fails replay"):
             validate_trace(bad_trace, lambda a: a in fs_half.leaf_union)
 
     def test_leaf_outside_set_detected(self):
-        leaf = TraceNode("direct", 0.9, gamma(0.9), ())
-        trace = DerivationTrace(leaf, 1, 1)
+        trace = DerivationTrace.from_json_dict({"rule": "direct", "arg": 0.9, "children": []})
         with pytest.raises(DomainError):
             validate_trace(trace, quarter_set_membership)
 
     def test_unknown_rule_detected(self):
-        node = TraceNode("mystery", 0.5, 1.0, (TraceNode("direct", 0.2, gamma(0.2), ()),))
-        trace = DerivationTrace(node, 1, 2)
-        with pytest.raises(DomainError):
-            validate_trace(trace, quarter_set_membership)
+        leaf = {"rule": "direct", "arg": 0.2, "children": []}
+        with pytest.raises(DomainError, match="unknown trace rule"):
+            DerivationTrace.from_json_dict({"rule": "mystery", "arg": 0.5, "children": [leaf]})
 
     def test_direct_node_with_children_detected(self):
-        child = TraceNode("direct", 0.2, gamma(0.2), ())
-        node = TraceNode("direct", 0.2, gamma(0.2), (child,))
-        trace = DerivationTrace(node, 2, 2)
+        leaf = {"rule": "direct", "arg": 0.2, "children": []}
+        trace = DerivationTrace.from_json_dict({"rule": "direct", "arg": 0.2, "children": [leaf]})
         with pytest.raises(DomainError):
             validate_trace(trace, quarter_set_membership)
 
@@ -770,7 +780,7 @@ class TestFlatRecord:
         assert real.root is real.root and real.root.argument == Fraction(3, 7)
         assert "root" in vars(real)
 
-    def test_a_trace_and_its_hand_built_twin_agree(self, fs_half):
+    def test_a_trace_reads_back_from_its_json(self, fs_half):
         # 100 seeded traces: real, quarter and complex in turn
         rng = random.Random(24)
         strip = strip_membership(fs_half)
@@ -785,14 +795,30 @@ class TestFlatRecord:
                 z = complex(rng.uniform(-2.0, 3.0), rng.uniform(-1.5, 1.5))
                 runs.append((complex_reduce_trace(z, fs_half)[1], strip))
         for trace, member in runs:
-            twin = DerivationTrace(trace.root, trace.direct_count, trace.node_count)
+            twin = DerivationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
             assert validate_trace(twin, member) == validate_trace(trace, member) == trace.node_count
-            assert twin.to_json_dict() == trace.to_json_dict()
-            # flattening the tree gives back the tracer's record, in its order
-            flat, built = twin._record, trace._record
-            assert (flat.rules, flat.args, flat.values, flat.kids) == (
-                built.rules, built.args, built.values, built.kids
-            )
+            assert twin == trace and hash(twin) == hash(trace)
+            # reading the JSON back gives the tracer's record, in its order,
+            # every argument and value to the same bits (repr is exact)
+            back, built = twin._record, trace._record
+            assert list(map(repr, back.args)) == list(map(repr, built.args))
+            assert list(map(repr, back.values)) == list(map(repr, built.values))
+            assert (back.rules, back.kids) == (built.rules, built.kids)
+
+    def test_reading_back_makes_no_fraction_and_no_trace_node(self, fs_half, monkeypatch):
+        traces = [
+            trace_evaluate(Fraction(3, 7), fs_half)[1],
+            quarter_set_trace(0.3)[1],
+            complex_reduce_trace(-2.3 + 1.7j, fs_half)[1],
+        ]
+        docs = [trace.to_json_dict() for trace in traces]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction or a TraceNode was built")
+
+        monkeypatch.setattr(landau, "TraceNode", refuse)
+        monkeypatch.setattr(landau, "Fraction", refuse)
+        assert [DerivationTrace.from_json_dict(d) for d in docs] == traces
 
     def test_a_record_is_freed_without_the_cycle_collector(self, fs_half):
         # a walker's record must not sit in a reference cycle, or every
@@ -808,23 +834,25 @@ class TestFlatRecord:
             gc.enable()
 
     def test_fraction_children_of_a_float_node(self):
-        # the record holds the Fractions as pairs; they still compare exactly
-        trace = _hand_trace("duplication", 0.375, [Fraction(3, 16), Fraction(11, 16)])
-        assert validate_trace(trace, lambda c: True) == 3
-        with pytest.raises(DomainError, match="match none of its forms"):
-            validate_trace(_hand_trace("duplication", 0.375, [Fraction(3, 16), Fraction(5, 8)]), lambda c: True)
+        # no tracer mixes pairs with floats: a float node's children are
+        # floats, so even the exact halves of 0.375 as pairs match no form
+        for child_args in ([Fraction(3, 16), Fraction(11, 16)], [Fraction(3, 16), Fraction(5, 8)]):
+            with pytest.raises(DomainError, match="match none of its forms"):
+                _hand_trace("duplication", 0.375, child_args)
 
     def test_equality_hash_and_repr_of_a_frozen_dataclass(self, fs_half):
         _, trace = quarter_set_trace(0.3)
-        twin = DerivationTrace(trace.root, trace.direct_count, trace.node_count)
-        fields = (trace.root, trace.direct_count, trace.node_count)
+        twin = DerivationTrace.from_json_dict(trace.to_json_dict())
+        fields = (trace._record, trace.direct_count, trace.node_count)
         assert trace == twin and hash(trace) == hash(twin) == hash(fields)
-        assert trace != DerivationTrace(trace.root, trace.direct_count, trace.node_count + 1)
+        assert trace != quarter_set_trace(0.31)[1]
+        assert trace != _tampered(trace, 0, trace._record.values[0] * (1 + 2**-52))
         assert trace.__eq__(fields) is NotImplemented
         assert repr(trace) == repr(twin) == (
-            f"DerivationTrace(root={trace.root!r}, direct_count={trace.direct_count!r}, "
-            f"node_count={trace.node_count!r})"
+            f"DerivationTrace(direct_count={trace.direct_count!r}, node_count={trace.node_count!r})"
         )
+        # root is a view: built on first read, equal on equal traces, not compared
+        assert trace.root == twin.root and trace.root.argument == 0.3
         for name in ("root", "node_count", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)
@@ -930,10 +958,8 @@ class TestRuleTable:
         ],
     )
     def test_child_matching_no_form_is_rejected(self, rule, a, child_args):
-        kids = tuple(TraceNode("direct", c, _mp_gamma(c), ()) for c in child_args)
-        node = TraceNode(rule, a, _mp_gamma(a), kids)
         with pytest.raises(DomainError, match="match none of its forms"):
-            validate_trace(DerivationTrace(node, len(kids), len(kids) + 1), lambda c: True)
+            _hand_trace(rule, a, child_args)
 
 
 class TestDeepComplexTraces:
@@ -949,16 +975,19 @@ class TestDeepComplexTraces:
         assert validate_trace(trace, strip_membership(fs_half)) == trace.node_count
 
 
-def _json_reference(node):
-    """The recursive serialisation that TraceNode.to_json_dict replaces."""
-    a = node.argument
+def _json_arg(a):
+    """A TraceNode argument in the trace JSON."""
     if isinstance(a, complex):
-        arg = [a.real, a.imag]
-    elif isinstance(a, Fraction):
-        arg = str(a)
-    else:
-        arg = float(a)
-    return {"rule": node.rule, "arg": arg,
+        return [a.real, a.imag]
+    if isinstance(a, Fraction):
+        return str(a)
+    return float(a)
+
+
+def _json_reference(node):
+    """The recursive serialisation of a trace's root, which the one loop of
+    DerivationTrace.to_json_dict replaces."""
+    return {"rule": node.rule, "arg": _json_arg(node.argument),
             "children": [_json_reference(c) for c in node.children]}
 
 
@@ -973,20 +1002,50 @@ class TestTraceJson:
         for trace in traces:
             assert trace.to_json_dict() == _json_reference(trace.root)
 
+    @pytest.mark.parametrize("kind", ["real", "quarter", "complex"])
+    def test_a_leaf_moved_outside_the_set_fails_replay(self, fs_half, kind):
+        # the last node whose children are all leaves becomes a leaf itself:
+        # its argument is one the tracer halved, so outside the set, and its
+        # parent still matches its forms
+        if kind == "real":
+            trace, member = trace_evaluate(Fraction(3, 7), fs_half)[1], lambda a: a in fs_half.leaf_union
+        elif kind == "quarter":
+            trace, member = quarter_set_trace(0.3)[1], quarter_set_membership
+        else:
+            trace, member = complex_reduce_trace(0.77 - 0.6j, fs_half)[1], strip_membership(fs_half)
+        d = trace.to_json_dict()
+        cut, stack = None, [d]
+        while stack:
+            node = stack.pop()
+            if node["children"] and all(not c["children"] for c in node["children"]):
+                cut = node
+            stack += node["children"]
+        cut["rule"], cut["children"] = "direct", []
+        moved = DerivationTrace.from_json_dict(d)
+        assert moved.node_count < trace.node_count
+        with pytest.raises(DomainError, match="outside the restricted set"):
+            validate_trace(moved, member)
+
     def test_chain_deeper_than_recursion_limit(self):
+        # a functional chain that steps up and down between 4/3 and 1/3, so
+        # its values stay finite at any depth, read back and written again
+        # with no recursion
         depth = sys.getrecursionlimit() + 500
-        node = TraceNode("direct", Fraction(1, 3), 1.0, ())
+        d = {"rule": "direct", "arg": "1/3", "children": []}
         for k in range(depth):
-            node = TraceNode("functional", Fraction(k), 1.0, (node,))
-        d = node.to_json_dict()
-        seen = 0
-        while d["children"]:
-            assert d["rule"] == "functional"
-            assert d["arg"] == str(depth - 1 - seen)
-            (d,) = d["children"]
+            d = {"rule": "functional", "arg": "4/3" if k % 2 == 0 else "1/3", "children": [d]}
+        trace = DerivationTrace.from_json_dict(d)
+        assert trace.node_count == depth + 1 and trace.direct_count == 1
+        assert validate_trace(trace, lambda a: a == Fraction(1, 3)) == depth + 1
+        assert trace._record.values[-1] == pytest.approx(gamma(1 / 3) if depth % 2 == 0 else gamma(4 / 3))
+        out, seen = trace.to_json_dict(), 0
+        while out["children"]:
+            assert out["rule"] == "functional"
+            assert out["arg"] == ("4/3" if (depth - 1 - seen) % 2 == 0 else "1/3")
+            (out,) = out["children"]
             seen += 1
         assert seen == depth
-        assert d == {"rule": "direct", "arg": "1/3", "children": []}
+        assert out == {"rule": "direct", "arg": "1/3", "children": []}
 
 
 def _halving_class_of(b, delta):
@@ -1249,10 +1308,11 @@ _TINY = Fraction(1, 2**61)
 
 
 def _hand_trace(rule, a, child_args):
-    """A one-level trace at a with direct children at child_args, every
-    value taken from mpmath, so only the child arguments can fail replay."""
-    kids = tuple(TraceNode("direct", c, _mp_gamma(c), ()) for c in child_args)
-    return DerivationTrace(TraceNode(rule, a, _mp_gamma(a), kids), len(kids), len(kids) + 1)
+    """The one-level trace at a with direct children at child_args, read
+    from its JSON; from_json_dict recomputes every value, so only the child
+    arguments can fail."""
+    leaves = [{"rule": "direct", "arg": _json_arg(c), "children": []} for c in child_args]
+    return DerivationTrace.from_json_dict({"rule": rule, "arg": _json_arg(a), "children": leaves})
 
 
 class TestIntegerMatch:
@@ -1295,20 +1355,20 @@ class TestIntegerMatch:
     )
     def test_tampered_children_are_rejected(self, rule, a, child_args):
         with pytest.raises(DomainError, match="match none of its forms"):
-            validate_trace(_hand_trace(rule, a, child_args), lambda c: True)
+            _hand_trace(rule, a, child_args)
 
     def test_float_children_of_a_fraction_node(self):
-        # exact float halves match, as Fraction == float compares exactly
-        a = Fraction(3, 8)
-        assert validate_trace(_hand_trace("duplication", a, [0.1875, 0.6875]), lambda c: True) == 3
-        assert validate_trace(_hand_trace("duplication", a, [Fraction(3, 16), 0.6875]), lambda c: True) == 3
+        # a real walker's children are pairs: float children match no form,
+        # not even the exact float halves of 3/8
         for a, child_args in (
+            (Fraction(3, 8), [0.1875, 0.6875]),
+            (Fraction(3, 8), [Fraction(3, 16), 0.6875]),
             (Fraction(3, 8), [0.1875 + 2.0**-52, 0.6875]),
             (Fraction(3, 8), [0.6875, 0.1875]),
             (Fraction(3, 7), [float(Fraction(3, 14)), float(Fraction(5, 7))]),
         ):
             with pytest.raises(DomainError, match="match none of its forms"):
-                validate_trace(_hand_trace("duplication", a, child_args), lambda c: True)
+                _hand_trace("duplication", a, child_args)
 
 
 class TestNonDyadicTraces:

@@ -161,3 +161,10 @@ class TestResidual:
         # s = 200.5, and by a subnormal at 180.5
         with pytest.raises(OverflowError):
             f(catalog_entry(tag), s)
+
+    @pytest.mark.parametrize("tag,s", [("geom:2", 2000.5), ("geom:0.5", -2000.5)])
+    def test_phi_underflowing_to_zero_is_overflow(self, tag, s):
+        # phi(-s) = 2**-2000.5 is 0.0 in floats: a closed form of 0.0 would
+        # have no digits
+        with pytest.raises(OverflowError, match="leaves the floating range"):
+            rmt_closed_form(catalog_entry(tag), s)
