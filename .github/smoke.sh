@@ -36,7 +36,7 @@ r = json.load(open('trace.json'))
 trace = DerivationTrace.from_json_dict(r['trace'])
 counts = (trace.node_count, trace.direct_count)
 assert counts == (r['nodes'], r['direct_leaves']) and r['validated_nodes'] == r['nodes'], counts
-value = complex(trace.root.value)
+value = complex(trace.values[-1])
 assert [value.real, value.imag] == r['value'], (value, r['value'])
 if sys.argv[1] == 'complex-trace':
     member = strip_membership(landau_construct(Fraction(r['delta'])))
@@ -59,6 +59,7 @@ for walk, a in ((trace_evaluate, Fraction(3, 5)), (complex_reduce_trace, 0.6 + 0
 if gammalab eval --z=171.65,0.001 > overflow.json; then exit 1; fi
 grep -q '"error":"overflow"' overflow.json
 gammalab verify --identity comb --samples 50 > /dev/null
+if gammalab verify --identity comb --grid 200:-5:5:150:300 > offaxis.json; then exit 1; fi; grep -q '"error":"domain"' offaxis.json
 gammalab schlomilch general --w 1.2 --z 0.7 > /dev/null
 gammalab schlomilch general --w 1 --z 0.7 > /dev/null
 gammalab schlomilch general --w=0.8,0.3 --z=1.1,-0.2 > /dev/null
@@ -68,6 +69,7 @@ gammalab mellin --phi geom:2 --s 0.35 > /dev/null
 code=0; gammalab complex-trace --delta 1/2 --z=nan,0 > nonfinite.json || code=$?
 test "$code" -eq 1
 grep -q '"error":"domain"' nonfinite.json
+if gammalab complex-trace --delta 1/2 --z=-0.5,226.5 > sinpi.json; then exit 1; fi; grep -q '"error":"domain"' sinpi.json
 gammalab verify --identity mult:4 --samples 50 > /dev/null
 gammalab closure --points 1/7 --depth 2 --max-n 4 > closure.json
 grep -q '"K":34' closure.json

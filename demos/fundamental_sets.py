@@ -25,11 +25,14 @@ from gammalab.landau import quarter_set_membership
 rng = random.Random(2024)
 
 
-def show_tree(node, indent=0):
-    pad = "  " * indent
-    print(f"{pad}{node.rule:11s} arg={node.argument}  value={node.value:.6g}")
-    for child in node.children:
-        show_tree(child, indent + 1)
+def show_tree(trace, i=-1, indent=0):
+    """Print the subtree at node i of trace's post-order lists (the root is
+    last); a real argument, held as its pair (n, d), prints as n/d."""
+    a = trace.args[i]
+    arg = Fraction(*a) if isinstance(a, tuple) else a
+    print(f"{'  ' * indent}{trace.rules[i]:11s} arg={arg}  value={trace.values[i]:.6g}")
+    for k in trace.kids[i]:
+        show_tree(trace, k, indent + 1)
 
 
 print("How many refinement rounds does each delta need?")
@@ -57,7 +60,7 @@ value, trace = trace_evaluate(Fraction(3, 7), fs)
 print("value     =", value)
 print("gamma(3/7)=", gamma(3 / 7))
 print("nodes     =", trace.node_count, " direct leaves =", trace.direct_count)
-show_tree(trace.root)
+show_tree(trace)
 checked = validate_trace(trace, lambda a: a in fs.leaf_union)
 print("independent replay validated", checked, "nodes")
 print()
@@ -89,7 +92,7 @@ for x in [0.2, 0.3, 1 / 3, 0.45, 0.48]:
 print()
 print("trace for x = 0.45 (reflect above 1/3, then undo a duplication):")
 _, tr = quarter_set_trace(0.45)
-show_tree(tr.root)
+show_tree(tr)
 print()
 
 # The same machinery extends off the real axis: the recurrence moves

@@ -61,7 +61,6 @@ _HOMES = {
     "intervals": ("IntervalSet", "as_fraction"),
     "landau": (
         "FundamentalSet",
-        "TraceNode",
         "DerivationTrace",
         "iteration_count",
         "landau_lemma_decompose",

@@ -416,24 +416,30 @@ def parse_identity_tag(tag: str):
 def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> IdentityReport:
     """Check one identity over a seeded uniform sample of its region.
 
-    Draws sample_spec.count points from the rectangle re_range x im_range.
-    Points where a gamma argument of the identity lies within
-    _POLE_EXCLUSION = 0.1 of a pole, or whose residual is not finite or
-    raises a domain/pole/overflow error, are skipped rather than failing
-    the run.  The report is deterministic for a fixed spec (same seed, same
-    bytes).
+    Draws sample_spec.count points from the rectangle re_range x im_range,
+    or for a real-only identity (a row with a window) from re_range on the
+    real axis, refusing an im_range that excludes 0 (DomainError).  Points
+    where a gamma argument of the identity lies within _POLE_EXCLUSION = 0.1
+    of a pole, or whose residual is not finite or raises a domain/pole/
+    overflow error, are skipped rather than failing the run.  The report is
+    deterministic for a fixed spec (same seed, same bytes).
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     kind, param = parse_identity_tag(identity_id)
     row = _IDENTITIES[kind]
+    (re_lo, re_hi), (im_lo, im_hi) = sample_spec.re_range, sample_spec.im_range
+    if row.window and not im_lo <= 0.0 <= im_hi:
+        raise DomainError(
+            f"{identity_id!r} is real-only: its draws lie on the real axis, "
+            f"outside {im_lo} <= Im <= {im_hi}"
+        )
     if row.slots:
         # one pole test per draw, at the sampling layer's radius
         residual = partial(_gamma_residual, kind, param, clearance=_POLE_EXCLUSION)
     else:
         residual = partial(row.residual, param)
     draw = random.Random(sample_spec.seed).random
-    (re_lo, re_hi), (im_lo, im_hi) = sample_spec.re_range, sample_spec.im_range
     re_w, im_w = re_hi - re_lo, im_hi - im_lo
 
     worst = 0.0

@@ -41,14 +41,13 @@ the functional, reflection, duplication and comb rows of the identity table
 rule's forms give a node's child arguments, compiled from the row's slots,
 and its value from theirs.
 
-A trace is built and replayed as one flat post-order record: parallel lists
-of rule, argument, value and child indices, each node after its children
-and the root last.  The tracers append to it; `validate_trace` and the
-one JSON serialiser are each one loop over it, and `DerivationTrace.root`,
-the tree of TraceNodes, is built only when read.  A trace has one external
-form, the JSON of `to_json_dict`: `DerivationTrace.from_json_dict` reads it
-back into the same record, recomputing each value by the form its children
-match, and `validate_trace` replays what it reads.
+A trace is its flat post-order record: a `DerivationTrace` is the parallel
+lists of rule, argument, value and child indices, each node after its
+children and the root last.  The tracers append to it; `validate_trace` and
+the one JSON serialiser are each one loop over it.  A trace has one
+external form, the JSON of `to_json_dict`: `DerivationTrace.from_json_dict`
+reads it back into the same lists, recomputing each value by the form its
+children match, and `validate_trace` replays what it reads.
 
 The real walk carries y = n/d as its reduced pair (n, d), the argument the
 record stores, and tests membership on the set's integer index with no
@@ -65,9 +64,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance
 from .errors import (
@@ -463,28 +462,14 @@ def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -
 # derivation traces
 
 
-@dataclass(frozen=True, slots=True)
-class TraceNode:
-    """One evaluation in DerivationTrace.root, the tree view of a trace.
-
-    rule is one of direct / functional / reflection / duplication / comb;
-    argument is a Fraction (real traces), float (quarter traces) or complex;
-    value the gamma value obtained at this node.
-    """
-
-    rule: str
-    argument: object
-    value: object
-    children: tuple
-
-
-class _Record:
-    """A derivation trace as one post-order record.
+class DerivationTrace:
+    """A derivation trace as one post-order record, made by a tracer or by
+    `from_json_dict`.
 
     Node i has rule rules[i], argument args[i], value values[i] and its
-    children at the indices kids[i], all below i; the root is last.  A
-    Fraction argument is held as its reduced integer pair (n, d), any
-    other as it is.  Two records are equal when their four lists are.
+    children at the indices kids[i], all below i; the root is last.  A real
+    argument is its reduced integer pair (n, d), any other is as it is.  Two
+    traces are equal when their four lists are.
     """
 
     __slots__ = ("rules", "args", "values", "kids")
@@ -500,57 +485,33 @@ class _Record:
         self.kids.append(kids)
         return len(self.kids) - 1
 
+    @property
+    def node_count(self) -> int:
+        return len(self.rules)
+
+    @property
+    def direct_count(self) -> int:
+        return self.rules.count("direct")
+
     def _lists(self) -> tuple:
         return self.rules, self.args, self.values, self.kids
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other):
+        if not isinstance(other, DerivationTrace):
+            return NotImplemented
         return self._lists() == other._lists()
 
     def __hash__(self) -> int:
         return hash(tuple(map(tuple, self._lists())))
 
-
-def _arg(a):
-    """A record argument as TraceNode holds it: a pair (n, d) as Fraction(n, d)."""
-    return Fraction(*a) if type(a) is tuple else a
-
-
-def _record_arg(arg):
-    """The record argument that to_json_dict wrote as arg: "n/d" (or "n") as
-    the reduced pair (n, d), [re, im] as a complex, a number as a float."""
-    if isinstance(arg, str):
-        n, _, d = arg.partition("/")
-        n, d = _int_of_text(n), _int_of_text(d or "1")
-        g = math.gcd(n, d)
-        return n // g, d // g
-    if isinstance(arg, list):
-        return complex(*arg)
-    return float(arg)
-
-
-@dataclass(frozen=True)
-class DerivationTrace:
-    """A derivation trace: its post-order `_Record`, made by a tracer or by
-    `from_json_dict`, and its direct-leaf and node counts.  `root`, the tree
-    of TraceNodes with Fraction arguments, is built on first read."""
-
-    _record: _Record = field(repr=False)
-    direct_count: int
-    node_count: int
-
-    @cached_property
-    def root(self) -> TraceNode:
-        """The tree of TraceNodes, built from the record on first read."""
-        rec, nodes = self._record, []
-        for rule, a, value, kids in zip(*rec._lists()):
-            nodes.append(TraceNode(rule, _arg(a), value, tuple([nodes[k] for k in kids])))
-        return nodes[-1]
+    def __repr__(self) -> str:
+        return f"DerivationTrace(direct_count={self.direct_count}, node_count={self.node_count})"
 
     def to_json_dict(self) -> dict:
         """The one trace serialiser: {"rule", "arg", "children"} per node, a
         pair's arg as "n" or "n/d", a complex's as [re, im]."""
-        out, rec = [], self._record
-        for rule, a, kids in zip(rec.rules, rec.args, rec.kids):
+        out = []
+        for rule, a, kids in zip(self.rules, self.args, self.kids):
             if type(a) is tuple:
                 n, d = a
                 arg = _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
@@ -573,7 +534,7 @@ class DerivationTrace:
             node = stack.pop()
             order.append(node)
             stack.extend(node["children"])
-        rec = _Record()
+        trace = cls()
         done = []  # the indices of finished subtrees that no parent has taken yet
         for node in reversed(order):
             k = len(done) - len(node["children"])
@@ -583,9 +544,27 @@ class DerivationTrace:
             if rule == "direct":
                 value = gamma(a[0] / a[1] if type(a) is tuple else a)
             else:
-                value = _replay(rec, rule, a, kids)
-            done.append(rec.add(rule, a, value, kids))
-        return _finish_trace(rec)[1]
+                value = _replay(trace, rule, a, kids)
+            done.append(trace.add(rule, a, value, kids))
+        return _finish_trace(trace)[1]
+
+
+def _arg(a):
+    """A record argument as a number: a pair (n, d) as Fraction(n, d)."""
+    return Fraction(*a) if type(a) is tuple else a
+
+
+def _record_arg(arg):
+    """The record argument that to_json_dict wrote as arg: "n/d" (or "n") as
+    the reduced pair (n, d), [re, im] as a complex, a number as a float."""
+    if isinstance(arg, str):
+        n, _, d = arg.partition("/")
+        n, d = _int_of_text(n), _int_of_text(d or "1")
+        g = math.gcd(n, d)
+        return n // g, d // g
+    if isinstance(arg, list):
+        return complex(*arg)
+    return float(arg)
 
 
 @dataclass(frozen=True)
@@ -595,16 +574,12 @@ class _Form:
     generic(a): the child arguments of a node at a, in a's own type (exact
     on a Fraction); ratios(n, d): the children of a = n/d, d > 0, as integer
     pairs (p, q), q > 0, each standing for p/q; combine(a, *values): Gamma(a)
-    from the children's gamma values, with a as a float or complex.  A form
-    unpacks as (generic, combine).
+    from the children's gamma values, with a as a float or complex.
     """
 
     generic: object
     ratios: object
     combine: object
-
-    def __iter__(self):
-        return iter((self.generic, self.combine))
 
     def matches(self, a, kids: tuple, args: list) -> bool:
         """Whether the record nodes at kids, whose arguments args holds, are
@@ -640,7 +615,7 @@ _RULES = {
 _HALVES = _RULES["duplication"][0]
 
 
-def _node(rec: _Record, rule: str, a, build, form: int = 0) -> int:
+def _node(rec: DerivationTrace, rule: str, a, build, form: int = 0) -> int:
     """Append the node at a float or complex a by the given form of rule;
     build(*child arguments) appends the children and returns their indices."""
     spec = _RULES[rule][form]
@@ -649,27 +624,27 @@ def _node(rec: _Record, rule: str, a, build, form: int = 0) -> int:
     return rec.add(rule, a, spec.combine(a, *[values[k] for k in kids]), kids)
 
 
-def _direct(rec: _Record, a) -> int:
+def _direct(rec: DerivationTrace, a) -> int:
     return rec.add("direct", a, gamma(a))
 
 
-def _finish_trace(rec: _Record):
-    """(value, DerivationTrace); OverflowError, as gamma raises, when the
-    value is not finite."""
-    value = rec.values[-1]
+def _finish_trace(trace: DerivationTrace):
+    """(value, trace), value the root's; OverflowError, as gamma raises, when
+    the value is not finite."""
+    value = trace.values[-1]
     if not cmath.isfinite(value):
-        raise OverflowError(f"gamma({_arg(rec.args[-1])!r}) exceeds the floating range")
-    return value, DerivationTrace(rec, rec.rules.count("direct"), len(rec.rules))
+        raise OverflowError(f"gamma({_arg(trace.args[-1])!r}) exceeds the floating range")
+    return value, trace
 
 
-def _replay(rec: _Record, rule: str, a, kids: tuple):
-    """Gamma(a) from the values of the record nodes at kids, by the form of
+def _replay(trace: DerivationTrace, rule: str, a, kids: tuple):
+    """Gamma(a) from the values of the trace's nodes at kids, by the form of
     rule that they are the children of; DomainError when rule is unknown or
     no form matches."""
     forms = _RULES.get(rule)
     if forms is None:
         raise DomainError(f"unknown trace rule {rule!r}")
-    args, values = rec.args, rec.values
+    args, values = trace.args, trace.values
     for form in forms:
         if form.matches(a, kids, args):
             return form.combine(a[0] / a[1] if type(a) is tuple else a, *[values[k] for k in kids])
@@ -684,25 +659,24 @@ def validate_trace(trace: DerivationTrace, direct_membership) -> int:
     internal node's child arguments match a form of its rule, and its value
     re-derives from the children's by that form to 1e-12 relative.
 
-    One loop over the trace's post-order record, children before parents.
+    One loop over the trace's post-order lists, children before parents.
     A real argument stays an integer pair: it is matched by
     cross-multiplication, replayed at n / d, and made a Fraction only for
     direct_membership at a direct leaf.
 
     Returns the number of nodes checked; raises DomainError on violation.
     """
-    rec = trace._record
-    for rule, a, value, ks in zip(*rec._lists()):
+    for rule, a, value, ks in zip(*trace._lists()):
         if rule == "direct":
             if ks:
                 raise DomainError(f"direct node at {_arg(a)!r} has children")
             if not direct_membership(_arg(a)):
                 raise DomainError(f"direct leaf {_arg(a)!r} outside the restricted set")
             continue
-        want = _replay(rec, rule, a, ks)
+        want = _replay(trace, rule, a, ks)
         if not _residual(value, want) <= 1e-12:  # NaN fails too
             raise DomainError(f"{rule} node at {_arg(a)!r} fails replay: {value!r} vs {want!r}")
-    return len(rec.values)
+    return len(trace.values)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +692,7 @@ def _require_explicit(fs: FundamentalSet):
         )
 
 
-def _walk_real(n: int, d: int, fs: FundamentalSet, rec: _Record) -> int:
+def _walk_real(n: int, d: int, fs: FundamentalSet, rec: DerivationTrace) -> int:
     """Append the trace at x = n/d (d > 0) to rec; returns the index of
     x's node."""
     add, values = rec.add, rec.values
@@ -761,7 +735,7 @@ def trace_evaluate(x, fs: FundamentalSet):
     if not (0 < x <= 1):
         raise DomainError(f"x must lie in (0, 1], got {x}")
     _require_explicit(fs)
-    rec = _Record()
+    rec = DerivationTrace()
     _walk_real(x.numerator, x.denominator, fs, rec)
     return _finish_trace(rec)
 
@@ -789,12 +763,12 @@ def quarter_set_trace(x: float, *, depth_cap: int = _QUARTER_DEPTH_CAP):
         raise DomainError(f"x must lie in (0, 1/2), got {x}")
     if x != _THIRD and abs(x - _THIRD) <= 1e-9:
         raise DomainError(f"{x} is inside the 1e-9 exclusion band around 1/3")
-    rec = _Record()
+    rec = DerivationTrace()
     _quarter_node(rec, x, depth_cap)
     return _finish_trace(rec)
 
 
-def _quarter_node(rec: _Record, x: float, depth_left: int) -> int:
+def _quarter_node(rec: DerivationTrace, x: float, depth_left: int) -> int:
     if depth_left < 0:
         raise DepthError("quarter-set escape exceeded the depth cap")
     if x == _THIRD or x <= 0.25:
@@ -848,6 +822,10 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     budget reaches |Im z| < 256 (at most 266,111 nodes), and |Im z| = 2**16
     would need about 2**27.
 
+    At Re z <= 0 the reflection step divides by sin(pi z), which overflows
+    once |Im z| passes about 226.15 (226.26 at the latest, by Re z), though
+    Gamma(z) is still a normal double: there the call raises DomainError.
+
     Raises DepthError when the tree would exceed node_budget nodes, with
     the strip points z needs and the nodes built when it stopped, and
     OverflowError, as gamma does, when the value exceeds the floating range.
@@ -859,15 +837,18 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     if abs(z.imag) > 2.0**16:
         raise DomainError(f"|Im z| = {abs(z.imag)} exceeds 2**16")
     _require_explicit(fs)
-    rec = _Record()
+    rec = DerivationTrace()
     try:
         _reduce_complex(z, fs, rec, [node_budget])
     except DepthError:
         raise DepthError(
             f"complex reduction exceeded the node budget of {node_budget}: |Im z| = "
             f"{abs(z.imag)!r} needs {1 << int(abs(z.imag)).bit_length()} strip points, "
-            f"and {len(rec.rules)} nodes were built when it stopped"
+            f"and {rec.node_count} nodes were built when it stopped"
         ) from None
+    except OverflowError:
+        # only sin(pi z) can overflow, in the reflection at the root when Re z <= 0
+        raise DomainError(f"sin(pi z) overflows at z = {z!r}: |Im z| past about 226.15") from None
     return _finish_trace(rec)
 
 
@@ -877,7 +858,7 @@ def _spend(budget):
         raise DepthError  # complex_reduce_trace states the detail
 
 
-def _reduce_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int:
+def _reduce_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, budget) -> int:
     def reduce(*args):
         return tuple([_reduce_complex(c, fs, rec, budget) for c in args])
 
@@ -901,7 +882,7 @@ def _reduce_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int
     return _walk_complex(z, fs, rec, budget)
 
 
-def _walk_complex(z: complex, fs: FundamentalSet, rec: _Record, budget) -> int:
+def _walk_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, budget) -> int:
     """Complex counterpart of _walk_real on the real part of z, appending
     to rec; returns the index of z's node."""
     add, values = rec.add, rec.values

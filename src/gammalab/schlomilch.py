@@ -127,7 +127,9 @@ def generalized_lhs(w: complex, z: complex) -> complex:
 
     which agrees with 2**(w+z) Gamma(w) Gamma(z) / (sqrt(2 pi) (1 - cot(pi w)
     cot(pi z))) wherever the cot form is defined, and extends it by
-    continuity (value 0) to positive-integer w or z.
+    continuity (value 0) to positive-integer w or z.  Raises OverflowError
+    where the value is not finite, as at w = 170, z = 0.3, where the
+    product overflows before sin(pi w) = 0 can cancel it.
     """
     w, z = _generalized_args(w, z)
     num = (
@@ -137,7 +139,10 @@ def generalized_lhs(w: complex, z: complex) -> complex:
         * sinpi(w)
         * sinpi(z)
     )
-    return num / (_SQRT_PI * cospi(w + z))
+    value = num / (_SQRT_PI * cospi(w + z))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"the closed form at w = {w!r}, z = {z!r} leaves the floating range")
+    return value
 
 
 def _generalized_args(w, z):
@@ -158,7 +163,8 @@ def _generalized_args(w, z):
 def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
     """The stopping rule of both series over (term, settled) pairs from
     _hyp2f1_terms, where only settled terms count as small; the budget is
-    checked before a term is drawn, so ahead of the terms' own checks."""
+    checked before a term is drawn, so ahead of the terms' own checks.
+    OverflowError once the partial sum is not finite."""
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
     if max_terms < 1:
@@ -168,6 +174,8 @@ def _partial_sums(terms, tolerance: float, max_terms: int) -> SeriesResult:
     small_streak = 0
     for n, (term, settled) in zip(range(max_terms), terms):
         total += term
+        if not cmath.isfinite(total):
+            raise OverflowError(f"the series leaves the floating range at term {n}")
         mag = abs(term)
         mass += mag
         if settled and mag <= tolerance * abs(total):
@@ -202,7 +210,8 @@ def generalized_series(w: complex, z: complex, tolerance: float, max_terms: int)
     reports converged=False if max_terms is reached first.  The series is
     Gamma(s) * 2F1(1 - u, u; 1 - s; 1/2) with s = w + z - 1/2 and
     u = w - z + 1/2, so its terms are the Gauss series' term recurrence
-    scaled by the one gamma value Gamma(s).
+    scaled by the one gamma value Gamma(s).  Raises OverflowError once a
+    partial sum is not finite.
     """
     return _partial_sums(_generalized_terms(w, z), tolerance, max_terms)
 
@@ -225,7 +234,8 @@ def hyp2f1_half(p: Hyp2F1Params, tolerance: float, max_terms: int) -> SeriesResu
 
     Same three-small-terms stopping rule as the generalized series, but
     exhaustion of max_terms raises ConvergenceError here — downstream
-    residual checks have no use for an unconverged value.
+    residual checks have no use for an unconverged value.  A partial sum
+    that is not finite raises OverflowError, as in the generalized series.
     """
     result = _partial_sums(_hyp2f1_terms(p), tolerance, max_terms)
     if not result.converged:

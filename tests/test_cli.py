@@ -534,6 +534,15 @@ class TestInternalErrors:
         assert code == 1
         assert report == {"error": "overflow", "detail": "non-finite value in report"}
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "report", [{"m": math.nan}, {"value": [1.0, math.inf]}, {"series": {"mass": -math.inf}}]
+    )
+    def test_renderer_refuses_a_non_finite_value(self, fmt, report):
+        # the renderer's own guard, in every format and at any nesting
+        with pytest.raises(OverflowError, match="non-finite value in report"):
+            cli._render(report, fmt)
+
 
 class TestFloatRangeEdges:
     """Far out in the plane Gamma is subnormal or the reports hold a value
@@ -569,7 +578,10 @@ class TestFloatRangeEdges:
             report = dict(zip(*csv.reader(out.splitlines())))
         else:
             report = dict(line.split(" = ", 1) for line in out.splitlines())
-        assert report == {"error": "overflow", "detail": "non-finite value in report"}
+        assert report == {
+            "error": "overflow",
+            "detail": "the closed form at w = (170+0j), z = (0.3+0j) leaves the floating range",
+        }
 
 
 # one argv per subcommand handler; the first five check no residual
@@ -690,7 +702,7 @@ class TestDigitLimit:
         assert code == 0
         trace = DerivationTrace.from_json_dict(report["trace"])
         assert trace.to_json_dict() == report["trace"]
-        assert [trace._record.values[-1], 0.0] == report["value"]
+        assert [trace.values[-1], 0.0] == report["value"]
         assert sys.get_int_max_str_digits() == 640
 
     def test_argv_integer_past_the_limit_is_usage_error(self, limit_640):
@@ -825,7 +837,7 @@ class TestEmitTraceReports:
         assert code == 0
         report = json.loads(out)
         trace = DerivationTrace.from_json_dict(report["trace"])
-        value = complex(trace._record.values[-1])
+        value = complex(trace.values[-1])
         assert [value.real, value.imag] == report["value"]
         if argv[0] == "complex-trace":
             member = strip_membership(landau_construct(Fraction(report["delta"])))

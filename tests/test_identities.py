@@ -204,6 +204,19 @@ class TestVerifyGrid:
         assert report.passed
         assert report.sample_count > 50
 
+    @pytest.mark.parametrize("im_range", [(150.0, 300.0), (-3.0, -1e-300), (1e-300, 1e-300)])
+    def test_real_only_row_refuses_a_box_off_the_axis(self, im_range):
+        # comb draws on the real axis only: a box whose Im range excludes 0
+        # would pass on points outside it
+        spec = SampleSpec(count=200, re_range=(-5.0, 5.0), im_range=im_range)
+        with pytest.raises(DomainError, match="real-only: its draws lie on the real axis"):
+            verify_grid("comb", spec, 1e-10)
+
+    @pytest.mark.parametrize("im_range", [(0.0, 300.0), (-300.0, -0.0), (0.0, 0.0)])
+    def test_real_only_row_takes_a_box_that_meets_the_axis(self, im_range):
+        spec = SampleSpec(count=200, re_range=(0.0, 0.25), im_range=im_range)
+        assert verify_grid("comb", spec, 1e-10).passed
+
     def test_non_finite_residual_is_skipped(self, monkeypatch):
         # every other draw reads nan: it is skipped, never the worst residual
         gamma_residual, draws = identities._gamma_residual, []

@@ -52,6 +52,11 @@ def fs_half():
 
 
 @pytest.fixture(scope="module")
+def fs_one():
+    return landau_construct(Fraction(1))
+
+
+@pytest.fixture(scope="module")
 def fs_tenth():
     return landau_construct(Fraction(1, 10))
 
@@ -514,13 +519,13 @@ class TestTraceEvaluate:
     def test_point_already_in_set_is_direct(self, fs_half):
         value, trace = trace_evaluate(Fraction(1, 8), fs_half)
         assert trace.node_count == 1
-        assert trace.root.rule == "direct"
+        assert trace.rules == ["direct"]
         assert value == gamma(0.125)
 
     def test_trace_counts_are_consistent(self, fs_half):
         _, trace = trace_evaluate(Fraction(3, 7), fs_half)
         assert 1 <= trace.direct_count <= trace.node_count
-        assert trace.root.argument == Fraction(3, 7)
+        assert trace.args[-1] == (3, 7)
 
     def test_domain_errors(self, fs_half):
         with pytest.raises(DomainError):
@@ -556,7 +561,7 @@ class TestQuarterSet:
     def test_exact_third_is_direct(self):
         _, trace = quarter_set_trace(1.0 / 3.0)
         assert trace.node_count == 1
-        assert trace.root.rule == "direct"
+        assert trace.rules == ["direct"]
 
     def test_band_around_third_rejected(self):
         with pytest.raises(DomainError):
@@ -567,14 +572,14 @@ class TestQuarterSet:
     def test_comb_branch_shape(self):
         # x in (1/4, 1/3) peels one quarter-step: root comb, recursive 4*alpha
         _, trace = quarter_set_trace(0.3)
-        assert trace.root.rule == "comb"
-        assert trace.root.children[0].argument == pytest.approx(0.2)
+        assert trace.rules[-1] == "comb"
+        assert trace.args[trace.kids[-1][0]] == pytest.approx(0.2)
 
     def test_reflection_branch_shape(self):
         # x in (1/3, 1/2) reflects then inverts one duplication
         _, trace = quarter_set_trace(0.45)
-        assert trace.root.rule == "reflection"
-        assert trace.root.children[0].rule == "duplication"
+        assert trace.rules[-1] == "reflection"
+        assert trace.rules[trace.kids[-1][0]] == "duplication"
 
     def test_depth_cap(self):
         with pytest.raises(DepthError):
@@ -618,7 +623,7 @@ class TestComplexReduce:
     def test_functional_chain_for_large_real_part(self, fs_half):
         z = 3.7 + 1.2j
         value, trace = complex_reduce_trace(z, fs_half)
-        assert trace.root.rule == "functional"
+        assert trace.rules[-1] == "functional"
         ref = gamma(z)
         assert abs(value - ref) / abs(ref) < 1e-10
         validate_trace(trace, strip_membership(fs_half))
@@ -626,7 +631,7 @@ class TestComplexReduce:
     def test_reflection_for_left_half_plane(self, fs_half):
         z = -1.3 + 0.5j
         value, trace = complex_reduce_trace(z, fs_half)
-        assert trace.root.rule == "reflection"
+        assert trace.rules[-1] == "reflection"
         ref = gamma(z)
         assert abs(value - ref) / abs(ref) < 1e-10
 
@@ -648,6 +653,19 @@ class TestComplexReduce:
         with pytest.raises(DepthError) as exc:
             complex_reduce_trace(z, fs_half, node_budget=100)
         assert str(exc.value) == detail
+
+    @pytest.mark.parametrize("z", [-0.5 + 226.5j, -3.7 + 230j, -3.7 + 255.9j])
+    def test_reflection_past_the_range_of_sin_is_a_domain_error(self, fs_one, z):
+        # Gamma(z) is a normal double here, but the reflection step's
+        # sin(pi z) overflows (delta = 1 keeps the walks short)
+        with pytest.raises(DomainError, match=r"sin\(pi z\) overflows at z = .*226\.15"):
+            complex_reduce_trace(z, fs_one)
+
+    def test_reflection_inside_the_range_of_sin_goes_ahead(self, fs_one):
+        z = -0.5 + 226.1j
+        value, trace = complex_reduce_trace(z, fs_one)
+        assert trace.rules[-1] == "reflection"
+        assert abs(value - gamma(z)) <= 1e-9 * abs(gamma(z))
 
     def test_domain_errors(self, fs_half):
         with pytest.raises(DomainError):
@@ -689,13 +707,8 @@ class TestMembershipCalls:
     @pytest.mark.parametrize("z", [0.3 + 0.2j, 0.77 - 0.6j, 2.5 + 3.5j, -1.3 + 0.4j])
     def test_complex_trace_tests_each_strip_node_once(self, fs_half, calls, z):
         _, trace = complex_reduce_trace(z, fs_half)
-
-        def strip_nodes(node):
-            a = node.argument
-            own = 1 if 0.0 < a.real <= 1.0 and abs(a.imag) < 1.0 else 0
-            return own + sum(strip_nodes(c) for c in node.children)
-
-        assert calls[0] == strip_nodes(trace.root)
+        strip_nodes = sum(1 for a in trace.args if 0.0 < a.real <= 1.0 and abs(a.imag) < 1.0)
+        assert calls[0] == strip_nodes
 
     def test_complex_budget_counts_every_node(self, fs_half):
         _, trace = complex_reduce_trace(0.37 + 5.0j, fs_half)
@@ -705,16 +718,16 @@ class TestMembershipCalls:
 
 
 def _tampered(trace, i, value):
-    """A copy of trace whose record holds value at node i."""
+    """A copy of trace that holds value at node i."""
     bad = copy.deepcopy(trace)
-    bad._record.values[i] = value
+    bad.values[i] = value
     return bad
 
 
 class TestValidateTrace:
     def test_tampered_value_detected(self):
         _, trace = quarter_set_trace(0.3)
-        bad = _tampered(trace, -1, trace._record.values[-1] * (1 + 1e-6))
+        bad = _tampered(trace, -1, trace.values[-1] * (1 + 1e-6))
         assert validate_trace(trace, quarter_set_membership) == trace.node_count
         with pytest.raises(DomainError):
             validate_trace(bad, quarter_set_membership)
@@ -722,7 +735,7 @@ class TestValidateTrace:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_leaf_value_detected(self, fs_half, bad):
         _, trace = trace_evaluate(Fraction(3, 7), fs_half)
-        bad_trace = _tampered(trace, trace._record.rules.index("direct"), bad)
+        bad_trace = _tampered(trace, trace.rules.index("direct"), bad)
         with pytest.raises(DomainError, match="fails replay"):
             validate_trace(bad_trace, lambda a: a in fs_half.leaf_union)
 
@@ -744,21 +757,17 @@ class TestValidateTrace:
 
 
 class TestFlatRecord:
-    """The tracers build one post-order record per trace; validate_trace and
-    to_json_dict read it, and the TraceNodes of trace.root, with their
-    Fraction arguments, are made only when root is read."""
+    """A trace is its post-order record: the tracers append to its lists,
+    and validate_trace and to_json_dict read them, making a Fraction only
+    for the membership callback at a real direct leaf."""
 
-    def test_no_trace_node_and_no_fraction_until_root_is_read(self, fs_half, monkeypatch):
+    def test_no_fraction_until_a_real_leaf_is_validated(self, fs_half, monkeypatch):
         made = []
-
-        def no_node(*args):
-            raise AssertionError("a TraceNode was built")
 
         def counting(*args):
             made.append(args)
             return Fraction(*args)
 
-        monkeypatch.setattr(landau, "TraceNode", no_node)
         monkeypatch.setattr(landau, "Fraction", counting)
         runs = [
             (trace_evaluate(Fraction(3, 7), fs_half)[1], lambda a: a in fs_half.leaf_union),
@@ -770,15 +779,11 @@ class TestFlatRecord:
         assert made == []
         for trace, member in runs:
             assert validate_trace(trace, member) == trace.node_count
-            assert "root" not in vars(trace)
-            assert not any(isinstance(a, Fraction) for a in trace._record.args)
+            assert not any(isinstance(a, Fraction) for a in trace.args)
         # validate_trace makes a Fraction only for the callback at a real leaf
         real = runs[0][0]
         assert len(made) == real.direct_count
-        monkeypatch.undo()
-        assert all(type(a) is tuple for a in real._record.args)
-        assert real.root is real.root and real.root.argument == Fraction(3, 7)
-        assert "root" in vars(real)
+        assert all(type(a) is tuple for a in real.args)
 
     def test_a_trace_reads_back_from_its_json(self, fs_half):
         # 100 seeded traces: real, quarter and complex in turn
@@ -798,12 +803,11 @@ class TestFlatRecord:
             twin = DerivationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
             assert validate_trace(twin, member) == validate_trace(trace, member) == trace.node_count
             assert twin == trace and hash(twin) == hash(trace)
-            # reading the JSON back gives the tracer's record, in its order,
+            # reading the JSON back gives the tracer's lists, in their order,
             # every argument and value to the same bits (repr is exact)
-            back, built = twin._record, trace._record
-            assert list(map(repr, back.args)) == list(map(repr, built.args))
-            assert list(map(repr, back.values)) == list(map(repr, built.values))
-            assert (back.rules, back.kids) == (built.rules, built.kids)
+            assert list(map(repr, twin.args)) == list(map(repr, trace.args))
+            assert list(map(repr, twin.values)) == list(map(repr, trace.values))
+            assert (twin.rules, twin.kids) == (trace.rules, trace.kids)
 
     def test_reading_back_makes_no_fraction_and_no_trace_node(self, fs_half, monkeypatch):
         traces = [
@@ -814,9 +818,8 @@ class TestFlatRecord:
         docs = [trace.to_json_dict() for trace in traces]
 
         def refuse(*args):
-            raise AssertionError("a Fraction or a TraceNode was built")
+            raise AssertionError("a Fraction was built")
 
-        monkeypatch.setattr(landau, "TraceNode", refuse)
         monkeypatch.setattr(landau, "Fraction", refuse)
         assert [DerivationTrace.from_json_dict(d) for d in docs] == traces
 
@@ -840,36 +843,39 @@ class TestFlatRecord:
             with pytest.raises(DomainError, match="match none of its forms"):
                 _hand_trace("duplication", 0.375, child_args)
 
-    def test_equality_hash_and_repr_of_a_frozen_dataclass(self, fs_half):
+    def test_equality_hash_and_repr(self, fs_half):
         _, trace = quarter_set_trace(0.3)
         twin = DerivationTrace.from_json_dict(trace.to_json_dict())
-        fields = (trace._record, trace.direct_count, trace.node_count)
-        assert trace == twin and hash(trace) == hash(twin) == hash(fields)
+        lists = (trace.rules, trace.args, trace.values, trace.kids)
+        assert trace == twin and hash(trace) == hash(twin) == hash(tuple(map(tuple, lists)))
         assert trace != quarter_set_trace(0.31)[1]
-        assert trace != _tampered(trace, 0, trace._record.values[0] * (1 + 2**-52))
-        assert trace.__eq__(fields) is NotImplemented
+        assert trace != _tampered(trace, 0, trace.values[0] * (1 + 2**-52))
+        assert trace.__eq__(lists) is NotImplemented
         assert repr(trace) == repr(twin) == (
             f"DerivationTrace(direct_count={trace.direct_count!r}, node_count={trace.node_count!r})"
         )
-        # root is a view: built on first read, equal on equal traces, not compared
-        assert trace.root == twin.root and trace.root.argument == 0.3
-        for name in ("root", "node_count", "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+        # the counts are read from the lists, so no stored count goes stale
+        twin.add("direct", 0.2, gamma(0.2))
+        assert (twin.node_count, twin.direct_count) == (trace.node_count + 1, trace.direct_count + 1)
+        assert twin != trace
+        # the four lists are the only state: no root, and no count to set
+        for name in ("root", "node_count", "direct_count", "other"):
+            with pytest.raises(AttributeError):
                 setattr(trace, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(trace, name)
 
 
 def _trace_digest(traces):
-    """sha256 over each trace's preorder (rule, repr(argument), repr(value))
-    and its node and direct-leaf counts."""
+    """sha256 over each trace's preorder (rule, repr(argument), repr(value)),
+    a real argument as its Fraction, and its node and direct-leaf counts."""
     h = hashlib.sha256()
     for trace in traces:
-        stack = [trace.root]
+        stack = [trace.node_count - 1]
         while stack:
-            node = stack.pop()
-            h.update(f"{node.rule}|{node.argument!r}|{node.value!r};".encode())
-            stack.extend(reversed(node.children))
+            i = stack.pop()
+            a = trace.args[i]
+            arg = Fraction(*a) if type(a) is tuple else a
+            h.update(f"{trace.rules[i]}|{arg!r}|{trace.values[i]!r};".encode())
+            stack.extend(reversed(trace.kids[i]))
         h.update(f"#{trace.node_count},{trace.direct_count}#".encode())
     return h.hexdigest()
 
@@ -932,18 +938,18 @@ class TestRuleTable:
         ],
     )
     def test_form_reproduces_gamma(self, rule, form, points):
-        children, combine = _RULES[rule][form]
+        spec = _RULES[rule][form]
         for a in points:
-            values = [_mp_gamma(c) for c in children(a)]
+            values = [_mp_gamma(c) for c in spec.generic(a)]
             x = complex(a) if isinstance(a, complex) else float(a)
             want = _mp_gamma(a)
-            assert abs(combine(x, *values) - want) <= 1e-13 * abs(want), (rule, form, a)
+            assert abs(spec.combine(x, *values) - want) <= 1e-13 * abs(want), (rule, form, a)
 
     def test_form_children_keep_the_argument_type(self):
         for forms in _RULES.values():
-            for children, _ in forms:
-                assert all(isinstance(c, Fraction) for c in children(Fraction(2, 7)))
-                assert all(isinstance(c, complex) for c in children(0.3 + 0.1j))
+            for spec in forms:
+                assert all(isinstance(c, Fraction) for c in spec.generic(Fraction(2, 7)))
+                assert all(isinstance(c, complex) for c in spec.generic(0.3 + 0.1j))
 
     @pytest.mark.parametrize(
         "rule,a,child_args",
@@ -976,7 +982,7 @@ class TestDeepComplexTraces:
 
 
 def _json_arg(a):
-    """A TraceNode argument in the trace JSON."""
+    """A trace argument, a real one as its Fraction, in the trace JSON."""
     if isinstance(a, complex):
         return [a.real, a.imag]
     if isinstance(a, Fraction):
@@ -984,11 +990,12 @@ def _json_arg(a):
     return float(a)
 
 
-def _json_reference(node):
-    """The recursive serialisation of a trace's root, which the one loop of
-    DerivationTrace.to_json_dict replaces."""
-    return {"rule": node.rule, "arg": _json_arg(node.argument),
-            "children": [_json_reference(c) for c in node.children]}
+def _json_reference(trace, i=-1):
+    """The recursive serialisation of the trace's node i (the root by
+    default), which the one loop of DerivationTrace.to_json_dict replaces."""
+    a = trace.args[i]
+    return {"rule": trace.rules[i], "arg": _json_arg(Fraction(*a) if type(a) is tuple else a),
+            "children": [_json_reference(trace, k) for k in trace.kids[i]]}
 
 
 class TestTraceJson:
@@ -1000,7 +1007,7 @@ class TestTraceJson:
             complex_reduce_trace(0.5 + 6.0j, fs_half)[1],
         ]
         for trace in traces:
-            assert trace.to_json_dict() == _json_reference(trace.root)
+            assert trace.to_json_dict() == _json_reference(trace)
 
     @pytest.mark.parametrize("kind", ["real", "quarter", "complex"])
     def test_a_leaf_moved_outside_the_set_fails_replay(self, fs_half, kind):
@@ -1037,7 +1044,7 @@ class TestTraceJson:
         trace = DerivationTrace.from_json_dict(d)
         assert trace.node_count == depth + 1 and trace.direct_count == 1
         assert validate_trace(trace, lambda a: a == Fraction(1, 3)) == depth + 1
-        assert trace._record.values[-1] == pytest.approx(gamma(1 / 3) if depth % 2 == 0 else gamma(4 / 3))
+        assert trace.values[-1] == pytest.approx(gamma(1 / 3) if depth % 2 == 0 else gamma(4 / 3))
         out, seen = trace.to_json_dict(), 0
         while out["children"]:
             assert out["rule"] == "functional"
@@ -1266,7 +1273,7 @@ class TestTraceDepthErrors:
 def _height(trace):
     """The most halvings on a root-to-leaf path of trace's record."""
     heights = []
-    for kids in trace._record.kids:
+    for kids in trace.kids:
         heights.append(1 + max(heights[k] for k in kids) if kids else 0)
     return heights[-1]
 

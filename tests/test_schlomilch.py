@@ -169,6 +169,14 @@ class TestGeneralizedSeries:
         assert result.terms_used > 25
         assert abs(result.value - generalized_lhs(12.7, 13.3)) <= 1e-8 * result.mass
 
+    def test_non_finite_value_is_overflow(self):
+        # Gamma(170) 2**169.8 overflows before sin(170 pi) = 0 cancels it,
+        # and the series' terms pass the floating range by term 3
+        with pytest.raises(OverflowError, match="closed form at w = .* leaves the floating range"):
+            generalized_lhs(170, 0.3)
+        with pytest.raises(OverflowError, match="series leaves the floating range at term 3"):
+            generalized_series(170, 0.3, 1e-8, 500)
+
     @pytest.mark.parametrize("max_terms", [1, 2, 8])
     def test_exhausted_series_reports_every_term(self, max_terms):
         result = generalized_series(0.7, 0.9, 1e-13, max_terms)
