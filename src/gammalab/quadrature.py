@@ -1,9 +1,10 @@
 """Double-exponential (tanh-sinh) quadrature and the integral oracles.
 
 The engine is deliberately self-contained: a tanh-sinh node ladder on a finite
-interval, plus one window-and-integrate recipe, `integrate_real_line`, which
-grows a truncation window on the whole line until the endpoint integrand
-magnitude falls below the tolerance times a coarse value.  One Mellin integral,
+interval, each level built once per process and reused by every integral, plus
+one window-and-integrate recipe, `integrate_real_line`, which grows a
+truncation window on the whole line until the endpoint integrand magnitude
+falls below the tolerance times a coarse value.  One Mellin integral,
 integral_0^inf x^(s-1) psi(x) dx = integral exp(s u + log psi(e^u)) du after
 x = e^u, goes through it; the gamma and beta oracles and the master-theorem
 transform of `mellin` are that integral, each psi stated as log psi(e^u).
@@ -41,32 +42,54 @@ class QuadratureSpec:
             raise DomainError("relative_tolerance must be > 0")
 
 
-def _de_node(t, a, b, half):
-    """Abscissa and weight of the tanh-sinh map on (a, b), a = mid - half.
+_LADDER = {}          # level k -> its node triples, built on first use
+_KEPT_LEVELS = 12     # levels 0.._KEPT_LEVELS stay: all that max_levels=12 reaches
 
-    The abscissa is assembled from the nearer endpoint so that points
-    double-exponentially close to a or b keep full relative accuracy
-    (1 +- tanh(u) is evaluated as 2/(1+exp(-+2u)), not by cancellation).
+
+def _ladder(k):
+    """Level k's nodes, h = _BASE_H / 2**k, as triples (1 + exp(2u), cosh t,
+    cosh(u)**2), u = (pi/2) sinh t, for t = j h <= _T_CUT in the order of j
+    (j = 0, 1, 2, ... at level 0, odd j above); t and -t share a triple.
+
+    They depend on k alone: levels up to _KEPT_LEVELS are built once and
+    kept, a deeper one is generated as it is read, so no max_levels makes
+    the process hold more.
     """
-    u = 0.5 * math.pi * math.sinh(t)  # |t| <= _T_CUT keeps |u| < 317: no overflow
-    ch = math.cosh(u)
-    if u >= 0.0:
-        x = b - half * 2.0 / (1.0 + math.exp(2.0 * u))
-    else:
-        x = a + half * 2.0 / (1.0 + math.exp(-2.0 * u))
-    w = half * 0.5 * math.pi * math.cosh(t) / (ch * ch)
-    return x, w
+    nodes = _LADDER.get(k)
+    if nodes is None:
+        nodes = _triples(k)
+        if k <= _KEPT_LEVELS:
+            nodes = _LADDER[k] = tuple(nodes)
+    return nodes
 
 
-def _level_sum(f, a, b, half, h, only_odd):
-    total = 0.0
-    j = 1 if only_odd else 0
-    step = 2 if only_odd else 1
+def _triples(k):
+    h = _BASE_H / 2**k
+    j, step = (0, 1) if k == 0 else (1, 2)
     while j * h <= _T_CUT:
-        for t in (j * h, -j * h) if j else (0.0,):
-            x, w = _de_node(t, a, b, half)
-            if w == 0.0:
-                continue
+        u = 0.5 * math.pi * math.sinh(j * h)  # |t| <= _T_CUT keeps |u| < 317: no overflow
+        ch = math.cosh(u)
+        yield 1.0 + math.exp(2.0 * u), math.cosh(j * h), ch * ch
+        j += step
+
+
+def _level_sum(f, a, b, half, k):
+    """Sum of w f(x) over level k's nodes on (a, b), a = mid - half, in the
+    order t = 0 (level 0 only), h, -h, 2h, -2h, ...  Each x is assembled from
+    the nearer endpoint, b - d at +t and a + d at -t, d = 2 half / (1 +
+    exp(2|u|)), so points double-exponentially close to a or b keep full
+    relative accuracy."""
+    total = 0.0
+    # d and w are multiplied out left to right, as half * 2.0 / den and
+    # half * 0.5 * pi * cosh t / cosh(u)**2 would be
+    width, w_scale = half * 2.0, half * 0.5 * math.pi
+    for den, cosh_t, cosh2_u in _ladder(k):
+        d = width / den
+        w = w_scale * cosh_t / cosh2_u
+        if w == 0.0:
+            continue
+        # t = 0, level 0's first node and its only one with cosh t = 1, is its own mirror
+        for x in (b - d, a + d) if k or cosh_t > 1.0 else (b - d,):
             if not (a < x < b):
                 continue
             val = f(x)
@@ -77,7 +100,6 @@ def _level_sum(f, a, b, half, h, only_odd):
                     f"integrand not finite at x={x!r} with non-negligible weight"
                 )
             total += w * val
-        j += step
     return total
 
 
@@ -90,17 +112,20 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     estimate would be inf, which no tolerance can judge).
     Endpoint singularities of integrable type are fine - the nodes never touch
     a or b and the weights decay double-exponentially.
+    Levels 0 to 12, all that the default max_levels reaches, are kept once
+    built: 49,153 node triples, about 7.1 MB (6.75 MiB) when all are read.  A
+    deeper level is built as it is summed and not kept.
     """
     # an infinite end, or a width b - a that overflows, is no interval
     if not (a < b and math.isfinite(b - a)):
         raise DomainError(f"bad interval ({a!r}, {b!r})")
     half = 0.5 * (b - a)
     h = _BASE_H
-    value = h * _level_sum(f, a, b, half, h, only_odd=False)
+    value = h * _level_sum(f, a, b, half, 0)
     prev = None
-    for _ in range(max_levels):
+    for k in range(1, max_levels + 1):
         h *= 0.5
-        value = 0.5 * value + h * _level_sum(f, a, b, half, h, only_odd=True)
+        value = 0.5 * value + h * _level_sum(f, a, b, half, k)
         if not cmath.isfinite(value):
             raise OverflowError(f"tanh-sinh sum on ({a!r}, {b!r}) left the floating range")
         if prev is not None:
@@ -132,12 +157,29 @@ def beta_integral(z, w, spec):
 
 def gamma_integral(z, spec):
     """The defining gamma integral, evaluated numerically (oracle for gamma):
-    the Mellin integral of e^{-x}, log psi(e^u) = -e^u."""
+    the Mellin integral of e^{-x}, log psi(e^u) = -e^u.
+
+    The integrand's modulus exp(sigma u - e^u), sigma = Re z, peaks at
+    u = log sigma with exponent p = sigma log sigma - sigma; the integral is
+    taken with that peak divided out and multiplied back at the end, so no
+    level sum leaves the floating range before Gamma itself does.  It reaches
+    Gamma's own overflow point (real z about 171.62); beyond it, OverflowError.
+    """
     zc = _check_finite(z, "z")
     if zc.real <= 0:
         raise DomainError("gamma_integral requires Re z > 0")
     s = zc if isinstance(z, complex) else zc.real
-    return _mellin_integral(_minus_exp, s, spec.relative_tolerance)
+    sigma = zc.real
+    p = sigma * math.log(sigma) - sigma
+    value = math.inf
+    # e^p overflows from sigma about 171.3, so it goes back in halves; e^(p/2)
+    # overflows from p = 1419.6 (sigma about 301), where Gamma(sigma) long has
+    if p < 1419.0:
+        half = math.exp(0.5 * p)
+        value = _mellin_integral(_minus_exp, s, spec.relative_tolerance, p) * half * half
+    if not cmath.isfinite(value):
+        raise OverflowError(f"gamma_integral({z!r}) leaves the floating range")
+    return value
 
 
 def _softplus(u):
@@ -152,14 +194,16 @@ def _minus_exp(u):
     return -math.exp(u)
 
 
-def _mellin_integral(log_psi, s, rtol):
-    """integral_0^inf x^{s-1} psi(x) dx = integral exp(s u + log_psi(u)) du.
+def _mellin_integral(log_psi, s, rtol, p=0.0):
+    """integral_0^inf x^{s-1} psi(x) dx / e^p = integral exp(s u + log_psi(u) - p) du.
 
     log_psi(u) = log psi(e^u), stable for all u.  A float s integrates in
-    floats, a complex s in complex numbers, and the value has s's type.
+    floats, a complex s in complex numbers, and the value has s's type.  The
+    shift p lets a caller divide out an integrand too large for floats; at
+    p = 0.0 every exponent is unchanged (x - 0.0 == x).
     """
     exp = cmath.exp if isinstance(s, complex) else math.exp
-    value, _ = integrate_real_line(lambda u: exp(s * u + log_psi(u)), rtol=rtol)
+    value, _ = integrate_real_line(lambda u: exp(s * u + log_psi(u) - p), rtol=rtol)
     return value
 
 

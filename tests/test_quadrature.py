@@ -1,16 +1,23 @@
 import math
 import random
 
+import mpmath
 import pytest
 
+from gammalab import quadrature
 from gammalab.core import beta as beta_closed
 from gammalab.core import gamma as gamma_closed
 from gammalab.core import sinpi
 from gammalab.errors import ConvergenceError, DomainError
+from gammalab.mellin import catalog_entry, mellin_transform
 from gammalab.quadrature import (
+    _BASE_H,
+    _KEPT_LEVELS,
+    _T_CUT,
     _TINY_WEIGHT,
     QuadratureSpec,
-    _de_node,
+    _ladder,
+    _level_sum,
     beta_integral,
     gamma_integral,
     integrate_real_line,
@@ -87,10 +94,76 @@ class TestNonFiniteIntegrand:
         # on a short interval the outermost node t = -6 keeps an abscissa
         # inside (a, b) but carries a weight below _TINY_WEIGHT
         a, b = 0.0, 1e-9
-        x, w = _de_node(-6.0, a, b, 0.5 * (b - a))
+        half = 0.5 * (b - a)
+        den, cosh_t, cosh2_u = _ladder(0)[12]  # t = 12 h = 6, read at -t
+        x, w = a + half * 2.0 / den, half * 0.5 * math.pi * cosh_t / cosh2_u
         assert a < x < b and 0.0 < w < _TINY_WEIGHT
         want = tanh_sinh(lambda s: 1e9, a, b)
         assert tanh_sinh(lambda s: bad if s == x else 1e9, a, b) == want
+
+
+def _de_node(t, a, b, half):
+    """The reference: abscissa and weight of the tanh-sinh map at t on (a, b),
+    each worked out from t alone, as the rule did before its node ladder."""
+    u = 0.5 * math.pi * math.sinh(t)
+    ch = math.cosh(u)
+    if u >= 0.0:
+        x = b - half * 2.0 / (1.0 + math.exp(2.0 * u))
+    else:
+        x = a + half * 2.0 / (1.0 + math.exp(-2.0 * u))
+    w = half * 0.5 * math.pi * math.cosh(t) / (ch * ch)
+    return x, w
+
+
+class TestLadder:
+    """Each level's nodes are built once per process from a table of
+    (1 + exp(2u), cosh t, cosh(u)**2); the abscissae and weights they give
+    are the reference's bit for bit."""
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, 1e-9), (-8.0, 8.0)])
+    def test_nodes_match_the_reference_bit_for_bit(self, a, b):
+        half = 0.5 * (b - a)
+        for k in range(_KEPT_LEVELS + 1):
+            h = _BASE_H / 2**k
+            js = range(0, 13) if k == 0 else range(1, int(_T_CUT / h) + 1, 2)
+            want = []
+            for j in js:
+                for t in (j * h, -j * h) if j else (0.0,):
+                    x, w = _de_node(t, a, b, half)
+                    if w != 0.0 and a < x < b:
+                        want.append((x, w))
+            # the weights the level sum uses, read off its table
+            triples = _ladder(k)
+            assert len(triples) == len(js)
+            for j, (den, cosh_t, cosh2_u) in zip(js, triples):
+                w = half * 0.5 * math.pi * cosh_t / cosh2_u
+                assert w == _de_node(j * h, a, b, half)[1] == _de_node(-j * h, a, b, half)[1]
+            # the abscissae it evaluates, in order, and its sum of the weights
+            seen = []
+            total = _level_sum(lambda x: seen.append(x) or 1.0, a, b, half, k)
+            assert seen == [x for x, _ in want]
+            ref = 0.0
+            for _, w in want:
+                ref += w
+            assert total == ref
+
+    def test_a_second_integral_builds_no_level(self, monkeypatch):
+        # a sum that never converges reads every kept level
+        with pytest.raises(ConvergenceError):
+            tanh_sinh(lambda x: math.sin(1e4 * x), 0.0, 1.0, rtol=1e-15)
+        built = []
+        triples = quadrature._triples
+        monkeypatch.setattr(quadrature, "_triples", lambda k: built.append(k) or triples(k))
+        spec = QuadratureSpec(relative_tolerance=1e-11)
+        assert gamma_integral(2.5 + 1j, spec) == pytest.approx(gamma_closed(2.5 + 1j), rel=1e-9)
+        beta_integral(0.3, 0.7, spec)
+        mellin_transform(catalog_entry("log1p"), 0.4)
+        assert built == []
+
+    def test_a_deeper_level_is_not_kept(self):
+        with pytest.raises(ConvergenceError, match="within 13 levels"):
+            tanh_sinh(lambda x: math.sin(1e4 * x), 0.0, 1.0, rtol=1e-15, max_levels=13)
+        assert len(quadrature._LADDER) <= 13 and max(quadrature._LADDER) == _KEPT_LEVELS
 
 
 class TestOverflowedSum:
@@ -101,12 +174,18 @@ class TestOverflowedSum:
         with pytest.raises(OverflowError, match="left the floating range"):
             tanh_sinh(lambda x: 1e308, 0.0, 10.0)
 
-    @pytest.mark.parametrize("z", [171.0, 171.3])
+    @pytest.mark.parametrize("z", [170.6, 171.0, 171.3, 171.6, 171.62])
     def test_gamma_integral_near_the_top_of_the_range(self, z):
-        # Gamma(171) = 7.26e306 and Gamma(171.3) = 3.39e307 are finite, but
-        # the level sums that approach them are not
-        assert math.isfinite(gamma_closed(z))
-        with pytest.raises(OverflowError):
+        # the level sums that approach Gamma(171) = 7.26e306 once overflowed;
+        # with the integrand's peak divided out they stay near sqrt(2 pi / z)
+        got = gamma_integral(z, QuadratureSpec())
+        assert got == pytest.approx(float(mpmath.gamma(z)), rel=1e-9)
+
+    @pytest.mark.parametrize("z", [171.7, 300.0, 1e308, complex(1e300, 1.0)])
+    def test_gamma_integral_past_the_top_of_the_range_overflows(self, z):
+        # Gamma(171.7) = 2.7e308 is past the largest float; at 1e308 even
+        # the peak's exponent sigma log sigma overflows
+        with pytest.raises(OverflowError, match="leaves the floating range"):
             gamma_integral(z, QuadratureSpec())
 
     def test_largest_passing_points_still_converge(self):
