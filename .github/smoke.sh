@@ -25,15 +25,19 @@ python -c "from gammalab.core import gamma; from gammalab.quadrature import Quad
 python -c "import sys, gammalab.cli; assert 'numpy' not in sys.modules"
 python -c "import sys; from gammalab.cli import main; assert main(['eval', '--z', '0.5']) == 0; assert not {'gammalab.landau', 'gammalab.identities', 'gammalab.schlomilch'} & set(sys.modules)" > /dev/null
 gammalab verify --identity reflection --samples 50 > /dev/null
-# an emitted tree reads back with from_json_dict to the report's node and
-# direct-leaf counts and its value, bit for bit, and validate_trace replays
-# every node against the subcommand's set
+# an emitted report is the json module's bytes for what it holds (the trace
+# text is written by hand from the record), its tree reads back with
+# from_json_dict to the report's node and direct-leaf counts and its value,
+# bit for bit, and validate_trace replays every node against the
+# subcommand's set
 emitted_trace() {
     gammalab "$@" --emit-trace > trace.json
     python -c "import json, sys
 from fractions import Fraction
 from gammalab.landau import DerivationTrace, landau_construct, quarter_set_membership, strip_membership, validate_trace
-r = json.load(open('trace.json'))
+text = open('trace.json', encoding='utf-8').read()
+r = json.loads(text)
+assert text == json.dumps(r, sort_keys=True, separators=(',', ':'), ensure_ascii=False) + '\\n'
 trace = DerivationTrace.from_json_dict(r['trace'])
 counts = (trace.node_count, trace.direct_count)
 assert counts == (r['nodes'], r['direct_leaves']) and r['validated_nodes'] == r['nodes'], counts

@@ -135,14 +135,30 @@ def _scalar_text(v) -> str:
     return str(v)
 
 
+# json.dumps(value, sort_keys=True, allow_nan=False, ...) for each report value
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":"), ensure_ascii=False)
+
+
 def _render(report: dict, fmt: str) -> str:
+    """The report in fmt.  A value with its own JSON writer, json_parts (the
+    DerivationTrace of --emit-trace), is written by it in its sorted-key
+    place; csv and text flatten its to_json_dict()."""
     if fmt == "json":
+        parts, sep = ["{"], ""
         try:
-            return json.dumps(
-                report, sort_keys=True, allow_nan=False, separators=(",", ":"), ensure_ascii=False
-            ) + "\n"
-        except ValueError:  # allow_nan=False refused a non-finite float
+            for key in sorted(report):
+                value = report[key]
+                parts.append(f"{sep}{_JSON.encode(key)}:")
+                sep = ","
+                if hasattr(value, "json_parts"):
+                    parts += value.json_parts()
+                else:
+                    parts.append(_JSON.encode(value))
+        except ValueError:  # a non-finite float, refused as allow_nan=False does
             raise OverflowError("non-finite value in report") from None
+        parts.append("}\n")
+        return "".join(parts)
+    report = {k: v.to_json_dict() if hasattr(v, "json_parts") else v for k, v in report.items()}
     pairs = [(k, _scalar_text(v)) for k, v in _flatten(report)]
     if fmt == "csv":
         import csv
@@ -263,7 +279,9 @@ def _cmd_landau_construct(args, tol):
 
 def _trace_report(args, head: dict, value, trace, reference, tol, membership):
     """The report of one derivation trace, checked against the reference
-    value and replayed by validate_trace; --emit-trace adds the tree."""
+    value and replayed by validate_trace; --emit-trace adds the record
+    itself, which _render writes as JSON text straight from its lists and
+    flattens from its to_json_dict() in csv and text."""
     from .core import _residual
     from .landau import validate_trace
 
@@ -277,7 +295,7 @@ def _trace_report(args, head: dict, value, trace, reference, tol, membership):
         validated_nodes=validate_trace(trace, membership),
     )
     if args.emit_trace:
-        report["trace"] = trace.to_json_dict()
+        report["trace"] = trace
     return _verdict(report, residual, tol)
 
 

@@ -43,11 +43,14 @@ and its value from theirs.
 
 A trace is its flat post-order record: a `DerivationTrace` is the parallel
 lists of rule, argument, value and child indices, each node after its
-children and the root last.  The tracers append to it; `validate_trace` and
-the one JSON serialiser are each one loop over it.  A trace has one
-external form, the JSON of `to_json_dict`: `DerivationTrace.from_json_dict`
-reads it back into the same lists, recomputing each value by the form its
-children match, and `validate_trace` replays what it reads.
+children and the root last.  The tracers append to it; `validate_trace` is
+one loop over it.  A trace has one external form, its JSON: `json_parts`
+writes the text straight from the record, with no dict per node, and
+`to_json_dict` gives the same tree as nested dicts for readers and the csv
+and text reports; both take each node's argument from one helper, `_json_arg`.
+`DerivationTrace.from_json_dict` reads the tree back into the same lists,
+recomputing each value by the form its children match, and
+`validate_trace` replays what it reads.
 
 The real walk carries y = n/d as its reduced pair (n, d), the argument the
 record stores, and tests membership on the set's integer index with no
@@ -63,6 +66,7 @@ halvings raises TraceDepthError.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -470,6 +474,10 @@ class DerivationTrace:
     children at the indices kids[i], all below i; the root is last.  A real
     argument is its reduced integer pair (n, d), any other is as it is.  Two
     traces are equal when their four lists are.
+
+    Its JSON text is written from these lists by `json_parts`; the same tree
+    as nested dicts, `to_json_dict`, is kept for readers and the csv and
+    text reports, and `from_json_dict` reads either back.
     """
 
     __slots__ = ("rules", "args", "values", "kids")
@@ -508,21 +516,50 @@ class DerivationTrace:
         return f"DerivationTrace(direct_count={self.direct_count}, node_count={self.node_count})"
 
     def to_json_dict(self) -> dict:
-        """The one trace serialiser: {"rule", "arg", "children"} per node, a
-        pair's arg as "n" or "n/d", a complex's as [re, im]."""
+        """The trace's JSON as nested dicts: {"arg", "children", "rule"} per
+        node, each arg as _json_arg writes it."""
         out = []
         for rule, a, kids in zip(self.rules, self.args, self.kids):
-            if type(a) is tuple:
-                n, d = a
-                arg = _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
-            else:
-                arg = [a.real, a.imag] if isinstance(a, complex) else float(a)
-            out.append({"rule": rule, "arg": arg, "children": [out[k] for k in kids]})
+            out.append({"rule": rule, "arg": _json_arg(a), "children": [out[k] for k in kids]})
         return out[-1]
+
+    def json_parts(self) -> list:
+        """The trace's JSON text, written from the record, as fragments whose
+        "".join is json.dumps(self.to_json_dict(), sort_keys=True,
+        allow_nan=False, separators=(",", ":"), ensure_ascii=False).
+
+        One pre-order walk over the lists with an explicit stack, so any
+        depth, and no dict per node; a non-finite argument raises
+        ValueError, as allow_nan=False does."""
+        rules, args, kids = self.rules, self.args, self.kids
+        # a node's text after its last child, one per rule the trace uses
+        close = {r: f'],"rule":{json.dumps(r, ensure_ascii=False)}}}' for r in set(rules)}
+        out = []
+        # an int is a node to open, a str a fragment to write as it is
+        stack = [len(rules) - 1]
+        while stack:
+            i = stack.pop()
+            if type(i) is str:
+                out.append(i)
+                continue
+            arg = _json_arg(args[i])
+            if type(arg) is str:
+                arg = f'"{arg}"'
+            elif type(arg) is list:
+                arg = f"[{_float_json(arg[0])},{_float_json(arg[1])}]"
+            else:
+                arg = _float_json(arg)
+            out.append(f'{{"arg":{arg},"children":[')
+            stack.append(close[rules[i]])
+            ks = kids[i]
+            for k in reversed(ks[1:]):
+                stack += (k, ",")
+            stack += ks[:1]
+        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DerivationTrace":
-        """The trace that to_json_dict wrote as d, read with no recursion.
+        """The trace whose JSON tree is d, read with no recursion.
 
         Arguments read back exactly (JSON floats are shortest round-trip);
         values are recomputed bottom-up, by core.gamma at a direct leaf and
@@ -554,8 +591,25 @@ def _arg(a):
     return Fraction(*a) if type(a) is tuple else a
 
 
+def _json_arg(a):
+    """A record argument in the trace JSON: a pair (n, d) as "n" (d = 1) or
+    "n/d" at any size, a complex as [re, im], anything else as a float."""
+    if type(a) is tuple:
+        n, d = a
+        return _text(n) if d == 1 else f"{_text(n)}/{_text(d)}"
+    return [a.real, a.imag] if isinstance(a, complex) else float(a)
+
+
+def _float_json(x: float) -> str:
+    """x as the json module writes a float, repr; ValueError, as its
+    allow_nan=False raises, when x is not finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(x)
+
+
 def _record_arg(arg):
-    """The record argument that to_json_dict wrote as arg: "n/d" (or "n") as
+    """The record argument that _json_arg wrote as arg: "n/d" (or "n") as
     the reduced pair (n, d), [re, im] as a complex, a number as a float."""
     if isinstance(arg, str):
         n, _, d = arg.partition("/")

@@ -107,9 +107,11 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     """Integrate f over (a, b) with the double-exponential transformation.
 
     Returns (value, error_estimate) with |error_estimate| <= rtol*|value| on
-    success; raises ConvergenceError when the level budget runs out, and
+    success; raises ConvergenceError when the level budget runs out,
     OverflowError when a level's value leaves the floating range (its error
-    estimate would be inf, which no tolerance can judge).
+    estimate would be inf, which no tolerance can judge), and DomainError
+    on an interval that is empty, infinite, too wide for a float width, or
+    holds no float strictly inside it.
     Endpoint singularities of integrable type are fine - the nodes never touch
     a or b and the weights decay double-exponentially.
     Levels 0 to 12, all that the default max_levels reaches, are kept once
@@ -119,6 +121,10 @@ def tanh_sinh(f, a, b, *, rtol=1e-10, max_levels=12):
     # an infinite end, or a width b - a that overflows, is no interval
     if not (a < b and math.isfinite(b - a)):
         raise DomainError(f"bad interval ({a!r}, {b!r})")
+    # every node lies strictly inside (a, b): with no float there, each is
+    # skipped and the sum would read 0
+    if math.nextafter(a, b) >= b:
+        raise DomainError(f"no float lies strictly inside ({a!r}, {b!r})")
     half = 0.5 * (b - a)
     h = _BASE_H
     value = h * _level_sum(f, a, b, half, 0)

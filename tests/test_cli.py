@@ -536,10 +536,19 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize(
-        "report", [{"m": math.nan}, {"value": [1.0, math.inf]}, {"series": {"mass": -math.inf}}]
+        "report",
+        [{"m": math.nan}, {"value": [1.0, math.inf]}, {"series": {"mass": -math.inf}},
+         {"trace": math.nan}, {"trace": complex(math.inf, 0.0)}],
     )
     def test_renderer_refuses_a_non_finite_value(self, fmt, report):
-        # the renderer's own guard, in every format and at any nesting
+        # the renderer's own guard, in every format and at any nesting; a
+        # trace's argument goes through its own writer in json
+        if "trace" in report:
+            from gammalab.landau import DerivationTrace
+
+            trace = DerivationTrace()
+            trace.add("direct", report["trace"], 1.0)
+            report = {"nodes": 1, "trace": trace}
         with pytest.raises(OverflowError, match="non-finite value in report"):
             cli._render(report, fmt)
 
@@ -809,6 +818,47 @@ class TestEmitTraceReports:
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_report_builds_no_dict_tree(self, monkeypatch, capsys):
+        # the JSON text is written from the record: to_json_dict is not called
+        from gammalab.landau import DerivationTrace
+
+        def refuse(trace):
+            raise AssertionError("to_json_dict called")
+
+        monkeypatch.setattr(DerivationTrace, "to_json_dict", refuse)
+        argv, digest = _EMIT_TRACE_DIGESTS[2]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("csv",
+             "direct_leaves,nodes,pass,reference.0,reference.1,residual,tolerance,trace.arg,"
+             "trace.children.0.arg,trace.children.0.rule,trace.children.1.arg,"
+             "trace.children.1.rule,trace.children.2.arg,trace.children.2.rule,trace.rule,"
+             "validated_nodes,value.0,value.1,x\n"
+             "3,4,true,2.9915689876875904,0.0,5.937876902425476e-16,1e-09,0.3,"
+             "0.19999999999999996,direct,0.2,direct,0.09999999999999998,direct,comb,4,"
+             "2.9915689876875886,0.0,0.3\n"),
+            ("text",
+             "direct_leaves = 3\nnodes = 4\npass = true\nreference.0 = 2.9915689876875904\n"
+             "reference.1 = 0.0\nresidual = 5.937876902425476e-16\ntolerance = 1e-09\n"
+             "trace.arg = 0.3\ntrace.children.0.arg = 0.19999999999999996\n"
+             "trace.children.0.rule = direct\ntrace.children.1.arg = 0.2\n"
+             "trace.children.1.rule = direct\ntrace.children.2.arg = 0.09999999999999998\n"
+             "trace.children.2.rule = direct\ntrace.rule = comb\nvalidated_nodes = 4\n"
+             "value.0 = 2.9915689876875886\nvalue.1 = 0.0\nx = 0.3\n"),
+        ],
+    )
+    def test_flat_report_bytes(self, fmt, text, capsys):
+        # csv and text flatten the trace's to_json_dict(), the one report
+        # path that still builds it
+        code, out = run(["landau", "quarter", "--x", "0.3", "--emit-trace", "--format", fmt], capsys)
+        assert code == 0
+        assert out == text
 
     @pytest.mark.parametrize(
         "argv",

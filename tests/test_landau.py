@@ -1007,7 +1007,12 @@ class TestTraceJson:
             complex_reduce_trace(0.5 + 6.0j, fs_half)[1],
         ]
         for trace in traces:
-            assert trace.to_json_dict() == _json_reference(trace)
+            reference = _json_reference(trace)
+            assert trace.to_json_dict() == reference
+            # the text writer gives json.dumps's bytes, with no dict per node
+            assert "".join(trace.json_parts()) == json.dumps(
+                reference, sort_keys=True, allow_nan=False, separators=(",", ":"), ensure_ascii=False
+            )
 
     @pytest.mark.parametrize("kind", ["real", "quarter", "complex"])
     def test_a_leaf_moved_outside_the_set_fails_replay(self, fs_half, kind):
@@ -1035,8 +1040,8 @@ class TestTraceJson:
 
     def test_chain_deeper_than_recursion_limit(self):
         # a functional chain that steps up and down between 4/3 and 1/3, so
-        # its values stay finite at any depth, read back and written again
-        # with no recursion
+        # its values stay finite at any depth, read back and written again,
+        # as dicts and as text, with no recursion
         depth = sys.getrecursionlimit() + 500
         d = {"rule": "direct", "arg": "1/3", "children": []}
         for k in range(depth):
@@ -1053,6 +1058,14 @@ class TestTraceJson:
             seen += 1
         assert seen == depth
         assert out == {"rule": "direct", "arg": "1/3", "children": []}
+        # the text nests the same chain, root first: depth functional nodes
+        # opened, the direct leaf, and depth closed
+        opened = "".join(
+            f'{{"arg":"{"4/3" if (depth - 1 - s) % 2 == 0 else "1/3"}","children":['
+            for s in range(depth)
+        )
+        leaf = '{"arg":"1/3","children":[],"rule":"direct"}'
+        assert "".join(trace.json_parts()) == opened + leaf + '],"rule":"functional"}' * depth
 
 
 def _halving_class_of(b, delta):

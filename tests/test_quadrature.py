@@ -66,6 +66,11 @@ class TestTanhSinh:
         with pytest.raises(DomainError, match="bad interval"):
             tanh_sinh(lambda x: math.exp(-abs(x)), a, b)
 
+    def test_no_float_inside_the_interval(self):
+        # 2.0000000000000004 is the float after 2.0: every node would be skipped
+        with pytest.raises(DomainError, match="no float lies strictly inside"):
+            tanh_sinh(lambda x: x * x, 2.0, 2.0000000000000004)
+
     def test_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             tanh_sinh(lambda x: math.sin(1e4 * x), 0.0, 1.0, rtol=1e-14, max_levels=3)
