@@ -15,6 +15,8 @@ gammalab stern --m 120 > stern.json
 grep -q '"independent":16' stern.json
 gammalab stern --m 480 > stern.json
 grep -q '"independent":64' stern.json
+gammalab stern --m 1000 > stern.json
+grep -q '"independent":200' stern.json
 python -O -c "import gammalab.stern as s; s.totient = lambda m: 0
 try: s.independent_count(7)
 except AssertionError: pass

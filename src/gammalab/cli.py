@@ -114,15 +114,18 @@ def _arg_points(text: str) -> tuple:
 # serialization
 
 
-def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}.")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
-    else:
-        yield prefix[:-1], obj
+def _flatten(report):
+    """(dotted key, scalar) pairs of a nested report, depth first with dict
+    keys sorted; an explicit stack walks a trace of any depth."""
+    stack = [("", report)]
+    while stack:
+        prefix, obj = stack.pop()
+        if isinstance(obj, dict):
+            stack += [(f"{prefix}{k}.", obj[k]) for k in sorted(obj, reverse=True)]
+        elif isinstance(obj, (list, tuple)):
+            stack += [(f"{prefix}{i}.", obj[i]) for i in reversed(range(len(obj)))]
+        else:
+            yield prefix[:-1], obj
 
 
 def _scalar_text(v) -> str:
@@ -408,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="residual-check one identity on a seeded sample")
     p.add_argument("--identity", type=_arg_identity, required=True,
-                   help="functional|reflection|duplication|comb|mult:N|sine:K|cosine:M")
+                   help="functional|reflection|duplication|comb|mult:N|sine:K|cosine:M; "
+                        "mult:N skips each draw with |z + j| < N/10 for some j < N, "
+                        "where the slot (z + j)/N is within 0.1 of the pole 0, so on "
+                        "the default box it is empty_grid from N = 52")
     p.add_argument("--grid", type=_arg_grid, default=None,
                    help="sample region as count:relo:rehi:imlo:imhi")
     p.add_argument("--samples", type=int, default=200,

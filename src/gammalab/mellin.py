@@ -132,7 +132,11 @@ def mellin_transform(spec: PhiSpec, s: float) -> float:
     With x = e^u this is integral exp(s*u + log psi(e^u)) du over the whole
     line at relative tolerance 1e-9, truncated where the integrand drops
     below it.  A tail that never decays (s at or outside the admissible
-    strip) raises ConvergenceError.
+    strip) raises ConvergenceError.  At a distance eps from an end of the
+    strip a tail decays like e^(-eps |u|), and the window stops at
+    |u| = 4000: s down to about 0.006 is reached, and up to about
+    eta - 0.006 for a finite eta (0.992 for log1p, whose tail at infinity
+    carries a factor u); closer to an end, ConvergenceError.
     """
     s = float(s)
     if not (0.0 < s < spec.eta):

@@ -170,6 +170,9 @@ def gamma_integral(z, spec):
     taken with that peak divided out and multiplied back at the end, so no
     level sum leaves the floating range before Gamma itself does.  It reaches
     Gamma's own overflow point (real z about 171.62); beyond it, OverflowError.
+    Near 0 the integrand's left tail decays only like e^(sigma u), and the
+    window stops at |u| = 4000: at the default tolerance 1e-10, Re z down to
+    about 0.0065 is reached, and below it ConvergenceError is raised.
     """
     zc = _check_finite(z, "z")
     if zc.real <= 0:
@@ -227,7 +230,9 @@ def integrate_real_line(g, *, rtol=1e-10):
 
 
 def _window(g, rtol):
-    """Truncation window on the u-line for an already-substituted integrand."""
+    """Truncation window on the u-line for an already-substituted integrand:
+    each end grows by 1.4 until |g| there is below tolerance, its last step
+    clamped to the cap |u| = _U_CAP, which is probed too."""
     u1 = u2 = 8.0
     try:
         coarse, _ = tanh_sinh(g, -u1, u2, rtol=1e-3, max_levels=8)
@@ -235,11 +240,11 @@ def _window(g, rtol):
         coarse = 0.0
     threshold = rtol * max(abs(coarse), 1e-300) * 1e-2
     while abs(g(-u1)) > threshold:
-        u1 *= 1.4
-        if u1 > _U_CAP:
+        if u1 == _U_CAP:
             raise ConvergenceError("integrand tail near 0 does not decay below tolerance")
+        u1 = min(u1 * 1.4, _U_CAP)
     while abs(g(u2)) > threshold:
-        u2 *= 1.4
-        if u2 > _U_CAP:
+        if u2 == _U_CAP:
             raise ConvergenceError("integrand tail at infinity does not decay below tolerance")
+        u2 = min(u2 * 1.4, _U_CAP)
     return -u1, u2

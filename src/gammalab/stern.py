@@ -76,31 +76,35 @@ def relation_matrix(m: int) -> list:
 
 
 def _rank(rows: list) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on integers.
+    """Rank over Q by integer elimination of the rows with an entry in the
+    pivot column; no other row is rewritten.
 
-    After r pivots every entry below the pivot rows is an (r+1)-minor of
-    the input, so dividing by the previous pivot (an r-minor) is exact.
+    Zero rows go first.  The pivot in column c is the sparsest of the rows
+    with the least nonzero |entry| p there; each other row with an entry f
+    becomes (p/g) row - (f/g) pivot, g = gcd(p, f), divided by its content,
+    and goes at zero.  Invertible over Q, these steps keep the rank; each
+    pivot adds one, and leaves columns up to c zero in every row left.
     """
-    mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    rank = 0
-    prev = 1
-    for c in range(len(mat[0])):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if pivot is None:
+    mat, rank, c = [row for row in rows if any(row)], 0, -1
+    while mat:
+        c += 1
+        hits = [row for row in mat if row[c]]
+        if not hits:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        p = top[c]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][c]
-            if f or p != prev:  # else the row is unchanged
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
-        prev = p
+        top = min(hits, key=lambda row: (abs(row[c]), -row.count(0)))
+        p, tail = top[c], top[c + 1:]
+        mat = [row for row in mat if not row[c]]
+        for row in hits:
+            if row is not top:
+                g = gcd(p, row[c])
+                q, f = p // g, row[c] // g
+                new = [q * a - f * b for a, b in zip(row[c + 1:], tail)]
+                content = gcd(*new)
+                if content > 1:
+                    new = [a // content for a in new]
+                if content:
+                    mat.append([0] * (c + 1) + new)
         rank += 1
-        if rank == len(mat):
-            break
     return rank
 
 
@@ -109,33 +113,29 @@ def _folded_rows(m: int) -> list:
     rows eliminated (see the module docstring): the nonzero ones, each once
     up to sign with a positive first entry, sorted.
 
-    Each row is built from its divisor n of m straight into the folded
-    columns: v_i adds to column i for i < m/2 and subtracts from column
-    m - i for i > m/2.  The row k = m/n of each divisor, the n = m row
-    among them, is e_{m/n} + e_{2m/n} + ... + e_{m-m/n} once v_m is
-    dropped; it is symmetric under i -> m - i, folds to zero and is not
-    built.  Rows k < m/n have no v_m term.
+    Each row is built from its divisor n of m straight into a list over the
+    (m - 1)//2 folded columns: v_i adds to column i for i < m/2 and
+    subtracts from column m - i for i > m/2.  The row k = m/n of each
+    divisor, the n = m row among them, is e_{m/n} + e_{2m/n} + ... +
+    e_{m-m/n} once v_m is dropped; it is symmetric under i -> m - i, folds
+    to zero and is not built.  Rows k < m/n have no v_m term.
     """
     _check_modulus(m)
-    folded = set()
+    zero, folded = (0,) * ((m - 1) // 2), set()
     for n in range(2, m):
         if m % n:
             continue
         step = m // n
         for k in range(1, step):
-            acc = {}
+            row = list(zero)
             for i, sign in [(k + j * step, 1) for j in range(n)] + [(n * k, -1)]:
                 if 2 * i < m:
-                    acc[i] = acc.get(i, 0) + sign
+                    row[i - 1] += sign
                 elif 2 * i > m:
-                    acc[m - i] = acc.get(m - i, 0) - sign
-            cols = sorted(c for c, v in acc.items() if v)
-            if cols:
-                flip = 1 if acc[cols[0]] > 0 else -1
-                row = [0] * ((m - 1) // 2)
-                for c in cols:
-                    row[c - 1] = flip * acc[c]
-                folded.add(tuple(row))
+                    row[m - i - 1] -= sign
+            row = tuple(row)
+            if row != zero:
+                folded.add(row if row > zero else tuple(-x for x in row))
     return sorted(folded)
 
 

@@ -153,6 +153,19 @@ class TestVerify:
         assert code == 1
         assert report["error"] == "empty_grid"
 
+    def test_mult_slot_clearance_empties_the_default_box(self, capsys):
+        # a slot (z + j)/52 is within 0.1 of the pole 0 wherever |z + j| < 5.2,
+        # which leaves no draw of the default box at seed 0; mult:51 keeps one
+        code, report = run_json(["verify", "--identity", "mult:52"], capsys)
+        assert code == 1
+        assert report == {
+            "error": "empty_grid",
+            "detail": "all 200 sampled points for 'mult:52' were skipped; a slot "
+            "(z + j)/52 lies within 0.1 of the pole 0 wherever |z + j| < 5.2",
+        }
+        code, report = run_json(["verify", "--identity", "mult:51"], capsys)
+        assert (code, report["samples"], report["skipped"]) == (0, 1, 199)
+
     def test_cosine_expansion_on_a_real_segment(self, capsys):
         # the sum cancels from terms of 1.6e5 to |cos 17u| = 9e-3 at the worst
         # draw: scaled by that value alone it read 3.8e-10 and failed
@@ -637,6 +650,14 @@ class TestToleranceResolution:
             main(["schlomilch", "finite", "--m", "0", "--z", "3.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("env", ["0", "-1e-3", "nan"])
+    def test_nonpositive_env_is_usage_error(self, env, capsys, monkeypatch):
+        monkeypatch.setenv("GAMMALAB_TOL", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["schlomilch", "finite", "--m", "0", "--z", "3.5"])
+        assert exc.value.code == 2
+        assert f"GAMMALAB_TOL must be > 0, got {env!r}" in capsys.readouterr().err
+
     def test_nonpositive_tol_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["schlomilch", "finite", "--m", "0", "--z", "3.5", "--tol", "0"])
@@ -859,6 +880,35 @@ class TestEmitTraceReports:
         code, out = run(["landau", "quarter", "--x", "0.3", "--emit-trace", "--format", fmt], capsys)
         assert code == 0
         assert out == text
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_flat_reports_of_a_trace_deeper_than_recursion_limit(self, fmt):
+        # the functional chain of tests/test_landau.py's
+        # test_chain_deeper_than_recursion_limit, flattened with no recursion:
+        # each node's arg from the root down, the leaf's rule, then each
+        # functional rule back up.  The dotted keys grow with the depth, so
+        # the flat report is quadratic in it; under a lowered recursion
+        # limit the chain is 700 deep and its csv report 5 MB
+        from gammalab.landau import DerivationTrace
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            depth = sys.getrecursionlimit() + 500
+            d = {"rule": "direct", "arg": "1/3", "children": []}
+            for k in range(depth):
+                d = {"rule": "functional", "arg": "4/3" if k % 2 == 0 else "1/3", "children": [d]}
+            out = cli._render({"trace": DerivationTrace.from_json_dict(d)}, fmt)
+        finally:
+            sys.setrecursionlimit(limit)
+        prefixes = ["trace." + "children.0." * s for s in range(depth + 1)]
+        pairs = [(p + "arg", "4/3" if (depth - 1 - s) % 2 == 0 else "1/3") for s, p in enumerate(prefixes[:-1])]
+        pairs += [(prefixes[-1] + "arg", "1/3"), (prefixes[-1] + "rule", "direct")]
+        pairs += [(p + "rule", "functional") for p in reversed(prefixes[:-1])]
+        if fmt == "csv":
+            assert out == ",".join(k for k, _ in pairs) + "\n" + ",".join(v for _, v in pairs) + "\n"
+        else:
+            assert out == "".join(f"{k} = {v}\n" for k, v in pairs)
 
     @pytest.mark.parametrize(
         "argv",

@@ -236,6 +236,16 @@ class TestVerifyGrid:
         with pytest.raises(EmptyGridError):
             verify_grid("functional", spec, 1e-10)
 
+    def test_mult_slot_clearance(self):
+        # every draw of the default box at seed 0 (verify_grid's formula) has
+        # a slot (z + j)/52 within 0.1 of the pole 0, so none is left
+        draw = random.Random(0).random
+        for _ in range(200):
+            z = complex(-4.0 + 8.0 * draw(), -4.0 + 8.0 * draw())
+            assert min(abs(z + j) for j in range(52)) <= 5.2
+        with pytest.raises(EmptyGridError, match=r"^all 200 .*\|z \+ j\| < 5\.2$"):
+            verify_grid("mult:52", SampleSpec(count=200, seed=0), 1e-10)
+
     def test_report_json_shape(self):
         report = verify_grid("duplication", SampleSpec(count=40), 1e-10)
         d = report.to_json_dict()

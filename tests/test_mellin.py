@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from gammalab.errors import DomainError
+from gammalab.errors import ConvergenceError, DomainError
 from gammalab.mellin import (
     catalog_entry,
     catalog_ids,
@@ -116,6 +116,17 @@ class TestMellinTransform:
         want = math.pi / math.sin(math.pi * s)
         got = mellin_transform(spec, s)
         assert abs(got - want) / want < 1e-8
+
+    @pytest.mark.parametrize("s,end", [(0.006, "near 0"), (0.994, "at infinity")])
+    def test_tails_at_the_window_cap(self, s, end):
+        # s within 0.006 of an end of phi = 1's strip (0, 1): the slow tail
+        # falls below tolerance only at the cap |u| = 4000; 0.001 closer, not
+        # even there
+        spec = catalog_entry("one")
+        want = math.pi / math.sin(math.pi * s)
+        assert abs(mellin_transform(spec, s) - want) / want < 1e-9
+        with pytest.raises(ConvergenceError, match=end):
+            mellin_transform(spec, s - 0.001 if s < 0.5 else s + 0.001)
 
     def test_strip_enforced(self):
         spec = catalog_entry("one")

@@ -227,6 +227,16 @@ class TestHalfLine:
         with pytest.raises(ConvergenceError, match="near 0"):
             integrate_real_line(lambda u: 1.0 / (1.0 + math.exp(u)))
 
+    def test_window_reaches_its_cap(self):
+        # the left tail of Gamma's integrand decays like e^(sigma u): at
+        # sigma = 0.007 it falls below tolerance only at the cap |u| = 4000,
+        # which the window probes; at 0.006 not even there
+        spec = QuadratureSpec()
+        want = float(mpmath.gamma(0.007))
+        assert gamma_integral(0.007, spec) == pytest.approx(want, rel=1e-10)
+        with pytest.raises(ConvergenceError, match="near 0"):
+            gamma_integral(0.006, spec)
+
     def test_real_line_gaussian(self):
         v, _ = integrate_real_line(lambda u: math.exp(-u * u))
         assert v == pytest.approx(math.sqrt(math.pi), rel=1e-11)

@@ -39,6 +39,34 @@ def _fraction_rank(rows):
     return rank
 
 
+def _bareiss_rank(rows):
+    """Reference: rank over Q by fraction-free (Bareiss) elimination, the
+    count's rank before the sparse elimination.  After r pivots every entry
+    below the pivot rows is an (r+1)-minor of the input, so dividing by the
+    previous pivot (an r-minor) is exact."""
+    mat = [list(row) for row in rows]
+    if not mat:
+        return 0
+    rank = 0
+    prev = 1
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[c]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c]
+            if f or p != prev:  # else the row is unchanged
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
 _matrices = st.integers(0, 6).flatmap(
     lambda ncols: st.lists(
         st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols), max_size=7
@@ -162,6 +190,10 @@ class TestIndependentCount:
                 independent_count(m)
             assert str(fold.value) == str(matrix.value) == str(count.value)
 
+    def test_half_totient_up_to_200(self):
+        for m in range(3, 201):
+            assert independent_count(m) == totient(m) // 2, m
+
     def test_check_survives_optimize_flag(self):
         # python -O strips assert statements; the phi(m)/2 check must stay
         code = (
@@ -191,3 +223,8 @@ class TestBareissRank:
             rows = [row[:zero_col] + [0] + row[zero_col:] for row in rows]
             rows.insert(min(zero_row, len(rows)), [0] * len(rows[0]))
             assert _rank(rows) == _fraction_rank(rows)
+
+    def test_folded_rows_match_bareiss_elimination(self):
+        for m in range(3, 201):
+            rows = _folded_rows(m)
+            assert _rank(rows) == _bareiss_rank(rows), m
