@@ -21,6 +21,9 @@ python -O -c "import gammalab.stern as s; s.totient = lambda m: 0
 try: s.independent_count(7)
 except AssertionError: pass
 else: raise SystemExit('the phi(m)/2 check is gone under -O')"
+# the kernel's bits: gamma, log_gamma, sinpi and cospi on 2,000 points over
+# every branch, against the digest tests/test_core.py pins
+test "$(python tests/kernel_pin.py 250)" = 927b7dcaaa946c6b92c0509fb501d2ce7bb2f2c2969c6b8d292a9e694b8bbd4d
 python -c "import cmath, math; from gammalab.core import gamma, log_gamma; assert all(abs(log_gamma(x) - math.lgamma(x)) <= 2e-15 * max(1.0, abs(math.lgamma(x))) for x in (1e-3, 0.3, 0.5, 1.5, 7.25, 170.5, 1e6)); z = 2.5 + 3j; assert abs(cmath.exp(log_gamma(z)) - gamma(z)) <= 1e-15 * abs(gamma(z))"
 python -c "import math; from gammalab.core import gamma, sinpi; from gammalab.quadrature import QuadratureSpec, beta_integral, gamma_integral; q = QuadratureSpec(relative_tolerance=1e-10); z = 2.5 + 1j; assert abs(gamma_integral(z, q) - gamma(z)) <= 1e-9 * abs(gamma(z)); z = 0.3 + 0.8j; r = math.pi / sinpi(z); assert abs(beta_integral(z, 0.7 - 0.8j, q) - r) <= 1e-9 * abs(r)"
 python -c "from gammalab.core import gamma; from gammalab.quadrature import QuadratureSpec, gamma_integral; q = QuadratureSpec(); assert all(abs(gamma_integral(z, q) - gamma(z)) <= 1e-10 * gamma(z) for z in (171.0, 171.3))"

@@ -4,7 +4,7 @@ The evaluator is a Lanczos rational approximation (g = 607/128, 15 terms) on
 the half-plane Re z >= 1/2, continued to the left half-plane with the
 reflection formula Gamma(z)Gamma(1-z) = pi/sin(pi z).  Conjugate symmetry is
 enforced structurally: arguments with negative imaginary part are evaluated
-through the mirrored call, so gamma(conj(z)) == conj(gamma(z)) bit for bit.
+at the mirror conj(z), so gamma(conj(z)) == conj(gamma(z)) bit for bit.
 
 log_gamma is the log of the same Lanczos formula, after one recurrence step
 where Re z < 1/2; gamma's log-space reflection (Re z < 1/2, Im z > 50) calls
@@ -26,6 +26,15 @@ PoleError, even where Gamma is representable (Gamma(1e-13) ~ 1e13).
 The Lanczos sum is one straight-line expression for both types, with no
 loop; it adds its fifteen terms from the left over y = z - 1, in the order
 of the term-by-term loop it replaced, so every value is bit-identical to it.
+
+The complex path runs in one frame: ``_gamma_complex`` takes the conjugate
+mirror and the reflection as flags, where it recursed up to three times, and
+``_gamma_factor`` calls it directly.  Its constants (the fifteen Lanczos
+coefficients, sqrt(2 pi), pi and 1) are complex values x + 0j.  A float on
+the left of a complex operand is first offered to float's own slot, which
+declines; CPython (3.10 to 3.13) then widens the float to complex(x, 0.0)
+and does the complex operation.  With the constants already complex the
+operation starts there, and every value keeps its bits.
 """
 
 import cmath
@@ -65,6 +74,12 @@ _LANCZOS_COEFFS = (
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _POLE_TOL = 1e-12
 
+# the complex path's constants, as complex values (module docstring)
+_LANCZOS_COEFFS_C = tuple(map(complex, _LANCZOS_COEFFS))
+_SQRT_TWO_PI_C = complex(_SQRT_TWO_PI)
+_PI_C = complex(math.pi)
+_ONE_C = complex(1.0)
+
 
 def pole_distance(z):
     """Distance from z to the nearest pole of gamma (the non-positive integers).
@@ -87,11 +102,12 @@ def _check_finite(z, name="z"):
     return zc
 
 
-def _lanczos_sum(z):
+def _lanczos_sum(z, coeffs=_LANCZOS_COEFFS):
     """c0 + sum over k = 1..14 of c_k / (z - 1 + k), added from the left, for
-    a float or complex z in the same type."""
+    a float or complex z in the same type (complex coefficients for a
+    complex z)."""
     y = z - 1.0
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = _LANCZOS_COEFFS
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = coeffs
     return (
         c0 + c1 / (y + 1.0) + c2 / (y + 2.0) + c3 / (y + 3.0) + c4 / (y + 4.0)
         + c5 / (y + 5.0) + c6 / (y + 6.0) + c7 / (y + 7.0) + c8 / (y + 8.0)
@@ -105,7 +121,7 @@ def sinpi(z):
     n = round(Re z): sin(pi (n + r)) = (-1)**n sin(pi r), 0 at integers."""
     n = round(z.real)
     r = z - n
-    s = cmath.sin(math.pi * r) if isinstance(z, complex) else math.sin(math.pi * r)
+    s = cmath.sin(_PI_C * r) if isinstance(z, complex) else math.sin(math.pi * r)
     return -s if n % 2 else s
 
 
@@ -148,22 +164,47 @@ def _log_sin_pi(z):
 
 
 def _gamma_complex(z):
-    if z.imag < 0.0:
-        return _gamma_complex(z.conjugate()).conjugate()
-    if z.real < 0.5:
-        k = round(z.real)
-        # the real path's absolute rule, on the distance |z - k| in the plane
-        if k <= 0 and abs(z - k) <= _POLE_TOL:
-            raise PoleError(f"gamma pole at non-positive integer near {z!r}")
-        if z.imag > 50.0:
+    """gamma(z) for a complex z, in one frame (module docstring).
+
+    Where Im z < 0 it evaluates the mirror conj(z) and conjugates the value;
+    left of Re = 1/2 the reflection takes Gamma(1 - z), itself mirrored where
+    Im(1 - z) < 0, so gamma(conj(z)) == conj(gamma(z)) bit for bit.
+    """
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+    mirror = z.imag < 0.0
+    v = z.conjugate() if mirror else z
+    reflect = v.real < 0.5
+    if reflect:
+        k = round(v.real)
+        # the real path's absolute rule, on the distance |v - k| in the plane
+        if k <= 0 and abs(v - k) <= _POLE_TOL:
+            raise PoleError(f"gamma pole at non-positive integer near {v!r}")
+    try:
+        if reflect and v.imag > 50.0:
             # sin(pi z) overflows long before gamma loses meaning; assemble in
-            # log space instead.
-            lg = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
-            return cmath.exp(lg)
-        return cmath.pi / (sinpi(z) * _gamma_complex(1.0 - z))
-    t = z + (_LG - 0.5)
-    pref = cmath.exp((z - 0.5) * cmath.log(t) - t)
-    return _SQRT_TWO_PI * pref * _lanczos_sum(z)
+            # log space instead
+            out = cmath.exp(math.log(math.pi) - _log_sin_pi(v) - _log_gamma_right(_ONE_C - v))
+        else:
+            w = _ONE_C - v if reflect else v
+            flip = w.imag < 0.0  # only 1 - v can lie below the axis
+            if flip:
+                w = w.conjugate()
+            t = w + (_LG - 0.5)
+            out = _SQRT_TWO_PI_C * cmath.exp((w - 0.5) * cmath.log(t) - t) * _lanczos_sum(w, _LANCZOS_COEFFS_C)
+            if flip:
+                out = out.conjugate()
+            if reflect:
+                out = _PI_C / (sinpi(v) * out)
+        if cmath.isfinite(out):
+            return out.conjugate() if mirror else out
+    except OverflowError:
+        pass
+    if reflect:
+        # only the reflection's Gamma(1 - z) leaves the range here, so
+        # Gamma(z) underflows to zero, as on the real path
+        return 0j
+    raise OverflowError(f"gamma({z!r}) exceeds the floating range")
 
 
 def gamma(z):
@@ -176,18 +217,7 @@ def gamma(z):
     (signed or complex) zero.
     """
     if isinstance(z, complex):
-        zc = _check_finite(z)
-        try:
-            out = _gamma_complex(zc)
-            if cmath.isfinite(out):
-                return out
-        except OverflowError:
-            pass
-        if zc.real < 0.5:
-            # only the reflection's Gamma(1 - z) leaves the range here, so
-            # Gamma(z) underflows to zero, as on the real path
-            return 0j
-        raise OverflowError(f"gamma({z!r}) exceeds the floating range")
+        return _gamma_complex(complex(z))
     x = float(z)
     if not math.isfinite(x):
         raise DomainError(f"z must be finite, got {z!r}")
@@ -203,7 +233,7 @@ def _gamma_factor(z):
     Gamma has no zeros: a zero or subnormal value has underflowed and lost
     its digits, so raises OverflowError there instead of returning it.
     """
-    out = gamma(z)
+    out = _gamma_complex(z) if type(z) is complex else gamma(z)
     if abs(out) < sys.float_info.min:
         raise OverflowError(f"gamma({z!r}) underflows to {'a subnormal value' if out else 'zero'}")
     return out
@@ -257,11 +287,14 @@ def _log_gamma_right(z):
     """log Gamma on Re z > 0 from the Lanczos sum, for a float or complex z
     in the same type: log Gamma(z) = (z - 1/2) log t - t + log(sqrt(2 pi) A(z)),
     t = z + g - 1/2, after one step log Gamma(z + 1) - log z where Re z < 1/2."""
-    log = cmath.log if isinstance(z, complex) else math.log
+    if isinstance(z, complex):
+        log, root, coeffs = cmath.log, _SQRT_TWO_PI_C, _LANCZOS_COEFFS_C
+    else:
+        log, root, coeffs = math.log, _SQRT_TWO_PI, _LANCZOS_COEFFS
     if z.real < 0.5:
         return _log_gamma_right(z + 1.0) - log(z)
     t = z + (_LG - 0.5)
-    return (z - 0.5) * log(t) - t + log(_SQRT_TWO_PI * _lanczos_sum(z))
+    return (z - 0.5) * log(t) - t + log(root * _lanczos_sum(z, coeffs))
 
 
 def log_gamma(z):

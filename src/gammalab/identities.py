@@ -11,6 +11,15 @@ four rows, and ``closure``'s generating maps the slot-to-slot maps of
 three.  sine:k and cosine:m have no slots and keep their own residuals.
 ``verify_grid`` drives any residual over a seeded random sample and
 aggregates the result into an :class:`IdentityReport`.
+
+A gamma row's residual is a function of z built once per row and pole
+clearance (``_row_residual``): the slot plan, the window and the clearance
+are looked up when it is built, not at each draw.  It skips the pole test
+of a slot v with Re v > clearance.  That is exact: every pole k is <= 0,
+so |v - k| >= Re v - k >= Re v, and the float distance keeps the bound
+(Re v - k rounds to at least Re v, and |.| to at least its real part).
+The public residual functions refuse a non-finite argument with
+DomainError; ``verify_grid``'s draws are finite and skip that check.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .core import _gamma_factor, _residual, pole_distance, sinpi
+from .core import _check_finite, _gamma_factor, _residual, pole_distance, sinpi
 from .errors import DomainError, EmptyGridError, PoleError
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -130,57 +139,77 @@ def _plan(kind, param):
     return _compile(_slots_of(kind, param), float)[0], dict(_IDENTITIES[kind].forms)[0]
 
 
-def _gamma_residual(kind, param, z, clearance=_MIN_CLEARANCE):
-    """Residual of a gamma row at z (a real z on a real-only row's window):
-    Gamma at the first slot against the combine of Gamma at the others.
+@lru_cache(maxsize=64)
+def _row_residual(kind, param, clearance):
+    """The residual of a gamma row at z, built once per row and clearance:
+    Gamma at the first slot against the combine of Gamma at the others, at a
+    complex z, or a real z on a real-only row's window.
 
     Raises DomainError off the window or at a complex z on a real-only row,
     PoleError where a slot lies within `clearance` of a pole (DomainError
     for the reflection, whose slots meet a pole at every integer), and
     OverflowError where a factor or the combine leaves the floating range.
     """
-    window = _IDENTITIES[kind].window
-    if window:
-        if isinstance(z, complex):
-            raise DomainError(f"{kind} is stated for real arguments, got {z!r}")
-        z = float(z)
-        if not window[0] < z < window[1]:
-            raise DomainError(f"{kind} is stated on ({window[0]}, {window[1]}), got {z}")
-    else:
-        z = complex(z)
     at, combine = _plan(kind, param)
-    a, *others = values = at(z)
-    for v in values:
-        if pole_distance(v) <= clearance:
-            if kind == "reflection":
-                raise DomainError(f"{z!r} is within {clearance} of an integer")
-            raise PoleError(f"argument {v!r} is within {clearance} of a pole")
-    lhs = _gamma_factor(a)
-    rhs = combine(a, *[_gamma_factor(c) for c in others])
-    if not cmath.isfinite(rhs):
-        raise OverflowError(f"the {kind} combine at {z!r} leaves the floating range")
-    return _residual(lhs, rhs)
+    window = _IDENTITIES[kind].window
+
+    def residual(z):
+        if window:
+            if isinstance(z, complex):
+                raise DomainError(f"{kind} is stated for real arguments, got {z!r}")
+            z = float(z)
+            if not window[0] < z < window[1]:
+                raise DomainError(f"{kind} is stated on ({window[0]}, {window[1]}), got {z}")
+        a, *others = values = at(z)
+        for v in values:
+            # every pole k is <= 0 and |v - k| >= Re v: a slot right of the
+            # clearance clears them all
+            if v.real <= clearance and pole_distance(v) <= clearance:
+                if kind == "reflection":
+                    raise DomainError(f"{z!r} is within {clearance} of an integer")
+                raise PoleError(f"argument {v!r} is within {clearance} of a pole")
+        lhs = _gamma_factor(a)
+        rhs = combine(a, *[_gamma_factor(c) for c in others])
+        if not cmath.isfinite(rhs):
+            raise OverflowError(f"the {kind} combine at {z!r} leaves the floating range")
+        return _residual(lhs, rhs)
+
+    return residual
+
+
+def _pointwise(kind, param, z, name="z"):
+    """A gamma row's residual at a caller's z, refused unless finite (a
+    complex z off a real-only row), at the 1e-6 pole clearance."""
+    zc = _check_finite(z, name)
+    return _row_residual(kind, param, _MIN_CLEARANCE)(z if _IDENTITIES[kind].window else zc)
 
 
 def residual_functional(z: complex) -> float:
     """Residual of the functional relation Gamma(z+1) = z*Gamma(z), read up
-    from z: Gamma(z) against Gamma(z + 1) / z."""
-    return _gamma_residual("functional", None, z)
+    from z: Gamma(z) against Gamma(z + 1) / z.
+
+    Raises DomainError at a non-finite z, PoleError within 1e-6 of a pole.
+    """
+    return _pointwise("functional", None, z)
 
 
 def residual_reflection(z: complex) -> float:
     """Residual of Gamma(z)*Gamma(1-z) = pi / sin(pi*z): Gamma(z) against
     pi / (sin(pi z) Gamma(1 - z)).
 
-    Raises DomainError within 1e-6 of any integer, where both sides blow up.
+    Raises DomainError at a non-finite z and within 1e-6 of any integer,
+    where both sides blow up.
     """
-    return _gamma_residual("reflection", None, z)
+    return _pointwise("reflection", None, z)
 
 
 def residual_duplication(z: complex) -> float:
     """Residual of sqrt(pi)*Gamma(z) = 2**(z-1) * Gamma(z/2) * Gamma(z/2 + 1/2):
-    Gamma(z) against the right-hand side over sqrt(pi)."""
-    return _gamma_residual("duplication", None, z)
+    Gamma(z) against the right-hand side over sqrt(pi).
+
+    Raises DomainError at a non-finite z, PoleError within 1e-6 of a pole.
+    """
+    return _pointwise("duplication", None, z)
 
 
 def residual_multiplication(n: int, z: complex) -> float:
@@ -188,25 +217,29 @@ def residual_multiplication(n: int, z: complex) -> float:
 
     (2*pi)**((n-1)/2) * n**(1/2 - z) * Gamma(z) = prod_{j=0}^{n-1} Gamma(z/n + j/n),
     Gamma(z) against the product over the factor on the left.  The n = 2
-    case is the duplication identity.
+    case is the duplication identity.  Raises DomainError for n < 1 or a
+    non-finite z, PoleError where a slot is within 1e-6 of a pole.
     """
     _floor_check("mult", n, "multiplication order")
-    return _gamma_residual("mult", n, z)
+    return _pointwise("mult", n, z)
+
+
+def _sine_residual(k, z):
+    lhs = sinpi(z)
+    rhs = 2.0 ** (k - 1)
+    for j in range(k):
+        rhs *= sinpi((z + j) / k)
+    return _residual(lhs, rhs)
 
 
 def residual_sine_factorization(k: int, z: complex) -> float:
     """Residual of sin(pi*z) = 2**(k-1) * prod_{j=0}^{k-1} sin(pi*(z+j)/k).
 
     At an integer z both sides are exactly 0 (sinpi is exact there), and so
-    is the residual.
+    is the residual.  Raises DomainError for k < 1 or a non-finite z.
     """
     _floor_check("sine", k, "factorization order")
-    z = complex(z)
-    lhs = sinpi(z)
-    rhs = 2.0 ** (k - 1)
-    for j in range(k):
-        rhs *= sinpi((z + j) / k)
-    return _residual(lhs, rhs)
+    return _sine_residual(k, _check_finite(z))
 
 
 def residual_comb(alpha: float) -> float:
@@ -217,9 +250,32 @@ def residual_comb(alpha: float) -> float:
 
     for real a in the open interval (0, 1/4): Gamma(a + 1/4) against the
     relation solved for it.  Raises DomainError for any other a, a complex
-    one included.
+    or non-finite one included.
     """
-    return _gamma_residual("comb", None, alpha)
+    return _pointwise("comb", None, alpha, "alpha")
+
+
+@lru_cache(maxsize=64)
+def _cosine_steps(m):
+    """The integer factors (k**2 - (2n-1)**2, 2n (2n-1)), n = 1..m, of the
+    cosine:m terms, k = 2m + 1."""
+    k = 2 * m + 1
+    return tuple((k * k - (2 * n - 1) ** 2, (2 * n) * (2 * n - 1)) for n in range(1, m + 1))
+
+
+def _cosine_residual(m, u):
+    lhs = cmath.cos((2 * m + 1) * u)
+    s = cmath.sin(u)
+    s2 = s * s
+    # (-1)^n/(2n)! * sin^{2n} * prod, built incrementally from the n = 0 term
+    acc = term = 1.0 + 0.0j
+    mass = 1.0
+    for up, down in _cosine_steps(m):
+        term *= -s2 * up / down
+        acc += term
+        mass += abs(term)
+    c = cmath.cos(u)
+    return _residual(lhs, c * acc, max(abs(lhs), abs(c) * mass))
 
 
 def residual_cosine_identity(m: int, u: complex) -> float:
@@ -230,24 +286,10 @@ def residual_cosine_identity(m: int, u: complex) -> float:
 
     Scaled by max(|cos(k*u)|, |cos(u)| * sum_n |term_n|), the size of what
     was summed, which bounds the sum's rounding (Higham, ASNA, sec. 4.2).
+    Raises DomainError for m < 0 or a non-finite u.
     """
     _floor_check("cosine", m, "m")
-    u = complex(u)
-    k = 2 * m + 1
-    lhs = cmath.cos(k * u)
-    s = cmath.sin(u)
-    s2 = s * s
-    acc = 0.0 + 0.0j
-    mass = 0.0
-    term = 1.0 + 0.0j  # (-1)^n/(2n)! * sin^{2n} * prod, built incrementally
-    for n in range(m + 1):
-        if n > 0:
-            j = 2 * n - 1
-            term *= -s2 * (k * k - j * j) / ((2 * n) * (2 * n - 1))
-        acc += term
-        mass += abs(term)
-    c = cmath.cos(u)
-    return _residual(lhs, c * acc, max(abs(lhs), abs(c) * mass))
+    return _cosine_residual(m, _check_finite(u, "u"))
 
 
 class _Row(NamedTuple):
@@ -290,8 +332,8 @@ _IDENTITIES = {
     # (2 pi)**((n - 1)/2) n**(1/2 - z) Gamma(z) = prod_{j<n} Gamma(z/n + j/n)
     "mult": _Row(1, lambda n: _slots((1, 0), *[(Fraction(1, n), Fraction(j, n)) for j in range(n)]),
                  forms=((0, _multiply),)),
-    "sine": _Row(1, residual=residual_sine_factorization),
-    "cosine": _Row(0, residual=residual_cosine_identity),
+    "sine": _Row(1, residual=_sine_residual),
+    "cosine": _Row(0, residual=_cosine_residual),
 }
 
 
@@ -441,7 +483,7 @@ def verify_grid(identity_id: str, sample_spec: SampleSpec, tolerance: float) -> 
         )
     if row.slots:
         # one pole test per draw, at the sampling layer's radius
-        residual = partial(_gamma_residual, kind, param, clearance=_POLE_EXCLUSION)
+        residual = _row_residual(kind, param, _POLE_EXCLUSION)
     else:
         residual = partial(row.residual, param)
     draw = random.Random(sample_spec.seed).random

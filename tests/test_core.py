@@ -2,12 +2,15 @@ import cmath
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import kernel_pin
 from gammalab.core import (
     _LANCZOS_COEFFS,
+    _LANCZOS_COEFFS_C,
     _gamma_factor,
     _int_of_text,
     _lanczos_sum,
@@ -215,6 +218,18 @@ class TestPoles:
         with pytest.raises(PoleError):
             gamma(complex(n, 0.0))
 
+    @pytest.mark.parametrize("c", [1e-6, 0.1])
+    def test_right_of_the_clearance_clears_every_pole(self, c):
+        # every pole k is <= 0, so |v - k| >= Re v: identities skips the
+        # pole test of a slot with Re v > c on this alone
+        rng = random.Random(c.hex())
+        edge = math.nextafter(c, math.inf)
+        for _ in range(20000):
+            re = rng.choice((edge, c * (1.0 + rng.random()), rng.uniform(c, 10.0), 10 ** rng.uniform(math.log10(c), 6.0)))
+            im = rng.choice((0.0, -0.0, 1.0, -1.0)) * rng.choice((1.0, 10 ** rng.uniform(-12.0, 6.0)))
+            v = complex(max(re, edge), im)
+            assert pole_distance(v) > c, v
+
     def test_pole_distance(self):
         assert pole_distance(0.3) == pytest.approx(0.3)
         assert pole_distance(-1.75) == pytest.approx(0.25)
@@ -269,6 +284,48 @@ class TestLanczosSum:
             assert type(got) is complex
             want = _loop_sum(z, 0j)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
+
+    def test_complex_coefficients_match_loop_bit_for_bit(self):
+        # the complex path's coefficients are the floats widened to complex,
+        # as mixed arithmetic widens them, so the sum keeps every bit
+        coeffs = _LANCZOS_COEFFS_C
+        assert [type(c) for c in coeffs] == [complex] * 15
+        assert [(c.real, c.imag) for c in coeffs] == [(c, 0.0) for c in _LANCZOS_COEFFS]
+        rng = random.Random(97)
+        zs = [complex(rng.uniform(0.5, 172.0), rng.uniform(-300.0, 300.0)) for _ in range(20000)]
+        zs += [complex(rng.uniform(0.5, 2.0), rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0)))) for _ in range(5000)]
+        for z in zs:
+            got = _lanczos_sum(z, coeffs)
+            want = _loop_sum(z, 0j)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
+
+
+# sha256 of the outcomes on tests/kernel_pin.py's grids, 2500 points each
+# (20,000 per function), recorded before the complex path ran in one frame
+# with complex constants; the same on CPython 3.10 to 3.13
+_KERNEL_DIGESTS = {
+    "gamma": "20e89d7317cd983e31ee55af82580f0ac07342fa3b1318c92d881bf1ba50f1c2",
+    "log_gamma": "656ac3642ba87641bb9b8def49e26f94a5744ab4935ba85e2e019277fc4272e3",
+    "sinpi": "dba6ee8c7a38800c2122d26ae718d095158543a8c678c72f2c63b21ecc54137b",
+    "cospi": "7564e7bd193c4dd47890cf2d426e9e799f18d05b8e4e0ef424e1d19cf219fa5b",
+}
+# all four functions on the first 250 points of each grid, as the CI smoke
+# script checks it on the interpreters tier-1 does not run on
+_KERNEL_SMOKE_DIGEST = "927b7dcaaa946c6b92c0509fb501d2ce7bb2f2c2969c6b8d292a9e694b8bbd4d"
+
+
+class TestKernelPins:
+    """Every kernel value bit for bit, on grids over every branch."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_DIGESTS))
+    def test_digest(self, name):
+        assert kernel_pin.digest([name], 2500) == _KERNEL_DIGESTS[name]
+
+    def test_smoke_subset(self):
+        assert len(kernel_pin.points(250)) == 2000
+        assert kernel_pin.digest(kernel_pin.FUNCTIONS, 250) == _KERNEL_SMOKE_DIGEST
+        with open(Path(__file__).parents[1] / ".github" / "smoke.sh", encoding="utf-8") as f:
+            assert _KERNEL_SMOKE_DIGEST in f.read()
 
 
 class TestLogGamma:

@@ -60,8 +60,34 @@ class TestPointwiseResiduals:
         # a combine that leaves the floating range has no residual either
         at, _ = _plan("functional", None)
         monkeypatch.setattr(identities, "_plan", lambda kind, param: (at, lambda a, v: complex(math.inf, 0.0)))
+        # build the row's residual afresh from that plan, past the cache
+        monkeypatch.setattr(identities, "_row_residual", identities._row_residual.__wrapped__)
         with pytest.raises(OverflowError, match="functional combine at .* leaves the floating range"):
             residual_functional(2.5 + 1j)
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            residual_functional,
+            residual_reflection,
+            residual_duplication,
+            lambda z: residual_multiplication(3, z),
+            lambda z: residual_sine_factorization(2, z),
+            lambda z: residual_comb(z.real if z.imag == 0.0 else z),
+            lambda z: residual_cosine_identity(2, z),
+        ],
+        ids=["functional", "reflection", "duplication", "mult:3", "sine:2", "comb", "cosine:2"],
+    )
+    @pytest.mark.parametrize(
+        "z",
+        [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(0.5, math.inf)],
+        ids=["nan", "inf", "-inf", "inf-imag"],
+    )
+    def test_non_finite_argument_is_a_domain_error(self, residual, z):
+        # round() in pole_distance raised ValueError or OverflowError here,
+        # and the cosine residual returned nan
+        with pytest.raises(DomainError, match="must be finite"):
+            residual(z)
 
     def test_reflection_small(self):
         assert residual_reflection(0.3 + 0.7j) < 1e-13
@@ -219,13 +245,18 @@ class TestVerifyGrid:
 
     def test_non_finite_residual_is_skipped(self, monkeypatch):
         # every other draw reads nan: it is skipped, never the worst residual
-        gamma_residual, draws = identities._gamma_residual, []
+        row_residual, draws = identities._row_residual, []
 
-        def every_other_nan(kind, param, z, clearance):
-            draws.append(z)
-            return math.nan if len(draws) % 2 else gamma_residual(kind, param, z, clearance)
+        def every_other_nan(kind, param, clearance):
+            residual = row_residual(kind, param, clearance)
 
-        monkeypatch.setattr(identities, "_gamma_residual", every_other_nan)
+            def at(z):
+                draws.append(z)
+                return math.nan if len(draws) % 2 else residual(z)
+
+            return at
+
+        monkeypatch.setattr(identities, "_row_residual", every_other_nan)
         report = verify_grid("functional", SampleSpec(count=40), 1e-10)
         assert report.sample_count <= 20 <= report.skipped_count
         assert report.passed and math.isfinite(report.mean_relative_residual)
