@@ -80,6 +80,15 @@ code=0; gammalab complex-trace --delta 1/2 --z=nan,0 > nonfinite.json || code=$?
 test "$code" -eq 1
 grep -q '"error":"domain"' nonfinite.json
 if gammalab complex-trace --delta 1/2 --z=-0.5,226.5 > sinpi.json; then exit 1; fi; grep -q '"error":"domain"' sinpi.json
+# a reflection whose sin(pi z) overflows is refused before any node is
+# built, even where the node budget would run out first
+code=0; gammalab complex-trace --delta 1/2 --z=-1.3,300.5 > reflect.json || code=$?
+test "$code" -eq 1; grep -q '"error":"domain"' reflect.json
+# the default 500,000-node budget runs out (about 1.5 s)
+code=0; gammalab complex-trace --delta 1/2 --z=0.5,300 > budget.json || code=$?
+test "$code" -eq 1; grep -q '"error":"resource"' budget.json
+# the deepest quarter-set escape: 14 comb steps from the edge of the 1e-9 band
+gammalab landau quarter --x 0.33333333233333323 > quarter.json
 gammalab verify --identity mult:4 --samples 50 > /dev/null
 gammalab closure --points 1/7 --depth 2 --max-n 4 > closure.json
 grep -q '"K":34' closure.json

@@ -42,7 +42,6 @@ _HOMES = {
         "EmptyGridError",
         "ResourceError",
         "TraceDepthError",
-        "DepthError",
     ),
     "quadrature": ("QuadratureSpec", "tanh_sinh", "gamma_integral", "beta_integral"),
     "identities": (

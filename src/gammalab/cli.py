@@ -3,10 +3,12 @@
 Every subcommand prints one report to stdout — JSON by default, CSV (one
 header row + one data row) or key = value text on request — and exits 0
 when its checks pass, 1 on a failed check or a structured error
-({"error": kind, "detail": ...}; kind "internal" for a failure that is no
-documented numeric error, "overflow" for a non-finite value), 2 on usage
-errors.  All floats are written in their shortest round-trip form (repr)
-and JSON keys are sorted, so a fixed argv (plus seed) gives identical bytes.
+({"error": kind, "detail": ...}), 2 on usage errors.  The kinds are those of
+_ERROR_KINDS: "empty_grid", "domain", "convergence", "resource" (a node or
+cardinality budget), "trace_depth", "pole" and "overflow" (a non-finite
+value); "internal" is a failure that is no documented numeric error.  All
+floats are written in their shortest round-trip form (repr) and JSON keys
+are sorted, so a fixed argv (plus seed) gives identical bytes.
 
 The seven subcommands that check a residual take --tol, each with its own
 default: verify 1e-10; schlomilch finite and general 1e-8; mellin 1e-7;
@@ -27,14 +29,7 @@ import math
 import os
 import sys
 
-from .errors import (
-    ConvergenceError,
-    DepthError,
-    DomainError,
-    EmptyGridError,
-    ResourceError,
-    TraceDepthError,
-)
+from .errors import ConvergenceError, DomainError, EmptyGridError, ResourceError, TraceDepthError
 
 _ERROR_KINDS = (
     (EmptyGridError, "empty_grid"),
@@ -42,7 +37,6 @@ _ERROR_KINDS = (
     (ConvergenceError, "convergence"),
     (ResourceError, "resource"),
     (TraceDepthError, "trace_depth"),
-    (DepthError, "depth"),
     (ZeroDivisionError, "pole"),
     (OverflowError, "overflow"),
 )

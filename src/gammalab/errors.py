@@ -13,7 +13,6 @@ __all__ = [
     "EmptyGridError",
     "ResourceError",
     "TraceDepthError",
-    "DepthError",
 ]
 
 
@@ -38,12 +37,10 @@ class EmptyGridError(GammalabError, ValueError):
 
 
 class ResourceError(GammalabError, RuntimeError):
-    """A configured node/cardinality budget was exceeded."""
+    """A node or cardinality budget was exceeded: landau's node budgets (a
+    summary-only set cannot be traced; a complex trace outgrows its budget)
+    and closure's cardinality budget all raise this."""
 
 
 class TraceDepthError(GammalabError, RuntimeError):
     """A recorded decomposition does not cover the requested point."""
-
-
-class DepthError(GammalabError, RuntimeError):
-    """A descent/escape iteration exceeded its configured depth bound."""

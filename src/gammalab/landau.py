@@ -72,13 +72,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance
-from .errors import (
-    DepthError,
-    DomainError,
-    ResourceError,
-    TraceDepthError,
-)
+from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance, sinpi
+from .errors import DomainError, ResourceError, TraceDepthError
 from .identities import _IDENTITIES, _compile, _node_maps
 from .intervals import IntervalSet, as_fraction
 
@@ -86,7 +81,6 @@ _HALF = Fraction(1, 2)
 
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_COMPLEX_BUDGET = 500_000
-_QUARTER_DEPTH_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +267,12 @@ def _sum(terms) -> str:
 
 @lru_cache(maxsize=64)
 def _threshold_loop(delta: Fraction):
-    """The recursion for delta as one compiled function of `steps`.
+    """The recursion for delta as one compiled function of `steps`: it
+    returns (residual mass, piece count, forest nodes) `steps` rounds after
+    round 1, and a decomposed piece of class m adds a chain of 2m + 1 nodes.
+    Round 1 holds the one piece (1/2, 1] of mass 1 / 2**1, so every
+    statistic starts at mass 1 and count 1; round 0 decomposed (0, 1],
+    whose right end 1 has class K, into 2K + 1 nodes.
 
     The statistics are local integers: masses m0, m1, ... and counts c0,
     c1, ..., index 0 the total; each round is one tuple assignment per
@@ -305,15 +304,6 @@ def loop(steps):
     namespace = {"Fraction": Fraction}
     exec(source, namespace)
     return namespace["loop"]
-
-
-def _threshold_recursion(delta: Fraction, steps: int):
-    """(residual mass, piece count, forest nodes) `steps` rounds after
-    round 1; a decomposed piece of class m adds a chain of 2m + 1 nodes.
-    Round 1 holds the one piece (1/2, 1] of mass 1 / 2**1, so every
-    statistic starts at mass 1 and count 1; round 0 decomposed (0, 1],
-    whose right end 1 has class K, into 2K + 1 nodes."""
-    return _threshold_loop(delta)(steps)
 
 
 def iteration_count(delta) -> int:
@@ -414,7 +404,7 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     """
     delta = as_fraction(delta)
     t = iteration_count(delta)
-    residual, count, nodes = _threshold_recursion(delta, t - 1)
+    residual, count, nodes = _threshold_loop(delta)(t - 1)
     explicit = nodes <= node_budget
     if explicit:
         leaf_union = _enumerate_leaves(delta, t, residual, count)
@@ -806,17 +796,23 @@ def trace_evaluate(x, fs: FundamentalSet):
 _THIRD = 1.0 / 3.0
 
 
-def quarter_set_trace(x: float, *, depth_cap: int = _QUARTER_DEPTH_CAP):
+def quarter_set_trace(x: float):
     """Derive Gamma(x) for x in (0, 1/2) from values on (0, 1/4] and {1/3, 1}.
 
     Points in (1/4, 1/3) use the quarter-step relation at alpha = x - 1/4,
     whose recursive argument 4*alpha quadruples the distance to the fixed
     point 1/3 and so escapes the window; points in (1/3, 1/2) first reflect
     to 1 - x and then peel that with an inverted duplication step.  Raises
-    DepthError if the escape exceeds depth_cap, DomainError within 1e-9 of
-    1/3 (except at the representable 1/3 itself, a direct leaf), and
-    PoleError within 1e-12 of 1/2, where the duplication step's child
-    1/2 - x meets the absolute pole test at 0.
+    DomainError within 1e-9 of 1/3 (except at the representable 1/3 itself,
+    a direct leaf), and PoleError within 1e-12 of 1/2, where the duplication
+    step's child 1/2 - x meets the absolute pole test at 0.
+
+    The escape needs no cap.  On (1/4, 1/3) the child 4x - 1 is exact in
+    doubles (x - 1/4 by Sterbenz, then a power of two), so each step
+    quadruples the distance to 1/3, and the (1/3, 1/2) branch doubles it
+    once.  A point leaves (1/4, 1/3) when that distance passes 1/12, so
+    from outside the 1e-9 band every chain escapes within
+    ceil(log4((1/12) / 1e-9)) = 14 steps.
     """
     x = float(x)
     if not (0.0 < x < 0.5):
@@ -824,28 +820,29 @@ def quarter_set_trace(x: float, *, depth_cap: int = _QUARTER_DEPTH_CAP):
     if x != _THIRD and abs(x - _THIRD) <= 1e-9:
         raise DomainError(f"{x} is inside the 1e-9 exclusion band around 1/3")
     rec = DerivationTrace()
-    _quarter_node(rec, x, depth_cap)
+    _quarter_node(rec, x)
     return _finish_trace(rec)
 
 
-def _quarter_node(rec: DerivationTrace, x: float, depth_left: int) -> int:
-    if depth_left < 0:
-        raise DepthError("quarter-set escape exceeded the depth cap")
+def _quarter_node(rec: DerivationTrace, x: float) -> int:
     if x == _THIRD or x <= 0.25:
         return _direct(rec, x)
-
-    def escape(c):
-        return _quarter_node(rec, c, depth_left - 1)
-
     if x < _THIRD:
-        return _node(rec, "comb", x, lambda c4, cq, c2: (escape(c4), _direct(rec, cq), _direct(rec, c2)))
+        return _node(
+            rec,
+            "comb",
+            x,
+            lambda c4, cq, c2: (_quarter_node(rec, c4), _direct(rec, cq), _direct(rec, c2)),
+        )
     # x in (1/3, 1/2): reflect, then invert a duplication step at w = 1 - x,
     # whose first child 2w - 1 lies in (0, 1/3)
     return _node(
         rec,
         "reflection",
         x,
-        lambda w: (_node(rec, "duplication", w, lambda z, h: (escape(z), _direct(rec, h)), form=1),),
+        lambda w: (
+            _node(rec, "duplication", w, lambda z, h: (_quarter_node(rec, z), _direct(rec, h)), form=1),
+        ),
     )
 
 
@@ -885,11 +882,13 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     At Re z <= 0 the reflection step divides by sin(pi z), which overflows
     once |Im z| passes about 226.15 (226.26 at the latest, by Re z), though
     Gamma(z) is still a normal double: there the call raises DomainError.
+    Only the root can reflect, since every later argument has Re > 0, so
+    sin(pi z) is tested once, before any node is built.
 
-    Raises DepthError when the tree would exceed node_budget nodes, with
-    the strip points z needs and the nodes built when it stopped, and
-    OverflowError, as gamma does, when the value exceeds the floating range.
-    A non-finite z raises DomainError.
+    Raises ResourceError when the tree would exceed node_budget nodes, at
+    the node that exceeds it, with the strip points z needs and the nodes
+    built when it stopped, and OverflowError, as gamma does, when the value
+    exceeds the floating range.  A non-finite z raises DomainError.
     """
     z = _check_finite(z)
     if pole_distance(z) <= 1e-6:
@@ -897,36 +896,37 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     if abs(z.imag) > 2.0**16:
         raise DomainError(f"|Im z| = {abs(z.imag)} exceeds 2**16")
     _require_explicit(fs)
+    if z.real <= 0.0:
+        try:
+            sinpi(z)
+        except OverflowError:
+            raise DomainError(f"sin(pi z) overflows at z = {z!r}: |Im z| past about 226.15") from None
     rec = DerivationTrace()
-    try:
-        _reduce_complex(z, fs, rec, [node_budget])
-    except DepthError:
-        raise DepthError(
-            f"complex reduction exceeded the node budget of {node_budget}: |Im z| = "
-            f"{abs(z.imag)!r} needs {1 << int(abs(z.imag)).bit_length()} strip points, "
-            f"and {rec.node_count} nodes were built when it stopped"
-        ) from None
-    except OverflowError:
-        # only sin(pi z) can overflow, in the reflection at the root when Re z <= 0
-        raise DomainError(f"sin(pi z) overflows at z = {z!r}: |Im z| past about 226.15") from None
+    left = node_budget
+
+    def spend():
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise ResourceError(
+                f"complex reduction exceeded the node budget of {node_budget}: |Im z| = "
+                f"{abs(z.imag)!r} needs {1 << int(abs(z.imag)).bit_length()} strip points, "
+                f"and {rec.node_count} nodes were built when it stopped"
+            )
+
+    _reduce_complex(z, fs, rec, spend)
     return _finish_trace(rec)
 
 
-def _spend(budget):
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise DepthError  # complex_reduce_trace states the detail
-
-
-def _reduce_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, budget) -> int:
+def _reduce_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, spend) -> int:
     def reduce(*args):
-        return tuple([_reduce_complex(c, fs, rec, budget) for c in args])
+        return tuple([_reduce_complex(c, fs, rec, spend) for c in args])
 
     if z.real > 1.0:
         # shift down in a loop, not a recursion: Re z may run into thousands
         chain = []
         while z.real > 1.0:
-            _spend(budget)
+            spend()
             chain.append(z)
             (z,) = _RULES["functional"][0].generic(z)
         (node,) = reduce(z)
@@ -934,15 +934,15 @@ def _reduce_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, budget
             node = _node(rec, "functional", a, lambda _, child=node: (child,))
         return node
     if z.real <= 0.0:
-        _spend(budget)
+        spend()
         return _node(rec, "reflection", z, reduce)
     if abs(z.imag) >= 1.0:
-        _spend(budget)
+        spend()
         return _node(rec, "duplication", z, reduce)
-    return _walk_complex(z, fs, rec, budget)
+    return _walk_complex(z, fs, rec, spend)
 
 
-def _walk_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, budget) -> int:
+def _walk_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, spend) -> int:
     """Complex counterpart of _walk_real on the real part of z, appending
     to rec; returns the index of z's node."""
     add, values = rec.add, rec.values
@@ -950,7 +950,7 @@ def _walk_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, budget) 
     generic, combine = _HALVES.generic, _HALVES.combine
 
     def walk(z, depth):
-        _spend(budget)
+        spend()
         if member(*z.real.as_integer_ratio()):
             return add("direct", z, gamma(z))
         if not depth:

@@ -368,6 +368,29 @@ class TestLandau:
         _VALIDATOR.validate(report)
         assert report["error"] == "overflow"
 
+    def test_over_budget_complex_trace_is_resource_error(self, capsys, monkeypatch):
+        # the default budget of 500,000 nodes takes about 1.5 s to run out
+        from gammalab.landau import complex_reduce_trace
+
+        monkeypatch.setitem(complex_reduce_trace.__kwdefaults__, "node_budget", 100)
+        code, report = run_json(["complex-trace", "--delta", "1/2", "--z=0.37,5"], capsys)
+        assert code == 1
+        assert report == {
+            "error": "resource",
+            "detail": "complex reduction exceeded the node budget of 100: |Im z| = 5.0 "
+            "needs 8 strip points, and 79 nodes were built when it stopped",
+        }
+
+    def test_reflection_past_the_range_of_sin_is_domain_error(self, capsys):
+        # refused before any node is built, though the default budget would
+        # run out first
+        code, report = run_json(["complex-trace", "--delta", "1/2", "--z=-1.3,300.5"], capsys)
+        assert code == 1
+        assert report == {
+            "error": "domain",
+            "detail": "sin(pi z) overflows at z = (-1.3+300.5j): |Im z| past about 226.15",
+        }
+
 
 class TestSmallTools:
     def test_stern(self, capsys):
@@ -523,6 +546,12 @@ class TestFormats:
 
 class TestInternalErrors:
     """A failure that is not a documented numeric error is still a report."""
+
+    def test_error_kinds_are_the_schemas(self):
+        kinds = [kind for _, kind in cli._ERROR_KINDS]
+        assert len(set(kinds)) == len(kinds)
+        enum = _SCHEMA["$defs"]["error"]["properties"]["error"]["enum"]
+        assert sorted(enum) == sorted([*kinds, "internal"])
 
     @pytest.fixture
     def broken_stern(self, monkeypatch):

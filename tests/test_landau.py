@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from gammalab.core import gamma
 from gammalab.errors import (
-    DepthError,
     DomainError,
     PoleError,
     ResourceError,
@@ -42,7 +41,6 @@ from gammalab.landau import (
     _class_of,
     _threshold_loop,
     _threshold_plan,
-    _threshold_recursion,
 )
 
 
@@ -358,7 +356,7 @@ class TestThresholdRecursion:
         # the budget is compared with the recursion's count, which is the
         # explicit forest's own
         delta = Fraction(delta)
-        _, _, nodes = _threshold_recursion(delta, iteration_count(delta) - 1)
+        _, _, nodes = _threshold_loop(delta)(iteration_count(delta) - 1)
         fs = landau_construct(delta, node_budget=nodes)
         assert (fs.explicit, fs.node_count, nodes) == (True, explicit_nodes, recursion_nodes)
         assert fs.node_count <= nodes
@@ -404,18 +402,18 @@ class TestCompiledRecursion:
         for num in range(1, den + 1):
             delta = Fraction(num, den)
             steps = iteration_count(delta) - 1
-            assert _threshold_recursion(delta, steps) == _reference_recursion(delta, steps)
+            assert _threshold_loop(delta)(steps) == _reference_recursion(delta, steps)
 
     @pytest.mark.parametrize("delta", _LADDER)
     def test_matches_reference_on_the_ladder(self, delta):
         delta = Fraction(delta)
         steps = iteration_count(delta) - 1
-        assert _threshold_recursion(delta, steps) == _reference_recursion(delta, steps)
+        assert _threshold_loop(delta)(steps) == _reference_recursion(delta, steps)
 
     def test_zero_steps_is_round_one(self):
         # the one piece (1/2, 1]; round 0's chain over (0, 1] has 2K + 1 nodes
         K = _class_of(1, 1, Fraction(1, 25))
-        assert _threshold_recursion(Fraction(1, 25), 0) == (Fraction(1, 2), 1, 2 * K + 1)
+        assert _threshold_loop(Fraction(1, 25))(0) == (Fraction(1, 2), 1, 2 * K + 1)
 
     def test_loop_is_cached_per_delta(self):
         assert _threshold_loop(Fraction(1, 25)) is _threshold_loop(Fraction(2, 50))
@@ -464,7 +462,7 @@ def _small_forest_deltas(max_q=12, max_nodes=20_000):
         for p in range(1, q + 1):
             delta = Fraction(p, q)
             if delta.denominator == q:
-                nodes = _threshold_recursion(delta, iteration_count(delta) - 1)[2]
+                nodes = _threshold_loop(delta)(iteration_count(delta) - 1)[2]
                 if nodes <= max_nodes:
                     deltas.append(str(delta))
     return deltas
@@ -538,6 +536,32 @@ class TestTraceEvaluate:
             trace_evaluate(Fraction(1, 3), fs_tenth)
 
 
+_THIRD = 1.0 / 3.0
+
+
+def _band_edge(step_to):
+    """The float nearest 1/3, on the side of step_to, outside the 1e-9 band."""
+    x = _THIRD + math.copysign(1e-9, step_to - _THIRD)
+    while abs(x - _THIRD) <= 1e-9:
+        x = math.nextafter(x, step_to)
+    while abs(math.nextafter(x, _THIRD) - _THIRD) > 1e-9:
+        x = math.nextafter(x, _THIRD)
+    return x
+
+
+# the first floats below and above 1/3 that quarter_set_trace accepts
+_THIRD_BAND_EDGES = (_band_edge(0.0), _band_edge(1.0))
+
+
+def _quarter_escapes(x):
+    """The escape steps of the quarter trace at x, a passing trace: its comb
+    and duplication nodes, each of which has one non-direct child."""
+    value, trace = quarter_set_trace(x)
+    assert validate_trace(trace, quarter_set_membership) == trace.node_count
+    assert abs(value - gamma(x)) <= 1e-9 * abs(gamma(x)), x
+    return trace.rules.count("comb") + trace.rules.count("duplication")
+
+
 class TestQuarterSet:
     def test_seeded_points_match_gamma(self):
         rng = random.Random(7)
@@ -568,6 +592,11 @@ class TestQuarterSet:
             quarter_set_trace(1.0 / 3.0 + 1e-10)
         with pytest.raises(DomainError):
             quarter_set_trace(1.0 / 3.0 - 5e-10)
+        # the band is closed: the floats next to its edges are inside it
+        below, above = _THIRD_BAND_EDGES
+        for x in (math.nextafter(below, _THIRD), math.nextafter(above, _THIRD)):
+            with pytest.raises(DomainError, match="1e-9 exclusion band"):
+                quarter_set_trace(x)
 
     def test_comb_branch_shape(self):
         # x in (1/4, 1/3) peels one quarter-step: root comb, recursive 4*alpha
@@ -581,9 +610,18 @@ class TestQuarterSet:
         assert trace.rules[-1] == "reflection"
         assert trace.rules[trace.kids[-1][0]] == "duplication"
 
-    def test_depth_cap(self):
-        with pytest.raises(DepthError):
-            quarter_set_trace(1.0 / 3.0 - 1e-8, depth_cap=5)
+    def test_every_escape_ends_within_fourteen_steps(self):
+        # each comb step quadruples the distance to 1/3 and the reflection
+        # branch doubles it once, so from outside the 1e-9 band a chain
+        # leaves (1/4, 1/3) within ceil(log4((1/12) / 1e-9)) = 14 steps
+        below, above = _THIRD_BAND_EDGES
+        xs = [below, above]
+        for _ in range(200):
+            xs += [math.nextafter(xs[-2], 0.0), math.nextafter(xs[-1], 1.0)]
+        rng = random.Random(32)
+        xs += [rng.uniform(0.25, 0.5) for _ in range(20_000)]
+        escapes = {x: _quarter_escapes(x) for x in xs}
+        assert max(escapes.values()) == escapes[0.33333333233333323] == 14
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -636,30 +674,42 @@ class TestComplexReduce:
         assert abs(value - ref) / abs(ref) < 1e-10
 
     def test_node_budget_enforced(self, fs_half):
-        with pytest.raises(DepthError):
+        with pytest.raises(ResourceError):
             complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=3)
 
     @pytest.mark.parametrize(
         "z,strip,built",
-        [(0.37 + 5.0j, 8, 79), (0.37 - 64.0j, 128, 75), (0.6 + 0.2j, 1, 84), (-1.3 + 300.5j, 512, 71)],
+        [(0.37 + 5.0j, 8, 79), (0.37 - 64.0j, 128, 75), (0.6 + 0.2j, 1, 84)],
     )
     def test_depth_error_states_the_strip_points_and_the_nodes_built(self, fs_half, z, strip, built):
         # the halvings stop below |Im| = 1: 2**m strip points, m the bit
-        # length of int(|Im z|); the nodes built are the finished ones
+        # length of int(|Im z|); the nodes built are the finished ones, and
+        # the budget's ResourceError is raised at the node that exceeds it
         detail = (
             f"complex reduction exceeded the node budget of 100: |Im z| = {abs(z.imag)!r} needs "
             f"{strip} strip points, and {built} nodes were built when it stopped"
         )
-        with pytest.raises(DepthError) as exc:
+        with pytest.raises(ResourceError) as exc:
             complex_reduce_trace(z, fs_half, node_budget=100)
         assert str(exc.value) == detail
 
-    @pytest.mark.parametrize("z", [-0.5 + 226.5j, -3.7 + 230j, -3.7 + 255.9j])
+    @pytest.mark.parametrize("z", [-0.5 + 226.5j, -3.7 + 230j, -3.7 + 255.9j, -1.3 + 300.5j])
     def test_reflection_past_the_range_of_sin_is_a_domain_error(self, fs_one, z):
         # Gamma(z) is a normal double here, but the reflection step's
-        # sin(pi z) overflows (delta = 1 keeps the walks short)
+        # sin(pi z) overflows; -1.3 + 300.5j also needs more than the
+        # default budget, and the sin test comes first
         with pytest.raises(DomainError, match=r"sin\(pi z\) overflows at z = .*226\.15"):
             complex_reduce_trace(z, fs_one)
+
+    def test_reflection_refusal_builds_nothing(self, fs_half, monkeypatch):
+        # the sin test comes before the first node, whatever the budget
+        def add(*args):
+            raise AssertionError("a node was built")
+
+        monkeypatch.setattr(DerivationTrace, "add", add)
+        for budget in (100, landau.DEFAULT_COMPLEX_BUDGET):
+            with pytest.raises(DomainError, match=r"sin\(pi z\) overflows at z = \(-1\.3\+300\.5j\)"):
+                complex_reduce_trace(-1.3 + 300.5j, fs_half, node_budget=budget)
 
     def test_reflection_inside_the_range_of_sin_goes_ahead(self, fs_one):
         z = -0.5 + 226.1j
@@ -713,7 +763,7 @@ class TestMembershipCalls:
     def test_complex_budget_counts_every_node(self, fs_half):
         _, trace = complex_reduce_trace(0.37 + 5.0j, fs_half)
         complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=trace.node_count)
-        with pytest.raises(DepthError):
+        with pytest.raises(ResourceError):
             complex_reduce_trace(0.37 + 5.0j, fs_half, node_budget=trace.node_count - 1)
 
 
