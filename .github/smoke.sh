@@ -6,6 +6,13 @@
 set -euo pipefail
 
 gammalab landau construct --delta 1/200 > /dev/null
+# the generated recursion loop, bit for bit on every interpreter: the summary
+# reports at delta = 1/64 (no threshold) and 7/200 (ten thresholds)
+test "$(gammalab landau construct --delta 1/64 | sha256sum | cut -d' ' -f1)" = 5b0f84936efebd2d44b1aa3aaa56b636aaf193888e00cb7e4f06eace2f1ca812
+test "$(gammalab landau construct --delta 7/200 | sha256sum | cut -d' ' -f1)" = 5b68756a99696f6075c136776b57d1e2434402fc0d44aa0a1877bc66a04aa7c5
+# a delta past the round cap (t = 4,882,423 > 12,000) is refused before any round
+code=0; timeout 10 gammalab landau construct --delta 1/100000 > roundcap.json || code=$?
+test "$code" -eq 1; grep -q '"error":"resource"' roundcap.json
 python -X int_max_str_digits=640 -c "import sys; from gammalab.cli import main; assert main(['schlomilch', 'binom', '--m', '1100', '--l', '1100']) == 0; assert main(['landau', 'construct', '--delta', '1/200']) == 0; assert sys.get_int_max_str_digits() == 640" > /dev/null
 code=0; gammalab eval --z 1 --tol 1e-3 2> /dev/null || code=$?
 test "$code" -eq 2

@@ -5,9 +5,9 @@ header row + one data row) or key = value text on request — and exits 0
 when its checks pass, 1 on a failed check or a structured error
 ({"error": kind, "detail": ...}), 2 on usage errors.  The kinds are those of
 _ERROR_KINDS: "empty_grid", "domain", "convergence", "resource" (a node or
-cardinality budget), "trace_depth", "pole" and "overflow" (a non-finite
-value); "internal" is a failure that is no documented numeric error.  All
-floats are written in their shortest round-trip form (repr) and JSON keys
+cardinality budget, or landau's round cap), "trace_depth", "pole" and
+"overflow" (a non-finite value); "internal" is a failure that is no
+documented numeric error.  All floats are written in their shortest round-trip form (repr) and JSON keys
 are sorted, so a fixed argv (plus seed) gives identical bytes.
 
 The seven subcommands that check a residual take --tol, each with its own
@@ -443,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = pl.add_subparsers(dest="subcommand", required=True)
 
     p = lsub.add_parser("construct", help="build the measure-<delta set")
-    p.add_argument("--delta", type=_arg_rational, required=True)
+    p.add_argument("--delta", type=_arg_rational, required=True,
+                   help="a rational in (0, 1]; a delta needing more than landau.ROUND_CAP "
+                        "= 12000 rounds (below about 1/442) is refused as resource")
     p.add_argument("--node-budget", type=int)
     _add_common(p)
     p.set_defaults(handler=_cmd_landau_construct)

@@ -46,8 +46,16 @@ def generating_maps(max_n: int) -> list:
 
 
 def branching_factor(max_n: int) -> int:
-    """K = 1 + number of generating maps (the 1 counts the identity)."""
-    return 1 + len(generating_maps(max_n))
+    """K = 1 + number of generating maps (the 1 counts the identity), in
+    closed form: K = 2 max_n**2 + 2.
+
+    generating_maps concatenates the rows, each row's maps once: 3 from the
+    functional and reflection rows and n + n + 2(n - 1) = 4n - 2 from each
+    mult:n row, so K = 4 + sum(4n - 2 for n in 2..max_n) = 2 max_n**2 + 2.
+    """
+    if max_n < 1:
+        raise DomainError(f"max_n must be >= 1, got {max_n}")
+    return 2 * max_n**2 + 2
 
 
 @lru_cache(maxsize=16)

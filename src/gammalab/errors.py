@@ -38,8 +38,9 @@ class EmptyGridError(GammalabError, ValueError):
 
 class ResourceError(GammalabError, RuntimeError):
     """A node or cardinality budget was exceeded: landau's node budgets (a
-    summary-only set cannot be traced; a complex trace outgrows its budget)
-    and closure's cardinality budget all raise this."""
+    summary-only set cannot be traced; a complex trace outgrows its budget),
+    landau's round cap (a delta that needs more than ROUND_CAP rounds) and
+    closure's cardinality budget all raise this."""
 
 
 class TraceDepthError(GammalabError, RuntimeError):

@@ -19,9 +19,11 @@ comes, with no merging.  The threshold-state recursion below counts these
 pieces exactly in integers, so its remainder mass, piece count and node
 count are the set's in both modes.  It runs as one function, compiled
 per delta from the recursion's rows and cached, that loops over local
-integers and checks the mass balance on every round.  The round count t
-is a float estimate moved to the least t that passes the exact integer
-test.  The two modes:
+integers.  Its mass balance is a linear form in the state, so it is
+checked once per delta, on the unit states, and holds on every round.  The
+round count t is a float estimate moved to the least t that passes the
+exact integer test; a delta whose t exceeds ROUND_CAP is refused up front.
+The two modes:
 
 * explicit — when the forest fits in the node budget, one loop also
   enumerates the pieces as integers over S = 2**(K t), K the class of 1,
@@ -81,6 +83,11 @@ _HALF = Fraction(1, 2)
 
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_COMPLEX_BUDGET = 500_000
+# The most rounds landau_construct runs.  Each round adds K bits to the
+# recursion's integers, so a construction costs about K t**2 bit operations:
+# the cap admits delta = 1/400 (t = 10,693, under a second) and refuses
+# 1/500 (t = 13,813, about 4 s) and 1/1000 (t = 30,400, about 19 s).
+ROUND_CAP = 12_000
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +193,12 @@ def landau_lemma_decompose(alpha, beta, delta):
 # parent's mass and no band is deeper than K (the class of right end 1), so
 # with masses held as N / 2**E a round maps N to a combination of shifts
 # N << (K - i) and adds K to E, with no gcd until the final Fraction.  Unit
-# weights give the piece counts in the same loop.  Each round checks the
-# mass balance new_total + extracted == total * 2**K (extracted: the
-# round's I-leaves, band M for class-M pieces, band K for the deeper ones).
+# weights give the piece counts in the same loop.  A round keeps the mass
+# balance new_total + extracted == total * 2**K (extracted: the round's
+# I-leaves, band M for class-M pieces, band K for the deeper ones).  Both
+# sides are integer combinations and constant shifts of the state, so the
+# balance is a linear form in it: checked once per delta on the unit states,
+# it holds on every state of every round, and no round tests it.
 #
 # The loop is generated per delta, as identities._compile generates its
 # lambdas: each statistic's mass and count is a local variable, each round
@@ -276,7 +286,12 @@ def _threshold_loop(delta: Fraction):
 
     The statistics are local integers: masses m0, m1, ... and counts c0,
     c1, ..., index 0 the total; each round is one tuple assignment per
-    vector from _threshold_plan's rows, with the mass-balance check.
+    vector from _threshold_plan's rows.  The mass balance is checked here,
+    once, on a `balance` function generated from the same row-0 sum: it
+    only adds variables times integer constants and shifts by constants, so
+    it is a linear form in the masses, and zero on every unit state means
+    zero on every state of every round.  A plan that loses mass raises
+    before the loop is returned.
     """
     M, K, b, rows = _threshold_plan(delta)
     n = len(rows)
@@ -285,25 +300,36 @@ def _threshold_loop(delta: Fraction):
     # a class-M chain has 2M + 1 nodes, a class-K one (right end > beta*) 2K + 1
     nodes = f"c0 * {2 * M + 1}" + (f" + c{b} * {2 * (K - M)}" if b else "")
     # extracted mass: band M of the class-M pieces, band K of the deeper ones
-    extracted = f"((prev - m{b}) << {K - M}) + m{b}" if b else "prev"
+    extracted = f"((m0 - m{b}) << {K - M}) + m{b}" if b else "m0"
+    new_masses = [_sum((f"m{k}", c) for k, c, _ in terms) for terms in rows]
     source = f"""\
+def balance({masses}):
+    return {new_masses[0]} + {extracted} - (m0 << {K})
+
 def loop(steps):
     {masses} = {", ".join(["1"] * n)}
     {counts} = {", ".join(["1"] * n)}
     nodes = {2 * K + 1}
     for _ in range(steps):
         nodes += {nodes}
-        prev = m0
-        extracted = {extracted}
-        {masses} = {", ".join(_sum((f"m{k}", c) for k, c, _ in terms) for terms in rows)}
+        {masses} = {", ".join(new_masses)}
         {counts} = {", ".join(_sum((f"c{k}", c) for k, _, c in terms) for terms in rows)}
-        if m0 + extracted != prev << {K}:
-            raise AssertionError("threshold recursion lost mass")
     return Fraction(m0, 1 << (1 + {K} * steps)), c0, nodes
 """
     namespace = {"Fraction": Fraction}
     exec(source, namespace)
+    balance = namespace["balance"]
+    if any(balance(*(int(k == j) for k in range(n))) for j in range(n)):
+        raise AssertionError("threshold recursion lost mass")
     return namespace["loop"]
+
+
+def _round_estimate(p: int, q: int):
+    """The estimate log(2q/p) / -log(1 - p/(4q)) that iteration_count(p/q)
+    starts from; below p/(4q) = 2**-60, where -log(1 - x) is x in doubles,
+    the Fraction log(2q/p) 4q/p, which no delta overflows."""
+    x, log_ratio = p / (4 * q), math.log(2 * q) - math.log(p)
+    return log_ratio / -math.log1p(-x) if x > 2**-60 else Fraction(log_ratio) * 4 * q / p
 
 
 def iteration_count(delta) -> int:
@@ -320,11 +346,33 @@ def iteration_count(delta) -> int:
         return (4 * q - p) ** t * 2 * q < p * (4 * q) ** t
 
     # t = 0 never passes (2q > p), so the descent stops at t >= 1
-    t = max(1, math.ceil((math.log(2 * q) - math.log(p)) / -math.log1p(-p / (4 * q))))
+    t = max(1, math.ceil(_round_estimate(p, q)))
     while not passes(t):
         t += 1
     while passes(t - 1):
         t -= 1
+    return t
+
+
+def _capped_rounds(delta: Fraction) -> int:
+    """iteration_count(delta), or ResourceError when it exceeds ROUND_CAP.
+
+    The float estimate decides, before any exact power is computed; only an
+    estimate within one of the cap, where its rounding could matter, is
+    settled by the exact count.  The detail states t and the bit size the
+    summary recursion would reach: its masses carry K bits more each round.
+    """
+    t = max(1, math.ceil(_round_estimate(delta.numerator, delta.denominator)))
+    exact = t <= ROUND_CAP + 1
+    if exact:
+        t = iteration_count(delta)
+    if t > ROUND_CAP:
+        bits = _class_of(1, 1, delta) * t
+        raise ResourceError(
+            f"delta {_text(delta)} needs {'' if exact else 'about '}t = {_text(t)} "
+            f"rounds, over the cap of {ROUND_CAP}; the recursion's integers would "
+            f"reach about {_text(bits)} bits"
+        )
     return t
 
 
@@ -401,9 +449,11 @@ def landau_construct(delta, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Fundam
     pieces are also enumerated when their forest fits in node_budget nodes
     (then tracers work); otherwise the set is reported in summary form.
     Either way every measure statement is an exact rational comparison.
+    A delta whose t exceeds ROUND_CAP (any delta below about 1/442) raises
+    ResourceError before any round is run.
     """
-    delta = as_fraction(delta)
-    t = iteration_count(delta)
+    delta = _check_delta(delta)
+    t = _capped_rounds(delta)
     residual, count, nodes = _threshold_loop(delta)(t - 1)
     explicit = nodes <= node_budget
     if explicit:
@@ -440,13 +490,15 @@ def _enumerate_leaves(delta: Fraction, t: int, residual: Fraction, count: int) -
     split = scale if M == K else (delta.numerator << (M - 1 + K * t)) // delta.denominator
     leaves = [(0, scale >> K)]
     pieces = [(half, scale)]
+    bands = {M: range(1, M + 1), K: range(1, K + 1)}
     for _ in range(1, t):
-        nxt = []
-        for a, b in pieces:
-            m = M if b <= split else K
-            leaves.append((a >> m, b >> m))
-            nxt += [((a >> i) + half, (b >> i) + half) for i in range(1, m + 1)]
-        pieces = nxt
+        # each round's pieces are classed once, into a list of the cached
+        # ints M and K: a temporary tuple per piece would share the heap's
+        # blocks with the kept pairs and raise the peak RSS
+        ms = [M if b <= split else K for _, b in pieces]
+        leaves += [(a >> m, b >> m) for (a, b), m in zip(pieces, ms)]
+        pieces = [((a >> i) + half, (b >> i) + half)
+                  for (a, b), m in zip(pieces, ms) for i in bands[m]]
     if Fraction(sum(b - a for a, b in pieces), scale) != residual or len(pieces) != count:
         raise AssertionError("enumeration disagrees with the recursion")  # pragma: no cover
     return IntervalSet._scaled(leaves + pieces, scale)

@@ -115,10 +115,12 @@ def _folded_rows(m: int) -> list:
 
     Each row is built from its divisor n of m straight into a list over the
     (m - 1)//2 folded columns: v_i adds to column i for i < m/2 and
-    subtracts from column m - i for i > m/2.  The row k = m/n of each
-    divisor, the n = m row among them, is e_{m/n} + e_{2m/n} + ... +
-    e_{m-m/n} once v_m is dropped; it is symmetric under i -> m - i, folds
-    to zero and is not built.  Rows k < m/n have no v_m term.
+    subtracts from column m - i for i > m/2, the +1 entries v_k, v_{k+m/n},
+    ... in one pass over range(k, m, m/n) and then the one -1 entry v_{nk}.
+    The row k = m/n of each divisor, the n = m row among them, is e_{m/n} +
+    e_{2m/n} + ... + e_{m-m/n} once v_m is dropped; it is symmetric under
+    i -> m - i, folds to zero and is not built.  Rows k < m/n have no v_m
+    term.
     """
     _check_modulus(m)
     zero, folded = (0,) * ((m - 1) // 2), set()
@@ -128,11 +130,16 @@ def _folded_rows(m: int) -> list:
         step = m // n
         for k in range(1, step):
             row = list(zero)
-            for i, sign in [(k + j * step, 1) for j in range(n)] + [(n * k, -1)]:
+            for i in range(k, m, step):
                 if 2 * i < m:
-                    row[i - 1] += sign
+                    row[i - 1] += 1
                 elif 2 * i > m:
-                    row[m - i - 1] -= sign
+                    row[m - i - 1] -= 1
+            i = n * k
+            if 2 * i < m:
+                row[i - 1] -= 1
+            elif 2 * i > m:
+                row[m - i - 1] += 1
             row = tuple(row)
             if row != zero:
                 folded.add(row if row > zero else tuple(-x for x in row))

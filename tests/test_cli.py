@@ -283,6 +283,13 @@ class TestLandau:
         assert report["t"] == 119
         assert report["leaves"] == [{"lo": "0", "hi": "1/20", "kind": "I"}]
 
+    def test_construct_past_the_round_cap_is_resource_error(self, capsys):
+        # delta = 1/1000 needs t = 30400 rounds; it used to run about 19 s
+        code, report = run_json(["landau", "construct", "--delta", "1/1000"], capsys)
+        assert code == 1
+        assert report["error"] == "resource"
+        assert "t = 30400 rounds" in report["detail"]
+
     def test_construct_small_delta_process(self, long_int_strings):
         # the exact measure at delta = 1/200 has about 11,000 digits
         proc = subprocess.run(

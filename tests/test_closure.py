@@ -67,6 +67,14 @@ class TestTableMaps:
     def test_branching_factors(self):
         assert [branching_factor(n) for n in range(1, 5)] == [4, 10, 20, 34]
 
+    def test_branching_factor_closed_form_counts_the_maps(self):
+        for max_n in range(1, 41):
+            assert branching_factor(max_n) == 1 + len(generating_maps(max_n)), max_n
+
+    def test_branching_factor_rejects_bad_order(self):
+        with pytest.raises(DomainError):
+            branching_factor(0)
+
 
 class TestAffineClosure:
     def test_depth_zero_is_identity(self):

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +23,7 @@ from gammalab.errors import (
 )
 from gammalab.landau import (
     _RULES,
+    ROUND_CAP,
     DerivationTrace,
     complex_reduce_trace,
     iteration_count,
@@ -37,6 +39,7 @@ from gammalab.identities import _IDENTITIES
 from gammalab.intervals import IntervalSet
 from gammalab import landau
 from gammalab.landau import (
+    _capped_rounds,
     _class_bounds,
     _class_of,
     _threshold_loop,
@@ -436,6 +439,63 @@ class TestCompiledRecursion:
             monkeypatch.undo()
             _threshold_loop.cache_clear()
         assert landau_construct(Fraction(1, 25), node_budget=1).residual_mass > 0
+
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_the_balance_is_checked_before_the_loop_is_returned(self, monkeypatch, column):
+        # at delta = 1/25 row 0 reads column 0 (the total) and column b = 3
+        # (S_beta*); one mass coefficient off by one in either is caught on
+        # that column's unit state, before any round is run
+        delta = Fraction(1, 25)
+        assert [k for k, _, _ in _threshold_plan(delta)[3][0]] == [0, 3]
+
+        def tampered(delta):
+            M, K, b, rows = _threshold_plan(delta)
+            row0 = tuple((k, mass + (k == column), count) for k, mass, count in rows[0])
+            return M, K, b, [row0, *rows[1:]]
+
+        _threshold_loop.cache_clear()
+        try:
+            monkeypatch.setattr(landau, "_threshold_plan", tampered)
+            with pytest.raises(AssertionError, match="threshold recursion lost mass"):
+                _threshold_loop(delta)
+        finally:
+            monkeypatch.undo()
+            _threshold_loop.cache_clear()
+        assert _threshold_loop(delta)(0)[0] == Fraction(1, 2)
+
+
+class TestRoundCap:
+    def test_the_cap_admits_the_smallest_delta_in_use(self):
+        assert _capped_rounds(Fraction(1, 200)) == 4791 <= ROUND_CAP
+
+    def test_a_tiny_delta_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=r"1/1000000 needs about t = 58034624 rounds") as err:
+            landau_construct(Fraction(1, 10**6))
+        assert time.perf_counter() - start < 1.0
+        # K = 21 is the class of 1 at delta = 1/10**6
+        assert "about 1218727104 bits" in str(err.value)
+
+    def test_a_delta_past_the_float_range_is_refused(self):
+        with pytest.raises(ResourceError, match="over the cap of 12000"):
+            landau_construct(Fraction(1, 10**400))
+
+    @pytest.mark.parametrize(
+        "delta, t, text",
+        [("100/44227", 12000, None),
+         # estimate 12000.25: within one of the cap, so settled exactly
+         ("25/11057", 12001, "needs t = 12001 rounds"),
+         # estimate 12001.18: refused on the estimate alone
+         ("100/44231", 12002, "needs about t = 12002 rounds")],
+    )
+    def test_the_cap_at_its_edge(self, delta, t, text):
+        delta = Fraction(delta)
+        assert iteration_count(delta) == t
+        if text is None:
+            assert _capped_rounds(delta) == t
+        else:
+            with pytest.raises(ResourceError, match=text):
+                _capped_rounds(delta)
 
 
 def _unmerged_pieces(delta):
