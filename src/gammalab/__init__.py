@@ -41,7 +41,6 @@ _HOMES = {
         "ConvergenceError",
         "EmptyGridError",
         "ResourceError",
-        "TraceDepthError",
     ),
     "quadrature": ("QuadratureSpec", "tanh_sinh", "gamma_integral", "beta_integral"),
     "identities": (

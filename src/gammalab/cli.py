@@ -5,9 +5,9 @@ header row + one data row) or key = value text on request — and exits 0
 when its checks pass, 1 on a failed check or a structured error
 ({"error": kind, "detail": ...}), 2 on usage errors.  The kinds are those of
 _ERROR_KINDS: "empty_grid", "domain", "convergence", "resource" (a node or
-cardinality budget, or landau's round cap), "trace_depth", "pole" and
-"overflow" (a non-finite value); "internal" is a failure that is no
-documented numeric error.  All floats are written in their shortest round-trip form (repr) and JSON keys
+cardinality budget, or landau's round cap), "pole" and "overflow" (a
+non-finite value); "internal" is a failure that is no documented numeric
+error.  All floats are written in their shortest round-trip form (repr) and JSON keys
 are sorted, so a fixed argv (plus seed) gives identical bytes.
 
 The seven subcommands that check a residual take --tol, each with its own
@@ -29,14 +29,13 @@ import math
 import os
 import sys
 
-from .errors import ConvergenceError, DomainError, EmptyGridError, ResourceError, TraceDepthError
+from .errors import ConvergenceError, DomainError, EmptyGridError, ResourceError
 
 _ERROR_KINDS = (
     (EmptyGridError, "empty_grid"),
     (DomainError, "domain"),
     (ConvergenceError, "convergence"),
     (ResourceError, "resource"),
-    (TraceDepthError, "trace_depth"),
     (ZeroDivisionError, "pole"),
     (OverflowError, "overflow"),
 )

@@ -12,7 +12,6 @@ __all__ = [
     "ConvergenceError",
     "EmptyGridError",
     "ResourceError",
-    "TraceDepthError",
 ]
 
 
@@ -21,7 +20,10 @@ class GammalabError(Exception):
 
 
 class DomainError(GammalabError, ValueError):
-    """Input lies outside the documented domain of an operation."""
+    """Input lies outside the documented domain of an operation.  Also
+    landau's: a trace JSON that DerivationTrace.from_json_dict cannot read,
+    and a halving chain that ends outside a set that landau_construct did
+    not build."""
 
 
 class PoleError(GammalabError, ZeroDivisionError):
@@ -38,10 +40,7 @@ class EmptyGridError(GammalabError, ValueError):
 
 class ResourceError(GammalabError, RuntimeError):
     """A node or cardinality budget was exceeded: landau's node budgets (a
-    summary-only set cannot be traced; a complex trace outgrows its budget),
+    summary-only set cannot be traced; a complex trace outgrows its budget,
+    or its shifts z -> z - 1 alone would),
     landau's round cap (a delta that needs more than ROUND_CAP rounds) and
     closure's cardinality budget all raise this."""
-
-
-class TraceDepthError(GammalabError, RuntimeError):
-    """A recorded decomposition does not cover the requested point."""

@@ -62,7 +62,8 @@ complex walk calls the same form's float children and value formula.  A
 walker only tests membership and halves, at most K t times on a path, K
 the class of 1: each round halves a point at most K times, and what is left
 after t rounds is in leaf_union.  A point still outside the set after K t
-halvings raises TraceDepthError.
+halvings raises DomainError; only a set that landau_construct did not build
+(one that lost leaves) can leave it there.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance, sinpi
-from .errors import DomainError, ResourceError, TraceDepthError
+from .errors import DomainError, ResourceError
 from .identities import _IDENTITIES, _compile, _node_maps
 from .intervals import IntervalSet, as_fraction
 
@@ -515,7 +516,8 @@ class DerivationTrace:
     Node i has rule rules[i], argument args[i], value values[i] and its
     children at the indices kids[i], all below i; the root is last.  A real
     argument is its reduced integer pair (n, d), any other is as it is.  Two
-    traces are equal when their four lists are.
+    traces are equal when their four lists are; a trace is not hashable,
+    since add changes it.
 
     Its JSON text is written from these lists by `json_parts`; the same tree
     as nested dicts, `to_json_dict`, is kept for readers and the csv and
@@ -550,9 +552,6 @@ class DerivationTrace:
         if not isinstance(other, DerivationTrace):
             return NotImplemented
         return self._lists() == other._lists()
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(tuple, self._lists())))
 
     def __repr__(self) -> str:
         return f"DerivationTrace(direct_count={self.direct_count}, node_count={self.node_count})"
@@ -609,23 +608,26 @@ class DerivationTrace:
         Arguments read back exactly (JSON floats are shortest round-trip);
         values are recomputed bottom-up, by core.gamma at a direct leaf and
         above it by the form of its rule that its children match, or else
-        DomainError.  validate_trace then checks the leaves and replays.
-        A tree of any depth is read, but json.loads raises RecursionError on
-        the text of one nested deeper than the recursion limit, so such a
-        tree must come from a reader that does not recurse."""
+        DomainError.  Only what to_json_dict writes is read: each node a dict
+        with a str "rule", an "arg" as _record_arg reads it and a list
+        "children"; anything else raises DomainError.  validate_trace then
+        checks the leaves and replays.  A tree of any depth is read, but
+        json.loads raises RecursionError on the text of one nested deeper
+        than the recursion limit, so such a tree must come from a reader
+        that does not recurse."""
         # popping the children right to left is the post-order reversed
         order, stack = [], [d]
         while stack:
-            node = stack.pop()
+            node = _json_node(stack.pop())  # (rule, arg, children)
             order.append(node)
-            stack.extend(node["children"])
+            stack.extend(node[2])
         trace = cls()
         done = []  # the indices of finished subtrees that no parent has taken yet
-        for node in reversed(order):
-            k = len(done) - len(node["children"])
+        for rule, arg, children in reversed(order):
+            k = len(done) - len(children)
             kids = tuple(done[k:])
             del done[k:]
-            rule, a = node["rule"], _record_arg(node["arg"])
+            a = _record_arg(arg)
             if rule == "direct":
                 value = gamma(a[0] / a[1] if type(a) is tuple else a)
             else:
@@ -656,17 +658,41 @@ def _float_json(x: float) -> str:
     return repr(x)
 
 
+def _json_node(node) -> tuple:
+    """(rule, arg, children) of a node of the trace JSON: a dict with a str
+    "rule", an "arg" and a list "children"; DomainError for anything else."""
+    if type(node) is not dict:
+        raise DomainError(f"a trace node is a dict, not a {type(node).__name__}")
+    rule, children = node.get("rule"), node.get("children")
+    if type(rule) is not str or "arg" not in node or type(children) is not list:
+        raise DomainError(
+            f'the trace node at {node.get("arg")!r} needs a str "rule", an "arg" and a list "children"'
+        )
+    return rule, node["arg"], children
+
+
 def _record_arg(arg):
-    """The record argument that _json_arg wrote as arg: "n/d" (or "n") as
-    the reduced pair (n, d), [re, im] as a complex, a number as a float."""
-    if isinstance(arg, str):
-        n, _, d = arg.partition("/")
-        n, d = _int_of_text(n), _int_of_text(d or "1")
-        g = math.gcd(n, d)
-        return n // g, d // g
-    if isinstance(arg, list):
-        return complex(*arg)
-    return float(arg)
+    """The record argument that _json_arg wrote as arg: "n" or "n/d", ASCII
+    digits with an optional leading "-" and d >= 1, as the reduced pair
+    (n, d); [re, im], two numbers, as a complex; a number as a float.
+    DomainError for anything else, a bool included."""
+    kind = type(arg)
+    if kind is str:
+        n, slash, d = arg.partition("/")
+        d = d if slash else "1"
+        if all(s.isascii() and s.isdigit() for s in (n.removeprefix("-"), d)):
+            n, d = _int_of_text(n), _int_of_text(d)
+            if d:
+                g = math.gcd(n, d)
+                return n // g, d // g
+    elif kind is int or kind is float or (
+        kind is list and len(arg) == 2 and all(type(x) in (int, float) for x in arg)
+    ):
+        try:
+            return complex(*arg) if kind is list else float(arg)
+        except OverflowError:  # an int past the float range
+            pass
+    raise DomainError(f'trace argument {arg!r} is none of "n", "n/d" (d >= 1), [re, im] and a number')
 
 
 @dataclass(frozen=True)
@@ -812,7 +838,7 @@ def _walk_real(n: int, d: int, fs: FundamentalSet, rec: DerivationTrace) -> int:
             # n / d is correctly rounded, so it is float(y)
             return add("direct", (n, d), gamma(n / d))
         if not depth:
-            raise TraceDepthError(f"chain bottomed out at {Fraction(n, d)} outside the set")
+            raise DomainError(f"chain bottomed out at {Fraction(n, d)} outside the set")
         (ln, ld), (hn, hd) = ratios(n, d)
         low = walk(ln, ld, depth - 1)
         high = walk(hn, hd, depth - 1)
@@ -856,8 +882,9 @@ def quarter_set_trace(x: float):
     point 1/3 and so escapes the window; points in (1/3, 1/2) first reflect
     to 1 - x and then peel that with an inverted duplication step.  Raises
     DomainError within 1e-9 of 1/3 (except at the representable 1/3 itself,
-    a direct leaf), and PoleError within 1e-12 of 1/2, where the duplication
-    step's child 1/2 - x meets the absolute pole test at 0.
+    a direct leaf), and PoleError within 1e-12 of 0, where the direct leaf
+    at x meets gamma's absolute pole test, and within 1e-12 of 1/2, where
+    the duplication step's child 1/2 - x meets it.
 
     The escape needs no cap.  On (1/4, 1/3) the child 4x - 1 is exact in
     doubles (x - 1/4 by Sterbenz, then a power of two), so each step
@@ -941,6 +968,11 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     the node that exceeds it, with the strip points z needs and the nodes
     built when it stopped, and OverflowError, as gamma does, when the value
     exceeds the floating range.  A non-finite z raises DomainError.
+
+    Each shift z -> z - 1 is a node, and below 2**53 each is exact, so at
+    Re z - 1 > node_budget the shifts alone exceed the budget (and where
+    z - 1 rounds to z, as at Re z = 1e300, they never end): there the
+    ResourceError comes before any node is built.
     """
     z = _check_finite(z)
     if pole_distance(z) <= 1e-6:
@@ -948,6 +980,11 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
     if abs(z.imag) > 2.0**16:
         raise DomainError(f"|Im z| = {abs(z.imag)} exceeds 2**16")
     _require_explicit(fs)
+    if z.real - 1.0 > node_budget:
+        raise ResourceError(
+            f"Re z = {z.real!r} needs more shift steps z -> z - 1, one node each, "
+            f"than the node budget of {node_budget}"
+        )
     if z.real <= 0.0:
         try:
             sinpi(z)
@@ -1006,7 +1043,7 @@ def _walk_complex(z: complex, fs: FundamentalSet, rec: DerivationTrace, spend) -
         if member(*z.real.as_integer_ratio()):
             return add("direct", z, gamma(z))
         if not depth:
-            raise TraceDepthError(f"chain bottomed out at {z!r} outside the set")
+            raise DomainError(f"chain bottomed out at {z!r} outside the set")
         low, high = generic(z)
         low = walk(low, depth - 1)
         high = walk(high, depth - 1)

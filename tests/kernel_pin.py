@@ -6,16 +6,11 @@ strip, the log-space reflection (|Im z| > 50), a wide box that reaches the
 overflow, the real line, the negative real axis as complex, and points
 1e-9 from a pole.  Each value enters the digest as its repr, and an error
 as its type's name, so a digest moves with any bit of any value.  It needs
-only the standard library and gammalab:
-
-    PYTHONPATH=src python tests/kernel_pin.py 250
-
-prints the digest over the first 250 points of each grid (2000 in all).
+only the standard library and gammalab; tests/test_core.py pins the digests.
 """
 
 import hashlib
 import random
-import sys
 
 from gammalab.core import cospi, gamma, log_gamma, sinpi
 
@@ -63,7 +58,3 @@ def digest(names, per_grid):
         for z in points(per_grid):
             h.update(f"{_outcome(f, z)}\n".encode())
     return h.hexdigest()
-
-
-if __name__ == "__main__":
-    print(digest(FUNCTIONS, int(sys.argv[1])))

@@ -283,6 +283,20 @@ class TestLandau:
         assert report["t"] == 119
         assert report["leaves"] == [{"lo": "0", "hi": "1/20", "kind": "I"}]
 
+    @pytest.mark.parametrize(
+        "delta,digest",
+        [
+            ("1/64", "5b0f84936efebd2d44b1aa3aaa56b636aaf193888e00cb7e4f06eace2f1ca812"),
+            ("7/200", "5b68756a99696f6075c136776b57d1e2434402fc0d44aa0a1877bc66a04aa7c5"),
+        ],
+    )
+    def test_summary_report_bytes(self, delta, digest, capsys):
+        # the generated recursion loop, bit for bit on every interpreter: the
+        # reports at no threshold (1/64) and at ten thresholds (7/200)
+        code, out = run(["landau", "construct", "--delta", delta], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_construct_past_the_round_cap_is_resource_error(self, capsys):
         # delta = 1/1000 needs t = 30400 rounds; it used to run about 19 s
         code, report = run_json(["landau", "construct", "--delta", "1/1000"], capsys)
@@ -386,6 +400,17 @@ class TestLandau:
             "error": "resource",
             "detail": "complex reduction exceeded the node budget of 100: |Im z| = 5.0 "
             "needs 8 strip points, and 79 nodes were built when it stopped",
+        }
+
+    def test_shift_chain_past_the_budget_is_resource_error(self, capsys):
+        # z - 1 rounds to z at Re z = 1e300: refused before any node is built,
+        # where the shifts used to spend the whole default budget
+        code, report = run_json(["complex-trace", "--delta", "1/2", "--z=1e300,0.5"], capsys)
+        assert code == 1
+        assert report == {
+            "error": "resource",
+            "detail": "Re z = 1e+300 needs more shift steps z -> z - 1, one node each, "
+            "than the node budget of 500000",
         }
 
     def test_reflection_past_the_range_of_sin_is_domain_error(self, capsys):
@@ -863,6 +888,14 @@ _EMIT_TRACE_DIGESTS = [
 ]
 
 
+# a real, a complex and a quarter-set trace at small points
+_SMALL_TRACE_ARGV = [
+    ["landau", "trace", "--delta", "1/2", "--x", "3/5"],
+    ["complex-trace", "--delta", "1/2", "--z=-3.25,6.5"],
+    ["landau", "quarter", "--x", "0.3"],
+]
+
+
 class TestEmitTraceReports:
     """--emit-trace reports at the benchmark's cli-session points (seed 101),
     pinned by the sha256 of their bytes: 4093 and 12283 trace nodes."""
@@ -948,12 +981,7 @@ class TestEmitTraceReports:
 
     @pytest.mark.parametrize(
         "argv",
-        [argv[:-1] for argv, _ in _EMIT_TRACE_DIGESTS] + [
-            # the argv of .github/smoke.sh
-            ["landau", "trace", "--delta", "1/2", "--x", "3/5"],
-            ["complex-trace", "--delta", "1/2", "--z=-3.25,6.5"],
-            ["landau", "quarter", "--x", "0.3"],
-        ],
+        [argv[:-1] for argv, _ in _EMIT_TRACE_DIGESTS] + _SMALL_TRACE_ARGV,
         ids=" ".join,
     )
     def test_trace_reads_back(self, argv, capsys):
@@ -983,6 +1011,21 @@ class TestEmitTraceReports:
             member = quarter_set_membership
         assert validate_trace(trace, member) == report["nodes"] == trace.node_count
         assert trace.to_json_dict() == report["trace"]
+
+    @pytest.mark.parametrize("argv", _SMALL_TRACE_ARGV, ids=" ".join)
+    def test_report_is_canonical_and_counts_its_trace(self, argv, capsys):
+        # the text written from the record is the json module's canonical
+        # bytes for what it holds, and its counts are those of the trace it
+        # reads back to
+        from gammalab.landau import DerivationTrace
+
+        code, out = run(argv + ["--emit-trace"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert out == json.dumps(report, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        trace = DerivationTrace.from_json_dict(report["trace"])
+        assert (trace.node_count, trace.direct_count) == (report["nodes"], report["direct_leaves"])
+        assert report["validated_nodes"] == report["nodes"]
 
 
 def _run_src(code, *argv):

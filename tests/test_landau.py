@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -19,7 +20,6 @@ from gammalab.errors import (
     DomainError,
     PoleError,
     ResourceError,
-    TraceDepthError,
 )
 from gammalab.landau import (
     _RULES,
@@ -771,6 +771,31 @@ class TestComplexReduce:
             with pytest.raises(DomainError, match=r"sin\(pi z\) overflows at z = \(-1\.3\+300\.5j\)"):
                 complex_reduce_trace(-1.3 + 300.5j, fs_half, node_budget=budget)
 
+    def test_shift_chain_past_the_budget_builds_nothing(self, fs_half, monkeypatch):
+        # each shift z -> z - 1 is a node, so at Re z - 1 > node_budget the
+        # chain alone exceeds the budget; at 1e300, z - 1 rounds to z and
+        # only the budget would end it
+        def add(*args):
+            raise AssertionError("a node was built")
+
+        monkeypatch.setattr(DerivationTrace, "add", add)
+        for z, budget in ((1e300 + 0.5j, landau.DEFAULT_COMPLEX_BUDGET), (1e6 + 0.5j, 10**6 - 2),
+                          (101.5 + 0.5j, 100)):
+            start = time.perf_counter()
+            with pytest.raises(ResourceError) as exc:
+                complex_reduce_trace(z, fs_half, node_budget=budget)
+            assert time.perf_counter() - start < 0.01
+            assert str(exc.value) == (
+                f"Re z = {z.real!r} needs more shift steps z -> z - 1, one node each, "
+                f"than the node budget of {budget}"
+            )
+
+    def test_shift_chain_within_the_budget_goes_ahead(self, fs_half):
+        # Re z - 1 = node_budget: the 100 shifts fit, and the budget runs out
+        # at the first strip node, as it did before the up-front refusal
+        with pytest.raises(ResourceError, match="and 0 nodes were built when it stopped"):
+            complex_reduce_trace(101.0 + 0.5j, fs_half, node_budget=100)
+
     def test_reflection_inside_the_range_of_sin_goes_ahead(self, fs_one):
         z = -0.5 + 226.1j
         value, trace = complex_reduce_trace(z, fs_one)
@@ -912,7 +937,7 @@ class TestFlatRecord:
         for trace, member in runs:
             twin = DerivationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
             assert validate_trace(twin, member) == validate_trace(trace, member) == trace.node_count
-            assert twin == trace and hash(twin) == hash(trace)
+            assert twin == trace
             # reading the JSON back gives the tracer's lists, in their order,
             # every argument and value to the same bits (repr is exact)
             assert list(map(repr, twin.args)) == list(map(repr, trace.args))
@@ -957,7 +982,7 @@ class TestFlatRecord:
         _, trace = quarter_set_trace(0.3)
         twin = DerivationTrace.from_json_dict(trace.to_json_dict())
         lists = (trace.rules, trace.args, trace.values, trace.kids)
-        assert trace == twin and hash(trace) == hash(twin) == hash(tuple(map(tuple, lists)))
+        assert trace == twin
         assert trace != quarter_set_trace(0.31)[1]
         assert trace != _tampered(trace, 0, trace.values[0] * (1 + 2**-52))
         assert trace.__eq__(lists) is NotImplemented
@@ -972,6 +997,13 @@ class TestFlatRecord:
         for name in ("root", "node_count", "direct_count", "other"):
             with pytest.raises(AttributeError):
                 setattr(trace, name, None)
+
+    def test_a_trace_is_not_hashable(self):
+        # add changes a trace, so a value hash could change while it sits
+        # in a set or a dict
+        _, trace = quarter_set_trace(0.3)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(trace)
 
 
 def _trace_digest(traces):
@@ -1147,6 +1179,31 @@ class TestTraceJson:
         assert moved.node_count < trace.node_count
         with pytest.raises(DomainError, match="outside the restricted set"):
             validate_trace(moved, member)
+
+    @pytest.mark.parametrize(
+        "doc,match",
+        [
+            *[({"rule": "direct", "arg": arg, "children": []}, re.escape(f"trace argument {arg!r}"))
+              for arg in ["1/0", "abc", None, "1/-3", "+1/3", " 1/3", "1_0/3", "\u0661/3", "1/",
+                          [1.0], [True, 0.5], True, 10**400]],
+            ({"rule": "direct", "arg": "1/3"}, "trace node at '1/3' needs"),
+            ({"arg": "1/3", "children": []}, "trace node at '1/3' needs"),
+            ({"rule": ["direct"], "arg": "1/3", "children": []}, "trace node at '1/3' needs"),
+            ({"rule": "direct", "arg": "1/3", "children": {}}, "trace node at '1/3' needs"),
+            (["direct", "1/3", []], "a trace node is a dict, not a list"),
+            ({"rule": "functional", "arg": "4/3", "children": ["1/3"]}, "a trace node is a dict, not a str"),
+        ],
+        ids=["pole-denominator", "letters", "null", "negative-denominator", "plus-sign", "space",
+             "underscore", "non-ascii-digit", "empty-denominator", "one-number-list", "bool-in-list",
+             "bool", "int-past-the-float-range", "no-children", "no-rule", "list-rule",
+             "dict-children", "list-node", "str-child"],
+    )
+    def test_reads_only_what_the_writer_writes(self, doc, match):
+        # "n" or "n/d" in ASCII digits with d >= 1, [re, im] or a number, in a
+        # dict with a str rule and a list of children: anything else is a
+        # DomainError that names it
+        with pytest.raises(DomainError, match=match):
+            DerivationTrace.from_json_dict(doc)
 
     def test_chain_deeper_than_recursion_limit(self):
         # a functional chain that steps up and down between 4/3 and 1/3, so
@@ -1379,17 +1436,17 @@ def _without_leaves(fs):
 
 
 class TestTraceDepthErrors:
-    """Each walker's TraceDepthError site: a halving chain that ends outside
-    the set."""
+    """Each walker's DomainError for a halving chain that ends outside the
+    set."""
 
     @pytest.mark.parametrize("broken,match", [("leaves", "chain bottomed out at .* outside the set")])
     def test_real_walk(self, fs_half, broken, match):
-        with pytest.raises(TraceDepthError, match=match):
+        with pytest.raises(DomainError, match=match):
             trace_evaluate(Fraction(3, 5), _without_leaves(fs_half))
 
     @pytest.mark.parametrize("broken,match", [("leaves", "chain bottomed out at .* outside the set")])
     def test_complex_walk(self, fs_half, broken, match):
-        with pytest.raises(TraceDepthError, match=match):
+        with pytest.raises(DomainError, match=match):
             complex_reduce_trace(0.6 + 0.2j, _without_leaves(fs_half))
 
 
@@ -1403,7 +1460,7 @@ def _height(trace):
 
 class TestHalvingBound:
     """A walker allows K t halvings on a path, K the class of 1: enough for
-    every point of (0, 1] on a valid set, and a TraceDepthError, not a
+    every point of (0, 1] on a valid set, and a DomainError, not a
     RecursionError, on a set that has lost a piece."""
 
     @pytest.fixture(
@@ -1428,9 +1485,9 @@ class TestHalvingBound:
         *kept, (lo, hi) = fs.leaf_union
         broken = dataclasses.replace(fs, leaf_union=IntervalSet(kept))
         x = (lo + hi) / 2
-        with pytest.raises(TraceDepthError, match="chain bottomed out at .* outside the set"):
+        with pytest.raises(DomainError, match="chain bottomed out at .* outside the set"):
             trace_evaluate(x, broken)
-        with pytest.raises(TraceDepthError, match="chain bottomed out at .* outside the set"):
+        with pytest.raises(DomainError, match="chain bottomed out at .* outside the set"):
             complex_reduce_trace(complex(float(x), 0.25), broken)
 
 

@@ -186,6 +186,11 @@ class TestOverflowedSum:
         got = gamma_integral(z, QuadratureSpec())
         assert got == pytest.approx(float(mpmath.gamma(z)), rel=1e-9)
 
+    @pytest.mark.parametrize("z", [171.0, 171.3])
+    def test_gamma_integral_near_the_top_agrees_with_the_kernel(self, z):
+        got = gamma_integral(z, QuadratureSpec())
+        assert abs(got - gamma_closed(z)) <= 1e-10 * gamma_closed(z)
+
     @pytest.mark.parametrize("z", [171.7, 300.0, 1e308, complex(1e300, 1.0)])
     def test_gamma_integral_past_the_top_of_the_range_overflows(self, z):
         # Gamma(171.7) = 2.7e308 is past the largest float; at 1e308 even

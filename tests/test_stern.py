@@ -144,7 +144,7 @@ class TestRelationMatrix:
 
 
 class TestIndependentCount:
-    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("m", [*range(3, 13), 480, 1000])
     def test_matches_half_totient(self, m):
         assert independent_count(m) == totient(m) // 2
 
