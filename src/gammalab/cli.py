@@ -10,12 +10,12 @@ non-finite value); "internal" is a failure that is no documented numeric
 error.  All floats are written in their shortest round-trip form (repr) and JSON keys
 are sorted, so a fixed argv (plus seed) gives identical bytes.
 
-The seven subcommands that check a residual take --tol, each with its own
-default: verify 1e-10; schlomilch finite and general 1e-8; mellin 1e-7;
-landau trace and quarter 1e-9; complex-trace 1e-8.  An explicit --tol wins,
-else the GAMMALAB_TOL environment variable, else that default.  The other
-five (eval, schlomilch binom, landau construct, stern, closure) check no
-residual, take no --tol and do not read GAMMALAB_TOL.
+The seven subcommands that check a residual take --tol, finite and > 0,
+each with its own default: verify 1e-10; schlomilch finite and general
+1e-8; mellin 1e-7; landau trace and quarter 1e-9; complex-trace 1e-8.  The
+other five (eval, schlomilch binom, landau construct, stern, closure) check
+no residual and take no --tol.  Nothing is read from the environment, so a
+report is a function of its argv alone.
 
 Each handler imports its own modules, so a subcommand loads only what it
 uses: ``eval`` loads ``core`` and nothing of ``landau`` or ``identities``.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import ConvergenceError, DomainError, EmptyGridError, ResourceError
@@ -67,6 +66,16 @@ def _arg_complex(text: str) -> complex:
         return complex(float(text))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _arg_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
 
 
 def _arg_identity(text: str) -> str:
@@ -174,11 +183,10 @@ def _pair(z: complex) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes (args, tol), tol None where the subcommand
-# has no --tol, and returns (exit_code, report_dict)
+# subcommand handlers: each takes the parsed args and returns (exit_code, report_dict)
 
 
-def _cmd_eval(args, tol):
+def _cmd_eval(args):
     from .core import gamma
 
     value = gamma(args.z if args.z.imag != 0.0 else args.z.real)
@@ -190,21 +198,19 @@ def _cmd_eval(args, tol):
     }
 
 
-def _cmd_verify(args, tol):
+def _cmd_verify(args):
     from .identities import _IDENTITIES, SampleSpec, parse_identity_tag, verify_grid
 
+    samples = 200 if args.samples is None else args.samples
     if args.grid is not None:
-        count, re_range, im_range = args.grid
-        spec = SampleSpec(
-            count=count, re_range=re_range, im_range=im_range, seed=args.seed
-        )
+        spec = SampleSpec(*args.grid, seed=args.seed)
     elif window := _IDENTITIES[parse_identity_tag(args.identity)[0]].window:
         # a real-only identity: sampling the generic box would leave almost
         # every draw outside its window
-        spec = SampleSpec(count=args.samples, re_range=window, seed=args.seed)
+        spec = SampleSpec(count=samples, re_range=window, seed=args.seed)
     else:
-        spec = SampleSpec(count=args.samples, seed=args.seed)
-    report = verify_grid(args.identity, spec, tol)
+        spec = SampleSpec(count=samples, seed=args.seed)
+    report = verify_grid(args.identity, spec, args.tol)
     return (0 if report.passed else 1), report.to_json_dict()
 
 
@@ -216,25 +222,22 @@ def _verdict(report: dict, residual: float, tol: float, ok: bool = True):
     return (0 if ok else 1), report
 
 
-def _cmd_schlomilch_finite(args, tol):
+def _cmd_schlomilch_finite(args):
     from . import schlomilch
     from .core import _residual
 
     lhs = schlomilch.schlomilch_finite_lhs(args.m, args.z)
     rhs = schlomilch.schlomilch_finite_rhs(args.m, args.z)
-    return _verdict(
-        {"m": args.m, "z": _pair(args.z), "lhs": _pair(lhs), "rhs": _pair(rhs)},
-        _residual(lhs, rhs),
-        tol,
-    )
+    report = {"m": args.m, "z": _pair(args.z), "lhs": _pair(lhs), "rhs": _pair(rhs)}
+    return _verdict(report, _residual(lhs, rhs), args.tol)
 
 
-def _cmd_schlomilch_general(args, tol):
+def _cmd_schlomilch_general(args):
     from . import schlomilch
     from .core import _residual
 
     closed = schlomilch.generalized_lhs(args.w, args.z)
-    series = schlomilch.generalized_series(args.w, args.z, tolerance=tol, max_terms=args.max_terms)
+    series = schlomilch.generalized_series(args.w, args.z, tolerance=args.tol, max_terms=args.max_terms)
     report = {
         "w": _pair(args.w),
         "z": _pair(args.z),
@@ -243,10 +246,10 @@ def _cmd_schlomilch_general(args, tol):
     }
     # at a positive-integer w or z both are 0 but for the sum's rounding
     residual = _residual(closed, series.value, max(abs(closed), series.mass))
-    return _verdict(report, residual, tol, series.converged)
+    return _verdict(report, residual, args.tol, series.converged)
 
 
-def _cmd_schlomilch_binom(args, tol):
+def _cmd_schlomilch_binom(args):
     from . import schlomilch
     from .core import _text
 
@@ -269,11 +272,11 @@ def _fundamental_set(args):
     return landau_construct(args.delta, node_budget=budget)
 
 
-def _cmd_landau_construct(args, tol):
+def _cmd_landau_construct(args):
     return 0, _fundamental_set(args).to_json_dict()
 
 
-def _trace_report(args, head: dict, value, trace, reference, tol, membership):
+def _trace_report(args, head: dict, value, trace, reference, membership):
     """The report of one derivation trace, checked against the reference
     value and replayed by validate_trace; --emit-trace adds the record
     itself, which _render writes as JSON text straight from its lists and
@@ -292,10 +295,10 @@ def _trace_report(args, head: dict, value, trace, reference, tol, membership):
     )
     if args.emit_trace:
         report["trace"] = trace
-    return _verdict(report, residual, tol)
+    return _verdict(report, residual, args.tol)
 
 
-def _cmd_landau_trace(args, tol):
+def _cmd_landau_trace(args):
     from .core import gamma
     from .landau import trace_evaluate
 
@@ -303,31 +306,31 @@ def _cmd_landau_trace(args, tol):
     value, trace = trace_evaluate(args.x, fs)
     head = {"x": str(args.x), "delta": str(args.delta)}
     return _trace_report(
-        args, head, value, trace, gamma(float(args.x)), tol, lambda a: a in fs.leaf_union
+        args, head, value, trace, gamma(float(args.x)), lambda a: a in fs.leaf_union
     )
 
 
-def _cmd_landau_quarter(args, tol):
+def _cmd_landau_quarter(args):
     from .core import gamma
     from .landau import quarter_set_membership, quarter_set_trace
 
     value, trace = quarter_set_trace(args.x)
     return _trace_report(
-        args, {"x": args.x}, value, trace, gamma(args.x), tol, quarter_set_membership
+        args, {"x": args.x}, value, trace, gamma(args.x), quarter_set_membership
     )
 
 
-def _cmd_complex_trace(args, tol):
+def _cmd_complex_trace(args):
     from .core import gamma
     from .landau import complex_reduce_trace, strip_membership
 
     fs = _fundamental_set(args)
     value, trace = complex_reduce_trace(args.z, fs)
     head = {"z": _pair(args.z), "delta": str(args.delta)}
-    return _trace_report(args, head, value, trace, gamma(args.z), tol, strip_membership(fs))
+    return _trace_report(args, head, value, trace, gamma(args.z), strip_membership(fs))
 
 
-def _cmd_stern(args, tol):
+def _cmd_stern(args):
     from . import stern
 
     independent = stern.independent_count(args.m)
@@ -339,7 +342,7 @@ def _cmd_stern(args, tol):
     }
 
 
-def _cmd_closure(args, tol):
+def _cmd_closure(args):
     from . import closure
     from .core import _text
 
@@ -360,7 +363,7 @@ def _cmd_closure(args, tol):
     }
 
 
-def _cmd_mellin(args, tol):
+def _cmd_mellin(args):
     from . import mellin
     from .core import _residual
 
@@ -371,19 +374,24 @@ def _cmd_mellin(args, tol):
     transform = mellin.mellin_transform(spec, args.s)
     closed = mellin.rmt_closed_form(spec, args.s)
     report = {"phi": spec.id, "s": args.s, "transform": transform, "closed_form": closed}
-    return _verdict(report, _residual(transform, closed), tol)
+    return _verdict(report, _residual(transform, closed), args.tol)
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 
+_NODE_BUDGET_HELP = ("most nodes of an enumerated set; a larger set stays in summary form, "
+                     "which no trace can use (default landau.DEFAULT_NODE_BUDGET)")
+_EMIT_TRACE_HELP = "include the full derivation tree in the report"
+
+
 def _add_common(p, tol=None):
     """--format, and --tol with its default tol where the subcommand checks
     a residual."""
     if tol is not None:
-        p.add_argument("--tol", type=float, help=f"residual tolerance (default {tol:g})")
-        p.set_defaults(default_tol=tol)
+        p.add_argument("--tol", type=_arg_tol, default=tol,
+                       help=f"residual tolerance, finite and > 0 (default {tol:g})")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
                    help="report format (default json)")
 
@@ -408,10 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "mult:N skips each draw with |z + j| < N/10 for some j < N, "
                         "where the slot (z + j)/N is within 0.1 of the pole 0, so on "
                         "the default box it is empty_grid from N = 52")
-    p.add_argument("--grid", type=_arg_grid, default=None,
-                   help="sample region as count:relo:rehi:imlo:imhi")
-    p.add_argument("--samples", type=int, default=200,
-                   help="sample count when --grid is not given (default 200)")
+    # no default=200: argparse would then let --grid ... --samples 200 through
+    sampling = p.add_mutually_exclusive_group()
+    sampling.add_argument("--grid", type=_arg_grid,
+                          help="sample region as count:relo:rehi:imlo:imhi")
+    sampling.add_argument("--samples", type=int,
+                          help="sample count when --grid is not given (default 200)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     _add_common(p, 1e-10)
     p.set_defaults(handler=_cmd_verify)
@@ -445,22 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_arg_rational, required=True,
                    help="a rational in (0, 1]; a delta needing more than landau.ROUND_CAP "
                         "= 12000 rounds (below about 1/442) is refused as resource")
-    p.add_argument("--node-budget", type=int)
+    p.add_argument("--node-budget", type=int, help=_NODE_BUDGET_HELP)
     _add_common(p)
     p.set_defaults(handler=_cmd_landau_construct)
 
     p = lsub.add_parser("trace", help="derive Gamma(x) from the constructed set")
     p.add_argument("--x", type=_arg_rational, required=True)
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int)
-    p.add_argument("--emit-trace", action="store_true",
-                   help="include the full derivation tree in the report")
+    p.add_argument("--node-budget", type=int, help=_NODE_BUDGET_HELP)
+    p.add_argument("--emit-trace", action="store_true", help=_EMIT_TRACE_HELP)
     _add_common(p, 1e-9)
     p.set_defaults(handler=_cmd_landau_trace)
 
     p = lsub.add_parser("quarter", help="derive Gamma(x) from (0,1/4] + {1/3, 1}")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--emit-trace", action="store_true")
+    p.add_argument("--emit-trace", action="store_true", help=_EMIT_TRACE_HELP)
     _add_common(p, 1e-9)
     p.set_defaults(handler=_cmd_landau_quarter)
 
@@ -488,40 +497,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_arg_complex, required=True,
                    help="RE,IM (use --z=RE,IM when RE is negative)")
     p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int)
-    p.add_argument("--emit-trace", action="store_true")
+    p.add_argument("--node-budget", type=int, help=_NODE_BUDGET_HELP)
+    p.add_argument("--emit-trace", action="store_true", help=_EMIT_TRACE_HELP)
     _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_complex_trace)
 
     return parser
 
 
-def _resolve_tolerance(parser, args):
-    """The tolerance a handler gets: None where its subcommand takes no --tol."""
-    if "default_tol" not in args:
-        return None
-    if args.tol is not None:
-        if not args.tol > 0:
-            parser.error(f"--tol must be > 0, got {args.tol}")
-        return args.tol
-    env = os.environ.get("GAMMALAB_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            parser.error(f"GAMMALAB_TOL is not a number: {env!r}")
-        if not tol > 0:
-            parser.error(f"GAMMALAB_TOL must be > 0, got {env!r}")
-        return tol
-    return args.default_tol
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    tol = _resolve_tolerance(parser, args)
+    args = build_parser().parse_args(argv)
     try:
-        code, report = args.handler(args, tol)
+        code, report = args.handler(args)
         out = _render(report, args.format)
     except Exception as exc:
         # a documented numeric error keeps its kind; anything else is a

@@ -76,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance, sinpi
-from .errors import DomainError, ResourceError
+from .errors import DomainError, PoleError, ResourceError
 from .identities import _IDENTITIES, _compile, _node_maps
 from .intervals import IntervalSet, as_fraction
 
@@ -607,10 +607,10 @@ class DerivationTrace:
 
         Arguments read back exactly (JSON floats are shortest round-trip);
         values are recomputed bottom-up, by core.gamma at a direct leaf and
-        above it by the form of its rule that its children match, or else
-        DomainError.  Only what to_json_dict writes is read: each node a dict
-        with a str "rule", an "arg" as _record_arg reads it and a list
-        "children"; anything else raises DomainError.  validate_trace then
+        above it by the form of its rule that its children match.  Only what
+        to_json_dict writes is read: each node a dict with a str "rule", an
+        "arg" as _record_arg reads it and a list "children", empty at a
+        "direct" leaf off gamma's poles; anything else raises DomainError.  validate_trace then
         checks the leaves and replays.  A tree of any depth is read, but
         json.loads raises RecursionError on the text of one nested deeper
         than the recursion limit, so such a tree must come from a reader
@@ -629,7 +629,12 @@ class DerivationTrace:
             del done[k:]
             a = _record_arg(arg)
             if rule == "direct":
-                value = gamma(a[0] / a[1] if type(a) is tuple else a)
+                if kids:
+                    raise DomainError(f"the direct node at {arg!r} has children")
+                try:
+                    value = gamma(a[0] / a[1] if type(a) is tuple else a)
+                except PoleError:
+                    raise DomainError(f"the direct leaf at {arg!r} is a pole of gamma") from None
             else:
                 value = _replay(trace, rule, a, kids)
             done.append(trace.add(rule, a, value, kids))

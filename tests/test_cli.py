@@ -22,11 +22,6 @@ _SCHEMA = json.loads(
 _VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_tolerance(monkeypatch):
-    monkeypatch.delenv("GAMMALAB_TOL", raising=False)
-
-
 @pytest.fixture
 def long_int_strings():
     """Lift the int/str digit limit of Python >= 3.11 for one test."""
@@ -139,6 +134,15 @@ class TestVerify:
         )
         assert code == 0
         assert report["samples"] == 50
+
+    def test_samples_help_states_the_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "(default 200)" in capsys.readouterr().out
+
+    def test_zero_samples_is_domain_error(self, capsys):
+        code, report = run_json(["verify", "--identity", "reflection", "--samples", "0"], capsys)
+        assert (code, report) == (1, {"error": "domain", "detail": "sample count must be >= 1, got 0"})
 
     def test_comb_defaults_to_its_window(self, capsys):
         code, report = run_json(["verify", "--identity", "comb"], capsys)
@@ -587,7 +591,7 @@ class TestInternalErrors:
 
     @pytest.fixture
     def broken_stern(self, monkeypatch):
-        def handler(args, tol):
+        def handler(args):
             raise RuntimeError("handler fault")
 
         monkeypatch.setattr(cli, "_cmd_stern", handler)
@@ -603,7 +607,7 @@ class TestInternalErrors:
         assert out.splitlines() == ["detail = RuntimeError: handler fault", "error = internal"]
 
     def test_non_finite_report_value_is_overflow(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_cmd_stern", lambda args, tol: (0, {"m": math.nan}))
+        monkeypatch.setattr(cli, "_cmd_stern", lambda args: (0, {"m": math.nan}))
         code, report = run_json(["stern", "--m", "7"], capsys)
         assert code == 1
         assert report == {"error": "overflow", "detail": "non-finite value in report"}
@@ -690,39 +694,30 @@ class TestToleranceResolution:
         _, report = run_json(["mellin", "--phi", "one", "--s", "0.5"], capsys)
         assert report["tolerance"] == 1e-7
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAMMALAB_TOL", "0.5")
-        _, report = run_json(
-            ["schlomilch", "finite", "--m", "0", "--z", "3.5"], capsys
-        )
-        assert report["tolerance"] == 0.5
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAMMALAB_TOL", "0.5")
-        _, report = run_json(
-            ["schlomilch", "finite", "--m", "0", "--z", "3.5", "--tol", "1e-3"],
-            capsys,
-        )
-        assert report["tolerance"] == 1e-3
-
-    def test_bad_env_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv("GAMMALAB_TOL", "not-a-number")
+    @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf", "1e400", "abc"])
+    def test_bad_tol_is_usage_error(self, tol, capsys, monkeypatch):
+        # refused while parsing: a handler that ran, here None, would give an
+        # internal report and exit 1
+        monkeypatch.setattr(cli, "_cmd_schlomilch_finite", None)
         with pytest.raises(SystemExit) as exc:
-            main(["schlomilch", "finite", "--m", "0", "--z", "3.5"])
+            main(["schlomilch", "finite", "--m", "0", "--z", "3.5", f"--tol={tol}"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol: " in err and repr(tol) in err
 
-    @pytest.mark.parametrize("env", ["0", "-1e-3", "nan"])
-    def test_nonpositive_env_is_usage_error(self, env, capsys, monkeypatch):
-        monkeypatch.setenv("GAMMALAB_TOL", env)
-        with pytest.raises(SystemExit) as exc:
-            main(["schlomilch", "finite", "--m", "0", "--z", "3.5"])
-        assert exc.value.code == 2
-        assert f"GAMMALAB_TOL must be > 0, got {env!r}" in capsys.readouterr().err
-
-    def test_nonpositive_tol_is_usage_error(self):
+    def test_nonpositive_tol_is_usage_error(self, monkeypatch):
+        # the value as its own token, not joined with `=`
+        monkeypatch.setattr(cli, "_cmd_schlomilch_finite", None)
         with pytest.raises(SystemExit) as exc:
             main(["schlomilch", "finite", "--m", "0", "--z", "3.5", "--tol", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", _ONE_RUN_EACH, ids=" ".join)
+    def test_report_reads_nothing_from_the_environment(self, argv, capsys, monkeypatch):
+        want = run(argv, capsys)
+        for env in ["1e-30", "0.5", "not-a-number"]:
+            monkeypatch.setenv("GAMMALAB_TOL", env)
+            assert run(argv, capsys) == want
 
     def test_one_run_of_each_handler(self):
         handlers = {v for k, v in vars(cli).items() if k.startswith("_cmd_")}
@@ -736,13 +731,6 @@ class TestToleranceResolution:
             main(argv + ["--help"])
         assert exc.value.code == 0
         assert ("--tol" in capsys.readouterr().out) == ("tolerance" in report)
-
-    @pytest.mark.parametrize("argv", _NO_TOLERANCE, ids=" ".join)
-    def test_no_tolerance_ignores_env(self, argv, capsys, monkeypatch):
-        want = run(argv, capsys)
-        monkeypatch.setenv("GAMMALAB_TOL", "not-a-number")
-        assert run(argv, capsys) == want
-        assert want[0] == 0
 
     @pytest.mark.parametrize("argv", _NO_TOLERANCE, ids=" ".join)
     def test_no_tolerance_rejects_tol_flag(self, argv):
@@ -852,6 +840,9 @@ class TestUsage:
             (["verify", "--identity", "functional", "--grid", "5:1:0:0:1"],
              "degenerate grid spec"),
             (["closure", "--points", ",", "--depth", "1", "--max-n", "2"], "empty point list"),
+            # --samples 200 too, which a default of 200 would let through
+            *[(["verify", "--identity", "reflection", "--grid", "5:-1:1:-1:1", "--samples", n],
+               "argument --samples: not allowed with argument --grid") for n in ["200", "7"]],
         ],
     )
     def test_bad_argument_value(self, argv, message, capsys):
@@ -1031,7 +1022,6 @@ class TestEmitTraceReports:
 def _run_src(code, *argv):
     """Run `python -c code argv...` on this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(gammalab.__file__).parents[1]))
-    env.pop("GAMMALAB_TOL", None)
     return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )

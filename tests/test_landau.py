@@ -885,9 +885,12 @@ class TestValidateTrace:
             DerivationTrace.from_json_dict({"rule": "mystery", "arg": 0.5, "children": [leaf]})
 
     def test_direct_node_with_children_detected(self):
-        leaf = {"rule": "direct", "arg": 0.2, "children": []}
-        trace = DerivationTrace.from_json_dict({"rule": "direct", "arg": 0.2, "children": [leaf]})
-        with pytest.raises(DomainError):
+        # the JSON reader refuses this shape; a record built by hand still
+        # reaches the validator
+        trace = DerivationTrace()
+        leaf = trace.add("direct", 0.2, gamma(0.2))
+        trace.add("direct", 0.2, gamma(0.2), (leaf,))
+        with pytest.raises(DomainError, match="direct node at 0.2 has children"):
             validate_trace(trace, quarter_set_membership)
 
 
@@ -1192,16 +1195,21 @@ class TestTraceJson:
             ({"rule": "direct", "arg": "1/3", "children": {}}, "trace node at '1/3' needs"),
             (["direct", "1/3", []], "a trace node is a dict, not a list"),
             ({"rule": "functional", "arg": "4/3", "children": ["1/3"]}, "a trace node is a dict, not a str"),
+            ({"rule": "direct", "arg": "1/3", "children": [{"rule": "direct", "arg": "4/3", "children": []}]},
+             "direct node at '1/3' has children"),
+            *[({"rule": "direct", "arg": arg, "children": []}, re.escape(f"direct leaf at {arg!r} is a pole"))
+              for arg in ["0", "-2", [0.0, 0.0]]],
         ],
         ids=["pole-denominator", "letters", "null", "negative-denominator", "plus-sign", "space",
              "underscore", "non-ascii-digit", "empty-denominator", "one-number-list", "bool-in-list",
              "bool", "int-past-the-float-range", "no-children", "no-rule", "list-rule",
-             "dict-children", "list-node", "str-child"],
+             "dict-children", "list-node", "str-child", "direct-with-children", "direct-at-zero",
+             "direct-at-minus-two", "direct-at-complex-zero"],
     )
     def test_reads_only_what_the_writer_writes(self, doc, match):
         # "n" or "n/d" in ASCII digits with d >= 1, [re, im] or a number, in a
-        # dict with a str rule and a list of children: anything else is a
-        # DomainError that names it
+        # dict with a str rule and a list of children, a direct node a leaf
+        # off the poles: anything else is a DomainError that names it
         with pytest.raises(DomainError, match=match):
             DerivationTrace.from_json_dict(doc)
 
