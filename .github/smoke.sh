@@ -2,10 +2,11 @@
 # Console-script smoke: what only the installed `gammalab` entry point and
 # a process of its own can show.  Each of the 12 subcommand forms runs once
 # through the entry point, a usage error exits 2 and a structured error
-# exits 1, and the digit-limit check runs under the process flag that sets
-# the limit.  Every other check is in tier-1 (tests/), which CI runs on
-# each supported Python.  The script works in a temporary directory and
-# writes nothing into the checkout.
+# exits 1, the digit-limit check runs under the process flag that sets the
+# limit, and the report schema is read from the installed package.  Every
+# other check is in tier-1 (tests/), which CI runs on each supported
+# Python.  The script works in a temporary directory and writes nothing
+# into the checkout.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -34,3 +35,7 @@ test "$code" -eq 1; grep -q '"error":"resource"' roundcap.json
 # reports need no lift of a digit limit set at interpreter start, and main
 # leaves the limit as it finds it
 python -X int_max_str_digits=640 -c "import sys; from gammalab.cli import main; assert main(['schlomilch', 'binom', '--m', '1100', '--l', '1100']) == 0; assert main(['landau', 'construct', '--delta', '1/200']) == 0; assert sys.get_int_max_str_digits() == 640" > /dev/null
+
+# the report schema ships with the package (README); tier-1 reads it from
+# src/, so only an installed copy shows that it is packaged
+python -c "import importlib.resources as r, json; json.loads(r.files('gammalab').joinpath('schemas/report.schema.json').read_text())"

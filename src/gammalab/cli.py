@@ -89,7 +89,7 @@ def _arg_identity(text: str) -> str:
 
 
 def _arg_grid(text: str):
-    """Grid spec "count:relo:rehi:imlo:imhi"."""
+    """Grid spec "count:relo:rehi:imlo:imhi"; SampleSpec checks the values."""
     parts = text.split(":")
     if len(parts) != 5:
         raise argparse.ArgumentTypeError(
@@ -100,8 +100,6 @@ def _arg_grid(text: str):
         relo, rehi, imlo, imhi = (float(p) for p in parts[1:])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
-    if count < 1 or rehi < relo or imhi < imlo:
-        raise argparse.ArgumentTypeError(f"degenerate grid spec {text!r}")
     return count, (relo, rehi), (imlo, imhi)
 
 
@@ -333,12 +331,11 @@ def _cmd_complex_trace(args):
 def _cmd_stern(args):
     from . import stern
 
-    independent = stern.independent_count(args.m)
-    expected = stern.totient(args.m) // 2
-    return (0 if independent == expected else 1), {
+    # independent_count raises unless the count is the expected phi(m)/2
+    return 0, {
         "m": args.m,
-        "independent": independent,
-        "expected": expected,
+        "independent": stern.independent_count(args.m),
+        "expected": stern.totient(args.m) // 2,
     }
 
 
@@ -381,11 +378,6 @@ def _cmd_mellin(args):
 # parser assembly
 
 
-_NODE_BUDGET_HELP = ("most nodes of an enumerated set; a larger set stays in summary form, "
-                     "which no trace can use (default landau.DEFAULT_NODE_BUDGET)")
-_EMIT_TRACE_HELP = "include the full derivation tree in the report"
-
-
 def _add_common(p, tol=None):
     """--format, and --tol with its default tol where the subcommand checks
     a residual."""
@@ -404,9 +396,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the options of the subcommands that build a fundamental set, and of
+    # those that can emit a trace, each declared once
+    fs_opts = argparse.ArgumentParser(add_help=False)
+    fs_opts.add_argument("--delta", type=_arg_rational, required=True,
+                         help="a rational in (0, 1]; a delta needing more than landau.ROUND_CAP "
+                              "= 12000 rounds (below about 1/442) is refused as resource")
+    fs_opts.add_argument("--node-budget", type=int,
+                         help="most nodes of an enumerated set; a larger set stays in summary "
+                              "form, which no trace can use (default landau.DEFAULT_NODE_BUDGET)")
+    trace_opts = argparse.ArgumentParser(add_help=False)
+    trace_opts.add_argument("--emit-trace", action="store_true",
+                            help="include the full derivation tree in the report")
+
     p = sub.add_parser("eval", help="evaluate Gamma at a point")
     p.add_argument("--z", type=_arg_complex, required=True,
-                   help="argument, as RE or RE,IM or P/Q")
+                   help="argument, as RE or RE,IM or P/Q (use --z=VALUE when RE is negative)")
     _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
@@ -436,8 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schlomilch_finite)
 
     p = ssub.add_parser("general", help="two-parameter series vs closed form")
-    p.add_argument("--w", type=_arg_complex, required=True)
-    p.add_argument("--z", type=_arg_complex, required=True)
+    p.add_argument("--w", type=_arg_complex, required=True,
+                   help="RE or RE,IM or P/Q (use --w=VALUE when RE is negative)")
+    p.add_argument("--z", type=_arg_complex, required=True,
+                   help="RE or RE,IM or P/Q (use --z=VALUE when RE is negative)")
     p.add_argument("--max-terms", type=int, default=500)
     _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_schlomilch_general)
@@ -451,25 +458,18 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("landau", help="fundamental-set construction and traces")
     lsub = pl.add_subparsers(dest="subcommand", required=True)
 
-    p = lsub.add_parser("construct", help="build the measure-<delta set")
-    p.add_argument("--delta", type=_arg_rational, required=True,
-                   help="a rational in (0, 1]; a delta needing more than landau.ROUND_CAP "
-                        "= 12000 rounds (below about 1/442) is refused as resource")
-    p.add_argument("--node-budget", type=int, help=_NODE_BUDGET_HELP)
+    p = lsub.add_parser("construct", help="build the measure-<delta set", parents=[fs_opts])
     _add_common(p)
     p.set_defaults(handler=_cmd_landau_construct)
 
-    p = lsub.add_parser("trace", help="derive Gamma(x) from the constructed set")
+    p = lsub.add_parser("trace", help="derive Gamma(x) from the constructed set",
+                        parents=[fs_opts, trace_opts])
     p.add_argument("--x", type=_arg_rational, required=True)
-    p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, help=_NODE_BUDGET_HELP)
-    p.add_argument("--emit-trace", action="store_true", help=_EMIT_TRACE_HELP)
     _add_common(p, 1e-9)
     p.set_defaults(handler=_cmd_landau_trace)
 
-    p = lsub.add_parser("quarter", help="derive Gamma(x) from (0,1/4] + {1/3, 1}")
+    p = lsub.add_parser("quarter", help="derive Gamma(x) from (0,1/4] + {1/3, 1}", parents=[trace_opts])
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--emit-trace", action="store_true", help=_EMIT_TRACE_HELP)
     _add_common(p, 1e-9)
     p.set_defaults(handler=_cmd_landau_quarter)
 
@@ -493,12 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, 1e-7)
     p.set_defaults(handler=_cmd_mellin)
 
-    p = sub.add_parser("complex-trace", help="reduce Gamma(z) to strip evaluations")
+    p = sub.add_parser("complex-trace", help="reduce Gamma(z) to strip evaluations",
+                       parents=[fs_opts, trace_opts])
     p.add_argument("--z", type=_arg_complex, required=True,
                    help="RE,IM (use --z=RE,IM when RE is negative)")
-    p.add_argument("--delta", type=_arg_rational, required=True)
-    p.add_argument("--node-budget", type=int, help=_NODE_BUDGET_HELP)
-    p.add_argument("--emit-trace", action="store_true", help=_EMIT_TRACE_HELP)
     _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_complex_trace)
 

@@ -81,13 +81,16 @@ def affine_closure(points, depth: int, max_n: int,
         if not p > 0:
             raise DomainError(f"points must be positive, got {p}")
         pts.add(p.as_integer_ratio())
-    images = _image_ratios(max_n)
+    if max_n < 1:
+        raise DomainError(f"max_n must be >= 1, got {max_n}")
     frontier = pts
     for step in range(depth + 1):
         if len(pts) > budget:
             raise ResourceError(f"closure exceeded the cardinality budget {budget}")
         if step == depth or not frontier:
             break
+        # built here, so depth 0 builds none of the maps
+        images = _image_ratios(max_n)
         new = {(n // g, d // g) for x in frontier for n, d in images(*x) if n > 0
                for g in (gcd(n, d),)}
         frontier = new - pts

@@ -610,7 +610,8 @@ class DerivationTrace:
         above it by the form of its rule that its children match.  Only what
         to_json_dict writes is read: each node a dict with a str "rule", an
         "arg" as _record_arg reads it and a list "children", empty at a
-        "direct" leaf off gamma's poles; anything else raises DomainError.  validate_trace then
+        "direct" leaf off gamma's poles, and every value recomputed within the
+        float range; anything else raises DomainError.  validate_trace then
         checks the leaves and replays.  A tree of any depth is read, but
         json.loads raises RecursionError on the text of one nested deeper
         than the recursion limit, so such a tree must come from a reader
@@ -623,22 +624,27 @@ class DerivationTrace:
             stack.extend(node[2])
         trace = cls()
         done = []  # the indices of finished subtrees that no parent has taken yet
-        for rule, arg, children in reversed(order):
-            k = len(done) - len(children)
-            kids = tuple(done[k:])
-            del done[k:]
-            a = _record_arg(arg)
-            if rule == "direct":
-                if kids:
-                    raise DomainError(f"the direct node at {arg!r} has children")
-                try:
-                    value = gamma(a[0] / a[1] if type(a) is tuple else a)
-                except PoleError:
-                    raise DomainError(f"the direct leaf at {arg!r} is a pole of gamma") from None
-            else:
-                value = _replay(trace, rule, a, kids)
-            done.append(trace.add(rule, a, value, kids))
-        return _finish_trace(trace)[1]
+        try:
+            for rule, arg, children in reversed(order):
+                k = len(done) - len(children)
+                kids = tuple(done[k:])
+                del done[k:]
+                a = _record_arg(arg)
+                if rule == "direct":
+                    if kids:
+                        raise DomainError(f"the direct node at {arg!r} has children")
+                    try:
+                        value = gamma(a[0] / a[1] if type(a) is tuple else a)
+                    except PoleError:
+                        raise DomainError(f"the direct leaf at {arg!r} is a pole of gamma") from None
+                else:
+                    value = _replay(trace, rule, a, kids)
+                if not cmath.isfinite(value):
+                    raise DomainError(f"the value at {arg!r} leaves the floating range")
+                done.append(trace.add(rule, a, value, kids))
+        except OverflowError:  # from gamma, or a replayed form's power of 2
+            raise DomainError(f"the value at {arg!r} leaves the floating range") from None
+        return trace
 
 
 def _arg(a):

@@ -144,6 +144,16 @@ class TestVerify:
         code, report = run_json(["verify", "--identity", "reflection", "--samples", "0"], capsys)
         assert (code, report) == (1, {"error": "domain", "detail": "sample count must be >= 1, got 0"})
 
+    @pytest.mark.parametrize(
+        "grid,detail",
+        [("0:0:1:0:1", "sample count must be >= 1, got 0"), ("5:1:0:0:1", "re_range must be ordered")],
+        ids=["0:0:1:0:1", "5:1:0:0:1"],
+    )
+    def test_degenerate_grid_is_domain_error(self, grid, detail, capsys):
+        # --grid only parses its fields; SampleSpec refuses what they describe
+        code, report = run_json(["verify", "--identity", "functional", "--grid", grid], capsys)
+        assert (code, report) == (1, {"error": "domain", "detail": detail})
+
     def test_comb_defaults_to_its_window(self, capsys):
         code, report = run_json(["verify", "--identity", "comb"], capsys)
         assert code == 0
@@ -279,6 +289,17 @@ class TestLandau:
         assert report["explicit"] is True
         assert report["t"] == 11
         assert report["measure"] == "583337/2097152"
+
+    def test_set_options_have_one_help(self, capsys):
+        # --delta and --node-budget are declared once, for all three
+        # subcommands that build a set, the round cap in --delta's help
+        helps = []
+        for argv in (["landau", "construct"], ["landau", "trace"], ["complex-trace"]):
+            with pytest.raises(SystemExit):
+                main(argv + ["--help"])
+            out = capsys.readouterr().out
+            helps.append(out[out.index("  --delta DELTA"):out.index("DEFAULT_NODE_BUDGET)")])
+        assert helps[0] == helps[1] == helps[2] and "ROUND_CAP" in helps[0]
 
     def test_construct_summary(self, capsys):
         code, report = run_json(["landau", "construct", "--delta", "1/10"], capsys)
@@ -474,6 +495,17 @@ class TestSmallTools:
             "error": "resource",
             "detail": "closure exceeded the cardinality budget 2",
         }
+
+    def test_closure_at_depth_zero_builds_no_maps(self, capsys, monkeypatch):
+        from gammalab import closure
+
+        def no_maps(max_n):
+            raise AssertionError("depth 0 needs no maps")
+
+        monkeypatch.setattr(closure, "_image_ratios", no_maps)
+        code, report = run_json(["closure", "--points", "1/3", "--depth", "0", "--max-n", "100"], capsys)
+        assert (code, report["K"], report["elements"]) == (0, 20002, ["1/3"])
+        self.test_closure_budget_at_depth_zero(capsys)
 
     def test_mellin(self, capsys):
         code, report = run_json(["mellin", "--phi", "one", "--s", "0.5"], capsys)
@@ -835,10 +867,9 @@ class TestUsage:
             (["eval", "--z", "1/0"], "not a number"),
             (["eval", "--z", "1,abc"], "not a number"),
             (["verify", "--identity", "functional", "--grid", "5:a:1:0:1"], "bad grid spec"),
-            (["verify", "--identity", "functional", "--grid", "0:0:1:0:1"],
-             "degenerate grid spec"),
-            (["verify", "--identity", "functional", "--grid", "5:1:0:0:1"],
-             "degenerate grid spec"),
+            (["verify", "--identity", "functional", "--grid", "5:0:1"],
+             "grid spec must be count:relo:rehi:imlo:imhi"),
+            (["verify", "--identity", "functional", "--grid", "5.5:0:1:0:1"], "bad grid spec"),
             (["closure", "--points", ",", "--depth", "1", "--max-n", "2"], "empty point list"),
             # --samples 200 too, which a default of 200 would let through
             *[(["verify", "--identity", "reflection", "--grid", "5:-1:1:-1:1", "--samples", n],
@@ -850,6 +881,23 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [(["eval"], "--z"), (["schlomilch", "general"], "--w"), (["schlomilch", "general"], "--z")],
+        ids=["eval-z", "general-w", "general-z"],
+    )
+    def test_help_states_the_equals_form(self, argv, option, capsys):
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        assert f"use {option}=VALUE when RE is negative" in " ".join(capsys.readouterr().out.split())
+
+    def test_equals_form_reads_a_negative_exponent(self, capsys):
+        # argparse may take a bare -1e-3 for an option; --s=-1e-3 is a value
+        code, report = run_json(["mellin", "--phi", "one", "--s=-1e-3"], capsys)
+        assert (code, report) == (
+            1, {"error": "domain", "detail": "s must lie in the strip (0, 1.0), got -0.001"}
+        )
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -125,6 +125,12 @@ class TestAffineClosure:
         with pytest.raises(DomainError):
             affine_closure([Fraction(1, 2)], -1, 2)
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_rejects_bad_order_at_any_depth(self, depth):
+        # depth 0 builds no maps, but still refuses an order no map has
+        with pytest.raises(DomainError, match="max_n must be >= 1, got 0"):
+            affine_closure([Fraction(1, 2)], depth, 0)
+
     def test_all_elements_positive_rationals(self):
         out = affine_closure(["2/3", 0.5], 3, 3)
         assert all(isinstance(x, Fraction) and x > 0 for x in out)

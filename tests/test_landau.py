@@ -1199,17 +1199,30 @@ class TestTraceJson:
              "direct node at '1/3' has children"),
             *[({"rule": "direct", "arg": arg, "children": []}, re.escape(f"direct leaf at {arg!r} is a pole"))
               for arg in ["0", "-2", [0.0, 0.0]]],
+            *[({"rule": "direct", "arg": arg, "children": []},
+               re.escape(f"value at {arg!r} leaves the floating range"))
+              for arg in ["200", 1e300, [200.0, 0.0]]],
+            ({"rule": "functional", "arg": "172", "children": [{"rule": "direct", "arg": "171", "children": []}]},
+             "value at '172' leaves the floating range"),
+            # an inner node past the range under a finite root: 0 = pi / (sin * inf)
+            ({"rule": "reflection", "arg": "-343/2", "children": [
+                {"rule": "functional", "arg": "345/2", "children": [
+                    {"rule": "direct", "arg": "343/2", "children": []}]}]},
+             "value at '345/2' leaves the floating range"),
         ],
         ids=["pole-denominator", "letters", "null", "negative-denominator", "plus-sign", "space",
              "underscore", "non-ascii-digit", "empty-denominator", "one-number-list", "bool-in-list",
              "bool", "int-past-the-float-range", "no-children", "no-rule", "list-rule",
              "dict-children", "list-node", "str-child", "direct-with-children", "direct-at-zero",
-             "direct-at-minus-two", "direct-at-complex-zero"],
+             "direct-at-minus-two", "direct-at-complex-zero", "direct-past-the-range",
+             "direct-at-1e300", "direct-at-complex-200", "root-past-the-range",
+             "inner-node-past-the-range"],
     )
     def test_reads_only_what_the_writer_writes(self, doc, match):
         # "n" or "n/d" in ASCII digits with d >= 1, [re, im] or a number, in a
         # dict with a str rule and a list of children, a direct node a leaf
-        # off the poles: anything else is a DomainError that names it
+        # off the poles, every value finite: anything else is a DomainError
+        # that names it
         with pytest.raises(DomainError, match=match):
             DerivationTrace.from_json_dict(doc)
 
