@@ -6,8 +6,11 @@ when its checks pass, 1 on a failed check or a structured error
 ({"error": kind, "detail": ...}), 2 on usage errors.  The kinds are those of
 _ERROR_KINDS: "empty_grid", "domain", "convergence", "resource" (a node or
 cardinality budget, or landau's round cap), "pole" and "overflow" (a
-non-finite value); "internal" is a failure that is no documented numeric
-error.  All floats are written in their shortest round-trip form (repr) and JSON keys
+non-finite value, or a Gamma that underflows to zero or a subnormal in
+eval and complex-trace, as in every residual); "internal" is a failure
+that is no documented numeric error.  A word that starts with "-" and a
+digit, as in "--z -2.5,0.7", is read as a value on every Python.  All
+floats are written in their shortest round-trip form (repr) and JSON keys
 are sorted, so a fixed argv (plus seed) gives identical bytes.
 
 The seven subcommands that check a residual take --tol, finite and > 0,
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .errors import ConvergenceError, DomainError, EmptyGridError, ResourceError
@@ -185,10 +189,10 @@ def _pair(z: complex) -> list:
 
 
 def _cmd_eval(args):
-    from .core import gamma
+    from .core import _gamma_factor
 
-    value = gamma(args.z if args.z.imag != 0.0 else args.z.real)
-    value = complex(value)
+    # a zero or subnormal Gamma has underflowed: overflow, as in every residual
+    value = complex(_gamma_factor(args.z if args.z.imag != 0.0 else args.z.real))
     return 0, {
         "z": _pair(args.z),
         "gamma": _pair(value),
@@ -378,6 +382,20 @@ def _cmd_mellin(args):
 # parser assembly
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word starting with "-" and then a
+    digit, ".digit", "inf" or "nan" as a value, never as an option: no
+    gammalab option is spelled so.  argparse's own rule depends on the
+    Python version (3.10 to 3.13.0 take only -N and -N.N for numbers, so
+    "--s -1e-3" reads as two options there) and takes no version's "-inf"
+    for a value.  Subparsers are of this class too.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_common(p, tol=None):
     """--format, and --tol with its default tol where the subcommand checks
     a residual."""
@@ -389,7 +407,7 @@ def _add_common(p, tol=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammalab",
         description="Gamma-function identity laboratory: evaluate, verify, "
         "construct fundamental sets, and replay derivation traces.",
@@ -411,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate Gamma at a point")
     p.add_argument("--z", type=_arg_complex, required=True,
-                   help="argument, as RE or RE,IM or P/Q (use --z=VALUE when RE is negative)")
+                   help="argument, as RE or RE,IM or P/Q")
     _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
@@ -442,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ssub.add_parser("general", help="two-parameter series vs closed form")
     p.add_argument("--w", type=_arg_complex, required=True,
-                   help="RE or RE,IM or P/Q (use --w=VALUE when RE is negative)")
+                   help="RE or RE,IM or P/Q")
     p.add_argument("--z", type=_arg_complex, required=True,
-                   help="RE or RE,IM or P/Q (use --z=VALUE when RE is negative)")
+                   help="RE or RE,IM or P/Q")
     p.add_argument("--max-terms", type=int, default=500)
     _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_schlomilch_general)
@@ -496,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complex-trace", help="reduce Gamma(z) to strip evaluations",
                        parents=[fs_opts, trace_opts])
     p.add_argument("--z", type=_arg_complex, required=True,
-                   help="RE,IM (use --z=RE,IM when RE is negative)")
+                   help="RE,IM")
     _add_common(p, 1e-8)
     p.set_defaults(handler=_cmd_complex_trace)
 

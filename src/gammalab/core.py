@@ -163,6 +163,16 @@ def _log_sin_pi(z):
     )
 
 
+def _stirling_exponent_sign(z):
+    """A number of the sign of Re[(z - 1/2) log z - z], the leading term of
+    log |Gamma(z)|, for Re z > 0: each term is divided by s = max(|Re z|,
+    |Im z|) first, so none overflows at any finite z."""
+    x, y = z.real, z.imag
+    s = max(abs(x), abs(y))
+    log_abs = math.log(s) + 0.5 * math.log((x / s) ** 2 + (y / s) ** 2)
+    return (x / s - 0.5 / s) * log_abs - (y / s) * math.atan2(y, x) - x / s
+
+
 def _gamma_complex(z):
     """gamma(z) for a complex z, in one frame (module docstring).
 
@@ -200,6 +210,11 @@ def _gamma_complex(z):
             return out.conjugate() if mirror else out
     except OverflowError:
         pass
+    except ValueError:
+        # cmath.exp met an infinite imaginary part, at |z| near the top of
+        # the float range: off the reflection, Stirling's sign says which way
+        if not reflect and _stirling_exponent_sign(v) < 0.0:
+            return 0j
     if reflect:
         # only the reflection's Gamma(1 - z) leaves the range here, so
         # Gamma(z) underflows to zero, as on the real path
@@ -212,9 +227,11 @@ def gamma(z):
 
     Real input returns float, complex input returns complex.  Raises
     PoleError within 1e-12 of a non-positive integer and OverflowError when
-    the result exceeds the floating range (|x| >~ 171.6 on the real axis);
-    left of that, where Gamma(1 - z) exceeds it, the value underflows to a
-    (signed or complex) zero.
+    the result exceeds the floating range (|x| >~ 171.6 on the real axis,
+    1e308 + 1e308j); left of that, where Gamma(1 - z) exceeds it
+    (-200.5, -1e308 + 300j), and far up the imaginary direction (2.5 + 1e20j,
+    1 + 1e308j), the value underflows to a (signed or complex) zero.  At
+    every finite z it gives one of these outcomes, never another error.
     """
     if isinstance(z, complex):
         return _gamma_complex(complex(z))
@@ -301,8 +318,10 @@ def log_gamma(z):
     """Principal-branch log gamma on the right half-plane.
 
     Real input returns float, complex input returns complex.  Raises
-    DomainError for Re z <= 0.  Within 1.5e-15 of mpmath (absolute, or
-    relative above 1) in the boxes of the module docstring.
+    DomainError for Re z <= 0, and OverflowError where the value leaves the
+    floating range (1e308, 2.5 + 1e308j), never returning an infinity.
+    Within 1.5e-15 of mpmath (absolute, or relative above 1) in the boxes of
+    the module docstring.
 
     The imaginary part is continuous along paths with Re z > 0: z, z + 1
     and t = z + g - 1/2 have positive real parts, and on Re z >= 1/2 the
@@ -313,7 +332,10 @@ def log_gamma(z):
     zc = _check_finite(z)
     if zc.real <= 0.0:
         raise DomainError(f"log_gamma requires Re z > 0, got {z!r}")
-    return _log_gamma_right(zc if isinstance(z, complex) else zc.real)
+    out = _log_gamma_right(zc if isinstance(z, complex) else zc.real)
+    if not cmath.isfinite(out):
+        raise OverflowError(f"log_gamma({z!r}) exceeds the floating range")
+    return out
 
 
 def beta(z, w):

@@ -75,7 +75,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import _check_finite, _int_of_text, _residual, _text, gamma, pole_distance, sinpi
+from .core import (
+    _check_finite, _gamma_factor, _int_of_text, _residual, _text, gamma, pole_distance, sinpi,
+)
 from .errors import DomainError, PoleError, ResourceError
 from .identities import _IDENTITIES, _compile, _node_maps
 from .intervals import IntervalSet, as_fraction
@@ -977,8 +979,10 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
 
     Raises ResourceError when the tree would exceed node_budget nodes, at
     the node that exceeds it, with the strip points z needs and the nodes
-    built when it stopped, and OverflowError, as gamma does, when the value
-    exceeds the floating range.  A non-finite z raises DomainError.
+    built when it stopped.  Where Gamma(z) is no normal double, as at
+    1200.5 + 0.5j (past the range) or 0.5 + 1000j (underflowed), it raises
+    OverflowError, as core._gamma_factor does, after the other refusals and
+    before any node is built.  A non-finite z raises DomainError.
 
     Each shift z -> z - 1 is a node, and below 2**53 each is exact, so at
     Re z - 1 > node_budget the shifts alone exceed the budget (and where
@@ -1001,6 +1005,7 @@ def complex_reduce_trace(z, fs: FundamentalSet, *, node_budget: int = DEFAULT_CO
             sinpi(z)
         except OverflowError:
             raise DomainError(f"sin(pi z) overflows at z = {z!r}: |Im z| past about 226.15") from None
+    _gamma_factor(z)
     rec = DerivationTrace()
     left = node_budget
 

@@ -178,16 +178,19 @@ class TestGammaComplexRange:
     where Gamma(1 - z) leaves the range in the reflection, and the documented
     OverflowError where the value itself does."""
 
-    @pytest.mark.parametrize("z", [-180.5 + 0.1j, -1000.5 + 0.5j, complex(-200.5, 0.0)])
+    @pytest.mark.parametrize("z", [-180.5 + 0.1j, -1000.5 + 0.5j, complex(-200.5, 0.0), -1e308 + 300j])
     def test_deep_left_underflows_to_zero(self, z):
         v = gamma(z)
         assert isinstance(v, complex)
         assert v == 0
 
-    @pytest.mark.parametrize("z", [180.5 + 0.1j, 171.65 + 0.001j])
+    @pytest.mark.parametrize(
+        "z", [180.5 + 0.1j, 171.65 + 0.001j, 1e308 + 1e308j, 1e308 - 1e308j, 1e307 + 1e308j]
+    )
     def test_overflow_raises_documented_error(self, z):
         # 180.5 + 0.1i overflows inside the Lanczos prefactor; 171.65 +
-        # 0.001i only in the last product, which gave inf - inf i
+        # 0.001i only in the last product, which gave inf - inf i; at the
+        # last three cmath.exp meets an infinite imaginary part
         with pytest.raises(OverflowError, match="exceeds the floating range"):
             gamma(z)
 
@@ -199,6 +202,29 @@ class TestGammaComplexRange:
         # factor must not turn into a zero or nan quotient
         with pytest.raises(OverflowError, match="underflows to zero"):
             beta(z, w)
+
+    @pytest.mark.parametrize("z", [1 + 1e308j, 0.5 - 1e308j, 1e300 + 1e308j])
+    def test_far_up_the_imaginary_direction_underflows_to_zero(self, z):
+        # cmath.exp meets an infinite imaginary part where Gamma underflows,
+        # as at -1e308 + 300j through _log_sin_pi
+        v = gamma(z)
+        assert isinstance(v, complex)
+        assert v == 0
+
+    def test_huge_arguments_give_a_documented_outcome(self):
+        # up to the largest double in each part, gamma returns, underflows
+        # to zero or raises PoleError or OverflowError; where the kernel's
+        # exp fails, the outcome matches mpmath's log|Gamma|
+        rng = random.Random(5)
+        for _ in range(300):
+            z = complex(rng.choice((-1, 1)) * 10 ** rng.uniform(0.0, 308.25),
+                        rng.choice((-1, 1)) * 10 ** rng.uniform(300.0, 308.25))
+            try:
+                outcome = "zero" if gamma(z) == 0 else "value"
+            except OverflowError:
+                outcome = "overflow"
+            log_abs = mpmath.loggamma(mpmath.mpc(z.real, z.imag)).real
+            assert outcome == ("overflow" if log_abs > 709.8 else "zero" if log_abs < -745 else "value"), z
 
     @pytest.mark.parametrize("z", [-117.78 + 100.64j, -170.6])
     def test_a_subnormal_factor_is_out_of_range(self, z):
@@ -335,6 +361,11 @@ class TestLogGamma:
     def test_left_half_plane_rejected(self):
         with pytest.raises(DomainError):
             log_gamma(complex(-1.5, 0.3))
+
+    @pytest.mark.parametrize("z", [2.5 + 1e308j, 1e308, 1e308 + 0j])
+    def test_past_the_range_raises_documented_error(self, z):
+        with pytest.raises(OverflowError, match=r"log_gamma\(.*\) exceeds the floating range"):
+            log_gamma(z)
 
     def test_real_positive(self):
         assert log_gamma(10.0) == pytest.approx(math.lgamma(10.0), rel=1e-14)

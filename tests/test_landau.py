@@ -771,6 +771,21 @@ class TestComplexReduce:
             with pytest.raises(DomainError, match=r"sin\(pi z\) overflows at z = \(-1\.3\+300\.5j\)"):
                 complex_reduce_trace(-1.3 + 300.5j, fs_half, node_budget=budget)
 
+    @pytest.mark.parametrize(
+        "z, detail",
+        [(-150.5 + 100j, "underflows to zero"), (0.5 + 1000j, "underflows to zero"),
+         (1200.5 + 0.5j, "exceeds the floating range")],
+    )
+    def test_out_of_range_gamma_builds_nothing(self, z, detail, fs_half, monkeypatch):
+        # Gamma(z) is no normal double: refused before the first node, where
+        # the whole tree (or the default budget) used to be spent first
+        def add(*args):
+            raise AssertionError("a node was built")
+
+        monkeypatch.setattr(DerivationTrace, "add", add)
+        with pytest.raises(OverflowError, match=rf"gamma\({re.escape(repr(z))}\) {detail}"):
+            complex_reduce_trace(z, fs_half)
+
     def test_shift_chain_past_the_budget_builds_nothing(self, fs_half, monkeypatch):
         # each shift z -> z - 1 is a node, so at Re z - 1 > node_budget the
         # chain alone exceeds the budget; at 1e300, z - 1 rounds to z and
