@@ -5,11 +5,11 @@ header row + one data row) or key = value text on request — and exits 0
 when its checks pass, 1 on a failed check or a structured error
 ({"error": kind, "detail": ...}), 2 on usage errors.  The kinds are those of
 _ERROR_KINDS: "empty_grid", "domain", "convergence", "resource" (a node or
-cardinality budget, or landau's round cap), "pole" and "overflow" (a
-non-finite value, or a Gamma that underflows to zero or a subnormal in
-eval and complex-trace, as in every residual); "internal" is a failure
-that is no documented numeric error.  A word that starts with "-" and a
-digit, as in "--z -2.5,0.7", is read as a value on every Python.  All
+cardinality budget, landau's round cap or stern's modulus cap), "pole" and
+"overflow" (a non-finite value, or a Gamma that underflows to zero or a
+subnormal in eval and complex-trace, as in every residual); "internal" is a
+failure that is no documented numeric error.  A word that starts with "-"
+and a digit, as in "--z -2.5,0.7", is read as a value on every Python.  All
 floats are written in their shortest round-trip form (repr) and JSON keys
 are sorted, so a fixed argv (plus seed) gives identical bytes.
 
@@ -22,6 +22,9 @@ report is a function of its argv alone.
 
 Each handler imports its own modules, so a subcommand loads only what it
 uses: ``eval`` loads ``core`` and nothing of ``landau`` or ``identities``.
+No module imports ``dataclasses`` or ``typing``, whose import (``inspect``
+with it) and generated methods would cost every process several ms at
+start (see the package docstring).
 """
 
 from __future__ import annotations
@@ -492,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_landau_quarter)
 
     p = sub.add_parser("stern", help="count independent log-gamma values mod m")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help="the modulus, m >= 3; an m over stern.MODULUS_CAP = 2000 is "
+                        "refused as resource")
     _add_common(p)
     p.set_defaults(handler=_cmd_stern)
 

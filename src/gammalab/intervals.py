@@ -28,12 +28,11 @@ for a caller that holds the point as an integer pair already.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .errors import DomainError
+from .errors import DomainError, _Record
 
 
 def as_fraction(x) -> Fraction:
@@ -56,14 +55,15 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as a rational")
 
 
-class IntervalSet:
+class IntervalSet(_Record):
     """Immutable union of half-open intervals (a, b] with Fraction endpoints.
 
     The constructor accepts intervals in any order, possibly overlapping or
     touching, and normalizes to the canonical sorted disjoint form; (a, b]
     and (b, c] merge into (a, c].  It keeps the integer index of the module
-    docstring; equality, hash and repr are those of the `intervals` tuple,
-    as for a frozen dataclass with that one field.
+    docstring in its __dict__.  Equality, hash and repr are those of a
+    record whose one field is the `intervals` tuple, and assignment and
+    deletion raise as on every record.
     """
 
     def __init__(self, pairs=()):
@@ -107,12 +107,6 @@ class IntervalSet:
             object.__setattr__(self, "_intervals", pairs)
             return pairs
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.intervals == other.intervals
@@ -123,6 +117,11 @@ class IntervalSet:
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(intervals={self.intervals!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild the set from its intervals, not from the
+        # record's __slots__, which hold none of it
+        return self.__class__, (self.intervals,)
 
     @property
     def measure(self) -> Fraction:

@@ -71,14 +71,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
     _check_finite, _gamma_factor, _int_of_text, _residual, _text, gamma, pole_distance, sinpi,
 )
-from .errors import DomainError, PoleError, ResourceError
+from .errors import DomainError, PoleError, ResourceError, _Record
 from .identities import _IDENTITIES, _compile, _node_maps
 from .intervals import IntervalSet, as_fraction
 
@@ -97,8 +96,7 @@ ROUND_CAP = 12_000
 # interval lemma
 
 
-@dataclass(frozen=True)
-class DecompositionNode:
+class DecompositionNode(_Record):
     """One node of the halving-chain decomposition of an interval.
 
     kind is "split" (two children: the x/2 and x/2 + 1/2 images), "I"
@@ -106,9 +104,12 @@ class DecompositionNode:
     next round).
     """
 
-    interval: tuple
-    kind: str
-    children: tuple
+    __slots__ = ("interval", "kind", "children")
+
+    def __init__(self, interval: tuple, kind: str, children: tuple):
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "children", children)
 
 
 def _class_of(p: int, q: int, delta: Fraction) -> int:
@@ -383,8 +384,7 @@ def _capped_rounds(delta: Fraction) -> int:
 # the construction
 
 
-@dataclass(frozen=True)
-class FundamentalSet:
+class FundamentalSet(_Record):
     """A constructed fundamental set with exact rational bookkeeping.
 
     residual_mass and final_piece_count (the pieces left after t rounds,
@@ -396,14 +396,22 @@ class FundamentalSet:
     measure < delta exactly.
     """
 
-    delta: Fraction
-    t: int
-    leaf_union: IntervalSet
-    measure: Fraction
-    residual_mass: Fraction
-    explicit: bool
-    final_piece_count: int
-    node_count: int
+    __slots__ = (
+        "delta", "t", "leaf_union", "measure", "residual_mass", "explicit",
+        "final_piece_count", "node_count",
+    )
+
+    def __init__(self, delta: Fraction, t: int, leaf_union: IntervalSet, measure: Fraction,
+                 residual_mass: Fraction, explicit: bool, final_piece_count: int,
+                 node_count: int):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "leaf_union", leaf_union)
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "residual_mass", residual_mass)
+        object.__setattr__(self, "explicit", explicit)
+        object.__setattr__(self, "final_piece_count", final_piece_count)
+        object.__setattr__(self, "node_count", node_count)
 
     @property
     def root_forest(self) -> tuple:
@@ -708,8 +716,7 @@ def _record_arg(arg):
     raise DomainError(f'trace argument {arg!r} is none of "n", "n/d" (d >= 1), [re, im] and a number')
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(_Record):
     """One form of a rule.
 
     generic(a): the child arguments of a node at a, in a's own type (exact
@@ -718,9 +725,12 @@ class _Form:
     from the children's gamma values, with a as a float or complex.
     """
 
-    generic: object
-    ratios: object
-    combine: object
+    __slots__ = ("generic", "ratios", "combine")
+
+    def __init__(self, generic, ratios, combine):
+        object.__setattr__(self, "generic", generic)
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "combine", combine)
 
     def matches(self, a, kids: tuple, args: list) -> bool:
         """Whether the record nodes at kids, whose arguments args holds, are

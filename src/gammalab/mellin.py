@@ -21,15 +21,13 @@ representable float.  The transform is the one Mellin integral that
 """
 
 import math
-from dataclasses import dataclass, replace
 
 from .core import _check_finite, _residual
-from .errors import DomainError
+from .errors import DomainError, _Record
 from .quadrature import _mellin_integral, _minus_exp, _softplus
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(_Record):
     """A catalog entry: the sequence phi, psi stated once as log psi(e^u),
     and the growth/strip constants.
 
@@ -40,11 +38,14 @@ class PhiSpec:
     uses it beyond the series' disc.
     """
 
-    id: str
-    phi: object
-    eta: float
-    log_psi_of_exp: object
-    q: float = 0.0
+    __slots__ = ("id", "phi", "eta", "log_psi_of_exp", "q")
+
+    def __init__(self, id: str, phi, eta: float, log_psi_of_exp, q: float = 0.0):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "log_psi_of_exp", log_psi_of_exp)
+        object.__setattr__(self, "q", q)
 
 
 def _log_psi_log1p(u):
@@ -54,13 +55,13 @@ def _log_psi_log1p(u):
     return math.log(_softplus(u)) - u
 
 
-def _geom_spec(a: float) -> PhiSpec:
+def _geom_spec(a: float, id: str | None = None) -> PhiSpec:
     if not a > 0:
         raise DomainError(f"geometric ratio must be > 0, got {a}")
     _check_finite(a, "geometric ratio")
     la = math.log(a)
     return PhiSpec(
-        id=f"geom:{a:g}",
+        id=id or f"geom:{a:g}",
         phi=lambda n: a**n,
         eta=1.0,
         q=la,
@@ -71,7 +72,7 @@ def _geom_spec(a: float) -> PhiSpec:
 
 _CATALOG = {
     # phi = 1 is the geometric entry at ratio 1
-    "one": lambda: replace(_geom_spec(1.0), id="one"),
+    "one": lambda: _geom_spec(1.0, "one"),
     "exp": lambda: PhiSpec(
         id="exp",
         phi=lambda n: 1.0 / math.gamma(n + 1),

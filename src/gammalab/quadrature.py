@@ -12,10 +12,9 @@ transform of `mellin` are that integral, each psi stated as log psi(e^u).
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .core import _check_finite
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _Record
 
 __all__ = [
     "QuadratureSpec",
@@ -31,14 +30,14 @@ _TINY_WEIGHT = 1e-280
 _U_CAP = 4000.0       # integrate_real_line gives up on a tail past |u| = _U_CAP
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record):
     """Relative tolerance of the gamma and beta integral oracles."""
 
-    relative_tolerance: float = 1e-10
+    __slots__ = ("relative_tolerance",)
 
-    def __post_init__(self):
-        if not self.relative_tolerance > 0:
+    def __init__(self, relative_tolerance: float = 1e-10):
+        object.__setattr__(self, "relative_tolerance", relative_tolerance)
+        if not relative_tolerance > 0:
             raise DomainError("relative_tolerance must be > 0")
 
 

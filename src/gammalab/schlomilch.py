@@ -16,29 +16,30 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from .core import (
     _check_finite, _gamma_factor, _residual, cospi, gamma, pole_distance, sinpi,
 )
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, _Record
 
 _LN2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class SchlomilchCoefficients:
+class SchlomilchCoefficients(_Record):
     """The even coefficients M_0, M_2, ..., M_{2m}.
 
     M_{2n} = (m-n+1)_{2n} / (2n)!, which collapses to the binomial
     coefficient C(m+n, 2n) — a nonnegative integer, with M_0 = 1.
     """
 
-    m: int
-    coefficients: tuple
+    __slots__ = ("m", "coefficients")
+
+    def __init__(self, m: int, coefficients: tuple):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def build(cls, m: int) -> "SchlomilchCoefficients":
@@ -48,15 +49,18 @@ class SchlomilchCoefficients:
         return cls(m=m, coefficients=coeffs)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(_Record):
     """Outcome of a truncated series evaluation; mass = sum |term| (not serialised)."""
 
-    value: complex
-    terms_used: int
-    last_term_magnitude: float
-    converged: bool
-    mass: float
+    __slots__ = ("value", "terms_used", "last_term_magnitude", "converged", "mass")
+
+    def __init__(self, value: complex, terms_used: int, last_term_magnitude: float,
+                 converged: bool, mass: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "terms_used", terms_used)
+        object.__setattr__(self, "last_term_magnitude", last_term_magnitude)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "mass", mass)
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,18 +71,18 @@ class SeriesResult:
         }
 
 
-@dataclass(frozen=True)
-class Hyp2F1Params:
+class Hyp2F1Params(_Record):
     """Parameter triple (a, b; c) for a hypergeometric series at 1/2."""
 
-    a: complex
-    b: complex
-    c: complex
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if pole_distance(self.c) <= 1e-10:
+    def __init__(self, a: complex, b: complex, c: complex):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        if pole_distance(c) <= 1e-10:
             raise DomainError(
-                f"c = {self.c!r} is within 1e-10 of a non-positive integer"
+                f"c = {c!r} is within 1e-10 of a non-positive integer"
             )
 
 

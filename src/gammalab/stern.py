@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 
 def totient(m: int) -> int:
@@ -146,6 +146,13 @@ def _folded_rows(m: int) -> list:
     return sorted(folded)
 
 
+# The largest modulus independent_count takes.  The folded matrix has about
+# m/2 columns and as many rows, and the elimination's time grows as m**2 to
+# m**2.4: m = 1000 takes about 0.3 s, 2000 about 1.3 s and 4000 about 7 s
+# with a 90 MB peak (Python 3.11 on 2 vCPUs).
+MODULUS_CAP = 2_000
+
+
 def independent_count(m: int) -> int:
     """Number of log-gamma values at k/m not fixed by the relation families.
 
@@ -154,8 +161,11 @@ def independent_count(m: int) -> int:
     rows; eliminating the reflection rows first is exact because each has a
     pivot column that no other reflection row touches (module docstring).
     The count equals totient(m)/2 for every m >= 3; this is checked, and a
-    mismatch raises AssertionError (also under python -O).
+    mismatch raises AssertionError (also under python -O).  An m above
+    MODULUS_CAP = 2000 raises ResourceError before any row is built.
     """
+    if m > MODULUS_CAP:
+        raise ResourceError(f"m = {m} is over the cap of {MODULUS_CAP} on the modulus")
     independent = (m - 1) - (m // 2 + _rank(_folded_rows(m)))
     expected, rem = divmod(totient(m), 2)
     if rem or independent != expected:

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import gammalab
-from gammalab import cli
+from gammalab import cli, stern
 from gammalab.cli import main
 
 _SCHEMA = json.loads(
@@ -189,6 +189,14 @@ class TestVerify:
         )
         assert code == 1
         assert report["error"] == "empty_grid"
+
+    def test_mult_overflow_is_not_blamed_on_the_clearance(self, capsys):
+        # Gamma(z) overflows at every draw near z = 1000, far from any pole
+        argv = ["verify", "--identity", "mult:2", "--grid", "3:1000:1001:0:0.001"]
+        code, report = run_json(argv, capsys)
+        assert (code, report) == (
+            1, {"error": "empty_grid", "detail": "all 3 sampled points for 'mult:2' were skipped"}
+        )
 
     def test_mult_slot_clearance_empties_the_default_box(self, capsys):
         # a slot (z + j)/52 is within 0.1 of the pole 0 wherever |z + j| < 5.2,
@@ -477,6 +485,16 @@ class TestSmallTools:
         code, report = run_json(["stern", "--m", "7"], capsys)
         assert code == 0
         assert report == {"m": 7, "independent": 3, "expected": 3}
+
+    @pytest.mark.parametrize("m", ["8000", "4503599627370497"])
+    def test_stern_modulus_over_the_cap(self, m, capsys, monkeypatch):
+        # refused before any row is built or any totient counted
+        monkeypatch.setattr(stern, "_folded_rows", None)
+        monkeypatch.setattr(stern, "totient", None)
+        code, report = run_json(["stern", "--m", m], capsys)
+        assert (code, report) == (
+            1, {"error": "resource", "detail": f"m = {m} is over the cap of 2000 on the modulus"}
+        )
 
     def test_stern_small_modulus(self, capsys):
         code, report = run_json(["stern", "--m", "2"], capsys)
@@ -1081,16 +1099,18 @@ def _run_src(code, *argv):
     )
 
 
-def _loaded_by(argv):
-    """The gammalab submodules one process loads to run main(argv)."""
+def _loaded_by(argv, prefix="gammalab."):
+    """The modules that one process loads to run main(argv) and had not
+    loaded at its start, those whose names start with prefix, each by its
+    name after prefix: by default gammalab's submodules by their short
+    names."""
     proc = _run_src(
-        "import sys; from gammalab.cli import main; main(sys.argv[1:]); "
-        "sys.stderr.write(' '.join(sorted(m[9:] for m in sys.modules "
-        "if m.startswith('gammalab.'))))",
+        "import sys; started = set(sys.modules); from gammalab.cli import main; "
+        "main(sys.argv[1:]); sys.stderr.write(' '.join(set(sys.modules) - started))",
         *argv,
     )
     json.loads(proc.stdout)
-    return set(proc.stderr.split())
+    return {m[len(prefix):] for m in proc.stderr.split() if m.startswith(prefix)}
 
 
 class TestColdStart:
@@ -1125,6 +1145,12 @@ class TestColdStart:
     )
     def test_sweeps_load_no_exact_modules(self, argv):
         assert not _loaded_by(argv) & {"landau", "intervals", "schlomilch"}
+
+    @pytest.mark.parametrize("argv", _ONE_RUN_EACH, ids=" ".join)
+    def test_subcommand_loads_no_dataclasses_inspect_or_typing(self, argv):
+        # importing dataclasses loads inspect, several ms of every start; a
+        # module the interpreter's start already loaded costs nothing here
+        assert not _loaded_by(argv, prefix="") & {"dataclasses", "inspect", "typing"}
 
     @pytest.mark.parametrize("name", [n for n in gammalab.__all__ if n != "__version__"])
     def test_public_name_resolves_to_its_home(self, name):

@@ -194,7 +194,7 @@ class TestVerifyGrid:
         spec = SampleSpec(count=80, seed=123)
         a = verify_grid("reflection", spec, 1e-10)
         b = verify_grid("reflection", spec, 1e-10)
-        assert a == b  # frozen dataclass: field-by-field equality
+        assert a == b  # a record: field-by-field equality
 
     def test_seed_changes_sample(self):
         a = verify_grid("functional", SampleSpec(count=80, seed=1), 1e-10)

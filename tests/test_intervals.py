@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -257,6 +259,11 @@ class TestFractionsOnFirstRead:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(s, name)
         assert list(s) == [(0, Fraction(1, 4)), (Fraction(1, 2), 1)]
+
+    def test_copy_and_pickle(self):
+        s = IntervalSet._scaled([(8, 12), (12, 16), (0, 4)], 16)
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and len(twin) == 2 and Fraction(3, 8) not in twin and 1 in twin
 
 
 # Integer pairs (a, b) over 2**k on a grid of 16 cells, each end moved up by

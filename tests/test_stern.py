@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import gammalab
 from gammalab.core import log_gamma
-from gammalab.errors import DomainError
+from gammalab import stern
+from gammalab.errors import DomainError, ResourceError
 from gammalab.stern import (
+    MODULUS_CAP,
     _folded_rows,
     _rank,
     independent_count,
@@ -147,6 +149,12 @@ class TestIndependentCount:
     @pytest.mark.parametrize("m", [*range(3, 13), 480, 1000])
     def test_matches_half_totient(self, m):
         assert independent_count(m) == totient(m) // 2
+
+    def test_modulus_over_the_cap(self, monkeypatch):
+        # refused before any row is built
+        monkeypatch.setattr(stern, "_folded_rows", None)
+        with pytest.raises(ResourceError, match=f"^m = {MODULUS_CAP + 1} is over the cap "):
+            independent_count(MODULUS_CAP + 1)
 
     def test_specific_counts(self):
         # phi(5)/2 = 2: two genuinely free values among v_1..v_4
